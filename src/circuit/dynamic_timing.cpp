@@ -1,11 +1,95 @@
 #include "circuit/dynamic_timing.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
+#include <vector>
 
 #include "circuit/sta.h"
 
 namespace synts::circuit {
+
+namespace {
+
+/// What one step_batch delay pass reads and writes.
+struct delay_pass {
+    const gate* gates;
+    const double* gate_delays;           ///< [gate * corner_count + corner]
+    const std::uint64_t* toggles;        ///< per net, lane toggle masks
+    double* toggle_ps;                   ///< [net * corner_count + corner]
+    std::size_t zero_row;                ///< toggle_ps row that is always 0.0
+    const std::uint8_t* drives_output;   ///< per gate, output is a primary output
+    const std::uint32_t* lane_gates;     ///< lane j's toggled gates from j * gate_count
+    std::uint32_t* const* lane_ends;     ///< per lane, one past its last gate
+    std::size_t gate_count;
+    std::size_t lane_count;
+    std::size_t corner_count;
+    double* out_delay_ps;                ///< [corner * lane_count + lane]
+};
+
+/// Max-plus delay propagation over each lane's toggled gates, C corners
+/// wide. With C fixed the running maxima live on the stack and every
+/// corner loop has a compile-time trip count; C == std::dynamic_extent
+/// reads the width from the pass (corner counts other than the paper's).
+/// Lanes share toggle_ps sequentially exactly like consecutive scalar
+/// steps share it: a lane only reads settle times its own pass wrote
+/// (reads guarded by the lane's toggle bits), so no per-lane copy is
+/// needed and the final contents equal the scalar walk's.
+template <std::size_t C>
+void propagate_delays(const delay_pass& p)
+{
+    constexpr bool fixed = C != std::dynamic_extent;
+    const std::size_t width = fixed ? C : p.corner_count;
+    std::array<double, fixed ? 2 * C : 0> stack_scratch{};
+    std::vector<double> heap_scratch(fixed ? 0 : 2 * width);
+    double* const latest = fixed ? stack_scratch.data() : heap_scratch.data();
+    // Running max over the lane's toggled primary outputs. Settle times
+    // are non-negative and max is exact, so folding the output reduction
+    // into the gate walk gives the scalar walk's bits in any visit order.
+    double* const worst = latest + width;
+    for (std::size_t lane = 0; lane < p.lane_count; ++lane) {
+        const std::uint64_t lane_bit = 1ull << lane;
+        for (std::size_t c = 0; c < width; ++c) {
+            worst[c] = 0.0;
+        }
+        const std::uint32_t* const first = p.lane_gates + lane * p.gate_count;
+        for (const std::uint32_t* it = first; it != p.lane_ends[lane]; ++it) {
+            const gate& g = p.gates[*it];
+            // Per corner: max over the changed inputs in pin order, then
+            // one add -- the scalar walk's arithmetic order. An unchanged
+            // pin reads the all-zero row instead of branching: settle
+            // times are non-negative, so max(x, +0.0) is x bit for bit,
+            // and a data-dependent select beats a mispredicted branch.
+            for (std::size_t c = 0; c < width; ++c) {
+                latest[c] = 0.0;
+            }
+            for (std::size_t i = 0; i < g.input_count; ++i) {
+                const net_id in = g.inputs[i];
+                const std::size_t row = (p.toggles[in] & lane_bit) != 0 ? in : p.zero_row;
+                const double* const in_toggle = p.toggle_ps + row * width;
+                for (std::size_t c = 0; c < width; ++c) {
+                    latest[c] = std::max(latest[c], in_toggle[c]);
+                }
+            }
+            double* const out_toggle = p.toggle_ps + g.output * width;
+            const double* const delays = p.gate_delays + *it * width;
+            for (std::size_t c = 0; c < width; ++c) {
+                out_toggle[c] = latest[c] + delays[c];
+            }
+            if (p.drives_output[*it] != 0) {
+                for (std::size_t c = 0; c < width; ++c) {
+                    worst[c] = std::max(worst[c], out_toggle[c]);
+                }
+            }
+        }
+        for (std::size_t c = 0; c < width; ++c) {
+            p.out_delay_ps[c * p.lane_count + lane] = worst[c];
+        }
+    }
+}
+
+} // namespace
 
 std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
@@ -55,7 +139,9 @@ dynamic_timing_simulator::dynamic_timing_simulator(
     // reuse without repeating the toggle_ps_ fill (see reset()).
     values_.resize(nl_.net_count());
     changed_.resize(nl_.net_count());
-    toggle_ps_.resize(nl_.net_count() * tables_->vdd.size());
+    // One extra row past the last net stays 0.0 forever: step_batch's
+    // branch-free reads of unchanged pins land there.
+    toggle_ps_.resize((nl_.net_count() + 1) * tables_->vdd.size());
     latest_ps_.resize(tables_->vdd.size());
 }
 
@@ -158,19 +244,27 @@ void dynamic_timing_simulator::step_batch(std::span<const std::uint64_t> input_w
 {
     const std::size_t input_count = nl_.input_count();
     const std::size_t net_count = nl_.net_count();
-    const std::size_t corner_count_ = tables_->vdd.size();
+    const std::size_t corner_count = tables_->vdd.size();
     if (input_words.size() != input_count) {
         throw std::invalid_argument("dynamic_timing_simulator: input word span mismatch");
     }
     if (lane_count == 0 || lane_count > max_batch_lanes) {
         throw std::invalid_argument("dynamic_timing_simulator: lane count out of range");
     }
-    if (out_delay_ps.size() != corner_count_ * lane_count) {
+    if (out_delay_ps.size() != corner_count * lane_count) {
         throw std::invalid_argument("dynamic_timing_simulator: batch delay buffer mismatch");
     }
+    const auto gates = nl_.gates();
     if (value_words_.size() != net_count) {
         value_words_.resize(net_count);
         toggle_words_.resize(net_count);
+        lane_gates_.resize(max_batch_lanes * gates.size());
+        drives_output_.resize(gates.size());
+        for (const net_id out : nl_.output_nets()) {
+            if (const gate_id g = nl_.driver_of(out); g < gates.size()) {
+                drives_output_[g] = 1;
+            }
+        }
     }
 
     // Functional pass, word-parallel: lane j of a net's word is its settled
@@ -185,7 +279,18 @@ void dynamic_timing_simulator::step_batch(std::span<const std::uint64_t> input_w
         words[i] = w;
         toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[i]));
     }
-    const auto gates = nl_.gates();
+    // The same scan bit-scans each gate's toggle word and buckets the gate
+    // into its toggled lanes' lists: lane j's list starts at
+    // lane_gates_[j * gate_count] and ends at lane_ends[j]. Gates are
+    // visited in topological order, so every list is too. Bits at or above
+    // lane_count (shifted-in toggles, const1 words) belong to no vector and
+    // are masked off.
+    const std::uint64_t lane_mask =
+        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
+    std::array<std::uint32_t*, max_batch_lanes> lane_ends{};
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+        lane_ends[lane] = lane_gates_.data() + lane * gates.size();
+    }
     for (std::size_t gi = 0; gi < gates.size(); ++gi) {
         const gate& g = gates[gi];
         const std::uint64_t a = g.input_count > 0 ? words[g.inputs[0]] : 0;
@@ -194,55 +299,32 @@ void dynamic_timing_simulator::step_batch(std::span<const std::uint64_t> input_w
         const std::uint64_t w = evaluate_cell_word(g.kind, a, b, c);
         const net_id out = g.output;
         words[out] = w;
-        toggles[out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[out]));
+        const std::uint64_t t = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[out]));
+        toggles[out] = t;
+        for (std::uint64_t lanes = t & lane_mask; lanes != 0; lanes &= lanes - 1) {
+            *lane_ends[std::countr_zero(lanes)]++ = static_cast<std::uint32_t>(gi);
+        }
     }
 
-    // Delay propagation per lane, visiting only toggled gates. Lanes share
-    // toggle_ps_ sequentially exactly like consecutive scalar steps share
-    // it: a lane only reads settle times its own pass wrote (reads guarded
-    // by the lane's toggle bits), so no per-lane copy is needed and the
-    // final toggle_ps_ contents equal the scalar walk's.
-    const double* const gate_delays = tables_->gate_delay_ps.data();
-    double* const toggle = toggle_ps_.data();
-    double* const latest = latest_ps_.data();
-    const auto output_nets = nl_.output_nets();
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        const std::uint64_t lane_bit = 1ull << lane;
-        for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-            const gate& g = gates[gi];
-            if ((toggles[g.output] & lane_bit) == 0) {
-                continue;
-            }
-            std::fill(latest, latest + corner_count_, 0.0);
-            for (std::size_t i = 0; i < g.input_count; ++i) {
-                const net_id in = g.inputs[i];
-                if ((toggles[in] & lane_bit) == 0) {
-                    continue;
-                }
-                const double* const in_toggle = toggle + in * corner_count_;
-                for (std::size_t c = 0; c < corner_count_; ++c) {
-                    latest[c] = std::max(latest[c], in_toggle[c]);
-                }
-            }
-            double* const out_toggle = toggle + g.output * corner_count_;
-            const double* const delays = gate_delays + gi * corner_count_;
-            for (std::size_t c = 0; c < corner_count_; ++c) {
-                out_toggle[c] = latest[c] + delays[c];
-            }
-        }
-        std::fill(latest, latest + corner_count_, 0.0);
-        for (const net_id out : output_nets) {
-            if ((toggles[out] & lane_bit) == 0) {
-                continue;
-            }
-            const double* const out_toggle = toggle + out * corner_count_;
-            for (std::size_t c = 0; c < corner_count_; ++c) {
-                latest[c] = std::max(latest[c], out_toggle[c]);
-            }
-        }
-        for (std::size_t c = 0; c < corner_count_; ++c) {
-            out_delay_ps[c * lane_count + lane] = latest[c];
-        }
+    // Delay propagation per lane over its own list. The paper's corner
+    // count gets a compile-time width; any other count runs the same
+    // kernel at runtime width.
+    const delay_pass pass{.gates = gates.data(),
+                          .gate_delays = tables_->gate_delay_ps.data(),
+                          .toggles = toggles,
+                          .toggle_ps = toggle_ps_.data(),
+                          .zero_row = net_count,
+                          .drives_output = drives_output_.data(),
+                          .lane_gates = lane_gates_.data(),
+                          .lane_ends = lane_ends.data(),
+                          .gate_count = gates.size(),
+                          .lane_count = lane_count,
+                          .corner_count = corner_count,
+                          .out_delay_ps = out_delay_ps.data()};
+    if (corner_count == voltage_level_count) {
+        propagate_delays<voltage_level_count>(pass);
+    } else {
+        propagate_delays<std::dynamic_extent>(pass);
     }
 
     // Land the carried scalar state on the last lane, so scalar and batched

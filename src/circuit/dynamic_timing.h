@@ -16,13 +16,28 @@
 //                     functional pass, delay propagation over toggled gates;
 //   * step_batch() -- the vectorized hot path: up to 64 consecutive input
 //                     vectors packed one bit-lane per vector into a
-//                     std::uint64_t word per net. The functional pass and
-//                     toggle derivation run word-parallel (one bitwise
-//                     evaluate_cell_word per gate covers all lanes), then
-//                     delay propagation visits, per lane, only the gates
-//                     whose toggle bit is set. Per-corner arithmetic order
-//                     is identical to step(), so results are bit-identical
-//                     (pinned by tests/test_circuit_dynamic_timing_batch).
+//                     std::uint64_t word per net. One scan over the gates
+//                     runs the functional pass word-parallel (one bitwise
+//                     evaluate_cell_word per gate covers all lanes),
+//                     derives each output's toggle word, and bit-scans it
+//                     (std::countr_zero) to bucket the gate into per-lane
+//                     toggled-gate lists -- a flat buffer the simulator
+//                     reuses, in topological order. Delay propagation then
+//                     walks each lane's own list, never testing an
+//                     untoggled gate; an unchanged input pin reads an
+//                     always-zero settle-time row instead of branching
+//                     (max(x, +0.0) == x on these non-negative times),
+//                     and each toggled primary output is folded into the
+//                     lane's delay as the walk reaches it (max is exact,
+//                     so the visit order cannot move a bit). The max-plus
+//                     kernel is a template on the corner count: the
+//                     paper's 7 corners get a compile-time width with
+//                     stack accumulators, any other count runs the same
+//                     template at runtime width. Per-corner arithmetic
+//                     order is identical to step(), so results are
+//                     bit-identical (pinned by
+//                     tests/test_circuit_dynamic_timing_batch at 1, 3, 7,
+//                     8 and 9 corners).
 //
 // Timing data is laid out corner-minor ("SoA"): gate delays as
 // [gate][corner] and per-net toggle times as [net][corner], so the
@@ -151,12 +166,17 @@ private:
     std::shared_ptr<const timing_corner_tables> tables_;
     std::vector<std::uint8_t> values_;  ///< per net, current value
     std::vector<std::uint8_t> changed_; ///< per net, toggled in current step
-    std::vector<double> toggle_ps_;     ///< [net * corner_count + corner]
+    /// [net * corner_count + corner], plus an always-zero row at net_count
+    std::vector<double> toggle_ps_;
     std::vector<double> latest_ps_;     ///< per corner scratch (size corners)
     /// Batch-mode scratch, sized lazily on the first step_batch call so
     /// scalar-only simulators never pay for it.
     std::vector<std::uint64_t> value_words_;  ///< per net, lane values
     std::vector<std::uint64_t> toggle_words_; ///< per net, lane toggle masks
+    /// Per-lane toggled-gate lists: lane j's gates (topological order)
+    /// from lane_gates_[j * gate_count]; sized once, max_batch_lanes wide.
+    std::vector<std::uint32_t> lane_gates_;
+    std::vector<std::uint8_t> drives_output_; ///< per gate, drives a primary output
 };
 
 } // namespace synts::circuit

@@ -218,9 +218,14 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     const std::size_t corner_count = tables->vdd.size();
     const std::vector<double>& tnom_ps = tables->nominal_period_ps;
     constexpr std::size_t lanes_max = circuit::dynamic_timing_simulator::max_batch_lanes;
+    // The partition's shape, observable from outside: at one worker these
+    // move by thread_count and 0 per stage.
+    obs::counter& chunks_counter = registry.counter_at("characterize.chunks");
+    obs::counter& warmups_counter = registry.counter_at("characterize.warmup_steps");
 
     util::for_each_index(parallel, chunks.size(), [&](std::size_t ci) {
         cancel.throw_if_cancelled(); // chunk entry
+        chunks_counter.add(1);
         const chunk& ch = chunks[ci];
         const arch::thread_trace& trace = program.trace.threads[ch.thread];
 
@@ -242,6 +247,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
             }
             std::vector<double> discard(corner_count);
             sim.step(std::span<const bool>(bits_storage.get(), tap.width()), discard);
+            warmups_counter.add(1);
         }
 
         for (std::size_t k = ch.begin_interval; k < ch.end_interval; ++k) {

@@ -111,7 +111,9 @@ public:
     /// pays a warm-up step. `worker_hint` sizes the chunks (0 = derive from
     /// hardware_concurrency when `parallel` is set, serial otherwise); at
     /// one worker the partition degenerates to one chunk per thread, i.e.
-    /// the exact serial walk. In scalar mode the grain is one (thread,
+    /// the exact serial walk (the `characterize.chunks` and
+    /// `characterize.warmup_steps` registry counters record the partition
+    /// actually run). In scalar mode the grain is one (thread,
     /// interval) cell with per-cell warm-up replay. Every grain lands in a
     /// pre-assigned slot, so output is bit-identical to the serial pass for
     /// any executor and either mode (pinned by

@@ -2,9 +2,11 @@
 // (dynamic_timing_simulator::step_batch) bit-identical to the scalar
 // reference walk (step), over random netlists covering every combinational
 // cell kind -- including const0/const1, whose all-0/all-1 lane words are a
-// batch-specific edge -- at every paper voltage corner, for batch sizes
+// batch-specific edge -- at 1, 3, 7 (the paper's, compile-time kernel
+// width), 8 and 9 voltage corners (runtime kernel width), for batch sizes
 // 1/63/64/65 and odd tails, plus state continuity across interleaved
-// scalar/batched stepping and argument validation.
+// scalar/batched stepping, wide/narrow batch alternation (per-lane gate
+// lists must not leak between calls) and argument validation.
 
 #include <gtest/gtest.h>
 
@@ -90,12 +92,57 @@ std::vector<std::uint64_t> pack_lanes(const std::vector<std::vector<bool>>& vect
     return words;
 }
 
+/// Supply levels for `count` corners: the paper's seven, a subset of them
+/// (count < 7), or the seven plus in-range extras (count 8 or 9). Seven
+/// runs step_batch's compile-time-width kernel, every other count its
+/// runtime-width instantiation.
+std::vector<double> corner_levels(std::size_t count)
+{
+    std::vector<double> levels(paper_voltage_levels().begin(), paper_voltage_levels().end());
+    for (const double extra : {0.95, 0.75}) {
+        if (levels.size() < count) {
+            levels.push_back(extra);
+        }
+    }
+    // Subsets keep the fastest and slowest corners.
+    while (levels.size() > count) {
+        levels.erase(levels.begin() + static_cast<std::ptrdiff_t>(levels.size() / 2));
+    }
+    return levels;
+}
+
+constexpr std::array<std::size_t, 5> corner_counts = {1, 3, 7, 8, 9};
+
 struct corner_setup {
     cell_library lib = cell_library::standard_22nm();
     voltage_model vm{0.04};
-    std::vector<double> corners{paper_voltage_levels().begin(),
-                                paper_voltage_levels().end()};
+    std::vector<double> corners;
+
+    explicit corner_setup(std::size_t corner_count = voltage_level_count)
+        : corners(corner_levels(corner_count))
+    {
+    }
 };
+
+/// Scalar reference walk over `vectors`: [vector][corner] delays.
+std::vector<std::vector<double>> scalar_delays(dynamic_timing_simulator& sim,
+                                               const std::vector<std::vector<bool>>& vectors)
+{
+    const std::size_t inputs = vectors.empty() ? 0 : vectors.front().size();
+    std::vector<std::vector<double>> expected;
+    std::vector<double> delays(sim.corner_count());
+    // std::vector<bool> is packed; copy each vector into a flat bool
+    // buffer for the span-of-bool interface.
+    const std::unique_ptr<bool[]> raw(new bool[inputs]);
+    for (const auto& v : vectors) {
+        for (std::size_t i = 0; i < inputs; ++i) {
+            raw[i] = v[i];
+        }
+        sim.step(std::span<const bool>(raw.get(), inputs), delays);
+        expected.push_back(delays);
+    }
+    return expected;
+}
 
 /// Runs the full vector stream through a scalar sim and a batched sim
 /// (chunks of `chunk_lanes`) and asserts every per-corner delay and the
@@ -110,19 +157,7 @@ void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
 
     dynamic_timing_simulator scalar_sim(nl, tables);
     dynamic_timing_simulator batch_sim(nl, tables);
-
-    // Scalar reference walk. (std::vector<bool> is packed; copy each
-    // vector into a flat bool buffer for the span-of-bool interface.)
-    std::vector<std::vector<double>> expected; // [vector][corner]
-    std::vector<double> delays(corner_count);
-    const std::unique_ptr<bool[]> raw(new bool[inputs]);
-    for (const auto& v : vectors) {
-        for (std::size_t i = 0; i < inputs; ++i) {
-            raw[i] = v[i];
-        }
-        scalar_sim.step(std::span<const bool>(raw.get(), inputs), delays);
-        expected.push_back(delays);
-    }
+    const auto expected = scalar_delays(scalar_sim, vectors); // [vector][corner]
 
     // Batched walk in chunks of chunk_lanes (with an odd tail when
     // vectors.size() is not a multiple).
@@ -138,8 +173,8 @@ void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
             for (std::size_t c = 0; c < corner_count; ++c) {
                 // EXPECT_EQ on doubles: bit-identity, not approximate.
                 ASSERT_EQ(batch_delays[c * lanes + j], expected[offset + j][c])
-                    << "vector " << offset + j << " corner " << c << " chunk "
-                    << chunk_lanes;
+                    << "vector " << offset + j << " corner " << c << " of "
+                    << corner_count << " chunk " << chunk_lanes;
             }
         }
         offset += lanes;
@@ -162,7 +197,6 @@ class dynamic_timing_batch : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(dynamic_timing_batch, matches_scalar_across_batch_sizes)
 {
     xoshiro256 rng(GetParam());
-    const corner_setup setup;
     const std::size_t inputs = 4 + rng.uniform_below(12);
     const std::size_t gates = 20 + rng.uniform_below(200);
     const netlist nl = make_batch_test_netlist(inputs, gates, rng);
@@ -171,14 +205,60 @@ TEST_P(dynamic_timing_batch, matches_scalar_across_batch_sizes)
     // explicit sizes cover the word edges (1, 63, 64) and a 65-vector
     // stream split 64 + 1.
     const auto vectors = make_vectors(inputs, 150, rng);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{63},
-                                    std::size_t{64}}) {
-        expect_batch_matches_scalar(nl, setup, vectors, chunk);
-    }
     const auto sixty_five = make_vectors(inputs, 65, rng);
-    expect_batch_matches_scalar(nl, setup, sixty_five, 64);
     const auto single = make_vectors(inputs, 1, rng);
-    expect_batch_matches_scalar(nl, setup, single, 64);
+    for (const std::size_t corners : corner_counts) {
+        SCOPED_TRACE("corners " + std::to_string(corners));
+        const corner_setup setup(corners);
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{63},
+                                        std::size_t{64}}) {
+            expect_batch_matches_scalar(nl, setup, vectors, chunk);
+        }
+        expect_batch_matches_scalar(nl, setup, sixty_five, 64);
+        expect_batch_matches_scalar(nl, setup, single, 64);
+    }
+}
+
+TEST_P(dynamic_timing_batch, wide_and_narrow_batches_alternate_on_one_simulator)
+{
+    // A 64-lane call fills every lane's gate list; the 5-lane call after it
+    // must see only its own five. Alternating them on one simulator and
+    // comparing every delay with the scalar walk shows no list state from a
+    // wide batch leaks into a narrower one.
+    xoshiro256 rng(GetParam() ^ 0xA17E);
+    const std::size_t inputs = 6 + rng.uniform_below(10);
+    const netlist nl = make_batch_test_netlist(inputs, 150, rng);
+    const auto vectors = make_vectors(inputs, 4 * (64 + 5), rng);
+    for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+        SCOPED_TRACE("corners " + std::to_string(corners));
+        const corner_setup setup(corners);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+        dynamic_timing_simulator ref(nl, tables);
+        const auto expected = scalar_delays(ref, vectors);
+
+        dynamic_timing_simulator sim(nl, tables);
+        std::vector<double> batch_delays(corners * 64);
+        std::size_t offset = 0;
+        for (bool wide = true; offset < vectors.size(); wide = !wide) {
+            const std::size_t lanes = wide ? 64 : 5;
+            const auto words = pack_lanes(vectors, offset, lanes, inputs);
+            sim.step_batch(words, lanes,
+                           std::span<double>(batch_delays.data(), corners * lanes));
+            for (std::size_t j = 0; j < lanes; ++j) {
+                for (std::size_t c = 0; c < corners; ++c) {
+                    ASSERT_EQ(batch_delays[c * lanes + j], expected[offset + j][c])
+                        << "vector " << offset + j << " corner " << c << " lanes "
+                        << lanes;
+                }
+            }
+            offset += lanes;
+        }
+        const auto a = ref.net_values();
+        const auto b = sim.net_values();
+        for (std::size_t n = 0; n < a.size(); ++n) {
+            ASSERT_EQ(b[n], a[n]) << "net " << n;
+        }
+    }
 }
 
 TEST_P(dynamic_timing_batch, interleaved_scalar_and_batched_stepping_agree)
@@ -194,19 +274,12 @@ TEST_P(dynamic_timing_batch, interleaved_scalar_and_batched_stepping_agree)
 
     // Reference: all-scalar walk.
     dynamic_timing_simulator ref(nl, tables);
-    std::vector<std::vector<double>> expected;
-    std::vector<double> delays(corner_count);
-    std::unique_ptr<bool[]> raw(new bool[inputs]);
-    for (const auto& v : vectors) {
-        for (std::size_t i = 0; i < inputs; ++i) {
-            raw[i] = v[i];
-        }
-        ref.step(std::span<const bool>(raw.get(), inputs), delays);
-        expected.push_back(delays);
-    }
+    const auto expected = scalar_delays(ref, vectors);
 
     // Mixed walk: random alternation of scalar steps and batches.
     dynamic_timing_simulator mixed(nl, tables);
+    std::vector<double> delays(corner_count);
+    std::unique_ptr<bool[]> raw(new bool[inputs]);
     std::vector<double> batch_delays(corner_count * 64);
     std::size_t offset = 0;
     while (offset < vectors.size()) {

@@ -343,6 +343,35 @@ TEST(obs_metrics, characterization_bumps_cell_and_vector_counters)
     EXPECT_EQ(vectors.value() - vectors_mid, 3u);
 }
 
+TEST(obs_metrics, characterization_counts_chunks_and_warmup_steps)
+{
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    obs::counter& chunks = registry.counter_at("characterize.chunks");
+    obs::counter& warmups = registry.counter_at("characterize.warmup_steps");
+    const auto artifacts =
+        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto lib = circuit::cell_library::standard_22nm();
+    const circuit::voltage_model vm(0.04);
+    const core::characterizer chars(lib, vm, {});
+
+    // The worker hint alone sizes the partition; the chunks run serially.
+    // One worker: one chunk per thread starting at interval 0, so no chunk
+    // has history to replay.
+    std::uint64_t chunks_before = chunks.value();
+    std::uint64_t warmups_before = warmups.value();
+    (void)chars.characterize(artifacts, circuit::pipe_stage::simple_alu, {}, 1);
+    EXPECT_EQ(chunks.value() - chunks_before, 1u);
+    EXPECT_EQ(warmups.value() - warmups_before, 0u);
+
+    // Four workers: the 2-interval thread splits in two, and the second
+    // chunk replays int_sub (the last driving op before interval 1).
+    chunks_before = chunks.value();
+    warmups_before = warmups.value();
+    (void)chars.characterize(artifacts, circuit::pipe_stage::simple_alu, {}, 4);
+    EXPECT_EQ(chunks.value() - chunks_before, 2u);
+    EXPECT_EQ(warmups.value() - warmups_before, 1u);
+}
+
 TEST(obs_metrics, characterization_cell_latency_histogram_gated_on_enabled)
 {
     obs::metrics_registry& registry = obs::metrics_registry::global();
