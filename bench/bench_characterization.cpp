@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/dynamic_timing.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "runtime/experiment_cache.h"
@@ -449,10 +450,14 @@ int main()
                      staged_best, naive_best, naive_best * 1.05);
     }
 
+    // delay_kernel names the step_batch instantiation this CPU ran, so
+    // vectors_per_second is read against the right ISA.
     std::printf("{\n  \"benchmark\": \"%s\",\n  \"workers\": %zu,\n"
-                "  \"hardware_concurrency\": %u,\n  \"phases\": [\n",
+                "  \"hardware_concurrency\": %u,\n  \"delay_kernel\": \"%s\",\n"
+                "  \"phases\": [\n",
                 std::string(workload::benchmark_name(kBenchmark)).c_str(),
-                pool.worker_count(), std::thread::hardware_concurrency());
+                pool.worker_count(), std::thread::hardware_concurrency(),
+                circuit::detail::active_delay_kernel().name);
     for (std::size_t i = 0; i < phases.size(); ++i) {
         std::printf("    {\"name\": \"%s\", \"seconds\": %.6f}%s\n",
                     phases[i].first.c_str(), phases[i].second,

@@ -7,17 +7,18 @@
 #include <vector>
 
 #include "circuit/sta.h"
+#include "obs/metrics.h"
 
 namespace synts::circuit {
 
-namespace {
+namespace detail {
 
 /// What one step_batch delay pass reads and writes.
 struct delay_pass {
     const gate* gates;
-    const double* gate_delays;           ///< [gate * corner_count + corner]
+    const double* gate_delays;           ///< [gate * row_stride + corner]
     const std::uint64_t* toggles;        ///< per net, lane toggle masks
-    double* toggle_ps;                   ///< [net * corner_count + corner]
+    double* toggle_ps;                   ///< [net * row_stride + corner]
     std::size_t zero_row;                ///< toggle_ps row that is always 0.0
     const std::uint8_t* drives_output;   ///< per gate, output is a primary output
     const std::uint32_t* lane_gates;     ///< lane j's toggled gates from j * gate_count
@@ -25,71 +26,169 @@ struct delay_pass {
     std::size_t gate_count;
     std::size_t lane_count;
     std::size_t corner_count;
+    std::size_t row_stride;              ///< a multiple of corner_block
     double* out_delay_ps;                ///< [corner * lane_count + lane]
 };
 
-/// Max-plus delay propagation over each lane's toggled gates, C corners
-/// wide. With C fixed the running maxima live on the stack and every
-/// corner loop has a compile-time trip count; C == std::dynamic_extent
-/// reads the width from the pass (corner counts other than the paper's).
+} // namespace detail
+
+namespace {
+
+// One vector register of doubles per ISA. may_alias makes loading and
+// storing them straight through the double rows defined behaviour (the
+// GCC/Clang extension behind the intrinsics' own vector types); copying
+// blocks in and out with memcpy instead sent the AVX2 kernel through the
+// stack.
+typedef double vec16 __attribute__((vector_size(16), may_alias));
+#if defined(__x86_64__) || defined(__i386__)
+typedef double vec32 __attribute__((vector_size(32), may_alias));
+typedef double vec64 __attribute__((vector_size(64), may_alias));
+#endif
+
+/// Max-plus delay propagation over each lane's toggled gates, one
+/// 8-corner block at a time in registers of type V (W doubles each, 8/W
+/// registers per block). The lane's gate list is walked once per block,
+/// so any corner count runs this code. Always inlined, so each wrapper
+/// below compiles it for its own target ISA and no vector value crosses a
+/// call boundary.
+///
 /// Lanes share toggle_ps sequentially exactly like consecutive scalar
 /// steps share it: a lane only reads settle times its own pass wrote
 /// (reads guarded by the lane's toggle bits), so no per-lane copy is
 /// needed and the final contents equal the scalar walk's.
-template <std::size_t C>
-void propagate_delays(const delay_pass& p)
+template <typename V>
+[[gnu::always_inline]] inline void propagate_delays(const detail::delay_pass& pass)
 {
-    constexpr bool fixed = C != std::dynamic_extent;
-    const std::size_t width = fixed ? C : p.corner_count;
-    std::array<double, fixed ? 2 * C : 0> stack_scratch{};
-    std::vector<double> heap_scratch(fixed ? 0 : 2 * width);
-    double* const latest = fixed ? stack_scratch.data() : heap_scratch.data();
-    // Running max over the lane's toggled primary outputs. Settle times
-    // are non-negative and max is exact, so folding the output reduction
-    // into the gate walk gives the scalar walk's bits in any visit order.
-    double* const worst = latest + width;
-    for (std::size_t lane = 0; lane < p.lane_count; ++lane) {
+    constexpr std::size_t width = sizeof(V) / sizeof(double);
+    constexpr std::size_t regs = corner_block / width;
+    // The pass's fields in locals: read through the reference, GCC must
+    // reload every field after each store into the may_alias rows.
+    const gate* const gates = pass.gates;
+    const double* const gate_delays = pass.gate_delays;
+    const std::uint64_t* const toggles = pass.toggles;
+    double* const toggle_ps = pass.toggle_ps;
+    const std::size_t zero_row = pass.zero_row;
+    const std::uint8_t* const drives_output = pass.drives_output;
+    const std::size_t lane_count = pass.lane_count;
+    const std::size_t corner_count = pass.corner_count;
+    const std::size_t stride = pass.row_stride;
+    double* const out_delay_ps = pass.out_delay_ps;
+
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
         const std::uint64_t lane_bit = 1ull << lane;
-        for (std::size_t c = 0; c < width; ++c) {
-            worst[c] = 0.0;
-        }
-        const std::uint32_t* const first = p.lane_gates + lane * p.gate_count;
-        for (const std::uint32_t* it = first; it != p.lane_ends[lane]; ++it) {
-            const gate& g = p.gates[*it];
-            // Per corner: max over the changed inputs in pin order, then
-            // one add -- the scalar walk's arithmetic order. An unchanged
-            // pin reads the all-zero row instead of branching: settle
-            // times are non-negative, so max(x, +0.0) is x bit for bit,
-            // and a data-dependent select beats a mispredicted branch.
-            for (std::size_t c = 0; c < width; ++c) {
-                latest[c] = 0.0;
-            }
-            for (std::size_t i = 0; i < g.input_count; ++i) {
-                const net_id in = g.inputs[i];
-                const std::size_t row = (p.toggles[in] & lane_bit) != 0 ? in : p.zero_row;
-                const double* const in_toggle = p.toggle_ps + row * width;
-                for (std::size_t c = 0; c < width; ++c) {
-                    latest[c] = std::max(latest[c], in_toggle[c]);
+        const std::uint32_t* const first = pass.lane_gates + lane * pass.gate_count;
+        const std::uint32_t* const last = pass.lane_ends[lane];
+        for (std::size_t block = 0; block < stride; block += corner_block) {
+            // Running max over the lane's toggled primary outputs. Settle
+            // times are non-negative and max is exact, so folding the
+            // output reduction into the gate walk gives the scalar walk's
+            // bits in any visit order.
+            V worst[regs] = {};
+            for (const std::uint32_t* it = first; it != last; ++it) {
+                const std::uint32_t gi = *it;
+                const gate& g = gates[gi];
+                // Per corner: max over the changed inputs in pin order,
+                // then one add -- the scalar walk's arithmetic order.
+                // `a < b ? b : a` is std::max(a, b) lane for lane. An
+                // unchanged pin reads the all-zero row instead of
+                // branching: max(x, +0.0) is x bit for bit here, and a
+                // data-dependent select beats a mispredicted branch.
+                V latest[regs] = {};
+                for (std::size_t i = 0; i < g.input_count; ++i) {
+                    const net_id in = g.inputs[i];
+                    const std::size_t row = (toggles[in] & lane_bit) != 0 ? in : zero_row;
+                    const V* const in_toggle =
+                        reinterpret_cast<const V*>(toggle_ps + row * stride + block);
+                    for (std::size_t r = 0; r < regs; ++r) {
+                        latest[r] = latest[r] < in_toggle[r] ? in_toggle[r] : latest[r];
+                    }
+                }
+                V* const out_toggle =
+                    reinterpret_cast<V*>(toggle_ps + g.output * stride + block);
+                const V* const delays =
+                    reinterpret_cast<const V*>(gate_delays + gi * stride + block);
+                for (std::size_t r = 0; r < regs; ++r) {
+                    latest[r] += delays[r];
+                    out_toggle[r] = latest[r];
+                }
+                if (drives_output[gi] != 0) {
+                    for (std::size_t r = 0; r < regs; ++r) {
+                        worst[r] = worst[r] < latest[r] ? latest[r] : worst[r];
+                    }
                 }
             }
-            double* const out_toggle = p.toggle_ps + g.output * width;
-            const double* const delays = p.gate_delays + *it * width;
-            for (std::size_t c = 0; c < width; ++c) {
-                out_toggle[c] = latest[c] + delays[c];
+            const std::size_t corners = std::min(corner_block, corner_count - block);
+            for (std::size_t c = 0; c < corners; ++c) {
+                out_delay_ps[(block + c) * lane_count + lane] = worst[c / width][c % width];
             }
-            if (p.drives_output[*it] != 0) {
-                for (std::size_t c = 0; c < width; ++c) {
-                    worst[c] = std::max(worst[c], out_toggle[c]);
-                }
-            }
-        }
-        for (std::size_t c = 0; c < width; ++c) {
-            p.out_delay_ps[c * p.lane_count + lane] = worst[c];
         }
     }
 }
 
+// The instantiations, one per target ISA. The 16-byte one needs nothing
+// beyond the x86-64 baseline (SSE2) and is the only one elsewhere.
+void propagate_delays_vec16(const detail::delay_pass& pass)
+{
+    propagate_delays<vec16>(pass);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void propagate_delays_avx2(const detail::delay_pass& pass)
+{
+    propagate_delays<vec32>(pass);
+}
+
+[[gnu::target("avx512f")]] void propagate_delays_avx512f(const detail::delay_pass& pass)
+{
+    propagate_delays<vec64>(pass);
+}
+#endif
+
 } // namespace
+
+namespace detail {
+
+std::span<const delay_kernel> delay_kernels() noexcept
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const std::array<delay_kernel, 3> kernels = {{
+        {"sse2", 2, true, propagate_delays_vec16},
+        {"avx2", 4, __builtin_cpu_supports("avx2") != 0, propagate_delays_avx2},
+        {"avx512f", 8, __builtin_cpu_supports("avx512f") != 0, propagate_delays_avx512f},
+    }};
+#else
+    static const std::array<delay_kernel, 1> kernels = {{
+        {"generic", 2, true, propagate_delays_vec16},
+    }};
+#endif
+    return kernels;
+}
+
+const delay_kernel& active_delay_kernel() noexcept
+{
+    static const delay_kernel& chosen = []() -> const delay_kernel& {
+        const delay_kernel* widest = nullptr;
+        for (const delay_kernel& kernel : delay_kernels()) {
+            if (kernel.supported) {
+                widest = &kernel;
+            }
+        }
+        obs::metrics_registry::global()
+            .gauge_at("circuit.delay_kernel_width")
+            .set(static_cast<std::int64_t>(widest->width));
+        return *widest;
+    }();
+    return chosen;
+}
+
+void step_batch_with(const delay_kernel& kernel, dynamic_timing_simulator& sim,
+                     std::span<const std::uint64_t> input_words, std::size_t lane_count,
+                     std::span<double> out_delay_ps)
+{
+    sim.step_batch(kernel, input_words, lane_count, out_delay_ps);
+}
+
+} // namespace detail
 
 std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
@@ -106,7 +205,8 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
     auto tables = std::make_shared<timing_corner_tables>();
     tables->vdd.assign(vdd_levels.begin(), vdd_levels.end());
     tables->nominal_period_ps.reserve(corner_count);
-    tables->gate_delay_ps.resize(gates.size() * corner_count);
+    const std::size_t stride = tables->row_stride();
+    tables->gate_delay_ps.resize(gates.size() * stride); // padding stays 0.0
     std::vector<double> delays(gates.size());
     for (std::size_t c = 0; c < corner_count; ++c) {
         vm.scale_gate_delays(gates, nominal, delays, vdd_levels[c]);
@@ -114,7 +214,7 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
         // Transpose into the corner-minor layout: one gate's corners are
         // contiguous so the simulators' inner corner loops stream.
         for (std::size_t g = 0; g < gates.size(); ++g) {
-            tables->gate_delay_ps[g * corner_count + c] = delays[g];
+            tables->gate_delay_ps[g * stride + c] = delays[g];
         }
     }
     return tables;
@@ -141,7 +241,7 @@ dynamic_timing_simulator::dynamic_timing_simulator(
     changed_.resize(nl_.net_count());
     // One extra row past the last net stays 0.0 forever: step_batch's
     // branch-free reads of unchanged pins land there.
-    toggle_ps_.resize((nl_.net_count() + 1) * tables_->vdd.size());
+    toggle_ps_.resize((nl_.net_count() + 1) * tables_->row_stride());
     latest_ps_.resize(tables_->vdd.size());
 }
 
@@ -179,6 +279,7 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
     }
 
     const auto gates = nl_.gates();
+    const std::size_t stride = tables_->row_stride();
     const double* const gate_delays = tables_->gate_delay_ps.data();
     double* const toggle = toggle_ps_.data();
     double* const latest = latest_ps_.data();
@@ -208,13 +309,13 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
             if (!changed_[in]) {
                 continue;
             }
-            const double* const in_toggle = toggle + in * corner_count_;
+            const double* const in_toggle = toggle + in * stride;
             for (std::size_t c = 0; c < corner_count_; ++c) {
                 latest[c] = std::max(latest[c], in_toggle[c]);
             }
         }
-        double* const out_toggle = toggle + out * corner_count_;
-        const double* const delays = gate_delays + gi * corner_count_;
+        double* const out_toggle = toggle + out * stride;
+        const double* const delays = gate_delays + gi * stride;
         for (std::size_t c = 0; c < corner_count_; ++c) {
             out_toggle[c] = latest[c] + delays[c];
         }
@@ -225,7 +326,7 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
         if (!changed_[out]) {
             continue;
         }
-        const double* const out_toggle = toggle + out * corner_count_;
+        const double* const out_toggle = toggle + out * stride;
         for (std::size_t c = 0; c < corner_count_; ++c) {
             latest[c] = std::max(latest[c], out_toggle[c]);
         }
@@ -239,6 +340,14 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
 }
 
 void dynamic_timing_simulator::step_batch(std::span<const std::uint64_t> input_words,
+                                          std::size_t lane_count,
+                                          std::span<double> out_delay_ps)
+{
+    step_batch(detail::active_delay_kernel(), input_words, lane_count, out_delay_ps);
+}
+
+void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
+                                          std::span<const std::uint64_t> input_words,
                                           std::size_t lane_count,
                                           std::span<double> out_delay_ps)
 {
@@ -306,26 +415,21 @@ void dynamic_timing_simulator::step_batch(std::span<const std::uint64_t> input_w
         }
     }
 
-    // Delay propagation per lane over its own list. The paper's corner
-    // count gets a compile-time width; any other count runs the same
-    // kernel at runtime width.
-    const delay_pass pass{.gates = gates.data(),
-                          .gate_delays = tables_->gate_delay_ps.data(),
-                          .toggles = toggles,
-                          .toggle_ps = toggle_ps_.data(),
-                          .zero_row = net_count,
-                          .drives_output = drives_output_.data(),
-                          .lane_gates = lane_gates_.data(),
-                          .lane_ends = lane_ends.data(),
-                          .gate_count = gates.size(),
-                          .lane_count = lane_count,
-                          .corner_count = corner_count,
-                          .out_delay_ps = out_delay_ps.data()};
-    if (corner_count == voltage_level_count) {
-        propagate_delays<voltage_level_count>(pass);
-    } else {
-        propagate_delays<std::dynamic_extent>(pass);
-    }
+    // Delay propagation per lane over its own list, in 8-corner blocks.
+    const detail::delay_pass pass{.gates = gates.data(),
+                                  .gate_delays = tables_->gate_delay_ps.data(),
+                                  .toggles = toggles,
+                                  .toggle_ps = toggle_ps_.data(),
+                                  .zero_row = net_count,
+                                  .drives_output = drives_output_.data(),
+                                  .lane_gates = lane_gates_.data(),
+                                  .lane_ends = lane_ends.data(),
+                                  .gate_count = gates.size(),
+                                  .lane_count = lane_count,
+                                  .corner_count = corner_count,
+                                  .row_stride = tables_->row_stride(),
+                                  .out_delay_ps = out_delay_ps.data()};
+    kernel.run(pass);
 
     // Land the carried scalar state on the last lane, so scalar and batched
     // stepping interleave freely.

@@ -29,25 +29,35 @@
 //                     (max(x, +0.0) == x on these non-negative times),
 //                     and each toggled primary output is folded into the
 //                     lane's delay as the walk reaches it (max is exact,
-//                     so the visit order cannot move a bit). The max-plus
-//                     kernel is a template on the corner count: the
-//                     paper's 7 corners get a compile-time width with
-//                     stack accumulators, any other count runs the same
-//                     template at runtime width. Per-corner arithmetic
-//                     order is identical to step(), so results are
-//                     bit-identical (pinned by
-//                     tests/test_circuit_dynamic_timing_batch at 1, 3, 7,
-//                     8 and 9 corners).
+//                     so the visit order cannot move a bit).
 //
-// Timing data is laid out corner-minor ("SoA"): gate delays as
-// [gate][corner] and per-net toggle times as [net][corner], so the
-// per-gate corner loop is one contiguous add/max sweep the compiler can
-// auto-vectorize.
+// Timing data is laid out corner-minor ("SoA") in zero-padded rows: gate
+// delays as [gate][corner] and per-net settle times as [net][corner], each
+// row row_stride() doubles -- the corner count rounded up to a multiple of
+// 8, so the paper's 7 corners are one 64-byte, cache-line-aligned block per
+// gate or net. Padding columns are 0.0 and stay 0.0 (max(0, 0) + 0 == 0),
+// so they never reach an output.
+//
+// step_batch's max-plus kernel is one template over a GCC vector type of
+// 2, 4 or 8 doubles: each 8-corner block is 8/W registers, and the lane's
+// gate list is walked once per block, so every corner count runs the same
+// code. It is compiled three times -- SSE2 (the x86-64 baseline), AVX2 and
+// AVX-512F -- and the widest one the CPU supports is chosen once per
+// process (non-x86 builds compile only the 16-byte one). Plain 8-wide
+// corner loops over padded rows are not enough: GCC does not vectorize
+// them (they measured no faster than the unpadded 7-wide loops), so the
+// kernel spells the vector width out. Max and add are exact, nothing
+// multiplies, and per-corner order (pins in order, then one add) is
+// step()'s, so every instantiation is bit-identical to the scalar walk
+// (pinned by tests/test_circuit_dynamic_timing_batch for each supported
+// instantiation at 1, 3, 7, 8, 9 and 17 corners).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -56,6 +66,36 @@
 #include "circuit/voltage_model.h"
 
 namespace synts::circuit {
+
+/// Corners per vector block: the padded row stride is a multiple of this.
+inline constexpr std::size_t corner_block = 8;
+
+/// Allocator for the padded corner rows: every row starts on a 64-byte
+/// cache line, so one 8-corner block never straddles two.
+template <typename T>
+struct cache_aligned_allocator {
+    using value_type = T;
+    static constexpr std::align_val_t alignment{64};
+
+    cache_aligned_allocator() noexcept = default;
+    template <typename U>
+    cache_aligned_allocator(const cache_aligned_allocator<U>&) noexcept
+    {
+    }
+    [[nodiscard]] T* allocate(std::size_t n)
+    {
+        return static_cast<T*>(::operator new(n * sizeof(T), alignment));
+    }
+    void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, alignment); }
+    friend bool operator==(const cache_aligned_allocator&,
+                           const cache_aligned_allocator&) noexcept
+    {
+        return true;
+    }
+};
+
+/// Zero-padded, cache-line-aligned [row][corner] storage.
+using corner_rows = std::vector<double, cache_aligned_allocator<double>>;
 
 /// Precomputed per-corner timing of one netlist: supply, STA critical-path
 /// delay (the nominal period), and per-gate delays. Building the tables
@@ -66,19 +106,26 @@ namespace synts::circuit {
 struct timing_corner_tables {
     std::vector<double> vdd;               ///< [corner]
     std::vector<double> nominal_period_ps; ///< [corner]
-    /// Gate delays in corner-minor layout: [gate * corner_count() + corner].
-    /// The transpose (vs the historical [corner][gate]) keeps one gate's
-    /// corners contiguous -- the inner loop of both stepping modes.
-    std::vector<double> gate_delay_ps;
+    /// Gate delays in corner-minor layout: [gate * row_stride() + corner],
+    /// columns corner_count() .. row_stride() zero. The transpose (vs the
+    /// historical [corner][gate]) keeps one gate's corners contiguous --
+    /// the inner loop of both stepping modes.
+    corner_rows gate_delay_ps;
 
     /// Number of voltage corners.
     [[nodiscard]] std::size_t corner_count() const noexcept { return vdd.size(); }
+
+    /// Doubles per padded row: corner_count() rounded up to corner_block.
+    [[nodiscard]] std::size_t row_stride() const noexcept
+    {
+        return (vdd.size() + corner_block - 1) / corner_block * corner_block;
+    }
 
     /// Per-corner delays of gate `g` (contiguous, size corner_count()).
     [[nodiscard]] std::span<const double> gate_delays(gate_id g) const noexcept
     {
         return std::span<const double>(gate_delay_ps)
-            .subspan(static_cast<std::size_t>(g) * vdd.size(), vdd.size());
+            .subspan(static_cast<std::size_t>(g) * row_stride(), vdd.size());
     }
 };
 
@@ -87,6 +134,36 @@ struct timing_corner_tables {
 [[nodiscard]] std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
                    std::span<const double> vdd_levels);
+
+class dynamic_timing_simulator;
+
+namespace detail {
+
+/// What one step_batch delay pass reads and writes (dynamic_timing.cpp).
+struct delay_pass;
+
+/// One compiled instantiation of step_batch's delay kernel.
+struct delay_kernel {
+    const char* name;             ///< "sse2", "avx2", "avx512f" or "generic"
+    std::size_t width;            ///< doubles per vector register: 2, 4 or 8
+    bool supported;               ///< this CPU can run it
+    void (*run)(const delay_pass&);
+};
+
+/// Every instantiation this build compiled, narrowest first.
+[[nodiscard]] std::span<const delay_kernel> delay_kernels() noexcept;
+
+/// The widest supported instantiation: what step_batch runs. Chosen on the
+/// first call and recorded as the gauge circuit.delay_kernel_width.
+[[nodiscard]] const delay_kernel& active_delay_kernel() noexcept;
+
+/// step_batch through `kernel` instead of the process's choice, so tests
+/// can pin every supported instantiation against step().
+void step_batch_with(const delay_kernel& kernel, dynamic_timing_simulator& sim,
+                     std::span<const std::uint64_t> input_words, std::size_t lane_count,
+                     std::span<double> out_delay_ps);
+
+} // namespace detail
 
 /// Multi-corner dynamic timing simulator bound to one netlist.
 class dynamic_timing_simulator {
@@ -162,12 +239,21 @@ public:
     }
 
 private:
+    friend void detail::step_batch_with(const detail::delay_kernel&, dynamic_timing_simulator&,
+                                        std::span<const std::uint64_t>, std::size_t,
+                                        std::span<double>);
+
+    void step_batch(const detail::delay_kernel& kernel,
+                    std::span<const std::uint64_t> input_words, std::size_t lane_count,
+                    std::span<double> out_delay_ps);
+
     const netlist& nl_;
     std::shared_ptr<const timing_corner_tables> tables_;
     std::vector<std::uint8_t> values_;  ///< per net, current value
     std::vector<std::uint8_t> changed_; ///< per net, toggled in current step
-    /// [net * corner_count + corner], plus an always-zero row at net_count
-    std::vector<double> toggle_ps_;
+    /// [net * row_stride + corner], plus an always-zero row at net_count;
+    /// padding columns stay 0.0
+    corner_rows toggle_ps_;
     std::vector<double> latest_ps_;     ///< per corner scratch (size corners)
     /// Batch-mode scratch, sized lazily on the first step_batch call so
     /// scalar-only simulators never pay for it.

@@ -2,11 +2,13 @@
 // (dynamic_timing_simulator::step_batch) bit-identical to the scalar
 // reference walk (step), over random netlists covering every combinational
 // cell kind -- including const0/const1, whose all-0/all-1 lane words are a
-// batch-specific edge -- at 1, 3, 7 (the paper's, compile-time kernel
-// width), 8 and 9 voltage corners (runtime kernel width), for batch sizes
-// 1/63/64/65 and odd tails, plus state continuity across interleaved
-// scalar/batched stepping, wide/narrow batch alternation (per-lane gate
-// lists must not leak between calls) and argument validation.
+// batch-specific edge -- at 1, 3, 7 (the paper's), 8, 9 and 17 voltage
+// corners (one, two and three 8-corner blocks per row), for batch sizes
+// 1/63/64/65 and odd tails. Every delay-kernel instantiation this CPU
+// supports runs the differential and the wide/narrow batch alternation
+// (per-lane gate lists must not leak between calls), not only the one
+// step_batch picks. Plus state continuity across interleaved
+// scalar/batched stepping, argument validation and the padded row layout.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "circuit/dynamic_timing.h"
 #include "circuit/netlist_builder.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace {
@@ -93,13 +96,11 @@ std::vector<std::uint64_t> pack_lanes(const std::vector<std::vector<bool>>& vect
 }
 
 /// Supply levels for `count` corners: the paper's seven, a subset of them
-/// (count < 7), or the seven plus in-range extras (count 8 or 9). Seven
-/// runs step_batch's compile-time-width kernel, every other count its
-/// runtime-width instantiation.
+/// (count < 7), or the seven plus in-range extras (count 8 .. 17).
 std::vector<double> corner_levels(std::size_t count)
 {
     std::vector<double> levels(paper_voltage_levels().begin(), paper_voltage_levels().end());
-    for (const double extra : {0.95, 0.75}) {
+    for (const double extra : {0.95, 0.75, 0.98, 0.89, 0.83, 0.77, 0.70, 0.66, 0.90, 0.84}) {
         if (levels.size() < count) {
             levels.push_back(extra);
         }
@@ -111,7 +112,19 @@ std::vector<double> corner_levels(std::size_t count)
     return levels;
 }
 
-constexpr std::array<std::size_t, 5> corner_counts = {1, 3, 7, 8, 9};
+constexpr std::array<std::size_t, 6> corner_counts = {1, 3, 7, 8, 9, 17};
+
+/// The delay-kernel instantiations this CPU can run.
+std::vector<const detail::delay_kernel*> supported_kernels()
+{
+    std::vector<const detail::delay_kernel*> kernels;
+    for (const detail::delay_kernel& kernel : detail::delay_kernels()) {
+        if (kernel.supported) {
+            kernels.push_back(&kernel);
+        }
+    }
+    return kernels;
+}
 
 struct corner_setup {
     cell_library lib = cell_library::standard_22nm();
@@ -145,11 +158,11 @@ std::vector<std::vector<double>> scalar_delays(dynamic_timing_simulator& sim,
 }
 
 /// Runs the full vector stream through a scalar sim and a batched sim
-/// (chunks of `chunk_lanes`) and asserts every per-corner delay and the
-/// final net state are EXACTLY equal.
+/// (chunks of `chunk_lanes`, delays through `kernel`) and asserts every
+/// per-corner delay and the final net state are EXACTLY equal.
 void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
                                  const std::vector<std::vector<bool>>& vectors,
-                                 std::size_t chunk_lanes)
+                                 std::size_t chunk_lanes, const detail::delay_kernel& kernel)
 {
     const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
     const std::size_t corner_count = tables->corner_count();
@@ -166,15 +179,15 @@ void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
     while (offset < vectors.size()) {
         const std::size_t lanes = std::min(chunk_lanes, vectors.size() - offset);
         const auto words = pack_lanes(vectors, offset, lanes, inputs);
-        batch_sim.step_batch(words, lanes,
-                             std::span<double>(batch_delays.data(),
-                                               corner_count * lanes));
+        detail::step_batch_with(kernel, batch_sim, words, lanes,
+                                std::span<double>(batch_delays.data(), corner_count * lanes));
         for (std::size_t j = 0; j < lanes; ++j) {
             for (std::size_t c = 0; c < corner_count; ++c) {
                 // EXPECT_EQ on doubles: bit-identity, not approximate.
                 ASSERT_EQ(batch_delays[c * lanes + j], expected[offset + j][c])
                     << "vector " << offset + j << " corner " << c << " of "
-                    << corner_count << " chunk " << chunk_lanes;
+                    << corner_count << " chunk " << chunk_lanes << " kernel "
+                    << kernel.name;
             }
         }
         offset += lanes;
@@ -207,15 +220,18 @@ TEST_P(dynamic_timing_batch, matches_scalar_across_batch_sizes)
     const auto vectors = make_vectors(inputs, 150, rng);
     const auto sixty_five = make_vectors(inputs, 65, rng);
     const auto single = make_vectors(inputs, 1, rng);
-    for (const std::size_t corners : corner_counts) {
-        SCOPED_TRACE("corners " + std::to_string(corners));
-        const corner_setup setup(corners);
-        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{63},
-                                        std::size_t{64}}) {
-            expect_batch_matches_scalar(nl, setup, vectors, chunk);
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : corner_counts) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{63},
+                                            std::size_t{64}}) {
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
+            }
+            expect_batch_matches_scalar(nl, setup, sixty_five, 64, *kernel);
+            expect_batch_matches_scalar(nl, setup, single, 64, *kernel);
         }
-        expect_batch_matches_scalar(nl, setup, sixty_five, 64);
-        expect_batch_matches_scalar(nl, setup, single, 64);
     }
 }
 
@@ -229,34 +245,37 @@ TEST_P(dynamic_timing_batch, wide_and_narrow_batches_alternate_on_one_simulator)
     const std::size_t inputs = 6 + rng.uniform_below(10);
     const netlist nl = make_batch_test_netlist(inputs, 150, rng);
     const auto vectors = make_vectors(inputs, 4 * (64 + 5), rng);
-    for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
-        SCOPED_TRACE("corners " + std::to_string(corners));
-        const corner_setup setup(corners);
-        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
-        dynamic_timing_simulator ref(nl, tables);
-        const auto expected = scalar_delays(ref, vectors);
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+            dynamic_timing_simulator ref(nl, tables);
+            const auto expected = scalar_delays(ref, vectors);
 
-        dynamic_timing_simulator sim(nl, tables);
-        std::vector<double> batch_delays(corners * 64);
-        std::size_t offset = 0;
-        for (bool wide = true; offset < vectors.size(); wide = !wide) {
-            const std::size_t lanes = wide ? 64 : 5;
-            const auto words = pack_lanes(vectors, offset, lanes, inputs);
-            sim.step_batch(words, lanes,
-                           std::span<double>(batch_delays.data(), corners * lanes));
-            for (std::size_t j = 0; j < lanes; ++j) {
-                for (std::size_t c = 0; c < corners; ++c) {
-                    ASSERT_EQ(batch_delays[c * lanes + j], expected[offset + j][c])
-                        << "vector " << offset + j << " corner " << c << " lanes "
-                        << lanes;
+            dynamic_timing_simulator sim(nl, tables);
+            std::vector<double> batch_delays(corners * 64);
+            std::size_t offset = 0;
+            for (bool wide = true; offset < vectors.size(); wide = !wide) {
+                const std::size_t lanes = wide ? 64 : 5;
+                const auto words = pack_lanes(vectors, offset, lanes, inputs);
+                detail::step_batch_with(*kernel, sim, words, lanes,
+                                        std::span<double>(batch_delays.data(), corners * lanes));
+                for (std::size_t j = 0; j < lanes; ++j) {
+                    for (std::size_t c = 0; c < corners; ++c) {
+                        ASSERT_EQ(batch_delays[c * lanes + j], expected[offset + j][c])
+                            << "vector " << offset + j << " corner " << c << " lanes "
+                            << lanes;
+                    }
                 }
+                offset += lanes;
             }
-            offset += lanes;
-        }
-        const auto a = ref.net_values();
-        const auto b = sim.net_values();
-        for (std::size_t n = 0; n < a.size(); ++n) {
-            ASSERT_EQ(b[n], a[n]) << "net " << n;
+            const auto a = ref.net_values();
+            const auto b = sim.net_values();
+            for (std::size_t n = 0; n < a.size(); ++n) {
+                ASSERT_EQ(b[n], a[n]) << "net " << n;
+            }
         }
     }
 }
@@ -397,21 +416,56 @@ TEST(dynamic_timing_batch, corner_tables_transpose_is_consistent)
 
     // Joint tables over all corners vs one table per corner: the
     // corner-minor layout must hold each gate's per-corner delays
-    // contiguously and agree with the independently built single-corner
-    // tables (same arithmetic, different layout).
+    // contiguously in a zero-padded row of row_stride() doubles and agree
+    // with the independently built single-corner tables (same arithmetic,
+    // different layout).
     const auto joint = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
     ASSERT_EQ(joint->corner_count(), setup.corners.size());
-    ASSERT_EQ(joint->gate_delay_ps.size(), nl.gates().size() * setup.corners.size());
+    ASSERT_EQ(joint->row_stride(), corner_block);
+    ASSERT_EQ(joint->gate_delay_ps.size(), nl.gates().size() * joint->row_stride());
+    for (std::size_t g = 0; g < nl.gates().size(); ++g) {
+        for (std::size_t c = joint->corner_count(); c < joint->row_stride(); ++c) {
+            ASSERT_EQ(joint->gate_delay_ps[g * joint->row_stride() + c], 0.0)
+                << "gate " << g << " padding column " << c;
+        }
+    }
     for (std::size_t c = 0; c < setup.corners.size(); ++c) {
         const double level[1] = {setup.corners[c]};
         const auto single = make_corner_tables(nl, setup.lib, setup.vm, level);
         ASSERT_EQ(single->nominal_period_ps[0], joint->nominal_period_ps[c]);
         for (std::size_t g = 0; g < nl.gates().size(); ++g) {
-            ASSERT_EQ(joint->gate_delays(static_cast<gate_id>(g))[c],
-                      single->gate_delay_ps[g])
+            const auto id = static_cast<gate_id>(g);
+            ASSERT_EQ(joint->gate_delays(id)[c], single->gate_delays(id)[0])
                 << "gate " << g << " corner " << c;
         }
     }
+}
+
+TEST(dynamic_timing_batch, row_stride_pads_to_whole_blocks)
+{
+    for (const std::size_t corners : corner_counts) {
+        timing_corner_tables tables;
+        tables.vdd.assign(corners, 1.0);
+        EXPECT_EQ(tables.row_stride() % corner_block, 0u) << corners;
+        EXPECT_GE(tables.row_stride(), corners);
+        EXPECT_LT(tables.row_stride() - corners, corner_block) << corners;
+    }
+}
+
+TEST(dynamic_timing_batch, step_batch_runs_the_widest_supported_kernel)
+{
+    const auto kernels = detail::delay_kernels();
+    ASSERT_FALSE(kernels.empty());
+    EXPECT_TRUE(kernels.front().supported); // the baseline ISA always runs
+    for (std::size_t k = 1; k < kernels.size(); ++k) {
+        EXPECT_EQ(kernels[k].width, 2 * kernels[k - 1].width) << kernels[k].name;
+    }
+    const detail::delay_kernel& active = detail::active_delay_kernel();
+    EXPECT_EQ(&active, supported_kernels().back());
+    EXPECT_EQ(synts::obs::metrics_registry::global()
+                  .gauge_at("circuit.delay_kernel_width")
+                  .value(),
+              static_cast<std::int64_t>(active.width));
 }
 
 } // namespace
