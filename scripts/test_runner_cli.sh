@@ -299,24 +299,25 @@ else
     cat "$WATCH_DONE" >&2
     failures=$((failures + 1))
 fi
-# Kill-one-shard stall detection: shard 0 completes, shard 1 is killed
-# mid-run right after publishing its first progress frame; its frame then
-# ages past --stall-ms (mtimes rewound an hour -- deterministic, no 10 s
-# wait) and --watch must report STALLED and exit 3.
+# Kill-one-shard stall detection: shard 0 completes; shard 1 is left the
+# way a shard killed mid-run leaves the store -- a progress frame short of
+# its owned cells and no completion manifest. To build that state without
+# racing a kill against the run, shard 1 runs to the end with its cell
+# bucket blocked (a plain file where the directory was), so no cell becomes
+# durable: it publishes a 0-of-owned progress frame and never attests
+# completion. Its frame then ages past --stall-ms (mtimes rewound an hour
+# -- deterministic, no 10 s wait) and --watch must report STALLED and exit
+# 3.
 STALL_STORE="$WORK/stall-store"
 STALL_SPEC="--benchmarks=lock_ladder,pipeline,graph_walk --stages=simple_alu,complex_alu --policies=nominal,synts_offline"
 WATCH_STALL="$WORK/watch_stall.txt"
 if "$RUNNER" $STALL_SPEC --store="$STALL_STORE" --shard=0/2 --quiet >/dev/null 2>&1; then
-    manifest_count() { find "$STALL_STORE" -path '*/manifest/*' -type f | wc -l; }
-    base_frames=$(manifest_count)
-    "$RUNNER" $STALL_SPEC --store="$STALL_STORE" --shard=1/2 --workers=1 --quiet >/dev/null 2>&1 &
-    shard_pid=$!
-    for _ in $(seq 1 200); do
-        [ "$(manifest_count)" -gt "$base_frames" ] && break
-        sleep 0.05
-    done
-    kill -9 "$shard_pid" 2>/dev/null
-    wait "$shard_pid" 2>/dev/null
+    cell_dir=$(find "$STALL_STORE" -type d -name cell -print -quit)
+    mv "$cell_dir" "$cell_dir.shard0"
+    : >"$cell_dir"
+    "$RUNNER" $STALL_SPEC --store="$STALL_STORE" --shard=1/2 --workers=1 --quiet >/dev/null 2>&1
+    rm -f "$cell_dir"
+    mv "$cell_dir.shard0" "$cell_dir"
     find "$STALL_STORE" -type f -exec touch -d '1 hour ago' {} +
     "$RUNNER" --watch="$STALL_STORE" --sample=50 >"$WATCH_STALL" 2>&1
     rc=$?

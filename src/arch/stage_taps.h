@@ -43,8 +43,11 @@ public:
     /// Packs the driving vectors of up to 64 leading ops of `ops` into
     /// lane words for dynamic_timing_simulator::step_batch: bit j of
     /// lane_words[i] is input bit i of the j-th driving vector, in op
-    /// order. Non-driving ops are scanned past without branching into the
-    /// bit-spread path. lane_words (size width()) is fully rewritten;
+    /// order. Each driving op's input bits are packed into one 64-bit row
+    /// per lane (a second row holds bits 64..127, e.g. SimpleALU's select
+    /// field), and a 64x64 bit-matrix transpose per row turns the rows
+    /// into lane words; bits of unused lanes are 0. Non-driving ops are
+    /// skipped. lane_words (size width()) is fully rewritten;
     /// lane_op_index[j] (capacity >= 64) receives the index *within `ops`*
     /// of lane j's op. Scanning stops when 64 lanes are packed or `ops` is
     /// exhausted, whichever is first.

@@ -21,8 +21,8 @@ struct delay_pass {
     double* toggle_ps;                   ///< [net * row_stride + corner]
     std::size_t zero_row;                ///< toggle_ps row that is always 0.0
     const std::uint8_t* drives_output;   ///< per gate, output is a primary output
-    const std::uint32_t* lane_gates;     ///< lane j's toggled gates from j * gate_count
-    std::uint32_t* const* lane_ends;     ///< per lane, one past its last gate
+    const std::uint32_t* lane_gates;     ///< lane j's live gates end at (j + 1) * gate_count
+    std::uint32_t* const* lane_firsts;   ///< per lane, its first live gate
     std::size_t gate_count;
     std::size_t lane_count;
     std::size_t corner_count;
@@ -45,17 +45,18 @@ typedef double vec32 __attribute__((vector_size(32), may_alias));
 typedef double vec64 __attribute__((vector_size(64), may_alias));
 #endif
 
-/// Max-plus delay propagation over each lane's toggled gates, one
-/// 8-corner block at a time in registers of type V (W doubles each, 8/W
-/// registers per block). The lane's gate list is walked once per block,
-/// so any corner count runs this code. Always inlined, so each wrapper
-/// below compiles it for its own target ISA and no vector value crosses a
-/// call boundary.
+/// Max-plus delay propagation over each lane's live gates, one 8-corner
+/// block at a time in registers of type V (W doubles each, 8/W registers
+/// per block). The lane's gate list is walked once per block, so any
+/// corner count runs this code. Always inlined, so each wrapper below
+/// compiles it for its own target ISA and no vector value crosses a call
+/// boundary.
 ///
 /// Lanes share toggle_ps sequentially exactly like consecutive scalar
 /// steps share it: a lane only reads settle times its own pass wrote
-/// (reads guarded by the lane's toggle bits), so no per-lane copy is
-/// needed and the final contents equal the scalar walk's.
+/// (a read is guarded by the lane's toggle bit, and a toggled net read by
+/// a live gate is itself driven by a live gate), so no per-lane copy is
+/// needed.
 template <typename V>
 [[gnu::always_inline]] inline void propagate_delays(const detail::delay_pass& pass)
 {
@@ -76,8 +77,8 @@ template <typename V>
 
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
         const std::uint64_t lane_bit = 1ull << lane;
-        const std::uint32_t* const first = pass.lane_gates + lane * pass.gate_count;
-        const std::uint32_t* const last = pass.lane_ends[lane];
+        const std::uint32_t* const first = pass.lane_firsts[lane];
+        const std::uint32_t* const last = pass.lane_gates + (lane + 1) * pass.gate_count;
         for (std::size_t block = 0; block < stride; block += corner_block) {
             // Running max over the lane's toggled primary outputs. Settle
             // times are non-negative and max is exact, so folding the
@@ -367,9 +368,12 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     if (value_words_.size() != net_count) {
         value_words_.resize(net_count);
         toggle_words_.resize(net_count);
+        need_words_.resize(net_count);
+        output_need_.resize(net_count);
         lane_gates_.resize(max_batch_lanes * gates.size());
         drives_output_.resize(gates.size());
         for (const net_id out : nl_.output_nets()) {
+            output_need_[out] = ~0ull;
             if (const gate_id g = nl_.driver_of(out); g < gates.size()) {
                 drives_output_[g] = 1;
             }
@@ -388,32 +392,63 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         words[i] = w;
         toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[i]));
     }
-    // The same scan bit-scans each gate's toggle word and buckets the gate
-    // into its toggled lanes' lists: lane j's list starts at
-    // lane_gates_[j * gate_count] and ends at lane_ends[j]. Gates are
-    // visited in topological order, so every list is too. Bits at or above
-    // lane_count (shifted-in toggles, const1 words) belong to no vector and
-    // are masked off.
-    const std::uint64_t lane_mask =
-        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
-    std::array<std::uint32_t*, max_batch_lanes> lane_ends{};
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        lane_ends[lane] = lane_gates_.data() + lane * gates.size();
-    }
-    for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-        const gate& g = gates[gi];
+    for (const gate& g : gates) {
         const std::uint64_t a = g.input_count > 0 ? words[g.inputs[0]] : 0;
         const std::uint64_t b = g.input_count > 1 ? words[g.inputs[1]] : 0;
         const std::uint64_t c = g.input_count > 2 ? words[g.inputs[2]] : 0;
         const std::uint64_t w = evaluate_cell_word(g.kind, a, b, c);
         const net_id out = g.output;
         words[out] = w;
-        const std::uint64_t t = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[out]));
-        toggles[out] = t;
-        for (std::uint64_t lanes = t & lane_mask; lanes != 0; lanes &= lanes - 1) {
-            *lane_ends[std::countr_zero(lanes)]++ = static_cast<std::uint32_t>(gi);
+        toggles[out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[out]));
+    }
+
+    // Liveness, in reverse topological order: need[n] holds the lanes in
+    // which some live gate (or a primary output) reads net n's settle
+    // time, so a gate is live in the lanes where its output toggles and is
+    // needed. A live gate makes its inputs needed in the same lanes. The
+    // same scan pushes each live gate onto its lanes' lists back to front:
+    // lane j's list ends at lane_gates_[(j + 1) * gate_count] and runs in
+    // topological order. Dead gates are never visited; no output can see
+    // their settle times. Bits at or above lane_count (shifted-in toggles,
+    // const1 words) belong to no vector and are masked off.
+    const std::uint64_t lane_mask =
+        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
+    std::uint64_t* const need = need_words_.data();
+    std::copy(output_need_.begin(), output_need_.end(), need);
+    std::uint32_t* const lists = lane_gates_.data();
+    const std::size_t gate_count = gates.size();
+    std::array<std::uint32_t*, max_batch_lanes> lane_firsts{};
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+        lane_firsts[lane] = lists + (lane + 1) * gate_count;
+    }
+    std::uint64_t toggled_pairs = 0;
+    for (std::size_t gi = gate_count; gi-- > 0;) {
+        const gate& g = gates[gi];
+        const std::uint64_t toggled = toggles[g.output] & lane_mask;
+        const std::uint64_t live = toggled & need[g.output];
+        toggled_pairs += static_cast<std::uint64_t>(std::popcount(toggled));
+        if (live == 0) {
+            continue;
+        }
+        for (std::size_t i = 0; i < g.input_count; ++i) {
+            need[g.inputs[i]] |= live;
+        }
+        for (std::uint64_t lanes = live; lanes != 0; lanes &= lanes - 1) {
+            *--lane_firsts[std::countr_zero(lanes)] = static_cast<std::uint32_t>(gi);
         }
     }
+    std::uint64_t live_pairs = 0;
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+        live_pairs += static_cast<std::uint64_t>(lists + (lane + 1) * gate_count -
+                                                 lane_firsts[lane]);
+    }
+    // Once per call: the dead share is 1 - live / toggled.
+    static obs::counter& toggled_counter =
+        obs::metrics_registry::global().counter_at("circuit.toggled_pairs");
+    static obs::counter& live_counter =
+        obs::metrics_registry::global().counter_at("circuit.live_pairs");
+    toggled_counter.add(toggled_pairs);
+    live_counter.add(live_pairs);
 
     // Delay propagation per lane over its own list, in 8-corner blocks.
     const detail::delay_pass pass{.gates = gates.data(),
@@ -422,9 +457,9 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
                                   .toggle_ps = toggle_ps_.data(),
                                   .zero_row = net_count,
                                   .drives_output = drives_output_.data(),
-                                  .lane_gates = lane_gates_.data(),
-                                  .lane_ends = lane_ends.data(),
-                                  .gate_count = gates.size(),
+                                  .lane_gates = lists,
+                                  .lane_firsts = lane_firsts.data(),
+                                  .gate_count = gate_count,
                                   .lane_count = lane_count,
                                   .corner_count = corner_count,
                                   .row_stride = tables_->row_stride(),

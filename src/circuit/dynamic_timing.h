@@ -16,20 +16,36 @@
 //                     functional pass, delay propagation over toggled gates;
 //   * step_batch() -- the vectorized hot path: up to 64 consecutive input
 //                     vectors packed one bit-lane per vector into a
-//                     std::uint64_t word per net. One scan over the gates
-//                     runs the functional pass word-parallel (one bitwise
-//                     evaluate_cell_word per gate covers all lanes),
-//                     derives each output's toggle word, and bit-scans it
-//                     (std::countr_zero) to bucket the gate into per-lane
-//                     toggled-gate lists -- a flat buffer the simulator
-//                     reuses, in topological order. Delay propagation then
-//                     walks each lane's own list, never testing an
-//                     untoggled gate; an unchanged input pin reads an
-//                     always-zero settle-time row instead of branching
-//                     (max(x, +0.0) == x on these non-negative times),
-//                     and each toggled primary output is folded into the
-//                     lane's delay as the walk reaches it (max is exact,
-//                     so the visit order cannot move a bit).
+//                     std::uint64_t word per net. A forward scan over the
+//                     gates runs the functional pass word-parallel (one
+//                     bitwise evaluate_cell_word per gate covers all
+//                     lanes) and derives each output's toggle word. A
+//                     backward scan, in reverse topological order, then
+//                     finds each gate's live lanes: those where its output
+//                     toggles and some live reader (or a primary output)
+//                     needs its settle time --
+//                       live = toggles[out] & need[out] & lane_mask,
+//                       need[in] |= live for every input pin,
+//                     with need seeded per batch to all lanes at the
+//                     primary-output nets. The same scan pushes each live
+//                     gate onto its lanes' lists back to front, so lane
+//                     j's list ends at (j + 1) * gate_count and runs in
+//                     topological order. Delay propagation walks each
+//                     lane's own list, never visiting a dead or untoggled
+//                     gate; an unchanged input pin reads an always-zero
+//                     settle-time row instead of branching (max(x, +0.0)
+//                     == x on these non-negative times), and each toggled
+//                     primary output is folded into the lane's delay as
+//                     the walk reaches it (max is exact, so the visit
+//                     order cannot move a bit).
+//
+// Pruning is bit-identical: a lane reads an input's settle time only from
+// a live toggled gate, which makes the input's driver live in that lane,
+// so the row was written earlier in the same walk; the output fold only
+// sees gates that drive primary outputs, and those are live whenever they
+// toggle. step() is not pruned, so it stays an independent oracle. The
+// registry counters circuit.toggled_pairs and circuit.live_pairs count the
+// toggled and live (gate, lane) pairs, once per step_batch call.
 //
 // Timing data is laid out corner-minor ("SoA") in zero-padded rows: gate
 // delays as [gate][corner] and per-net settle times as [net][corner], each
@@ -50,7 +66,8 @@
 // multiplies, and per-corner order (pins in order, then one add) is
 // step()'s, so every instantiation is bit-identical to the scalar walk
 // (pinned by tests/test_circuit_dynamic_timing_batch for each supported
-// instantiation at 1, 3, 7, 8, 9 and 17 corners).
+// instantiation at 1, 3, 7, 8, 9 and 17 corners, and on a hand-built
+// netlist whose masked toggles the pruning skips).
 
 #pragma once
 
@@ -259,8 +276,10 @@ private:
     /// scalar-only simulators never pay for it.
     std::vector<std::uint64_t> value_words_;  ///< per net, lane values
     std::vector<std::uint64_t> toggle_words_; ///< per net, lane toggle masks
-    /// Per-lane toggled-gate lists: lane j's gates (topological order)
-    /// from lane_gates_[j * gate_count]; sized once, max_batch_lanes wide.
+    std::vector<std::uint64_t> need_words_;   ///< per net, lanes a live reader needs
+    std::vector<std::uint64_t> output_need_;  ///< per net, all lanes at primary outputs
+    /// Per-lane live-gate lists: lane j's gates (topological order) end at
+    /// lane_gates_[(j + 1) * gate_count]; sized once, max_batch_lanes wide.
     std::vector<std::uint32_t> lane_gates_;
     std::vector<std::uint8_t> drives_output_; ///< per gate, drives a primary output
 };

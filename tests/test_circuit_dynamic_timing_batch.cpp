@@ -7,7 +7,10 @@
 // 1/63/64/65 and odd tails. Every delay-kernel instantiation this CPU
 // supports runs the differential and the wide/narrow batch alternation
 // (per-lane gate lists must not leak between calls), not only the one
-// step_batch picks. Plus state continuity across interleaved
+// step_batch picks. A hand-built netlist pins the liveness pruning where
+// it bites (an AND-masked subtree, a mux's unselected input, an output net
+// that feeds another gate) against step() and against hand-counted live
+// (gate, lane) pairs. Plus state continuity across interleaved
 // scalar/batched stepping, argument validation and the padded row layout.
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -379,6 +383,113 @@ TEST_P(dynamic_timing_batch, reset_restores_the_baseline_for_both_paths)
 
 INSTANTIATE_TEST_SUITE_P(seeds, dynamic_timing_batch,
                          ::testing::Values(101ull, 202ull, 303ull, 404ull, 505ull));
+
+/// A netlist whose toggles are mostly invisible to the outputs, with inputs
+/// a, b, c, d, z, s (z and s held at 0 by the tests' vectors):
+///
+///   x1 = xor2(a, b); x2 = inv(x1); masked = and2(x2, z)   -- out "masked"
+///   p = buf(c); q = inv(d); m = mux2(p, q, s)              -- out "mux"
+///   o1 = xor2(a, c)                                        -- out "o1"
+///   o2 = and2(o1, b)                                       -- out "o2"
+///
+/// The x1/x2 subtree toggles under an AND whose side input is 0, the mux's
+/// unselected input q toggles, and o1 is a primary output that also feeds
+/// o2.
+netlist make_masked_netlist()
+{
+    netlist nl("masked");
+    const net_id a = nl.add_input("a");
+    const net_id b = nl.add_input("b");
+    const net_id c = nl.add_input("c");
+    const net_id d = nl.add_input("d");
+    const net_id z = nl.add_input("z");
+    const net_id s = nl.add_input("s");
+    const net_id x1 = nl.add_gate2(cell_kind::xor2, a, b);
+    const net_id x2 = nl.add_gate1(cell_kind::inv, x1);
+    nl.mark_output("masked", nl.add_gate2(cell_kind::and2, x2, z));
+    const net_id p = nl.add_gate1(cell_kind::buf, c);
+    const net_id q = nl.add_gate1(cell_kind::inv, d);
+    nl.mark_output("mux", nl.add_gate3(cell_kind::mux2, p, q, s));
+    const net_id o1 = nl.add_gate2(cell_kind::xor2, a, c);
+    nl.mark_output("o1", o1);
+    nl.mark_output("o2", nl.add_gate2(cell_kind::and2, o1, b));
+    nl.validate();
+    return nl;
+}
+
+/// Vectors over (a, b, c, d) with z = s = 0.
+std::vector<std::vector<bool>> masked_vectors(
+    std::initializer_list<std::array<bool, 4>> abcd)
+{
+    std::vector<std::vector<bool>> vectors;
+    for (const auto& v : abcd) {
+        vectors.push_back({v[0], v[1], v[2], v[3], false, false});
+    }
+    return vectors;
+}
+
+TEST(dynamic_timing_batch, masked_netlist_matches_scalar_and_counts_live_pairs)
+{
+    // From the all-zero reset state (gate by gate: toggled, then live):
+    //   v0 1111: x2 p m toggle; m is an output, p feeds it;
+    //            x2 is dead (masked holds 0)           toggled 3, live 2
+    //   v1 0100: x1 x2 p q m; m, p and q (a mux pin)   toggled 5, live 3
+    //   v2 1111: as v1                                 toggled 5, live 3
+    //   v3 0010: q o1; m holds, so q is dead           toggled 2, live 1
+    //   v4 0110: x1 x2 o2; only o2 is live             toggled 3, live 1
+    //   v5 1111: x1 x2 q o1 o2; o1 and o2 are live     toggled 5, live 2
+    const auto vectors = masked_vectors({{true, true, true, true},
+                                         {false, true, false, false},
+                                         {true, true, true, true},
+                                         {false, false, true, false},
+                                         {false, true, true, false},
+                                         {true, true, true, true}});
+    constexpr std::uint64_t toggled_pairs = 23;
+    constexpr std::uint64_t live_pairs = 12;
+
+    const netlist nl = make_masked_netlist();
+    auto& registry = synts::obs::metrics_registry::global();
+    const synts::obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
+    const synts::obs::counter& live = registry.counter_at("circuit.live_pairs");
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            // One lane per call, then all six in one call: liveness is per
+            // lane, so both count the same pairs.
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{6}}) {
+                const std::uint64_t toggled_before = toggled.value();
+                const std::uint64_t live_before = live.value();
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
+                EXPECT_EQ(toggled.value() - toggled_before, toggled_pairs) << chunk;
+                EXPECT_EQ(live.value() - live_before, live_pairs) << chunk;
+            }
+        }
+    }
+}
+
+TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
+{
+    // Random a..d under the same masks, across word edges and odd tails.
+    xoshiro256 rng(97);
+    std::vector<std::vector<bool>> vectors = make_vectors(6, 200, rng);
+    for (auto& v : vectors) {
+        v[4] = false; // z
+        v[5] = false; // s
+    }
+    const netlist nl = make_masked_netlist();
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            for (const std::size_t chunk : {std::size_t{7}, std::size_t{63}, std::size_t{64}}) {
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
+            }
+        }
+    }
+}
 
 TEST(dynamic_timing_batch, rejects_bad_arguments)
 {
