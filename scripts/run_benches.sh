@@ -9,8 +9,6 @@
 # timings and the zero-compute / bit-identity verdicts) as
 # BENCH_storage.json, then the telemetry overhead gate (disabled
 # instrumentation must cost <= 2% over bare) as BENCH_obs.json, then the
-# speculation gate (warm-ladder hit rate, cancel latency <= one chunk
-# grain, sweep bit-identity) as BENCH_speculation.json, then the
 # annotated-mutex overhead gate (release-build annotated lock <= 2% over
 # bare std::mutex) as BENCH_locks.json. Finally
 # every BENCH_*.json is stamped with a `meta` provenance block (UTC
@@ -134,25 +132,6 @@ if [[ -x "${obs_bench}" ]]; then
     cat "${obs_out}"
 else
     echo "skip bench_obs: not built" >&2
-fi
-
-# -- speculation quality + cancel-latency gate -------------------------------
-# bench_speculation emits its own JSON (warm-ladder hit rate, wasted-work
-# ratio, cancel-to-settle latency vs the chunk grain, sweep bit-identity
-# verdict) on stdout and gates hits > 0, latency <= one chunk grain, and
-# byte-identical sweep JSON itself, exiting non-zero on violation.
-spec_bench="${build_dir}/bench_speculation"
-spec_out="BENCH_speculation.json"
-if [[ -x "${spec_bench}" ]]; then
-    echo "== bench_speculation" >&2
-    if ! "${spec_bench}" > "${spec_out}"; then
-        echo "FAIL bench_speculation" >&2
-        failures=$((failures + 1))
-    fi
-    echo "wrote ${spec_out}" >&2
-    cat "${spec_out}"
-else
-    echo "skip bench_speculation: not built" >&2
 fi
 
 # -- annotated-mutex overhead gate -------------------------------------------

@@ -88,11 +88,9 @@ interval_characterization characterizer::characterize_interval(
 stage_characterization characterizer::characterize(const program_artifacts& program,
                                                    circuit::pipe_stage stage,
                                                    const util::parallel_for_fn& parallel,
-                                                   std::size_t worker_hint,
-                                                   const util::cancel_token& cancel) const
+                                                   std::size_t worker_hint) const
 {
     program.validate();
-    cancel.throw_if_cancelled();
 
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& cells_counter = registry.counter_at("characterize.cells");
@@ -136,7 +134,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     std::vector<std::vector<std::size_t>> warmup_ops(
         thread_count, std::vector<std::size_t>(interval_count, no_warmup_op));
     util::for_each_index(parallel, thread_count, [&](std::size_t t) {
-        cancel.throw_if_cancelled();
         const arch::thread_trace& trace = program.trace.threads[t];
         std::size_t last_driving = no_warmup_op;
         for (std::size_t k = 0; k < interval_count; ++k) {
@@ -157,7 +154,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         // regardless of schedule.
         util::for_each_index(parallel, thread_count * interval_count,
                              [&](std::size_t cell) {
-                                 cancel.throw_if_cancelled();
                                  const std::size_t t = cell / interval_count;
                                  const std::size_t k = cell % interval_count;
                                  const obs::monitored_timer timer(
@@ -224,7 +220,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     obs::counter& warmups_counter = registry.counter_at("characterize.warmup_steps");
 
     util::for_each_index(parallel, chunks.size(), [&](std::size_t ci) {
-        cancel.throw_if_cancelled(); // chunk entry
         chunks_counter.add(1);
         const chunk& ch = chunks[ci];
         const arch::thread_trace& trace = program.trace.threads[ch.thread];
@@ -251,10 +246,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
 
         for (std::size_t k = ch.begin_interval; k < ch.end_interval; ++k) {
-            // Per-interval poll: bounds cancel latency by one interval of
-            // simulation even when a chunk spans the whole trace (the
-            // 1-worker degenerate partition).
-            cancel.throw_if_cancelled();
             const obs::monitored_timer timer(
                 cell_ns, slow_cells, [stage, &ch, k] {
                     return std::string("stage=") + circuit::pipe_stage_name(stage) +
@@ -306,13 +297,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
     });
     return result;
-}
-
-stage_characterization characterizer::characterize(const arch::program_trace& program,
-                                                   circuit::pipe_stage stage) const
-{
-    const program_characterizer profiler(config_.core);
-    return characterize(profiler.characterize_trace(program), stage);
 }
 
 } // namespace synts::core

@@ -25,7 +25,6 @@
 #include "circuit/voltage_model.h"
 #include "core/error_model.h"
 #include "core/program_artifacts.h"
-#include "util/cancellation.h"
 #include "util/histogram.h"
 #include "util/parallel.h"
 
@@ -119,25 +118,10 @@ public:
     /// any executor and either mode (pinned by
     /// tests/test_core_characterization_pipeline.cpp and
     /// tests/test_core_characterization_batch.cpp).
-    ///
-    /// `cancel` (inert by default -- the tokenless call is the exact
-    /// pre-cancellation path) is polled at every natural boundary: per
-    /// thread in the warm-up pre-pass, per cell in the scalar walk, and at
-    /// chunk entry plus every interval inside a chunk in batched mode --
-    /// so a multi-second cell abandons within ONE INTERVAL of simulation
-    /// work, well under a chunk grain. Cancellation unwinds as
-    /// util::operation_cancelled with no partial result escaping.
     [[nodiscard]] stage_characterization
     characterize(const program_artifacts& program, circuit::pipe_stage stage,
                  const util::parallel_for_fn& parallel = {},
-                 std::size_t worker_hint = 0,
-                 const util::cancel_token& cancel = {}) const;
-
-    /// Legacy one-shot: profiles `program` architecturally, then delegates
-    /// to the artifact overload above. Equivalent to running
-    /// program_characterizer::characterize_trace yourself.
-    [[nodiscard]] stage_characterization characterize(const arch::program_trace& program,
-                                                      circuit::pipe_stage stage) const;
+                 std::size_t worker_hint = 0) const;
 
 private:
     /// Sentinel for "no driving op precedes the interval" (fresh sim state).

@@ -32,12 +32,11 @@ std::uint64_t experiment_config::digest() const noexcept
 std::shared_ptr<const program_artifacts>
 make_program_artifacts(const workload::workload_key& workload,
                        const experiment_config& config,
-                       const util::parallel_for_fn& parallel,
-                       const util::cancel_token& cancel)
+                       const util::parallel_for_fn& parallel)
 {
     const program_characterizer characterizer(config.characterization.core);
     return std::make_shared<const program_artifacts>(characterizer.characterize(
-        workload, config.thread_count, config.seed, parallel, cancel));
+        workload, config.thread_count, config.seed, parallel));
 }
 
 namespace {
@@ -62,8 +61,7 @@ benchmark_experiment::benchmark_experiment(const workload::workload_key& workloa
 
 benchmark_experiment::benchmark_experiment(
     std::shared_ptr<const program_artifacts> artifacts, circuit::pipe_stage stage,
-    const experiment_config& config, const util::parallel_for_fn& parallel,
-    const util::cancel_token& cancel)
+    const experiment_config& config, const util::parallel_for_fn& parallel)
     : workload_(checked_artifacts(artifacts).workload), stage_(stage), config_(config),
       artifacts_(std::move(artifacts)), lib_(circuit::cell_library::standard_22nm()),
       vm_(config.voltage_class_spread), engine_(config.sampling)
@@ -80,8 +78,7 @@ benchmark_experiment::benchmark_experiment(
     }
 
     const characterizer chars(lib_, vm_, config_.characterization);
-    characterization_ = chars.characterize(*artifacts_, stage, parallel,
-                                           /*worker_hint=*/0, cancel);
+    characterization_ = chars.characterize(*artifacts_, stage, parallel);
 
     space_ = config_space::paper_grid(characterization_.tnom_ps);
 

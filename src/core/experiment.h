@@ -77,14 +77,10 @@ public:
     /// (thread count, and the stamped workload digest covering seed and
     /// core model) disagrees with `config`. `parallel` fans the
     /// per-(thread, interval) stage characterization out; results are
-    /// bit-identical for any executor. `cancel` (inert by default) is
-    /// polled throughout the characterization walk (see
-    /// characterizer::characterize); a cancelled construction unwinds as
-    /// util::operation_cancelled and no experiment object exists.
+    /// bit-identical for any executor.
     benchmark_experiment(std::shared_ptr<const program_artifacts> artifacts,
                          circuit::pipe_stage stage, const experiment_config& config = {},
-                         const util::parallel_for_fn& parallel = {},
-                         const util::cancel_token& cancel = {});
+                         const util::parallel_for_fn& parallel = {});
 
     /// The shared stage-independent artifacts this experiment was built on.
     [[nodiscard]] const std::shared_ptr<const program_artifacts>&
@@ -179,12 +175,10 @@ private:
 /// phase one of the staged pipeline. Only config.thread_count, config.seed
 /// and config.characterization.core participate (== workload_digest());
 /// the workload key selects WHICH registered program is generated.
-/// `cancel` as on program_characterizer::characterize.
 [[nodiscard]] std::shared_ptr<const program_artifacts>
 make_program_artifacts(const workload::workload_key& workload,
                        const experiment_config& config = {},
-                       const util::parallel_for_fn& parallel = {},
-                       const util::cancel_token& cancel = {});
+                       const util::parallel_for_fn& parallel = {});
 
 /// One point of a Pareto sweep (Figs. 6.11-6.16).
 struct pareto_point {

@@ -50,9 +50,8 @@ program_characterizer::program_characterizer(arch::core_config core) : core_(cor
 
 program_artifacts program_characterizer::characterize(
     const workload::workload_key& key, std::size_t thread_count, std::uint64_t seed,
-    const util::parallel_for_fn& parallel, const util::cancel_token& cancel) const
+    const util::parallel_for_fn& parallel) const
 {
-    cancel.throw_if_cancelled();
     const workload::benchmark_profile profile =
         workload::workload_registry::global().make_profile(key, thread_count);
 
@@ -63,7 +62,6 @@ program_artifacts program_characterizer::characterize(
     artifacts.workload_digest = core::workload_digest(thread_count, seed, core_);
     artifacts.trace = workload::generate_program_trace(profile, seed, parallel);
 
-    cancel.throw_if_cancelled(); // phase boundary: generation -> profiling
     arch::multicore_profiler profiler(core_);
     artifacts.arch_profiles = profiler.profile(artifacts.trace, parallel);
     return artifacts;

@@ -24,7 +24,6 @@
 
 #include "arch/multicore.h"
 #include "arch/trace.h"
-#include "util/cancellation.h"
 #include "util/parallel.h"
 #include "workload/registry.h"
 
@@ -98,19 +97,14 @@ public:
     /// std::out_of_range. Deterministic in (workload, thread_count, seed,
     /// core config); `parallel` fans per-thread work out without changing
     /// the result. benchmark_id call sites convert implicitly (the built-in
-    /// ten are always registered). `cancel` (inert by default) is polled at
-    /// the phase boundaries -- before generation and between generation and
-    /// profiling -- and unwinds as util::operation_cancelled with no
-    /// partial artifacts escaping.
+    /// ten are always registered).
     [[nodiscard]] program_artifacts characterize(const workload::workload_key& workload,
                                                  std::size_t thread_count,
                                                  std::uint64_t seed,
-                                                 const util::parallel_for_fn& parallel = {},
-                                                 const util::cancel_token& cancel = {}) const;
+                                                 const util::parallel_for_fn& parallel = {}) const;
 
-    /// Profiles an externally generated trace (the legacy one-shot path of
-    /// characterizer::characterize(program_trace, stage)); the benchmark and
-    /// seed provenance fields are left at their defaults.
+    /// Profiles an externally generated trace; the benchmark and seed
+    /// provenance fields are left at their defaults.
     [[nodiscard]] program_artifacts
     characterize_trace(arch::program_trace trace,
                        const util::parallel_for_fn& parallel = {}) const;

@@ -69,30 +69,28 @@ experiment_cache::experiment_ptr
 experiment_cache::get_or_create(const workload::workload_key& workload,
                                 circuit::pipe_stage stage,
                                 const core::experiment_config& config, thread_pool* pool,
-                                cache_traffic* traffic, const cancel_token& cancel)
+                                cache_traffic* traffic)
 {
     const experiment_key key{workload, stage, config.digest()};
     return stage_tier_.get_or_create(
         key,
         [&]() -> experiment_ptr {
             const program_ptr program =
-                get_or_create_program(workload, config, pool, traffic, cancel);
-            cancel.throw_if_cancelled(); // phase boundary: artifacts -> stage
+                get_or_create_program(workload, config, pool, traffic);
             const obs::trace_span span(
                 obs::trace_recorder::global(),
                 [&] { return "cache.stage_build:" + workload.name; });
             const obs::scoped_timer timer(*obs_stage_build_ns_);
             return std::make_shared<const core::benchmark_experiment>(
-                program, stage, config, pool_executor(pool), cancel);
+                program, stage, config, pool_executor(pool));
         },
-        traffic != nullptr ? &traffic->stage : nullptr, cancel);
+        traffic != nullptr ? &traffic->stage : nullptr);
 }
 
 experiment_cache::program_ptr
 experiment_cache::get_or_create_program(const workload::workload_key& workload,
                                         const core::experiment_config& config,
-                                        thread_pool* pool, cache_traffic* traffic,
-                                        const cancel_token& cancel)
+                                        thread_pool* pool, cache_traffic* traffic)
 {
     const program_key key{workload, config.workload_digest()};
     // Attribution note: the factory below runs on the thread that OWNS the
@@ -112,8 +110,7 @@ experiment_cache::get_or_create_program(const workload::workload_key& workload,
         const obs::trace_span span(obs::trace_recorder::global(),
                                    [&] { return "cache.compute:" + workload.name; });
         const obs::scoped_timer timer(*obs_compute_ns_);
-        return core::make_program_artifacts(workload, config, pool_executor(pool),
-                                            cancel);
+        return core::make_program_artifacts(workload, config, pool_executor(pool));
     };
     const auto probe_disk = [&]() -> program_ptr {
         const obs::scoped_timer timer(*obs_disk_load_ns_);
@@ -132,17 +129,16 @@ experiment_cache::get_or_create_program(const workload::workload_key& workload,
                 obs_disk_misses_->add(1);
                 program_ptr built = compute();
                 // Best-effort write-back: a failed publish (read-only store,
-                // disk full) degrades persistence, never the result. A
-                // cancelled compute() never reaches here, so the store only
-                // ever sees COMPLETE artifacts (atomic temp+rename inside
-                // keeps concurrent readers safe from torn frames).
+                // disk full) degrades persistence, never the result. The
+                // atomic temp+rename inside keeps concurrent readers safe
+                // from torn frames.
                 (void)store_->store(storage::program_bucket, key.digest(),
                                     storage::encode(*built));
                 return built;
             }
             return compute();
         },
-        traffic != nullptr ? &traffic->program : nullptr, cancel);
+        traffic != nullptr ? &traffic->program : nullptr);
 }
 
 void experiment_cache::clear()

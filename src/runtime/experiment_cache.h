@@ -58,7 +58,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -68,7 +67,6 @@
 
 #include "core/experiment.h"
 #include "obs/metrics.h"
-#include "runtime/cancel.h"
 #include "runtime/thread_pool.h"
 #include "util/hashing.h"
 
@@ -173,105 +171,46 @@ public:
     /// Returns the entry of `key`, invoking `factory()` on this thread if
     /// absent. Blocks when another thread is mid-construction of the same
     /// key; a factory exception is rethrown to every waiter and the entry
-    /// dropped so a later call can retry. `sink`, when given, receives the
-    /// call's hit/miss in addition to the tier's global counters (see
-    /// cache_traffic).
-    ///
-    /// Cancellation (`token`; inert by default -- the tokenless path is the
-    /// pre-cancellation code path):
-    ///   * this CALLER cancelled: throws operation_cancelled, whether it
-    ///     was about to construct or was waiting on another owner;
-    ///   * the OWNER it waits on was cancelled (e.g. a speculative miss
-    ///     preempted by demand): the owner's unwind erased the entry, so
-    ///     the waiter is never left parked -- it retries the lookup and
-    ///     typically becomes the new owner, constructing the value itself.
-    ///     This is the hand-off: demand work inherits a key a cancelled
-    ///     speculation abandoned, at the price of restarting the factory.
-    ///     Counting caveat: such a retry records one hit (the wait) AND
-    ///     then whatever the retry records -- attribution sinks see the
-    ///     work that happened, not one logical call.
+    /// dropped so a later call can retry. Every call records exactly one
+    /// hit or one miss; `sink`, when given, receives it in addition to the
+    /// tier's global counters (see cache_traffic).
     template <typename Factory>
     [[nodiscard]] Ptr get_or_create(const Key& key, Factory&& factory,
-                                    tier_traffic* sink = nullptr,
-                                    const util::cancel_token& token = {})
+                                    tier_traffic* sink = nullptr)
     {
         shard& home = shard_for(key);
+        std::promise<Ptr> construction;
+        std::shared_future<Ptr> entry;
+        bool owner = false;
+        {
+            const util::mutex_lock lock(home.mutex);
+            auto it = home.entries.find(key);
+            if (it != home.entries.end()) {
+                entry = it->second;
+            } else {
+                entry = construction.get_future().share();
+                home.entries.emplace(key, entry);
+                owner = true;
+            }
+        }
 
-        for (;;) {
-            token.throw_if_cancelled();
+        if (!owner) {
+            count(hits_, registry_hits_, sink != nullptr ? &sink->hits : nullptr);
+            return entry.get(); // blocks while the owner constructs
+        }
 
-            std::promise<Ptr> construction;
-            std::shared_future<Ptr> entry;
-            bool owner = false;
+        count(misses_, registry_misses_, sink != nullptr ? &sink->misses : nullptr);
+        try {
+            construction.set_value(factory());
+        } catch (...) {
+            construction.set_exception(std::current_exception());
             {
                 const util::mutex_lock lock(home.mutex);
-                auto it = home.entries.find(key);
-                if (it != home.entries.end()) {
-                    entry = it->second;
-                } else {
-                    entry = construction.get_future().share();
-                    home.entries.emplace(key, entry);
-                    owner = true;
-                }
+                home.entries.erase(key);
             }
-
-            if (!owner) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                if (registry_hits_ != nullptr) {
-                    registry_hits_->add(1);
-                }
-                if (sink != nullptr) {
-                    sink->hits.fetch_add(1, std::memory_order_relaxed);
-                }
-                try {
-                    if (token.can_cancel()) {
-                        // A cancellable waiter must not block indefinitely
-                        // on a future its own cancel can never settle, so
-                        // it alternates short waits with token polls.
-                        while (entry.wait_for(std::chrono::milliseconds(1)) !=
-                               std::future_status::ready) {
-                            token.throw_if_cancelled();
-                        }
-                    }
-                    return entry.get(); // blocks while the owner constructs
-                } catch (const util::operation_cancelled&) {
-                    // Own cancel: propagate. Owner's cancel: the entry was
-                    // erased by the owner's unwind -- retry (hand-off).
-                    token.throw_if_cancelled();
-                    continue;
-                }
-            }
-
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            if (registry_misses_ != nullptr) {
-                registry_misses_->add(1);
-            }
-            if (sink != nullptr) {
-                sink->misses.fetch_add(1, std::memory_order_relaxed);
-            }
-            try {
-                construction.set_value(factory());
-            } catch (...) {
-                construction.set_exception(std::current_exception());
-                {
-                    const util::mutex_lock lock(home.mutex);
-                    home.entries.erase(key);
-                }
-                throw;
-            }
-            return entry.get();
+            throw;
         }
-    }
-
-    /// True while `key` is resident -- settled OR still under construction.
-    /// A snapshot only (the speculator's don't-duplicate probe), never a
-    /// reservation.
-    [[nodiscard]] bool contains(const Key& key) const
-    {
-        shard& home = *shards_[util::hash_mix(key.digest(), shards_.size()) &
-                               (shards_.size() - 1)];
-        const util::mutex_lock lock(home.mutex);
-        return home.entries.contains(key);
+        return entry.get();
     }
 
     [[nodiscard]] std::uint64_t hit_count() const noexcept
@@ -313,13 +252,24 @@ private:
     struct shard {
         /// Held only for map operations -- factories run outside, waiters
         /// block on the shared_future, never on the shard. A leaf below
-        /// pool_queue (enqueue never runs under a shard lock) and above
-        /// speculator (observe() probes contains() under its own mutex).
+        /// pool_queue (enqueue never runs under a shard lock).
         util::annotated_mutex mutex{util::lock_rank::cache_shard,
                                     "experiment_cache.shard"};
         std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries
             SYNTS_GUARDED_BY(mutex);
     };
+
+    static void count(std::atomic<std::uint64_t>& own, obs::counter* registry,
+                      std::atomic<std::uint64_t>* sink) noexcept
+    {
+        own.fetch_add(1, std::memory_order_relaxed);
+        if (registry != nullptr) {
+            registry->add(1);
+        }
+        if (sink != nullptr) {
+            sink->fetch_add(1, std::memory_order_relaxed);
+        }
+    }
 
     [[nodiscard]] shard& shard_for(const Key& key) noexcept
     {
@@ -357,46 +307,22 @@ public:
     /// either way) and must outlive the call. `traffic`, when given,
     /// receives this call's traffic on every tier it touches, so callers
     /// sharing the cache can attribute hits/misses/computes to themselves
-    /// (see cache_traffic). `cancel`, when linked, is observed at every
-    /// phase boundary of a miss's construction and inside the
-    /// characterization walk; a cancelled owner unwinds with
-    /// operation_cancelled, publishes nothing to any tier, and waiting
-    /// callers retry/take over (see memo_tier::get_or_create).
+    /// (see cache_traffic).
     [[nodiscard]] experiment_ptr get_or_create(const workload::workload_key& workload,
                                                circuit::pipe_stage stage,
                                                const core::experiment_config& config = {},
                                                thread_pool* pool = nullptr,
-                                               cache_traffic* traffic = nullptr,
-                                               const cancel_token& cancel = {});
+                                               cache_traffic* traffic = nullptr);
 
     /// Returns the cached stage-independent artifacts for
     /// (workload, config.workload_digest()), constructing them on this
     /// thread if absent. With a store attached, a memory miss probes the
-    /// disk tier before computing (see file comment). `traffic` and
-    /// `cancel` as above.
+    /// disk tier before computing (see file comment). `traffic` as above.
     [[nodiscard]] program_ptr
     get_or_create_program(const workload::workload_key& workload,
                           const core::experiment_config& config = {},
                           thread_pool* pool = nullptr,
-                          cache_traffic* traffic = nullptr,
-                          const cancel_token& cancel = {});
-
-    /// True while the stage-tier entry for (workload, stage, config) is
-    /// resident (settled or under construction). A snapshot, not a
-    /// reservation -- the speculator's don't-recompute probe.
-    [[nodiscard]] bool contains(const workload::workload_key& workload,
-                                circuit::pipe_stage stage,
-                                const core::experiment_config& config = {}) const
-    {
-        return stage_tier_.contains({workload, stage, config.digest()});
-    }
-
-    /// Program-tier residency probe; same snapshot caveat as contains().
-    [[nodiscard]] bool contains_program(const workload::workload_key& workload,
-                                        const core::experiment_config& config = {}) const
-    {
-        return program_tier_.contains({workload, config.workload_digest()});
-    }
+                          cache_traffic* traffic = nullptr);
 
     /// Attaches (or, with nullptr, detaches) the persistent disk tier.
     /// Not synchronized against in-flight lookups: attach before handing

@@ -11,7 +11,6 @@
 #include "core/policies.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/speculator.h"
 #include "storage/artifact_store.h"
 #include "storage/serialize.h"
 #include "util/hashing.h"
@@ -325,16 +324,6 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     progress_publisher progress(store, spec_digest, shard,
                                 static_cast<std::uint64_t>(result.cells.size()));
 
-    // Per-sweep cancellation source, linked under the caller's token:
-    // cancelling options.cancel (or this source through it) drops queued
-    // pair tasks without starting them and unwinds running ones within one
-    // characterization interval. With the default (inert) token the source
-    // simply never fires and every code path below is the pre-cancellation
-    // one.
-    const cancel_source sweep_source(options.cancel);
-    const cancel_token sweep_token = sweep_source.token();
-    speculator* const speculate = options.speculate;
-
     const auto t0 = std::chrono::steady_clock::now();
 
     // One task per owned (benchmark, stage) pair: the pair's shared inputs
@@ -343,16 +332,14 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     // per cell (per-cell tasks would re-derive theta_eq Q times and a
     // ladder's Nominal baseline Q more times). Policy cells within a pair
     // run sequentially; pairs run in parallel, which is where the work is.
-    std::vector<cancellable_task<void>> tasks;
+    std::vector<std::future<void>> tasks;
     tasks.reserve(owned.size());
     for (std::size_t local_p = 0; local_p < owned.size(); ++local_p) {
         tasks.push_back(pool_->submit(
-            sweep_token,
             [this, &spec, &options, &result, &pairs, &owned, store, spec_digest,
              policy_count, &traffic, &cells_loaded, &cells_stored, &obs_cells_loaded,
              &obs_cells_stored, &obs_cells_missed, &obs_cells_computed, &progress,
-             speculate, local_p](const cancel_token& task_token) {
-            task_token.throw_if_cancelled(); // pair start
+             local_p] {
             const std::size_t p = owned[local_p];
             const auto& [workload, stage] = pairs[p];
 
@@ -377,15 +364,8 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
             double theta_eq = 0.0;
             core::benchmark_experiment::policy_run nominal_baseline;
             if (!complete) {
-                if (speculate != nullptr) {
-                    // Report demand BEFORE the get: records a speculative
-                    // hit when speculation already covers (or is mid-way
-                    // through) this key, preempts speculation otherwise,
-                    // and seeds the next predictions.
-                    speculate->observe(workload, stage, spec.config);
-                }
                 experiment = cache_->get_or_create(workload, stage, spec.config,
-                                                   pool_, &traffic, task_token);
+                                                   pool_, &traffic);
                 theta_eq = experiment->equal_weight_theta();
                 if (!spec.theta_multipliers.empty()) {
                     nominal_baseline =
@@ -394,7 +374,6 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
             }
 
             for (std::size_t q = 0; q < policy_count; ++q) {
-                task_token.throw_if_cancelled(); // per policy cell
                 // Checkpoint key and task seed use the GLOBAL cell index;
                 // the result slot uses the run-local one (they agree when
                 // unsharded).
@@ -457,11 +436,10 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     }
 
     std::exception_ptr first_error;
-    for (cancellable_task<void>& task : tasks) {
+    for (std::future<void>& done : tasks) {
         // Help while waiting (same discipline as parallel_for): run() may
         // itself be called from inside a pool task, and on a small pool the
         // cells would otherwise sit behind the blocked caller forever.
-        std::future<void>& done = task.future();
         while (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
             if (!pool_->run_one_task()) {
                 (void)done.wait_for(std::chrono::milliseconds(1));
@@ -470,9 +448,7 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
         try {
             done.get();
         } catch (...) {
-            // First error in cell order; a cancelled sweep's earliest
-            // settled operation_cancelled is what the caller sees after
-            // EVERY task settled -- dropped, unwound, or completed.
+            // First error in cell order, rethrown after EVERY task settled.
             if (!first_error) {
                 first_error = std::current_exception();
             }

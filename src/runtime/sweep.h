@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "runtime/cancel.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/thread_pool.h"
 
@@ -38,8 +37,6 @@ class artifact_store;
 }
 
 namespace synts::runtime {
-
-class speculator;
 
 /// One (workload, stage) evaluation target. Workloads are registry keys
 /// (workload/registry.h); benchmark_id literals convert implicitly.
@@ -224,24 +221,6 @@ struct sweep_options {
     /// with a different shard count is a conflicting (overlapping)
     /// sharding and fails the run with shard_error.
     std::optional<sweep_shard> shard;
-    /// Cancellation parent (inert by default -- the tokenless run is the
-    /// exact pre-cancellation code path). run() links a per-sweep
-    /// cancel_source under it and threads per-task children through every
-    /// pair task, the cache's owner/waiter machinery, and the
-    /// characterization walk: cancelling this token's source makes queued
-    /// pair tasks drop without starting, running ones unwind within one
-    /// characterization interval, and run() rethrow operation_cancelled
-    /// after every task settled. A cancelled run attests no shard
-    /// completion manifest.
-    cancel_token cancel{};
-    /// Idle-worker speculation hook (see runtime/speculator.h). When set,
-    /// every demand lookup the sweep makes is reported to the speculator
-    /// -- recording speculative hits, preempting in-flight speculation the
-    /// demand needs the workers for, and seeding predictions of
-    /// likely-next cells. Never changes any cell's bytes: speculation only
-    /// warms the same keyed cache tiers demand would fill. Must outlive
-    /// the run.
-    speculator* speculate = nullptr;
 };
 
 /// Raised when sharded-sweep bookkeeping refuses to proceed: a shard run

@@ -3,7 +3,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
 namespace synts::runtime {
@@ -23,7 +22,6 @@ thread_pool::thread_pool(std::size_t worker_count)
     : obs_executed_(&obs::metrics_registry::global().counter_at("pool.tasks_executed")),
       obs_steals_(&obs::metrics_registry::global().counter_at("pool.steals")),
       obs_enqueued_(&obs::metrics_registry::global().counter_at("pool.tasks_enqueued")),
-      obs_dropped_(&obs::metrics_registry::global().counter_at("pool.tasks_dropped")),
       obs_queue_depth_(&obs::metrics_registry::global().gauge_at("pool.queue_depth")),
       obs_task_ns_(&obs::metrics_registry::global().histogram_at("pool.task_ns"))
 {
@@ -107,12 +105,6 @@ void thread_pool::enqueue(unique_task task)
     }
     obs_enqueued_->add(1);
     wake_.notify_one();
-}
-
-void thread_pool::note_dropped_task() noexcept
-{
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    obs_dropped_->add(1);
 }
 
 void thread_pool::execute_task(unique_task& task)

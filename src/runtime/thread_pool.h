@@ -10,9 +10,9 @@
 // (self-claiming from a shared counter, never unrelated pool tasks), so
 // nested parallelism cannot deadlock even on a single-worker pool and a
 // caller mid-construction of a cache entry never lifts a task that would
-// block on that same entry. The shape follows the speculative-thread worker
-// loop of adevs' SpecThread (see SNIPPETS.md): park on a condition
-// variable, wake, drain, repark.
+// block on that same entry. The shape follows the worker loop of adevs'
+// SpecThread (see SNIPPETS.md): park on a condition variable, wake, drain,
+// repark.
 
 #pragma once
 
@@ -25,14 +25,12 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "runtime/cancel.h"
 #include "util/parallel.h"
 #include "util/thread_safety.h"
 
@@ -86,50 +84,10 @@ private:
 /// guaranteed to execute before join -- or is rejected with this
 /// exception, deterministically. parallel_for() never throws it: a racing
 /// caller just executes every block itself. Pinned by
-/// tests/test_runtime_cancel.cpp.
+/// tests/test_runtime_pool.cpp.
 class pool_stopped : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
-};
-
-/// Handle of one cancellable task (thread_pool::submit's token overload).
-/// Carries the task's future plus a per-task cancel_source linked under
-/// the token given at submit time: cancelling the parent cancels the task,
-/// and try_cancel() here cancels just this one. A task cancelled while
-/// still QUEUED is dropped without starting (its future throws
-/// operation_cancelled); a RUNNING task observes token() cooperatively at
-/// its own poll points and unwinds the same way.
-template <typename T>
-class cancellable_task {
-public:
-    cancellable_task() = default;
-
-    /// The task's result channel (value / exception / operation_cancelled).
-    [[nodiscard]] std::future<T>& future() noexcept { return future_; }
-
-    /// Blocks for the result; rethrows the task's exception
-    /// (operation_cancelled when it was dropped or abandoned).
-    T get() { return future_.get(); }
-
-    [[nodiscard]] bool valid() const noexcept { return future_.valid(); }
-
-    /// The token the task observes (per-task child of the submit token).
-    [[nodiscard]] cancel_token token() const noexcept { return source_.token(); }
-
-    /// Requests cancellation of this task alone. True when this call
-    /// flipped the flag. The task still settles (drop or cooperative
-    /// unwind) -- always harvest future() afterwards.
-    bool try_cancel(std::string_view reason = "cancelled") noexcept
-    {
-        return source_.cancel(reason);
-    }
-
-    [[nodiscard]] bool cancel_requested() const noexcept { return source_.cancelled(); }
-
-private:
-    friend class thread_pool;
-    std::future<T> future_;
-    cancel_source source_;
 };
 
 /// Work-stealing pool of `worker_count` threads.
@@ -170,7 +128,6 @@ public:
     /// Schedules `f(args...)`; the future carries the result or exception.
     /// Throws pool_stopped once the destructor has begun draining.
     template <typename F, typename... Args>
-        requires(!std::is_same_v<std::decay_t<F>, cancel_token>)
     auto submit(F&& f, Args&&... args)
         -> std::future<std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>...>>
     {
@@ -183,63 +140,6 @@ public:
         std::future<result_type> future = task.get_future();
         enqueue(unique_task(std::move(task)));
         return future;
-    }
-
-    /// Result type of a cancellable task body: callables may take the
-    /// per-task token (`f(cancel_token)`) for cooperative polling, or
-    /// nothing (`f()`) when the work is short enough to drop-or-finish.
-    template <typename F>
-    using cancellable_result_t = typename std::conditional_t<
-        std::is_invocable_v<std::decay_t<F>, cancel_token>,
-        std::invoke_result<std::decay_t<F>, cancel_token>,
-        std::invoke_result<std::decay_t<F>>>::type;
-
-    /// Interruptible-task overload: schedules `f` under a fresh per-task
-    /// cancel_source linked below `token` (so cancelling the caller's
-    /// source cancels this task, and the handle's try_cancel() cancels
-    /// just it). A task whose token is already cancelled when a worker
-    /// dequeues it is DROPPED without starting: its future settles with
-    /// operation_cancelled and pool.tasks_dropped is bumped. A running
-    /// task observes the token at its own poll points. Throws pool_stopped
-    /// once the destructor has begun draining.
-    template <typename F>
-        requires(std::is_invocable_v<std::decay_t<F>, cancel_token> ||
-                 std::is_invocable_v<std::decay_t<F>>)
-    auto submit(const cancel_token& token, F&& f) -> cancellable_task<cancellable_result_t<F>>
-    {
-        using result_type = cancellable_result_t<F>;
-        cancellable_task<result_type> handle;
-        handle.source_ = cancel_source(token);
-        const cancel_token task_token = handle.source_.token();
-        auto promise = std::make_shared<std::promise<result_type>>();
-        handle.future_ = promise->get_future();
-        enqueue(unique_task(
-            [this, fn = std::forward<F>(f), task_token, promise]() mutable {
-                if (task_token.cancelled()) {
-                    note_dropped_task();
-                    promise->set_exception(std::make_exception_ptr(operation_cancelled(
-                        "task dropped before start: " + task_token.reason())));
-                    return;
-                }
-                try {
-                    const auto invoke = [&]() -> decltype(auto) {
-                        if constexpr (std::is_invocable_v<std::decay_t<F>, cancel_token>) {
-                            return fn(task_token);
-                        } else {
-                            return fn();
-                        }
-                    };
-                    if constexpr (std::is_void_v<result_type>) {
-                        invoke();
-                        promise->set_value();
-                    } else {
-                        promise->set_value(invoke());
-                    }
-                } catch (...) {
-                    promise->set_exception(std::current_exception());
-                }
-            }));
-        return handle;
     }
 
     /// Runs `body(i)` for every i in [begin, end), in parallel, in blocks of
@@ -273,22 +173,6 @@ public:
         return executed_.load(std::memory_order_relaxed);
     }
 
-    /// Cancellable tasks dropped at dequeue (token already cancelled when
-    /// a worker picked them up -- the user callable never ran).
-    [[nodiscard]] std::uint64_t dropped_count() const noexcept
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-    /// Tasks queued but not yet started. An instantaneous snapshot -- the
-    /// speculator uses it as its idleness signal (pending == 0 means no
-    /// demand work is waiting for a worker), not as a synchronization
-    /// primitive.
-    [[nodiscard]] std::size_t pending_count() const noexcept
-    {
-        return pending_.load(std::memory_order_acquire);
-    }
-
 private:
     struct worker_queue {
         util::annotated_mutex mutex{util::lock_rank::pool_queue,
@@ -297,9 +181,6 @@ private:
     };
 
     void enqueue(unique_task task);
-    /// Bumps the dropped-at-dequeue counters (out of line: the obs types
-    /// are only forward-declared here).
-    void note_dropped_task() noexcept;
     /// Runs `task`, bumping the executed counters and -- only when
     /// telemetry is enabled -- timing it into the pool.task_ns histogram.
     void execute_task(unique_task& task);
@@ -325,7 +206,6 @@ private:
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> dropped_{0};
 
     // Registry instruments (pool.* taxonomy), resolved once at
     // construction. The per-instance atomics above stay authoritative for
@@ -334,7 +214,6 @@ private:
     obs::counter* obs_executed_;
     obs::counter* obs_steals_;
     obs::counter* obs_enqueued_;
-    obs::counter* obs_dropped_;
     obs::gauge* obs_queue_depth_;
     obs::latency_histogram* obs_task_ns_;
 };

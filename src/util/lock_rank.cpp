@@ -13,11 +13,9 @@ namespace synts::util {
 const char* lock_rank_name(lock_rank rank) noexcept
 {
     switch (rank) {
-    case lock_rank::speculator: return "speculator";
     case lock_rank::pool_sleep: return "pool_sleep";
     case lock_rank::pool_queue: return "pool_queue";
     case lock_rank::cache_shard: return "cache_shard";
-    case lock_rank::cancel_tree: return "cancel_tree";
     case lock_rank::workload_registry: return "workload_registry";
     case lock_rank::sampler_wake: return "sampler_wake";
     case lock_rank::metrics_registry: return "metrics_registry";
@@ -34,8 +32,8 @@ namespace lock_rank_detail {
 
 namespace {
 
-// Deep enough for any real chain (the longest legal chain today is three:
-// speculator -> pool_sleep -> pool_queue); overflow is reported as its own
+// Deep enough for any real chain (the longest legal chain today is two:
+// pool_sleep -> pool_queue); overflow is reported as its own
 // violation rather than silently dropping entries.
 constexpr std::size_t max_held = 32;
 

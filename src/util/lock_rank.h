@@ -15,18 +15,11 @@
 //
 //   rank | name              | mutex                            | held while taking
 //   -----+-------------------+----------------------------------+------------------
-//     10 | speculator        | speculator::mutex_               | pool_sleep, pool_queue,
-//        |                   |                                  | cache_shard, cancel_tree,
-//        |                   |                                  | workload_registry
-//        |                   |                                  | (observe/launch paths)
 //     20 | pool_sleep        | thread_pool::sleep_mutex_        | pool_queue (enqueue's
 //        |                   |                                  | gate+push sequence)
 //     30 | pool_queue        | thread_pool::worker_queue::mutex | (leaf; never two at once)
 //     40 | cache_shard       | memo_tier::shard::mutex          | (leaf; factories run
 //        |                   |                                  | outside the shard lock)
-//     50 | cancel_tree       | detail::cancel_state::mutex      | (leaf; cancel_cascade
-//        |                   |                                  | snapshots children and
-//        |                   |                                  | recurses UNLOCKED)
 //     60 | workload_registry | workload_registry::mutex_        | (leaf; factories invoked
 //        |                   |                                  | outside the lock)
 //     70 | sampler_wake      | sampler::wake_mutex_             | (leaf; released before
@@ -72,11 +65,9 @@ namespace synts::util {
 /// Gaps between values are deliberate: a future mutex slots between two
 /// existing ranks without renumbering the table.
 enum class lock_rank : std::uint16_t {
-    speculator = 10,
     pool_sleep = 20,
     pool_queue = 30,
     cache_shard = 40,
-    cancel_tree = 50,
     workload_registry = 60,
     sampler_wake = 70,
     metrics_registry = 80,
@@ -98,8 +89,7 @@ namespace lock_rank_detail {
 /// violation aborts (with both mutex names and ranks on stderr) instead of
 /// deadlocking. Strictly ascending: acquiring at a rank <= the top of the
 /// stack is a violation, including equal ranks -- no same-rank nesting
-/// exists in the codebase (cancel_cascade recurses unlocked, the pool
-/// never holds two queue locks).
+/// exists in the codebase (the pool never holds two queue locks).
 void note_acquired(lock_rank rank, const char* name) noexcept;
 
 /// Pops `rank` from the calling thread's held stack (topmost matching

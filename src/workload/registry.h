@@ -133,8 +133,7 @@ private:
     };
 
     /// A leaf lock held only for map access -- factories are copied out and
-    /// invoked unlocked. The speculator takes it under its own mutex
-    /// (rank speculator < workload_registry).
+    /// invoked unlocked.
     mutable util::annotated_mutex mutex_{util::lock_rank::workload_registry,
                                          "workload_registry"};
     std::vector<entry> entries_ SYNTS_GUARDED_BY(mutex_);   ///< registration order

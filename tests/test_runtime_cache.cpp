@@ -1,12 +1,16 @@
 // Tests for runtime/experiment_cache: hit/miss accounting, identity of the
 // served instance, bit-identical results from cached vs freshly built
 // experiments, config-digest keying, single construction under concurrent
-// access, and the constructor-failure retry path.
+// access, and the constructor-failure retry path (through the cache and
+// directly on a memo_tier with waiters parked on the failing key).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.h"
@@ -138,6 +142,81 @@ TEST(runtime_cache, constructor_failure_is_rethrown_and_retryable)
     EXPECT_THROW((void)cache.get_or_create(kBenchmark, kStage, broken),
                  std::invalid_argument);
     EXPECT_EQ(cache.miss_count(), 2u); // both calls attempted construction
+}
+
+struct tiny_key {
+    std::uint64_t id = 0;
+    [[nodiscard]] std::uint64_t digest() const noexcept { return id * 0x9e3779b97f4a7c15ull; }
+    bool operator==(const tiny_key&) const = default;
+};
+
+TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retries)
+{
+    runtime::memo_tier<tiny_key, std::shared_ptr<int>> tier(1);
+    runtime::tier_traffic sink;
+    std::promise<void> owner_inside;
+    std::promise<void> owner_release;
+    std::shared_future<void> release = owner_release.get_future().share();
+    std::atomic<int> factory_runs{0};
+    std::atomic<int> failures_seen{0};
+
+    const auto failing_call = [&] {
+        try {
+            (void)tier.get_or_create(
+                tiny_key{7},
+                [&]() -> std::shared_ptr<int> {
+                    factory_runs.fetch_add(1);
+                    owner_inside.set_value();
+                    release.get();
+                    throw std::runtime_error("factory failed");
+                },
+                &sink);
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "factory failed");
+            failures_seen.fetch_add(1);
+        }
+    };
+
+    std::thread owner(failing_call);
+    owner_inside.get_future().get(); // owner is mid-construction
+
+    constexpr int waiter_count = 4;
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < waiter_count; ++i) {
+        waiters.emplace_back(failing_call);
+    }
+    // A waiter records its hit before blocking on the entry, so once every
+    // hit is in, every waiter is parked on the owner's construction.
+    while (tier.hit_count() < static_cast<std::uint64_t>(waiter_count)) {
+        std::this_thread::yield();
+    }
+    owner_release.set_value();
+    owner.join();
+    for (std::thread& waiter : waiters) {
+        waiter.join();
+    }
+
+    EXPECT_EQ(failures_seen.load(), waiter_count + 1); // owner + every waiter
+    EXPECT_EQ(factory_runs.load(), 1);
+    EXPECT_EQ(tier.size(), 0u); // failed entry dropped
+
+    const auto value = tier.get_or_create(
+        tiny_key{7},
+        [&]() -> std::shared_ptr<int> {
+            factory_runs.fetch_add(1);
+            return std::make_shared<int>(2);
+        },
+        &sink);
+    EXPECT_EQ(*value, 2);
+    EXPECT_EQ(factory_runs.load(), 2); // the retry ran the factory again
+    EXPECT_EQ(tier.size(), 1u);
+
+    // Exactly one hit or one miss per call: the failing owner and the retry
+    // missed, every waiter hit.
+    EXPECT_EQ(tier.hit_count(), static_cast<std::uint64_t>(waiter_count));
+    EXPECT_EQ(tier.miss_count(), 2u);
+    EXPECT_EQ(sink.hits.load(), static_cast<std::uint64_t>(waiter_count));
+    EXPECT_EQ(sink.misses.load(), 2u);
 }
 
 TEST(runtime_cache, clear_forgets_entries)

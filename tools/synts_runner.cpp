@@ -32,7 +32,6 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "runtime/fleet_watch.h"
-#include "runtime/speculator.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
 #include "storage/artifact_store.h"
@@ -62,16 +61,6 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       synts_online or "all" (default: all)
   --ladder=SPEC       theta multipliers: "default" (2^-6..2^6), "none", or a
                       comma list of numbers (default: none)
-  --speculate[=N]     spend idle pool workers computing likely-next cells
-                      (the next scenario-ladder rung, the sibling pipe
-                      stages of each demanded workload) under cancellable
-                      low-priority tasks, preempted the moment real demand
-                      needs a worker. N >= 1 bounds concurrent speculative
-                      constructions (bare flag: 1). Speculation fills the
-                      same keyed cache demand would, so every output --
-                      tables, CSVs, --json -- is byte-identical with or
-                      without this flag; only the wall clock and the
-                      spec.* metrics change.
   --workers=N         thread-pool width, N >= 1 (default: hardware
                       concurrency)
   --jobs=N            alias for --workers (last one given wins)
@@ -143,8 +132,8 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --help              this text
 
   Value flags accept both --flag=VALUE and --flag VALUE, except --store,
-  --cache-stats, --metrics, --status, --watch and --speculate, whose bare
-  spellings select their defaults (use = to pass a value).
+  --cache-stats, --metrics, --status and --watch, whose bare spellings
+  select their defaults (use = to pass a value).
 )";
 
 std::optional<std::string_view> flag_value(std::string_view arg, std::string_view name)
@@ -288,7 +277,6 @@ int main(int argc, char** argv)
     std::uint64_t stall_ms = 10'000;
     std::optional<std::uint64_t> sample_period_ms;
     std::string sample_path = "metrics_timeline.jsonl";
-    std::optional<std::uint64_t> speculate;
     workload::workload_registry& registry = workload::workload_registry::global();
 
     try {
@@ -392,10 +380,6 @@ int main(int argc, char** argv)
                 spec.theta_multipliers = parse_ladder(take(arg));
             } else if (const auto v = flag_value(arg, "ladder")) {
                 spec.theta_multipliers = parse_ladder(*v);
-            } else if (arg == "--speculate") {
-                speculate = 1;
-            } else if (const auto v = flag_value(arg, "speculate")) {
-                speculate = parse_positive("--speculate", *v);
             } else if (arg == "--workers" || arg == "--jobs") {
                 workers = parse_positive(arg, take(arg));
             } else if (const auto v = flag_value(arg, "workers")) {
@@ -443,11 +427,6 @@ int main(int argc, char** argv)
         }
         if (merge && resume) {
             throw std::invalid_argument("--merge and --resume are mutually exclusive");
-        }
-        if (merge && speculate.has_value()) {
-            throw std::invalid_argument("--merge and --speculate are mutually "
-                                        "exclusive (merge computes nothing, so "
-                                        "there is nothing to speculate ahead of)");
         }
 
         // Register every --define, THEN resolve the benchmark list against
@@ -547,19 +526,8 @@ int main(int argc, char** argv)
             }
         } else {
             runtime::thread_pool pool(workers);
-            // Declared after the pool so it is destroyed (cancel + drain)
-            // while the pool is still alive.
-            std::unique_ptr<runtime::speculator> spec_engine;
-            if (speculate.has_value()) {
-                spec_engine = std::make_unique<runtime::speculator>(
-                    pool, cache, static_cast<std::size_t>(*speculate));
-                options.speculate = spec_engine.get();
-            }
             runtime::sweep_scheduler scheduler(pool, cache);
             result = scheduler.run(spec, options);
-            if (spec_engine != nullptr) {
-                spec_engine->drain(); // settle accounting before reporting
-            }
 
             if (!quiet) {
                 std::fputs(runtime::render_sweep_table(result).c_str(), stdout);
@@ -576,14 +544,6 @@ int main(int argc, char** argv)
                             static_cast<unsigned long long>(result.program_cache_hits),
                             static_cast<unsigned long long>(result.program_cache_misses),
                             static_cast<unsigned long long>(pool.steal_count()));
-                if (spec_engine != nullptr) {
-                    std::printf("speculation: %llu launched, %llu hits, "
-                                "%llu cancelled, %.1f ms wasted\n",
-                                static_cast<unsigned long long>(spec_engine->launched()),
-                                static_cast<unsigned long long>(spec_engine->hits()),
-                                static_cast<unsigned long long>(spec_engine->cancelled()),
-                                static_cast<double>(spec_engine->wasted_ns()) / 1e6);
-                }
                 if (store != nullptr) {
                     std::printf("store %s: %llu artifact disk hits, %llu computes, "
                                 "%llu cells restored, %llu cells persisted\n",
