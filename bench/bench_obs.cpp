@@ -10,12 +10,6 @@
 // non-zero and fails CI instead of landing silently. Enabled numbers are
 // reported for information only; recording is allowed to cost something.
 //
-// A second gate covers the sampler: a LIVE instrumented workload (telemetry
-// enabled, registry counters + histograms being hammered) must cost <= 5%
-// more with a 100 ms background sampler attached than without one -- the
-// sampler's lock-light contract (recording threads never touch its mutex;
-// ticks read the registry through snapshot()) is what makes this hold.
-//
 // Output: one JSON document on stdout (scripts/run_benches.sh captures it
 // as BENCH_obs.json). Human-readable progress goes to stderr.
 
@@ -26,7 +20,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace {
@@ -34,7 +27,6 @@ namespace {
 using namespace synts;
 
 constexpr double disabled_overhead_gate = 1.02; // <= 2% over bare
-constexpr double sampler_overhead_gate = 1.05;  // <= 5% over live-unsampled
 constexpr int rounds = 7;
 // Small enough that the enabled rounds' recorded spans stay a few tens of
 // MB; large enough that one round is milliseconds on a steady clock.
@@ -88,26 +80,6 @@ double instrumented_ns_per_iter(std::uint64_t& sink, obs::counter& events,
            static_cast<double>(iterations);
 }
 
-/// The live-workload phase's hot loop: telemetry ENABLED, a spread of
-/// registry-resolved instruments being hammered -- what a sweep's worker
-/// threads do while a sampler ticks in the background.
-double live_ns_per_iter(std::uint64_t& sink, obs::counter** counters,
-                        obs::latency_histogram** histograms, std::size_t spread)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t x = 0x9E3779B97F4A7C15ull;
-    for (std::uint64_t i = 0; i < iterations; ++i) {
-        const obs::scoped_timer timer(*histograms[i % spread]);
-        x = body(x);
-        counters[i % spread]->add(1);
-    }
-    sink ^= x;
-    return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() -
-                                                    t0)
-               .count() /
-           static_cast<double>(iterations);
-}
-
 } // namespace
 
 int main()
@@ -141,50 +113,9 @@ int main()
     obs::set_enabled(false);
     recorder.set_enabled(false);
 
-    // Sampler phase: the same live workload with and without a 100 ms
-    // background sampler, interleaved rounds, best-of. A private registry
-    // with a realistic instrument spread (16 counters + 8 histograms, the
-    // scale of the runtime's pool.*/cache.*/store.* taxonomy) keeps the
-    // process-global registry out of the measurement.
-    obs::metrics_registry registry;
-    constexpr std::size_t counter_spread = 16;
-    constexpr std::size_t histogram_spread = 8;
-    obs::counter* counters[counter_spread];
-    obs::latency_histogram* histograms[histogram_spread];
-    for (std::size_t i = 0; i < counter_spread; ++i) {
-        counters[i] = &registry.counter_at("bench.counter" + std::to_string(i));
-    }
-    for (std::size_t i = 0; i < histogram_spread; ++i) {
-        histograms[i] = &registry.histogram_at("bench.hist" + std::to_string(i));
-    }
-
-    double live = 1e300;
-    double sampled = 1e300;
-    std::uint64_t sampler_ticks = 0;
-    obs::set_enabled(true);
-    (void)live_ns_per_iter(sink, counters, histograms, histogram_spread); // warmup
-    for (int round = 0; round < rounds; ++round) {
-        live = std::min(live,
-                        live_ns_per_iter(sink, counters, histograms, histogram_spread));
-        obs::sampler_config sampler_cfg;
-        sampler_cfg.period = std::chrono::milliseconds(100);
-        obs::sampler sampler(registry, sampler_cfg);
-        sampler.start();
-        sampled = std::min(
-            sampled, live_ns_per_iter(sink, counters, histograms, histogram_spread));
-        sampler.stop();
-        sampler_ticks += sampler.tick_count();
-        std::fprintf(stderr, "sampler round %d/%d: live %.2f ns, sampled %.2f ns\n",
-                     round + 1, rounds, live, sampled);
-    }
-    obs::set_enabled(false);
-
     const double disabled_over_bare = disabled / bare;
     const double enabled_over_bare = enabled / bare;
-    const double sampled_over_live = sampled / live;
-    const bool disabled_pass = disabled_over_bare <= disabled_overhead_gate;
-    const bool sampler_pass = sampled_over_live <= sampler_overhead_gate;
-    const bool pass = disabled_pass && sampler_pass;
+    const bool pass = disabled_over_bare <= disabled_overhead_gate;
 
     std::printf("{\n");
     std::printf("  \"bench\": \"obs_overhead\",\n");
@@ -196,35 +127,20 @@ int main()
     std::printf("  \"enabled_ns_per_iter\": %.4f,\n", enabled);
     std::printf("  \"disabled_over_bare\": %.4f,\n", disabled_over_bare);
     std::printf("  \"enabled_over_bare\": %.4f,\n", enabled_over_bare);
-    std::printf("  \"live_ns_per_iter\": %.4f,\n", live);
-    std::printf("  \"sampled_ns_per_iter\": %.4f,\n", sampled);
-    std::printf("  \"sampled_over_live\": %.4f,\n", sampled_over_live);
-    std::printf("  \"sampler_ticks\": %llu,\n",
-                static_cast<unsigned long long>(sampler_ticks));
     std::printf("  \"gate\": %.2f,\n", disabled_overhead_gate);
-    std::printf("  \"sampler_gate\": %.2f,\n", sampler_overhead_gate);
     std::printf("  \"pass\": %s,\n", pass ? "true" : "false");
     // The sink defeats dead-code elimination; recorded so it is "used".
     std::printf("  \"checksum\": %llu\n", static_cast<unsigned long long>(sink));
     std::printf("}\n");
 
-    if (!disabled_pass) {
+    if (!pass) {
         std::fprintf(stderr,
                      "FAIL: disabled telemetry costs %.1f%% over bare (gate %.0f%%)\n",
                      (disabled_over_bare - 1.0) * 100.0,
                      (disabled_overhead_gate - 1.0) * 100.0);
-    }
-    if (!sampler_pass) {
-        std::fprintf(stderr,
-                     "FAIL: 100ms sampler costs %.1f%% over live workload (gate %.0f%%)\n",
-                     (sampled_over_live - 1.0) * 100.0,
-                     (sampler_overhead_gate - 1.0) * 100.0);
-    }
-    if (!pass) {
         return 1;
     }
-    std::fprintf(stderr,
-                 "PASS: disabled telemetry %.2f%% over bare, sampler %.2f%% over live\n",
-                 (disabled_over_bare - 1.0) * 100.0, (sampled_over_live - 1.0) * 100.0);
+    std::fprintf(stderr, "PASS: disabled telemetry %.2f%% over bare\n",
+                 (disabled_over_bare - 1.0) * 100.0);
     return 0;
 }

@@ -65,31 +65,32 @@ expect_usage_error define_missing_name --define=lock_ladder:rungs=3
 expect_usage_error define_unknown_param --define=lock_ladder:name=x,frob=1
 expect_usage_error define_bad_value --define=lock_ladder:name=x,rungs=abc
 expect_usage_error define_family_validation --define=lock_ladder:name=x,base_contention=1.5
-# --shard hardening: needs a store, strict I/N with I < N, exclusive with
-# --merge.
-expect_usage_error shard_without_store --shard=0/2
-expect_usage_error shard_malformed --store=ignored --shard=zero/2
-expect_usage_error shard_out_of_range --store=ignored --shard=2/2
-expect_usage_error merge_without_store --merge
-expect_usage_error merge_with_shard --store=ignored --merge --shard=0/2
-expect_usage_error merge_with_resume --store=ignored --merge --resume
 # Telemetry flag hardening: bad --metrics format, --trace without a value.
 expect_usage_error metrics_bad_format --metrics=xml
 expect_usage_error trace_missing_value --trace
-# --sample grammar: a positive period, an optional non-empty :FILE suffix.
-expect_usage_error sample_zero --sample=0
-expect_usage_error sample_garbage --sample=abc
-expect_usage_error sample_empty_file --sample=100:
-expect_usage_error stall_ms_zero --stall-ms=0
-# The idle-worker speculation flag is gone: its bare spelling is now an
-# unknown flag (a usage error, never silently ignored). The name is spliced
-# from two halves so a source search for the removed flag stays empty.
-removed_flag="--spec""ulate"
-expect_usage_error removed_speculation_flag "$removed_flag"
-if ! head -n1 "$WORK/removed_speculation_flag.err" | grep -q "unknown flag: $removed_flag"; then
-    echo "FAIL removed_speculation_flag: not reported as an unknown flag" >&2
-    failures=$((failures + 1))
+# Removed flags are unknown flags (a usage error, never silently ignored):
+# the idle-worker speculation flag (its name spliced from two halves so a
+# source search for it stays empty) and the fleet-layer flags (sharding,
+# merge, store status/watch, the stall threshold, the metrics sampler). The
+# OpenMetrics value of --metrics is a bad format.
+ok=1
+for removed in "--spec""ulate" --shard=0/2 --merge --status --watch --stall-ms=5 \
+               --sample=10; do
+    "$RUNNER" "$removed" >/dev/null 2>"$WORK/removed.err"
+    rc=$?
+    if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q "unknown flag: $removed"; then
+        echo "FAIL removed_fleet_flags: $removed gave rc=$rc:" >&2
+        head -n1 "$WORK/removed.err" >&2
+        ok=0
+    fi
+done
+"$RUNNER" --metrics=prom >/dev/null 2>"$WORK/removed.err"
+rc=$?
+if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q 'bad --metrics format'; then
+    echo "FAIL removed_fleet_flags: --metrics=prom gave rc=$rc" >&2
+    ok=0
 fi
+if [ "$ok" -eq 1 ]; then echo "ok removed_fleet_flags"; else failures=$((failures + 1)); fi
 
 # --list-benchmarks: the ten SPLASH-2 names plus the scenario families.
 LIST="$WORK/list.txt"
@@ -149,51 +150,20 @@ else
     failures=$((failures + 1))
 fi
 
-# Sharded sweeps: a --define'd instance is sweepable without recompiling,
-# two shard processes share one store, --merge assembles JSON byte-identical
-# to the single-process run, and shard bookkeeping rejects misuse with
-# exit 2.
+# A --define'd instance is sweepable without recompiling: it runs next to
+# a built-in scenario and its name lands in the JSON.
 DEFINE="--define=lock_ladder:name=ll_cli,base_contention=0.4,rungs=6"
-SHARD_SPEC="$DEFINE --benchmarks=lock_ladder,ll_cli --stages=simple_alu --policies=nominal"
-SHARD_STORE="$WORK/shard-store"
-SINGLE="$WORK/single.json"
-MERGED="$WORK/merged.json"
-if "$RUNNER" $SHARD_SPEC --quiet --json="$SINGLE" >/dev/null 2>&1 &&
-   "$RUNNER" $SHARD_SPEC --store="$SHARD_STORE" --shard=0/2 --quiet >/dev/null 2>&1 &&
-   "$RUNNER" $SHARD_SPEC --store="$SHARD_STORE" --shard=1/2 --quiet >/dev/null 2>&1 &&
-   "$RUNNER" $SHARD_SPEC --store="$SHARD_STORE" --merge --quiet --json="$MERGED" >/dev/null 2>&1; then
-    ok=1
-    if ! cmp -s <(grep -v '"meta"' "$SINGLE") <(grep -v '"meta"' "$MERGED"); then
-        echo "FAIL shard_merge: merged JSON differs from single-process run" >&2
-        ok=0
+DEFINE_SPEC="$DEFINE --benchmarks=lock_ladder,ll_cli --stages=simple_alu --policies=nominal"
+DEFINED="$WORK/defined.json"
+if "$RUNNER" $DEFINE_SPEC --quiet --json="$DEFINED" >/dev/null 2>&1; then
+    if grep -q '"benchmark": "ll_cli"' "$DEFINED"; then
+        echo "ok define_sweepable"
+    else
+        echo "FAIL define_sweepable: defined instance missing from JSON" >&2
+        failures=$((failures + 1))
     fi
-    if ! grep -q '"benchmark": "ll_cli"' "$MERGED"; then
-        echo "FAIL shard_merge: defined instance missing from merged JSON" >&2
-        ok=0
-    fi
-    if [ "$ok" -eq 1 ]; then echo "ok shard_merge_byte_identical"; else failures=$((failures + 1)); fi
 else
-    echo "FAIL shard_merge: a shard/merge invocation exited non-zero" >&2
-    failures=$((failures + 1))
-fi
-# --status over the completed two-shard store: both shards complete, 100%.
-STATUS="$WORK/status.txt"
-if "$RUNNER" --status="$SHARD_STORE" >"$STATUS" 2>&1; then
-    ok=1
-    if ! grep -q 'shard 0/2: .* complete' "$STATUS" ||
-       ! grep -q 'shard 1/2: .* complete' "$STATUS"; then
-        echo "FAIL status: shards not reported complete:" >&2
-        cat "$STATUS" >&2
-        ok=0
-    fi
-    if ! grep -q 'total: .*(100.0%)' "$STATUS"; then
-        echo "FAIL status: total is not 100.0%:" >&2
-        cat "$STATUS" >&2
-        ok=0
-    fi
-    if [ "$ok" -eq 1 ]; then echo "ok status_fleet_view"; else failures=$((failures + 1)); fi
-else
-    echo "FAIL status: runner exited non-zero" >&2
+    echo "FAIL define_sweepable: runner exited non-zero" >&2
     failures=$((failures + 1))
 fi
 # --trace + --metrics on a tiny sweep: the trace file is Chrome trace-event
@@ -226,103 +196,6 @@ if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
     if [ "$ok" -eq 1 ]; then echo "ok trace_and_metrics"; else failures=$((failures + 1)); fi
 else
     echo "FAIL trace_and_metrics: runner exited non-zero" >&2
-    failures=$((failures + 1))
-fi
-# --sample + --metrics=prom on a tiny sweep: the JSONL timeline carries
-# tick frames with derived rates, and the prom exposition is OpenMetrics
-# text ending in # EOF.
-TIMELINE="$WORK/timeline.jsonl"
-PROM="$WORK/metrics.prom"
-if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
-        --quiet --sample=20:"$TIMELINE" --metrics=prom >"$PROM" 2>&1; then
-    ok=1
-    if ! grep -q '"tick": 0' "$TIMELINE" ||
-       ! grep -q '"t_ns": ' "$TIMELINE" ||
-       ! grep -q '"metrics": {' "$TIMELINE"; then
-        echo "FAIL sample: timeline lacks tick frames:" >&2
-        head -n2 "$TIMELINE" >&2
-        ok=0
-    fi
-    if ! grep -q '"rates_per_s": {"' "$TIMELINE"; then
-        echo "FAIL sample: no tick carries a derived rate" >&2
-        ok=0
-    fi
-    if ! grep -q '^# TYPE synts_sweep_cells_computed counter$' "$PROM" ||
-       ! grep -q '^synts_sweep_cells_computed_total ' "$PROM"; then
-        echo "FAIL prom: sweep counter missing from exposition:" >&2
-        head -n10 "$PROM" >&2
-        ok=0
-    fi
-    if ! grep -q '{quantile="0.99"} ' "$PROM" || ! grep -qx '# EOF' "$PROM"; then
-        echo "FAIL prom: no summary quantiles or missing # EOF terminator" >&2
-        ok=0
-    fi
-    if [ "$ok" -eq 1 ]; then echo "ok sample_timeline_and_prom"; else failures=$((failures + 1)); fi
-else
-    echo "FAIL sample_timeline_and_prom: runner exited non-zero" >&2
-    failures=$((failures + 1))
-fi
-# --watch over the completed two-shard store: one tick, all complete, exit 0.
-WATCH_DONE="$WORK/watch_done.txt"
-"$RUNNER" --watch="$SHARD_STORE" --sample=50 >"$WATCH_DONE" 2>&1
-rc=$?
-if [ "$rc" -eq 0 ] && grep -q 'complete' "$WATCH_DONE" &&
-   grep -q 'total: .*(100.0%)' "$WATCH_DONE"; then
-    echo "ok watch_complete_fleet"
-else
-    echo "FAIL watch_complete_fleet: rc=$rc:" >&2
-    cat "$WATCH_DONE" >&2
-    failures=$((failures + 1))
-fi
-# Kill-one-shard stall detection: shard 0 completes; shard 1 is left the
-# way a shard killed mid-run leaves the store -- a progress frame short of
-# its owned cells and no completion manifest. To build that state without
-# racing a kill against the run, shard 1 runs to the end with its cell
-# bucket blocked (a plain file where the directory was), so no cell becomes
-# durable: it publishes a 0-of-owned progress frame and never attests
-# completion. Its frame then ages past --stall-ms (mtimes rewound an hour
-# -- deterministic, no 10 s wait) and --watch must report STALLED and exit
-# 3.
-STALL_STORE="$WORK/stall-store"
-STALL_SPEC="--benchmarks=lock_ladder,pipeline,graph_walk --stages=simple_alu,complex_alu --policies=nominal,synts_offline"
-WATCH_STALL="$WORK/watch_stall.txt"
-if "$RUNNER" $STALL_SPEC --store="$STALL_STORE" --shard=0/2 --quiet >/dev/null 2>&1; then
-    cell_dir=$(find "$STALL_STORE" -type d -name cell -print -quit)
-    mv "$cell_dir" "$cell_dir.shard0"
-    : >"$cell_dir"
-    "$RUNNER" $STALL_SPEC --store="$STALL_STORE" --shard=1/2 --workers=1 --quiet >/dev/null 2>&1
-    rm -f "$cell_dir"
-    mv "$cell_dir.shard0" "$cell_dir"
-    find "$STALL_STORE" -type f -exec touch -d '1 hour ago' {} +
-    "$RUNNER" --watch="$STALL_STORE" --sample=50 >"$WATCH_STALL" 2>&1
-    rc=$?
-    if [ "$rc" -eq 3 ] && grep -q 'STALLED (age ' "$WATCH_STALL"; then
-        echo "ok watch_detects_killed_shard"
-    else
-        echo "FAIL watch_detects_killed_shard: rc=$rc (want 3):" >&2
-        cat "$WATCH_STALL" >&2
-        failures=$((failures + 1))
-    fi
-else
-    echo "FAIL watch_detects_killed_shard: shard 0 run exited non-zero" >&2
-    failures=$((failures + 1))
-fi
-# Overlapping partition of the recorded spec: refused, exit 2.
-"$RUNNER" $SHARD_SPEC --store="$SHARD_STORE" --shard=0/3 --quiet >/dev/null 2>"$WORK/overlap.err"
-rc=$?
-if [ "$rc" -eq 2 ] && grep -q 'layout conflict' "$WORK/overlap.err"; then
-    echo "ok shard_overlap_refused"
-else
-    echo "FAIL shard_overlap: expected exit 2 + layout conflict, got rc=$rc" >&2
-    failures=$((failures + 1))
-fi
-# Merging a spec the store never sharded (foreign spec): refused, exit 2.
-"$RUNNER" $SHARD_SPEC --policies=nominal,no_ts --store="$SHARD_STORE" --merge --quiet >/dev/null 2>&1
-rc=$?
-if [ "$rc" -eq 2 ]; then
-    echo "ok merge_foreign_spec_refused"
-else
-    echo "FAIL merge_foreign_spec: expected exit 2, got $rc" >&2
     failures=$((failures + 1))
 fi
 

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "circuit/dynamic_timing.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -96,7 +95,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     obs::counter& cells_counter = registry.counter_at("characterize.cells");
     obs::counter& vectors_counter = registry.counter_at("characterize.vectors");
     obs::latency_histogram& cell_ns = registry.histogram_at("characterize.cell_ns");
-    obs::health_monitor& slow_cells = obs::health_monitor::cell_monitor();
     const obs::trace_span span(obs::trace_recorder::global(), [stage] {
         return std::string("characterize.stage:") + circuit::pipe_stage_name(stage);
     });
@@ -156,13 +154,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
                              [&](std::size_t cell) {
                                  const std::size_t t = cell / interval_count;
                                  const std::size_t k = cell % interval_count;
-                                 const obs::monitored_timer timer(
-                                     cell_ns, slow_cells, [stage, t, k] {
-                                         return std::string("stage=") +
-                                                circuit::pipe_stage_name(stage) +
-                                                " thread=" + std::to_string(t) +
-                                                " interval=" + std::to_string(k);
-                                     });
+                                 const obs::scoped_timer timer(cell_ns);
                                  result.threads[t][k] = characterize_interval(
                                      stage_nl, tap, tables, program.trace.threads[t], k,
                                      warmup_ops[t][k]);
@@ -246,12 +238,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
 
         for (std::size_t k = ch.begin_interval; k < ch.end_interval; ++k) {
-            const obs::monitored_timer timer(
-                cell_ns, slow_cells, [stage, &ch, k] {
-                    return std::string("stage=") + circuit::pipe_stage_name(stage) +
-                           " thread=" + std::to_string(ch.thread) +
-                           " interval=" + std::to_string(k);
-                });
+            const obs::scoped_timer timer(cell_ns);
             const auto ops = trace.interval(k);
 
             interval_characterization data;

@@ -52,20 +52,6 @@ const char* kind_token(metric_sample::kind k)
     return "unknown";
 }
 
-/// OpenMetrics metric name: `synts_` prefix, [a-zA-Z0-9_] body (dots and
-/// any other byte become '_').
-std::string openmetrics_name(std::string_view name)
-{
-    std::string out = "synts_";
-    out.reserve(out.size() + name.size());
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        out += ok ? c : '_';
-    }
-    return out;
-}
-
 } // namespace
 
 bool enabled() noexcept { return telemetry_enabled.load(std::memory_order_relaxed); }
@@ -221,43 +207,11 @@ metrics_registry& metrics_registry::global()
     return registry;
 }
 
-std::string render_openmetrics(const std::vector<metric_sample>& samples)
-{
-    std::ostringstream out;
-    for (const metric_sample& s : samples) {
-        const std::string name = openmetrics_name(s.name);
-        switch (s.type) {
-        case metric_sample::kind::counter:
-            out << "# TYPE " << name << " counter\n";
-            out << name << "_total " << s.count << '\n';
-            break;
-        case metric_sample::kind::gauge:
-            out << "# TYPE " << name << " gauge\n";
-            out << name << ' ' << s.level << '\n';
-            break;
-        case metric_sample::kind::histogram:
-            out << "# TYPE " << name << " summary\n";
-            out << name << "{quantile=\"0.5\"} " << s.p50 << '\n';
-            out << name << "{quantile=\"0.95\"} " << s.p95 << '\n';
-            out << name << "{quantile=\"0.99\"} " << s.p99 << '\n';
-            out << name << "_count " << s.count << '\n';
-            break;
-        }
-    }
-    out << "# EOF\n";
-    return out.str();
-}
-
 std::string render_metrics(const std::vector<metric_sample>& samples,
                            metrics_format format)
 {
-    if (format == metrics_format::prom) {
-        return render_openmetrics(samples);
-    }
     std::ostringstream out;
     switch (format) {
-    case metrics_format::prom: // handled above; keeps the switch exhaustive
-        break;
     case metrics_format::csv: {
         out << "name,type,value,count,p50_ns,p95_ns,p99_ns,max_ns\n";
         for (const metric_sample& s : samples) {

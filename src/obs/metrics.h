@@ -264,7 +264,7 @@ struct metric_sample {
 };
 
 /// Output shape for render_metrics (the runner's --metrics flag).
-enum class metrics_format { table, csv, json, prom };
+enum class metrics_format { table, csv, json };
 
 /// Process-wide instrument registry. Instruments are interned by name:
 /// the first *_at(name) call creates the instrument, every later call
@@ -307,17 +307,9 @@ private:
 };
 
 /// Renders a snapshot as a console table, CSV rows (name, type, value,
-/// count, p50_ns, p95_ns, p99_ns, max_ns), a JSON object keyed by metric
-/// name, or Prometheus/OpenMetrics text exposition (prom).
+/// count, p50_ns, p95_ns, p99_ns, max_ns), or a JSON object keyed by
+/// metric name.
 [[nodiscard]] std::string render_metrics(const std::vector<metric_sample>& samples,
                                          metrics_format format);
-
-/// Prometheus/OpenMetrics text exposition of a snapshot, `# EOF`-terminated.
-/// Naming: every metric gets a `synts_` prefix and dots become underscores
-/// (`pool.tasks_executed` -> `synts_pool_tasks_executed`). Counters emit a
-/// `_total`-suffixed sample, gauges emit their level, and histograms emit a
-/// summary: `{quantile="0.5|0.95|0.99"}` samples plus `_count` (no `_sum`:
-/// the log-bucketed histogram does not track one).
-[[nodiscard]] std::string render_openmetrics(const std::vector<metric_sample>& samples);
 
 } // namespace synts::obs

@@ -1,11 +1,9 @@
 #include "runtime/sweep_io.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -13,8 +11,6 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "storage/artifact_store.h"
-#include "storage/serialize.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/registry.h"
@@ -198,10 +194,7 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
          // by double-based consumers (anything past 2^53), so emit strings.
          << ", \"digest\": \"" << result.spec.config.digest() << "\"},\n"
          // The checkpoint keying identity: the artifact store keys this
-         // sweep's cells on (spec_digest, cell index). Taken from the
-         // result, not recomputed from the spec echo -- a shard run's echo
-         // is reduced to its owned pairs, but its checkpoints (and this
-         // field) still carry the full sweep's digest.
+         // sweep's cells on (spec_digest, cell index).
          << "  \"spec_digest\": \"" << result.spec_digest << "\",\n";
     body << "  \"theta_multipliers\": [";
     for (std::size_t i = 0; i < result.spec.theta_multipliers.size(); ++i) {
@@ -346,147 +339,6 @@ std::string render_cache_stats_from_metrics(cache_stats_format format)
         count("sweep.cells_stored"),
     };
     return format_cache_stats(view, format);
-}
-
-std::vector<sweep_status> collect_store_status(const storage::artifact_store& store)
-{
-    // Reconstructed per-shard state of one sweep: completion manifests win
-    // over progress frames (a complete shard can never regress behind a
-    // stale count -- run() publishes the final progress frame first).
-    struct sweep_view {
-        std::uint32_t shard_count = 1;
-        std::uint64_t total_cells = 0;  // from the layout frame; 0 = none seen
-        bool layout = false;
-        std::map<std::uint32_t, shard_status> shards;
-    };
-    std::map<std::uint64_t, sweep_view> sweeps;
-
-    for (const std::uint64_t key : store.list(storage::manifest_bucket)) {
-        const std::optional<std::string> frame =
-            store.load(storage::manifest_bucket, key);
-        if (!frame) {
-            continue;  // raced a concurrent republish; next --status sees it
-        }
-        try {
-            const shard_manifest manifest = storage::decode_shard_manifest(*frame);
-            sweep_view& sweep = sweeps[manifest.spec_digest];
-            if (manifest.shard_index == manifest.shard_count) {
-                // Layout sentinel: total cell count + authoritative count.
-                sweep.layout = true;
-                sweep.shard_count = manifest.shard_count;
-                sweep.total_cells = manifest.cell_count;
-            } else {
-                sweep.shard_count = std::max(sweep.shard_count, manifest.shard_count);
-                shard_status& view = sweep.shards[manifest.shard_index];
-                view.complete = true;
-                view.reported = true;
-                view.owned = manifest.cell_count;
-                view.done = manifest.cell_count;
-            }
-            continue;
-        } catch (const storage::serialize_error&) {
-            // Not a manifest frame; fall through to the progress decoder.
-        }
-        try {
-            const shard_progress progress = storage::decode_shard_progress(*frame);
-            sweep_view& sweep = sweeps[progress.spec_digest];
-            sweep.shard_count = std::max(sweep.shard_count, progress.shard_count);
-            shard_status& view = sweep.shards[progress.shard_index];
-            view.reported = true;
-            if (!view.complete) {
-                view.owned = std::max(view.owned, progress.cells_owned);
-                view.done = std::max(view.done, progress.cells_done);
-            }
-        } catch (const storage::serialize_error&) {
-            // Some other payload kind landed in the bucket: not ours, skip.
-        }
-    }
-
-    std::vector<sweep_status> out;
-    out.reserve(sweeps.size());
-    for (auto& [digest, sweep] : sweeps) {
-        sweep_status status;
-        status.spec_digest = digest;
-        status.shard_count = sweep.shard_count;
-        status.total_cells = sweep.total_cells;
-        status.layout = sweep.layout;
-        status.shards.resize(sweep.shard_count);
-        for (std::uint32_t i = 0; i < sweep.shard_count; ++i) {
-            shard_status& view = status.shards[i];
-            const auto it = sweep.shards.find(i);
-            if (it != sweep.shards.end()) {
-                view = it->second;
-            }
-            view.index = i;
-            if (view.reported) {
-                // The progress frame's mtime IS the shard's last heartbeat
-                // (atomic republish on every durable cell, ~4 Hz throttle):
-                // its age is how long the shard has been silent.
-                view.frame_age_ns = store.entry_age_ns(
-                    storage::manifest_bucket,
-                    shard_progress_digest(digest, sweep.shard_count, i));
-                status.total_done += view.done;
-                status.total_owned += view.owned;
-            }
-        }
-        // The layout knows the sweep's full size; unreported shards would
-        // otherwise silently shrink the denominator.
-        if (sweep.layout && sweep.total_cells > status.total_owned) {
-            status.total_owned = sweep.total_cells;
-        }
-        out.push_back(std::move(status));
-    }
-    return out;
-}
-
-namespace {
-
-/// "%.1f" completion percentage; a shard that owns zero cells is trivially
-/// done.
-std::string percent_token(std::uint64_t done, std::uint64_t owned)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f",
-                  owned == 0 ? 100.0
-                             : 100.0 * static_cast<double>(done) /
-                                   static_cast<double>(owned));
-    return std::string(buf);
-}
-
-} // namespace
-
-std::string render_store_status(const storage::artifact_store& store)
-{
-    const std::vector<sweep_status> sweeps = collect_store_status(store);
-    std::ostringstream out;
-    if (sweeps.empty()) {
-        out << "no sweeps recorded\n";
-        return out.str();
-    }
-    for (const sweep_status& sweep : sweeps) {
-        out << "sweep " << sweep.spec_digest << ": " << sweep.shard_count
-            << (sweep.shard_count == 1 ? " shard" : " shards");
-        if (sweep.layout) {
-            out << ", " << sweep.total_cells << " cells";
-        }
-        out << "\n";
-        for (const shard_status& view : sweep.shards) {
-            out << "  shard " << view.index << "/" << sweep.shard_count << ": ";
-            if (!view.reported) {
-                out << "no progress recorded\n";
-                continue;
-            }
-            out << view.done << "/" << view.owned << " ("
-                << percent_token(view.done, view.owned) << "%)";
-            if (view.complete) {
-                out << " complete";
-            }
-            out << "\n";
-        }
-        out << "  total: " << sweep.total_done << "/" << sweep.total_owned << " ("
-            << percent_token(sweep.total_done, sweep.total_owned) << "%)\n";
-    }
-    return out.str();
 }
 
 std::optional<cache_stats_format> parse_cache_stats_format(std::string_view token)

@@ -1,8 +1,6 @@
 #include "storage/artifact_store.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <fstream>
 #include <stdexcept>
@@ -140,22 +138,6 @@ bool artifact_store::contains(std::string_view bucket, std::uint64_t digest) con
     return fs::is_regular_file(entry_path(bucket, digest), ec);
 }
 
-std::optional<std::uint64_t> artifact_store::entry_age_ns(std::string_view bucket,
-                                                          std::uint64_t digest) const
-{
-    std::error_code ec;
-    const fs::file_time_type mtime = fs::last_write_time(entry_path(bucket, digest), ec);
-    if (ec) {
-        return std::nullopt;
-    }
-    const auto age = fs::file_time_type::clock::now() - mtime;
-    if (age.count() < 0) {
-        return 0;
-    }
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(age).count());
-}
-
 bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
                            std::string_view frame) const
 {
@@ -206,50 +188,6 @@ void artifact_store::erase(std::string_view bucket, std::uint64_t digest) const
 {
     std::error_code ec;
     fs::remove(entry_path(bucket, digest), ec);
-}
-
-std::vector<std::uint64_t> artifact_store::list(std::string_view bucket) const
-{
-    std::vector<std::uint64_t> digests;
-    std::error_code ec;
-    const fs::path bucket_dir = versioned_root_ / std::string(bucket);
-    for (const auto& shard_dir : fs::directory_iterator(bucket_dir, ec)) {
-        if (!shard_dir.is_directory(ec)) {
-            continue;
-        }
-        std::error_code inner_ec;
-        for (const auto& entry : fs::directory_iterator(shard_dir.path(), inner_ec)) {
-            if (!entry.is_regular_file(inner_ec)) {
-                continue;
-            }
-            // Entry names are exactly <16 lowercase hex>.bin; anything else
-            // (editor droppings, foreign files) is not an entry.
-            const std::string name = entry.path().filename().string();
-            if (name.size() != 20 || name.substr(16) != ".bin") {
-                continue;
-            }
-            std::uint64_t digest = 0;
-            bool valid = true;
-            for (std::size_t i = 0; i < 16; ++i) {
-                const char c = name[i];
-                std::uint64_t nibble = 0;
-                if (c >= '0' && c <= '9') {
-                    nibble = static_cast<std::uint64_t>(c - '0');
-                } else if (c >= 'a' && c <= 'f') {
-                    nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-                } else {
-                    valid = false;
-                    break;
-                }
-                digest = (digest << 4) | nibble;
-            }
-            if (valid) {
-                digests.push_back(digest);
-            }
-        }
-    }
-    std::sort(digests.begin(), digests.end());
-    return digests;
 }
 
 } // namespace synts::storage

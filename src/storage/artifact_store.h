@@ -34,7 +34,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace synts::obs {
 class counter;
@@ -47,9 +46,6 @@ namespace synts::storage {
 /// agrees; the store accepts any bucket token).
 inline constexpr std::string_view program_bucket = "program";
 inline constexpr std::string_view cell_bucket = "cell";
-/// Shard-layout and per-shard completion manifests of sharded sweeps
-/// (runtime::shard_manifest frames).
-inline constexpr std::string_view manifest_bucket = "manifest";
 
 class artifact_store {
 public:
@@ -77,15 +73,6 @@ public:
     /// True when an entry file exists (says nothing about validity).
     [[nodiscard]] bool contains(std::string_view bucket, std::uint64_t digest) const;
 
-    /// Nanoseconds since (bucket, digest)'s file was last written, or
-    /// nullopt when absent/unreadable. Publishes are atomic renames, so
-    /// the mtime is the instant the current frame became visible -- this
-    /// is what --watch ages shard_progress frames by to call a shard
-    /// STALLED without touching its process. Clamped to 0 for files whose
-    /// mtime sits ahead of now (clock skew on shared filesystems).
-    [[nodiscard]] std::optional<std::uint64_t>
-    entry_age_ns(std::string_view bucket, std::uint64_t digest) const;
-
     /// Atomically publishes `frame` as (bucket, digest): temp file in the
     /// store's tmp/ dir, then rename over the final path. Returns false
     /// (leaving no partial file behind) on any I/O failure.
@@ -94,12 +81,6 @@ public:
 
     /// Removes the entry if present (used to invalidate a checkpoint).
     void erase(std::string_view bucket, std::uint64_t digest) const;
-
-    /// Digests of every entry currently published in `bucket`, sorted
-    /// ascending (deterministic output for the --status fleet view).
-    /// Non-entry files are skipped; I/O errors yield an empty/partial list
-    /// -- like every other read path, degraded, never throwing.
-    [[nodiscard]] std::vector<std::uint64_t> list(std::string_view bucket) const;
 
     /// Lifetime I/O counters (loads that returned bytes / came up empty,
     /// successful stores, absorbed store failures).

@@ -447,63 +447,6 @@ runtime::sweep_cell read_sweep_cell(binary_reader& in, std::uint32_t version)
     return cell;
 }
 
-void write(binary_writer& out, const runtime::shard_manifest& manifest)
-{
-    out.u64(manifest.spec_digest);
-    out.u32(manifest.shard_count);
-    out.u32(manifest.shard_index);
-    out.u64(manifest.cell_count);
-}
-
-runtime::shard_manifest read_shard_manifest(binary_reader& in)
-{
-    runtime::shard_manifest manifest;
-    manifest.spec_digest = in.u64();
-    manifest.shard_count = in.u32();
-    manifest.shard_index = in.u32();
-    manifest.cell_count = in.u64();
-    if (manifest.shard_count == 0) {
-        throw serialize_error("shard manifest: shard count must be >= 1");
-    }
-    // shard_index == shard_count is the layout-frame sentinel; anything
-    // beyond is malformed.
-    if (manifest.shard_index > manifest.shard_count) {
-        throw serialize_error("shard manifest: shard index out of range");
-    }
-    return manifest;
-}
-
-void write(binary_writer& out, const runtime::shard_progress& progress)
-{
-    out.u64(progress.spec_digest);
-    out.u32(progress.shard_count);
-    out.u32(progress.shard_index);
-    out.u64(progress.cells_owned);
-    out.u64(progress.cells_done);
-}
-
-runtime::shard_progress read_shard_progress(binary_reader& in)
-{
-    runtime::shard_progress progress;
-    progress.spec_digest = in.u64();
-    progress.shard_count = in.u32();
-    progress.shard_index = in.u32();
-    progress.cells_owned = in.u64();
-    progress.cells_done = in.u64();
-    if (progress.shard_count == 0) {
-        throw serialize_error("shard progress: shard count must be >= 1");
-    }
-    // Unlike the manifest, a progress frame is always a REAL shard's --
-    // there is no layout sentinel, so index must be strictly in range.
-    if (progress.shard_index >= progress.shard_count) {
-        throw serialize_error("shard progress: shard index out of range");
-    }
-    if (progress.cells_done > progress.cells_owned) {
-        throw serialize_error("shard progress: done exceeds owned");
-    }
-    return progress;
-}
-
 // -- framing ----------------------------------------------------------------
 
 namespace {
@@ -605,30 +548,6 @@ runtime::sweep_cell decode_sweep_cell(std::string_view frame)
         [](binary_reader& in, std::uint32_t version) {
             return read_sweep_cell(in, version);
         });
-}
-
-std::string encode(const runtime::shard_manifest& manifest)
-{
-    return encode_frame(payload_kind::shard_manifest, manifest);
-}
-
-runtime::shard_manifest decode_shard_manifest(std::string_view frame)
-{
-    return decode_frame<runtime::shard_manifest>(
-        frame, payload_kind::shard_manifest,
-        [](binary_reader& in, std::uint32_t) { return read_shard_manifest(in); });
-}
-
-std::string encode(const runtime::shard_progress& progress)
-{
-    return encode_frame(payload_kind::shard_progress, progress);
-}
-
-runtime::shard_progress decode_shard_progress(std::string_view frame)
-{
-    return decode_frame<runtime::shard_progress>(
-        frame, payload_kind::shard_progress,
-        [](binary_reader& in, std::uint32_t) { return read_shard_progress(in); });
 }
 
 } // namespace synts::storage

@@ -75,12 +75,13 @@ public:
 /// What a frame contains (encoded in the header, checked on decode).
 /// Adding a kind does not change any existing frame's bytes, so it needs
 /// no format_version bump -- old frames stay valid, and an old binary
-/// rejects the new kind as a payload-kind mismatch.
+/// rejects the new kind as a payload-kind mismatch. Values 3 and 4 were
+/// the retired shard-manifest and shard-progress frames; stores written
+/// before their removal still hold such files under `manifest/`, so those
+/// values must never be reused.
 enum class payload_kind : std::uint32_t {
     program_artifacts = 1,
     sweep_cell = 2,
-    shard_manifest = 3,
-    shard_progress = 4,
 };
 
 /// Appends explicitly little-endian primitives to a byte buffer.
@@ -175,12 +176,6 @@ void write(binary_writer& out, const runtime::sweep_cell& cell);
 [[nodiscard]] runtime::sweep_cell read_sweep_cell(binary_reader& in,
                                                   std::uint32_t version = format_version);
 
-void write(binary_writer& out, const runtime::shard_manifest& manifest);
-[[nodiscard]] runtime::shard_manifest read_shard_manifest(binary_reader& in);
-
-void write(binary_writer& out, const runtime::shard_progress& progress);
-[[nodiscard]] runtime::shard_progress read_shard_progress(binary_reader& in);
-
 // -- framed envelopes -------------------------------------------------------
 // encode_* produce a complete self-verifying frame (always the current
 // format_version):
@@ -196,11 +191,5 @@ void write(binary_writer& out, const runtime::shard_progress& progress);
 
 [[nodiscard]] std::string encode(const runtime::sweep_cell& cell);
 [[nodiscard]] runtime::sweep_cell decode_sweep_cell(std::string_view frame);
-
-[[nodiscard]] std::string encode(const runtime::shard_manifest& manifest);
-[[nodiscard]] runtime::shard_manifest decode_shard_manifest(std::string_view frame);
-
-[[nodiscard]] std::string encode(const runtime::shard_progress& progress);
-[[nodiscard]] runtime::shard_progress decode_shard_progress(std::string_view frame);
 
 } // namespace synts::storage

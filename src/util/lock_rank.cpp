@@ -17,10 +17,7 @@ const char* lock_rank_name(lock_rank rank) noexcept
     case lock_rank::pool_queue: return "pool_queue";
     case lock_rank::cache_shard: return "cache_shard";
     case lock_rank::workload_registry: return "workload_registry";
-    case lock_rank::sampler_wake: return "sampler_wake";
     case lock_rank::metrics_registry: return "metrics_registry";
-    case lock_rank::sampler_series: return "sampler_series";
-    case lock_rank::health_events: return "health_events";
     case lock_rank::trace_buffers: return "trace_buffers";
     }
     return nullptr;

@@ -22,19 +22,13 @@
 //        |                   |                                  | outside the shard lock)
 //     60 | workload_registry | workload_registry::mutex_        | (leaf; factories invoked
 //        |                   |                                  | outside the lock)
-//     70 | sampler_wake      | sampler::wake_mutex_             | (leaf; released before
-//        |                   |                                  | sample_now)
 //     80 | metrics_registry  | metrics_registry::mutex_         | (leaf; guards interning
 //        |                   |                                  | only, not instrument IO)
-//     90 | sampler_series    | sampler::mutex_                  | (leaf; registry snapshot
-//        |                   |                                  | taken BEFORE this lock)
-//    100 | health_events     | health_monitor::mutex_           | (leaf; rare-path only)
 //    110 | trace_buffers     | trace_recorder::buffers_mutex_   | (leaf; once per
 //        |                   |                                  | (thread, recorder))
 //
-// runtime/fleet_watch and storage/artifact_store hold no mutexes at all
-// (single-caller contract and atomic-rename publishes respectively), so
-// they have no row.
+// storage/artifact_store holds no mutex at all (atomic-rename publishes),
+// so it has no row.
 //
 // Gating: the detector compiles to NOTHING in release builds --
 // annotated_mutex is then layout-identical to std::mutex and every note_*
@@ -69,10 +63,7 @@ enum class lock_rank : std::uint16_t {
     pool_queue = 30,
     cache_shard = 40,
     workload_registry = 60,
-    sampler_wake = 70,
     metrics_registry = 80,
-    sampler_series = 90,
-    health_events = 100,
     trace_buffers = 110,
 };
 

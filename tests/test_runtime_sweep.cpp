@@ -2,8 +2,8 @@
 // bit-identical to the serial pareto_sweep path, schedule independence
 // across worker counts, error propagation, concurrent use of one shared
 // benchmark_experiment (the run_policy/pareto_sweep thread-safety
-// contract), and the CSV/JSON emitters and name parsers the runner CLI
-// uses.
+// contract), per-sweep cache-traffic attribution when sweeps share one
+// cache, and the CSV/JSON emitters and name parsers the runner CLI uses.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,15 @@
 #include <future>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
 #include "util/hashing.h"
+#include "workload/registry.h"
+#include "workload/scenarios.h"
 
 namespace {
 
@@ -30,6 +34,33 @@ runtime::sweep_spec small_spec()
     spec.policies = {policy_kind::synts_offline, policy_kind::per_core_ts};
     spec.theta_multipliers = {0.5, 1.0, 2.0};
     return spec;
+}
+
+/// Registers (once) and returns a tiny workload in the global registry --
+/// 1 interval x 500 instructions, ~100x cheaper than a built-in profile.
+/// Distinct `salt`s are distinct workloads (distinct identity AND distinct
+/// operand streams).
+workload::workload_key tiny_workload(const std::string& name, std::uint64_t salt)
+{
+    workload::workload_registry& global = workload::workload_registry::global();
+    if (global.contains(name)) {
+        return global.key(name);
+    }
+    util::digest_builder h;
+    h.text("tiny_sweep_test_workload");
+    h.text(name);
+    h.u64(salt);
+    const workload::workload_key key{name, h.digest()};
+    global.add(key, [salt](std::size_t thread_count) {
+        workload::benchmark_profile profile =
+            workload::make_lock_ladder_profile(workload::lock_ladder_params{},
+                                               thread_count);
+        profile.stream_salt = salt;
+        profile.interval_count = 1;
+        profile.instructions_per_interval = 500;
+        return profile;
+    });
+    return key;
 }
 
 TEST(runtime_sweep, expansion_cross_product_and_explicit_pairs)
@@ -188,6 +219,75 @@ TEST(runtime_sweep, shared_experiment_safe_for_concurrent_policy_runs)
     }
 }
 
+TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
+{
+    // Two different single-pair sweeps share ONE experiment cache and run
+    // concurrently. Before per-sweep sinks, each sweep's stats were
+    // computed by differencing the cache's GLOBAL counters around its run
+    // window -- so each sweep also swallowed the other's traffic. With
+    // attribution threaded through the lookups, each must see exactly its
+    // own: 1 program miss, 1 stage miss, 1 compute, 0 hits.
+    const workload::workload_key key_a = tiny_workload("sweep_stats_a", 77);
+    const workload::workload_key key_b = tiny_workload("sweep_stats_b", 88);
+
+    runtime::experiment_cache cache; // shared by both sweeps
+    runtime::thread_pool pool_a(2);
+    runtime::thread_pool pool_b(2);
+    const runtime::sweep_scheduler scheduler_a(pool_a, cache);
+    const runtime::sweep_scheduler scheduler_b(pool_b, cache);
+
+    runtime::sweep_spec spec_a;
+    spec_a.benchmarks = {key_a};
+    spec_a.stages = {circuit::pipe_stage::simple_alu};
+    spec_a.policies = {core::policy_kind::nominal};
+    runtime::sweep_spec spec_b = spec_a;
+    spec_b.benchmarks = {key_b};
+
+    runtime::sweep_result result_a;
+    runtime::sweep_result result_b;
+    std::thread other([&] { result_b = scheduler_b.run(spec_b); });
+    result_a = scheduler_a.run(spec_a);
+    other.join();
+
+    for (const runtime::sweep_result* result : {&result_a, &result_b}) {
+        EXPECT_EQ(result->program_cache_misses, 1u);
+        EXPECT_EQ(result->program_cache_hits, 0u);
+        EXPECT_EQ(result->program_computes, 1u);
+        EXPECT_EQ(result->cache_misses, 1u);
+        EXPECT_EQ(result->cache_hits, 0u);
+        EXPECT_EQ(result->disk_hits, 0u);
+        EXPECT_EQ(result->disk_misses, 0u);
+    }
+    // The globals still see the union.
+    EXPECT_EQ(cache.program_miss_count(), 2u);
+    EXPECT_EQ(cache.program_compute_count(), 2u);
+    EXPECT_EQ(cache.miss_count(), 2u);
+
+    // A re-run of sweep A against the warm cache reports pure hits -- and
+    // zero computes, where the old differencing could even wrap negative
+    // when another thread's traffic landed in the window.
+    const runtime::sweep_result warm = scheduler_a.run(spec_a);
+    EXPECT_EQ(warm.cache_hits, 1u);
+    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(warm.program_cache_misses, 0u);
+    EXPECT_EQ(warm.program_computes, 0u);
+}
+
+TEST(runtime_sweep, cells_missed_never_underflows)
+{
+    runtime::sweep_result result;
+    result.checkpointing = true;
+    result.cells.resize(2);
+    result.cells_loaded = 5; // a caller-filled result can report more loaded
+    EXPECT_EQ(result.cells_missed(), 0u);
+
+    result.cells_loaded = 1;
+    EXPECT_EQ(result.cells_missed(), 1u);
+
+    result.checkpointing = false;
+    EXPECT_EQ(result.cells_missed(), 0u);
+}
+
 TEST(runtime_sweep, emitters_cover_every_cell)
 {
     runtime::thread_pool pool(2);
@@ -229,6 +329,42 @@ TEST(runtime_sweep, emitters_cover_every_cell)
         runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
     EXPECT_NE(stats.find("disk,0,0"), std::string::npos);
     EXPECT_NE(stats.find("checkpoint,0,0"), std::string::npos);
+}
+
+TEST(runtime_sweep, sweep_json_meta_rides_on_one_strippable_line)
+{
+    // The meta contract: ONE extra line, so determinism consumers recover
+    // the unstamped document with `grep -v '"meta"'`.
+    runtime::sweep_result result;
+    std::ostringstream bare;
+    runtime::write_sweep_json(result, bare);
+
+    runtime::sweep_json_meta meta = runtime::collect_sweep_json_meta();
+    EXPECT_FALSE(meta.generated_utc.empty());
+    EXPECT_GE(meta.hardware_concurrency, 1u);
+    meta.git_describe = "v1.2.3-4-gabcdef0";
+    std::ostringstream stamped;
+    runtime::write_sweep_json(result, stamped, &meta);
+
+    std::istringstream lines(stamped.str());
+    std::string line;
+    std::string stripped;
+    std::size_t meta_lines = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("\"meta\"") != std::string::npos) {
+            ++meta_lines;
+            EXPECT_NE(line.find("\"schema_version\": 1"), std::string::npos);
+            EXPECT_NE(line.find("\"generated_utc\": \""), std::string::npos);
+            EXPECT_NE(line.find("\"hostname\": \""), std::string::npos);
+            EXPECT_NE(line.find("\"hardware_concurrency\": "), std::string::npos);
+            EXPECT_NE(line.find("\"git_describe\": \"v1.2.3-4-gabcdef0\""),
+                      std::string::npos);
+            continue;
+        }
+        stripped += line + "\n";
+    }
+    EXPECT_EQ(meta_lines, 1u);
+    EXPECT_EQ(stripped, bare.str());
 }
 
 TEST(runtime_sweep, name_parsers_are_forgiving)

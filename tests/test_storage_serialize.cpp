@@ -619,119 +619,4 @@ TEST(storage_serialize, hostile_workload_name_length_is_rejected)
                  storage::serialize_error);
 }
 
-// -- shard manifests ---------------------------------------------------------
-
-TEST(storage_serialize, shard_manifest_round_trips)
-{
-    const runtime::shard_manifest manifest{0x1234567890ABCDEFull, 4, 2, 42};
-    const runtime::shard_manifest decoded =
-        storage::decode_shard_manifest(storage::encode(manifest));
-    EXPECT_EQ(decoded, manifest);
-
-    // The layout-frame sentinel (shard_index == shard_count) is legal.
-    const runtime::shard_manifest layout{7, 3, 3, 12};
-    EXPECT_EQ(storage::decode_shard_manifest(storage::encode(layout)), layout);
-}
-
-TEST(storage_serialize, shard_manifest_rejects_malformed_and_corrupt_frames)
-{
-    // Field-domain violations are caught even in a checksum-valid frame.
-    EXPECT_THROW((void)storage::decode_shard_manifest(
-                     storage::encode(runtime::shard_manifest{1, 0, 0, 0})),
-                 storage::serialize_error);
-    EXPECT_THROW((void)storage::decode_shard_manifest(
-                     storage::encode(runtime::shard_manifest{1, 2, 4, 0})),
-                 storage::serialize_error);
-
-    const std::string frame =
-        storage::encode(runtime::shard_manifest{0xFEEDFACE, 8, 5, 64});
-    // Truncation at every length.
-    for (std::size_t keep = 0; keep < frame.size(); ++keep) {
-        EXPECT_THROW((void)storage::decode_shard_manifest(frame.substr(0, keep)),
-                     storage::serialize_error)
-            << keep;
-    }
-    // Any single-bit flip breaks the checksum (or a checked field).
-    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string corrupt = frame;
-            corrupt[byte] = static_cast<char>(
-                static_cast<unsigned char>(corrupt[byte]) ^ (1u << bit));
-            EXPECT_THROW((void)storage::decode_shard_manifest(corrupt),
-                         storage::serialize_error)
-                << "byte " << byte << " bit " << bit;
-        }
-    }
-    // A manifest frame is not a sweep cell (payload-kind check).
-    EXPECT_THROW((void)storage::decode_sweep_cell(frame), storage::serialize_error);
-}
-
-// -- shard progress ----------------------------------------------------------
-
-TEST(storage_serialize, shard_progress_round_trips)
-{
-    const runtime::shard_progress progress{0xDEADBEEFCAFEF00Dull, 4, 2, 120, 37};
-    EXPECT_EQ(storage::decode_shard_progress(storage::encode(progress)), progress);
-
-    // Unsharded runs publish as shard 0 of 1; done == owned is legal.
-    const runtime::shard_progress done{9, 1, 0, 15, 15};
-    EXPECT_EQ(storage::decode_shard_progress(storage::encode(done)), done);
-}
-
-TEST(storage_serialize, shard_progress_rejects_malformed_and_corrupt_frames)
-{
-    // Field-domain violations caught even in a checksum-valid frame:
-    // zero shards, index out of range (progress frames have no layout
-    // sentinel, so index == count is also invalid), done > owned.
-    EXPECT_THROW((void)storage::decode_shard_progress(
-                     storage::encode(runtime::shard_progress{1, 0, 0, 0, 0})),
-                 storage::serialize_error);
-    EXPECT_THROW((void)storage::decode_shard_progress(
-                     storage::encode(runtime::shard_progress{1, 2, 2, 4, 0})),
-                 storage::serialize_error);
-    EXPECT_THROW((void)storage::decode_shard_progress(
-                     storage::encode(runtime::shard_progress{1, 2, 0, 4, 5})),
-                 storage::serialize_error);
-
-    const std::string frame =
-        storage::encode(runtime::shard_progress{0xFEEDFACE, 8, 5, 64, 13});
-    for (std::size_t keep = 0; keep < frame.size(); ++keep) {
-        EXPECT_THROW((void)storage::decode_shard_progress(frame.substr(0, keep)),
-                     storage::serialize_error)
-            << keep;
-    }
-    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string corrupt = frame;
-            corrupt[byte] = static_cast<char>(
-                static_cast<unsigned char>(corrupt[byte]) ^ (1u << bit));
-            EXPECT_THROW((void)storage::decode_shard_progress(corrupt),
-                         storage::serialize_error)
-                << "byte " << byte << " bit " << bit;
-        }
-    }
-    // Kind checks cut both ways: a progress frame is not a manifest and
-    // vice versa.
-    EXPECT_THROW((void)storage::decode_shard_manifest(frame), storage::serialize_error);
-    EXPECT_THROW((void)storage::decode_shard_progress(storage::encode(
-                     runtime::shard_manifest{1, 2, 0, 4})),
-                 storage::serialize_error);
-}
-
-// Every shard_progress field must feed the encoded bytes (drift guard,
-// mirroring the perturbation tests above).
-TEST(storage_serialize, shard_progress_field_perturbations_change_bytes)
-{
-    const runtime::shard_progress base{100, 4, 2, 50, 20};
-    const std::string baseline = storage::encode(base);
-    const auto expect_differs = [&](const runtime::shard_progress& changed) {
-        EXPECT_NE(storage::encode(changed), baseline);
-    };
-    expect_differs({101, 4, 2, 50, 20});
-    expect_differs({100, 5, 2, 50, 20});
-    expect_differs({100, 4, 3, 50, 20});
-    expect_differs({100, 4, 2, 51, 20});
-    expect_differs({100, 4, 2, 50, 21});
-}
-
 } // namespace

@@ -3,7 +3,8 @@
 // compute fall-through, every corruption class (truncated, bit-flipped,
 // wrong-version, wrong-digest files) degrading to a rebuild -- never a
 // crash, never stale data -- sweep checkpointing with --resume semantics,
-// and two caches racing on one shared store directory (the TSan job runs
+// the closed set of buckets a store-backed sweep writes, and two caches
+// racing on one shared store directory (the TSan job runs
 // this suite with two concurrent runners).
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -483,6 +485,53 @@ TEST(storage_store, resume_keys_on_the_spec_a_different_sweep_shares_nothing)
     EXPECT_EQ(result.cells_loaded, 0u);
     EXPECT_EQ(result.cells_stored, 2u);
     EXPECT_EQ(result.program_computes, 0u);
+}
+
+/// Bucket directories present under the store's versioned root (the tmp/
+/// staging directory is not a bucket).
+std::set<std::string> bucket_names(const fs::path& root)
+{
+    std::set<std::string> names;
+    const fs::path versioned = root / ("v" + std::to_string(storage::format_version));
+    for (const auto& entry : fs::directory_iterator(versioned)) {
+        if (entry.is_directory() && entry.path().filename() != "tmp") {
+            names.insert(entry.path().filename().string());
+        }
+    }
+    return names;
+}
+
+TEST(storage_store, store_backed_sweeps_write_only_program_and_cell_buckets)
+{
+    // A checkpointing sweep's only durable products are program artifacts
+    // and finished cells -- with and without resume, nothing else lands in
+    // the store.
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
+    const std::set<std::string> expected{std::string(storage::program_bucket),
+                                         std::string(storage::cell_bucket)};
+
+    runtime::experiment_cache cold_cache;
+    auto cold_store = std::make_shared<storage::artifact_store>(dir.path);
+    cold_cache.attach_store(cold_store);
+    const runtime::sweep_result cold = runtime::sweep_scheduler(pool, cold_cache)
+                                           .run(spec, {cold_store.get(), false});
+    EXPECT_EQ(cold.cells_stored, 2u);
+    EXPECT_EQ(bucket_names(dir.path), expected);
+
+    // Resume with one checkpoint missing: one cell restored, one recomputed
+    // and persisted.
+    cold_store->erase(storage::cell_bucket, runtime::sweep_cell_digest(spec.digest(), 1));
+    runtime::experiment_cache resumed_cache;
+    auto resumed_store = std::make_shared<storage::artifact_store>(dir.path);
+    resumed_cache.attach_store(resumed_store);
+    const runtime::sweep_result resumed =
+        runtime::sweep_scheduler(pool, resumed_cache)
+            .run(spec, {resumed_store.get(), true});
+    EXPECT_EQ(resumed.cells_loaded, 1u);
+    EXPECT_EQ(resumed.cells_stored, 1u);
+    EXPECT_EQ(bucket_names(dir.path), expected);
 }
 
 } // namespace

@@ -16,9 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/thread_pool.h"
@@ -38,11 +36,9 @@ using synts::util::shared_mutex_lock;
 TEST(util_lock_rank, every_table_rank_has_a_name)
 {
     const lock_rank table[] = {
-        lock_rank::pool_sleep,       lock_rank::pool_queue,
-        lock_rank::cache_shard,      lock_rank::workload_registry,
-        lock_rank::sampler_wake,     lock_rank::metrics_registry,
-        lock_rank::sampler_series,   lock_rank::health_events,
-        lock_rank::trace_buffers,
+        lock_rank::pool_sleep,        lock_rank::pool_queue,
+        lock_rank::cache_shard,       lock_rank::workload_registry,
+        lock_rank::metrics_registry,  lock_rank::trace_buffers,
     };
     std::set<const char*> names;
     for (const lock_rank rank : table) {
@@ -123,7 +119,7 @@ TEST(util_lock_rank, shared_mutex_readers_exclude_writer)
 
 TEST(util_lock_rank, condition_variable_wait_keeps_stack_balanced)
 {
-    annotated_mutex gate(lock_rank::sampler_wake, "test.cv_gate");
+    annotated_mutex gate(lock_rank::pool_sleep, "test.cv_gate");
     std::condition_variable_any cv;
     bool ready = false;
     std::thread signaller([&] {
@@ -166,8 +162,8 @@ TEST(util_lock_rank, inverted_acquisition_aborts)
 TEST(util_lock_rank, same_rank_nesting_aborts)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    annotated_mutex a(lock_rank::health_events, "test.same_a");
-    annotated_mutex b(lock_rank::health_events, "test.same_b");
+    annotated_mutex a(lock_rank::trace_buffers, "test.same_a");
+    annotated_mutex b(lock_rank::trace_buffers, "test.same_b");
     EXPECT_DEATH(
         {
             const mutex_lock first(a);
@@ -185,16 +181,14 @@ TEST(util_lock_rank, live_registry_covers_every_subsystem_mutex)
     synts::runtime::thread_pool pool(2);
     synts::runtime::experiment_cache cache(4);
     synts::obs::metrics_registry registry;
-    synts::obs::sampler sampler(registry);
     synts::obs::trace_recorder recorder;
     const synts::workload::workload_registry workloads =
         synts::workload::workload_registry::with_builtins();
-    (void)synts::obs::health_monitor::cell_monitor();
 
     const auto live = synts::util::lock_rank_detail::live_mutexes();
     // At minimum: 2 pool queues + pool sleep + 2x4 cache shards + metrics +
-    // sampler x2 + trace + registry + health.
-    ASSERT_GE(live.size(), 17u);
+    // trace + registry.
+    ASSERT_GE(live.size(), 14u);
     std::set<lock_rank> ranks_seen;
     for (const auto& m : live) {
         EXPECT_NE(lock_rank_name(m.rank), nullptr)
@@ -204,15 +198,15 @@ TEST(util_lock_rank, live_registry_covers_every_subsystem_mutex)
         ranks_seen.insert(m.rank);
     }
     // The instantiated set above exercises every row of the table.
-    EXPECT_GE(ranks_seen.size(), 9u);
+    EXPECT_GE(ranks_seen.size(), 6u);
 }
 
 TEST(util_lock_rank, release_of_unheld_lock_aborts)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    annotated_mutex m(lock_rank::health_events, "test.unheld");
+    annotated_mutex m(lock_rank::trace_buffers, "test.unheld");
     EXPECT_DEATH(synts::util::lock_rank_detail::note_released(
-                     lock_rank::health_events, "test.unheld"),
+                     lock_rank::trace_buffers, "test.unheld"),
                  "does not hold");
     (void)m;
 }
