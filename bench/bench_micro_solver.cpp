@@ -1,11 +1,16 @@
 // Microbenchmark: optimizer runtime scaling.
 //
-// SynTS-Poly is O(M^2 Q^2 S^2) -- polynomial, suitable for per-barrier
-// online use -- while exhaustive search is (QS)^M. This bench demonstrates
-// the scaling claim on randomized instances and measures the exact B&B
-// solver for comparison.
+// SynTS-Poly is O(M^2 Q^2 S^2) per interval plus O(MQS) per theta -- the
+// candidate set is theta-free, so a theta ladder builds it once and picks
+// from it per rung -- polynomial, suitable for per-barrier online use,
+// while exhaustive search is (QS)^M. This bench demonstrates the scaling
+// claim on randomized instances, times a 97-rung ladder through one plan,
+// and measures the exact B&B solver for comparison.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "../tests/solver_fixtures.h"
 #include "core/milp.h"
@@ -36,6 +41,22 @@ void bm_synts_poly_grid(benchmark::State& state)
     state.SetComplexityN(static_cast<benchmark::IterationCount>(q * q));
 }
 BENCHMARK(bm_synts_poly_grid)->DenseRange(2, 12, 2)->Complexity();
+
+void bm_synts_poly_ladder(benchmark::State& state)
+{
+    // Perfbench's dense ladder: 2^(e/8) x the instance's theta, e = -48..48.
+    auto inst = make_random_instance(4, 7, 6, 42);
+    std::vector<double> thetas;
+    for (int e = -48; e <= 48; ++e) {
+        thetas.push_back(inst.input.theta * std::pow(2.0, e / 8.0));
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(synts::core::solve_synts_poly(inst.input, thetas));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<benchmark::IterationCount>(thetas.size()));
+}
+BENCHMARK(bm_synts_poly_ladder);
 
 void bm_branch_and_bound(benchmark::State& state)
 {

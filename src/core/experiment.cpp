@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/hashing.h"
 
@@ -138,6 +139,22 @@ double benchmark_experiment::equal_weight_theta() const
     return energy / time;
 }
 
+std::vector<interval_outcome>
+benchmark_experiment::run_interval_ladder(policy_kind kind, std::size_t k,
+                                          std::span<const double> thetas) const
+{
+    // The ladder ignores truth.theta; any in-range value does.
+    const solver_input truth = make_solver_input(k, 0.0);
+    std::vector<const interval_characterization*> sampling_data;
+    if (kind == policy_kind::synts_online) {
+        sampling_data.reserve(thread_count());
+        for (std::size_t t = 0; t < thread_count(); ++t) {
+            sampling_data.push_back(&characterization_.threads[t][k]);
+        }
+    }
+    return engine_.run_interval_ladder(kind, truth, thetas, sampling_data);
+}
+
 benchmark_experiment::policy_run benchmark_experiment::run_policy(policy_kind kind,
                                                                   double theta) const
 {
@@ -145,21 +162,28 @@ benchmark_experiment::policy_run benchmark_experiment::run_policy(policy_kind ki
     run.kind = kind;
     run.intervals.reserve(interval_count());
     for (std::size_t k = 0; k < interval_count(); ++k) {
-        const solver_input truth = make_solver_input(k, theta);
-
-        std::vector<const interval_characterization*> sampling_data;
-        if (kind == policy_kind::synts_online) {
-            sampling_data.reserve(thread_count());
-            for (std::size_t t = 0; t < thread_count(); ++t) {
-                sampling_data.push_back(&characterization_.threads[t][k]);
-            }
-        }
-        interval_outcome outcome = engine_.run_interval(kind, truth, sampling_data);
+        interval_outcome outcome =
+            std::move(run_interval_ladder(kind, k, std::span(&theta, 1)).front());
         run.sum.energy += outcome.energy;
         run.sum.time_ps += outcome.time_ps;
         run.intervals.push_back(std::move(outcome));
     }
     return run;
+}
+
+std::vector<benchmark_experiment::totals>
+benchmark_experiment::run_policy_ladder(policy_kind kind,
+                                        std::span<const double> thetas) const
+{
+    std::vector<totals> sums(thetas.size());
+    for (std::size_t k = 0; k < interval_count(); ++k) {
+        const std::vector<interval_outcome> outcomes = run_interval_ladder(kind, k, thetas);
+        for (std::size_t t = 0; t < sums.size(); ++t) {
+            sums[t].energy += outcomes[t].energy;
+            sums[t].time_ps += outcomes[t].time_ps;
+        }
+    }
+    return sums;
 }
 
 benchmark_experiment::policy_run
@@ -218,15 +242,21 @@ std::vector<pareto_point> pareto_sweep(const benchmark_experiment& experiment,
                                        const double theta_eq,
                                        const benchmark_experiment::policy_run& nominal)
 {
-    std::vector<pareto_point> points;
-    points.reserve(theta_multipliers.size());
+    std::vector<double> thetas;
+    thetas.reserve(theta_multipliers.size());
     for (const double multiplier : theta_multipliers) {
-        const double theta = theta_eq * multiplier;
-        const auto run = experiment.run_policy(kind, theta);
+        thetas.push_back(theta_eq * multiplier);
+    }
+    const std::vector<benchmark_experiment::totals> sums =
+        experiment.run_policy_ladder(kind, thetas);
+
+    std::vector<pareto_point> points;
+    points.reserve(thetas.size());
+    for (std::size_t t = 0; t < thetas.size(); ++t) {
         pareto_point p;
-        p.theta = theta;
-        p.energy = run.sum.energy / nominal.sum.energy;
-        p.time = run.sum.time_ps / nominal.sum.time_ps;
+        p.theta = thetas[t];
+        p.energy = sums[t].energy / nominal.sum.energy;
+        p.time = sums[t].time_ps / nominal.sum.time_ps;
         points.push_back(p);
     }
     return points;

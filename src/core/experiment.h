@@ -138,14 +138,23 @@ public:
     /// Runs one policy at `theta` over every interval.
     ///
     /// Thread safety: this and every other const member (make_solver_input,
-    /// equal_weight_theta, run_all_policies, run_synts_online_predicted, and
-    /// the free pareto_sweep below) may be called concurrently on one
-    /// instance. The evaluation path holds no hidden mutable state -- the
+    /// equal_weight_theta, run_policy_ladder, run_all_policies,
+    /// run_synts_online_predicted, and the free pareto_sweep below) may be
+    /// called concurrently on one instance. The evaluation path holds no
+    /// hidden mutable state -- plans are built per call, the
     /// policy_engine, solvers and estimators are pure const code, and the
     /// MILP's instrumentation counters are thread_local. The runtime's
     /// experiment_cache relies on this to share one instance across all
     /// sweep workers; tests/test_runtime_sweep.cpp pins the contract.
     [[nodiscard]] policy_run run_policy(policy_kind kind, double theta) const;
+
+    /// Runs one policy at every theta of `thetas` in one pass over the
+    /// intervals: each interval's theta-free plan is built once (see
+    /// policy_engine::run_interval_ladder). Entry t is the interval-order
+    /// sum of the outcomes at thetas[t], equal to run_policy(kind,
+    /// thetas[t]).sum bit for bit. Plans are local to the call.
+    [[nodiscard]] std::vector<totals> run_policy_ladder(policy_kind kind,
+                                                        std::span<const double> thetas) const;
 
     /// Convenience: runs all five policies at `theta`.
     [[nodiscard]] std::vector<policy_run> run_all_policies(double theta) const;
@@ -159,6 +168,10 @@ public:
                                                         double smoothing = 0.6) const;
 
 private:
+    /// Outcomes of `kind` on interval `k` at every theta of `thetas`.
+    [[nodiscard]] std::vector<interval_outcome>
+    run_interval_ladder(policy_kind kind, std::size_t k, std::span<const double> thetas) const;
+
     workload::workload_key workload_;
     circuit::pipe_stage stage_;
     experiment_config config_;
@@ -188,7 +201,8 @@ struct pareto_point {
 };
 
 /// Sweeps theta over `theta_multipliers` x equal_weight_theta() and returns
-/// (energy, time) of `kind` normalized to the Nominal baseline.
+/// (energy, time) of `kind` normalized to the Nominal baseline. The whole
+/// ladder is evaluated in one pass per interval (run_policy_ladder).
 [[nodiscard]] std::vector<pareto_point>
 pareto_sweep(const benchmark_experiment& experiment, policy_kind kind,
              std::span<const double> theta_multipliers);

@@ -80,14 +80,17 @@ sampling_result online_estimator::sample_interval(const config_space& space,
     const double tnom_samp = space.tnom_ps(vsamp);
     const double vdd_samp = space.voltage(vsamp);
 
-    // Level k sweeps instructions [k * chunk, (k+1) * chunk). The paper's
-    // Fig. 4.7 sweeps low frequency -> high frequency; order does not change
-    // the estimates because chunks are disjoint.
+    // Level k sweeps instructions [k * chunk, (k+1) * chunk), both bounds
+    // clamped to N_samp: an interval shorter than S - 1 instructions leaves
+    // its last levels empty. The paper's Fig. 4.7 sweeps low frequency ->
+    // high frequency; order does not change the estimates because chunks
+    // are disjoint.
+    const std::uint64_t sampled = result.sampled_instructions;
     std::size_t cursor = 0; // index into the vector-aligned delay trace
     for (std::size_t k = 0; k < s; ++k) {
-        const std::uint64_t first_instr = k * chunk;
+        const std::uint64_t first_instr = std::min<std::uint64_t>(k * chunk, sampled);
         const std::uint64_t last_instr =
-            (k + 1 == s) ? result.sampled_instructions : (k + 1) * chunk;
+            (k + 1 == s) ? sampled : std::min<std::uint64_t>((k + 1) * chunk, sampled);
         result.instructions[k] = last_instr - first_instr;
 
         const double threshold = space.tsr(k) * tnom_samp;

@@ -1,7 +1,9 @@
 #include "core/policies.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace synts::core {
 
@@ -37,30 +39,42 @@ policy_engine::policy_engine(sampling_config sampling)
 {
 }
 
+std::vector<interval_outcome> policy_engine::run_interval_ladder(
+    policy_kind kind, const solver_input& truth, std::span<const double> thetas,
+    std::span<const interval_characterization* const> sampling_data) const
+{
+    std::vector<interval_solution> solutions;
+    switch (kind) {
+    case policy_kind::nominal:
+        solutions = nominal_solution(truth, thetas);
+        break;
+    case policy_kind::no_ts:
+        solutions = solve_no_ts(truth, thetas);
+        break;
+    case policy_kind::per_core_ts:
+        solutions = solve_per_core_ts(truth, thetas);
+        break;
+    case policy_kind::synts_offline:
+        solutions = solve_synts_poly(truth, thetas);
+        break;
+    case policy_kind::synts_online:
+        return run_online(truth, sampling_data, truth.workloads, thetas);
+    }
+    std::vector<interval_outcome> outcomes(solutions.size());
+    for (std::size_t t = 0; t < solutions.size(); ++t) {
+        outcomes[t].solution = std::move(solutions[t]);
+        outcomes[t].energy = outcomes[t].solution.total_energy;
+        outcomes[t].time_ps = outcomes[t].solution.exec_time_ps;
+    }
+    return outcomes;
+}
+
 interval_outcome policy_engine::run_interval(
     policy_kind kind, const solver_input& truth,
     std::span<const interval_characterization* const> sampling_data) const
 {
-    interval_outcome outcome;
-    switch (kind) {
-    case policy_kind::nominal:
-        outcome.solution = nominal_solution(truth);
-        break;
-    case policy_kind::no_ts:
-        outcome.solution = solve_no_ts(truth);
-        break;
-    case policy_kind::per_core_ts:
-        outcome.solution = solve_per_core_ts(truth);
-        break;
-    case policy_kind::synts_offline:
-        outcome.solution = solve_synts_poly(truth);
-        break;
-    case policy_kind::synts_online:
-        return run_online(truth, sampling_data, truth.workloads);
-    }
-    outcome.energy = outcome.solution.total_energy;
-    outcome.time_ps = outcome.solution.exec_time_ps;
-    return outcome;
+    return std::move(
+        run_interval_ladder(kind, truth, std::span(&truth.theta, 1), sampling_data).front());
 }
 
 interval_outcome policy_engine::run_online_predicted(
@@ -68,13 +82,16 @@ interval_outcome policy_engine::run_online_predicted(
     std::span<const interval_characterization* const> sampling_data,
     std::span<const thread_workload> decision_workloads) const
 {
-    return run_online(truth, sampling_data, decision_workloads);
+    return std::move(run_online(truth, sampling_data, decision_workloads,
+                                std::span(&truth.theta, 1))
+                         .front());
 }
 
-interval_outcome policy_engine::run_online(
+std::vector<interval_outcome> policy_engine::run_online(
     const solver_input& truth,
     std::span<const interval_characterization* const> sampling_data,
-    std::span<const thread_workload> decision_workloads) const
+    std::span<const thread_workload> decision_workloads,
+    std::span<const double> thetas) const
 {
     truth.validate();
     const std::size_t m = truth.thread_count();
@@ -104,9 +121,9 @@ interval_outcome policy_engine::run_online(
         curves.push_back(samples.back().make_curve(*truth.space));
     }
 
-    // 2. Optimize the remaining interval with the *estimated* curves and
-    //    the decision workloads (equal to the truth for plain online mode,
-    //    or a predictor's output when the N_i assumption is dropped).
+    // 2. Plan the remaining interval with the *estimated* curves and the
+    //    decision workloads (equal to the truth for plain online mode, or a
+    //    predictor's output when the N_i assumption is dropped).
     solver_input estimated = truth;
     estimated.error_models.clear();
     for (std::size_t i = 0; i < m; ++i) {
@@ -117,10 +134,10 @@ interval_outcome policy_engine::run_online(
                 ? decision_workloads[i].instructions - samples[i].sampled_instructions
                 : 0;
     }
-    const interval_solution planned = solve_synts_poly(estimated);
+    const synts_plan plan(estimated);
 
-    // 3. Evaluate the chosen configurations under the TRUE error models and
-    //    true workloads on the remaining instructions.
+    // 3. Evaluate each theta's pick under the TRUE error models and true
+    //    workloads on the remaining instructions.
     solver_input actual = truth;
     for (std::size_t i = 0; i < m; ++i) {
         actual.workloads[i].instructions =
@@ -128,25 +145,30 @@ interval_outcome policy_engine::run_online(
                 ? truth.workloads[i].instructions - samples[i].sampled_instructions
                 : 0;
     }
-    interval_outcome outcome;
-    outcome.solution = evaluate_assignment(actual, planned.assignments);
+    std::vector<interval_solution> solutions =
+        evaluate_ladder(actual, thetas, [&](double theta) { return plan.pick(theta); });
 
     // 4. Charge the sampling phase: each thread's wall time is sampling +
     //    remainder; the barrier closes at the slowest thread.
-    double barrier_time = 0.0;
-    double total_energy = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-        const double thread_time =
-            samples[i].sampling_time_ps + outcome.solution.metrics[i].time_ps;
-        barrier_time = std::max(barrier_time, thread_time);
-        total_energy += samples[i].sampling_energy + outcome.solution.metrics[i].energy;
-        outcome.sampling_energy += samples[i].sampling_energy;
-        outcome.sampling_time_ps =
-            std::max(outcome.sampling_time_ps, samples[i].sampling_time_ps);
+    std::vector<interval_outcome> outcomes(solutions.size());
+    for (std::size_t t = 0; t < solutions.size(); ++t) {
+        interval_outcome& outcome = outcomes[t];
+        outcome.solution = std::move(solutions[t]);
+        double barrier_time = 0.0;
+        double total_energy = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+            const double thread_time =
+                samples[i].sampling_time_ps + outcome.solution.metrics[i].time_ps;
+            barrier_time = std::max(barrier_time, thread_time);
+            total_energy += samples[i].sampling_energy + outcome.solution.metrics[i].energy;
+            outcome.sampling_energy += samples[i].sampling_energy;
+            outcome.sampling_time_ps =
+                std::max(outcome.sampling_time_ps, samples[i].sampling_time_ps);
+        }
+        outcome.energy = total_energy;
+        outcome.time_ps = barrier_time;
     }
-    outcome.energy = total_energy;
-    outcome.time_ps = barrier_time;
-    return outcome;
+    return outcomes;
 }
 
 } // namespace synts::core

@@ -11,6 +11,12 @@
 // Policies are evaluated per barrier interval: decisions may come from
 // estimates, but outcomes are always evaluated under the *true* error
 // models.
+//
+// Every policy evaluates a theta ladder in one pass per interval: its
+// theta-free plan (solver.h: the SynTS candidate set, the Per-core TS
+// grids; for SynTS-online also the sampling phase and the estimated curves)
+// is built once, and each theta picks from it with the solvers' tie rule
+// (earliest candidate wins). A single theta is a ladder of one.
 
 #pragma once
 
@@ -63,10 +69,19 @@ class policy_engine {
 public:
     explicit policy_engine(sampling_config sampling = {});
 
-    /// Runs `kind` on one interval. `truth` carries the true error models
-    /// and full-interval workloads. For synts_online, `sampling_data` must
-    /// supply one interval_characterization per thread (the estimator's
-    /// replay source); other policies ignore it.
+    /// Runs `kind` on one interval at every theta of `thetas` (truth.theta
+    /// is ignored); outcome t is evaluated with solver_input::theta =
+    /// thetas[t]. `truth` carries the true error models and full-interval
+    /// workloads. For synts_online, `sampling_data` must supply one
+    /// interval_characterization per thread (the estimator's replay
+    /// source); other policies ignore it.
+    [[nodiscard]] std::vector<interval_outcome>
+    run_interval_ladder(policy_kind kind, const solver_input& truth,
+                        std::span<const double> thetas,
+                        std::span<const interval_characterization* const> sampling_data =
+                            {}) const;
+
+    /// run_interval_ladder at the single theta truth.theta.
     [[nodiscard]] interval_outcome
     run_interval(policy_kind kind, const solver_input& truth,
                  std::span<const interval_characterization* const> sampling_data = {}) const;
@@ -83,10 +98,11 @@ public:
 private:
     sampling_config sampling_;
 
-    [[nodiscard]] interval_outcome
+    [[nodiscard]] std::vector<interval_outcome>
     run_online(const solver_input& truth,
                std::span<const interval_characterization* const> sampling_data,
-               std::span<const thread_workload> decision_workloads) const;
+               std::span<const thread_workload> decision_workloads,
+               std::span<const double> thetas) const;
 };
 
 } // namespace synts::core

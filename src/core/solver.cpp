@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace synts::core {
 
@@ -60,17 +61,16 @@ struct thread_grid {
 
 } // namespace
 
-interval_solution solve_synts_poly(const solver_input& input)
+synts_plan::synts_plan(const solver_input& input)
+    : threads_(input.thread_count()), fallback_(input.thread_count())
 {
     input.validate();
     const config_space& space = *input.space;
-    const std::size_t m = input.thread_count();
+    const std::size_t m = threads_;
     const std::size_t q = space.voltage_count();
     const std::size_t s = space.tsr_count();
     const auto grids = precompute_grids(input);
 
-    double best_cost = std::numeric_limits<double>::infinity();
-    std::vector<thread_assignment> best(m);
     std::vector<thread_assignment> candidate(m);
 
     // Iteratively demarcate each thread as the critical thread.
@@ -98,15 +98,39 @@ interval_solution solve_synts_poly(const solver_input& input)
                 if (!feasible) {
                     continue;
                 }
-                const double cost = energy + input.theta * texec;
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    best = candidate;
-                }
+                energy_.push_back(energy);
+                texec_ps_.push_back(texec);
+                assignments_.insert(assignments_.end(), candidate.begin(), candidate.end());
             }
         }
     }
-    return evaluate_assignment(input, best);
+}
+
+std::span<const thread_assignment> synts_plan::pick(const double theta) const
+{
+    double best_cost = std::numeric_limits<double>::infinity();
+    std::span<const thread_assignment> best = fallback_;
+    for (std::size_t c = 0; c < energy_.size(); ++c) {
+        const double cost = energy_[c] + theta * texec_ps_[c];
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = std::span<const thread_assignment>(assignments_).subspan(c * threads_,
+                                                                            threads_);
+        }
+    }
+    return best;
+}
+
+interval_solution solve_synts_poly(const solver_input& input)
+{
+    return std::move(solve_synts_poly(input, std::span(&input.theta, 1)).front());
+}
+
+std::vector<interval_solution> solve_synts_poly(const solver_input& input,
+                                                std::span<const double> thetas)
+{
+    const synts_plan plan(input);
+    return evaluate_ladder(input, thetas, [&](double theta) { return plan.pick(theta); });
 }
 
 interval_solution solve_exhaustive(const solver_input& input,
@@ -166,30 +190,44 @@ interval_solution solve_exhaustive(const solver_input& input,
 
 interval_solution solve_per_core_ts(const solver_input& input)
 {
+    return std::move(solve_per_core_ts(input, std::span(&input.theta, 1)).front());
+}
+
+std::vector<interval_solution> solve_per_core_ts(const solver_input& input,
+                                                 std::span<const double> thetas)
+{
     input.validate();
     const config_space& space = *input.space;
     const std::size_t s = space.tsr_count();
     const auto grids = precompute_grids(input);
 
     std::vector<thread_assignment> chosen(input.thread_count());
-    for (std::size_t i = 0; i < input.thread_count(); ++i) {
-        double best_cost = std::numeric_limits<double>::infinity();
-        for (std::size_t j = 0; j < space.voltage_count(); ++j) {
-            for (std::size_t k = 0; k < s; ++k) {
-                const std::size_t idx = j * s + k;
-                const double cost =
-                    grids[i].energy[idx] + input.theta * grids[i].time_ps[idx];
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    chosen[i] = thread_assignment{j, k};
+    return evaluate_ladder(input, thetas, [&](double theta) {
+        for (std::size_t i = 0; i < input.thread_count(); ++i) {
+            chosen[i] = thread_assignment{};
+            double best_cost = std::numeric_limits<double>::infinity();
+            for (std::size_t j = 0; j < space.voltage_count(); ++j) {
+                for (std::size_t k = 0; k < s; ++k) {
+                    const std::size_t idx = j * s + k;
+                    const double cost = grids[i].energy[idx] + theta * grids[i].time_ps[idx];
+                    if (cost < best_cost) {
+                        best_cost = cost;
+                        chosen[i] = thread_assignment{j, k};
+                    }
                 }
             }
         }
-    }
-    return evaluate_assignment(input, chosen);
+        return std::span<const thread_assignment>(chosen);
+    });
 }
 
 interval_solution solve_no_ts(const solver_input& input)
+{
+    return std::move(solve_no_ts(input, std::span(&input.theta, 1)).front());
+}
+
+std::vector<interval_solution> solve_no_ts(const solver_input& input,
+                                           std::span<const double> thetas)
 {
     input.validate();
     // Restrict the space to r = 1 by cloning with a single TSR level; the
@@ -204,23 +242,33 @@ interval_solution solve_no_ts(const solver_input& input)
 
     solver_input narrowed = input;
     narrowed.space = &restricted;
-    interval_solution solution = solve_synts_poly(narrowed);
+    const synts_plan plan(narrowed);
 
-    // Re-express in the full space (k index -> last level) and re-evaluate
-    // so metrics reference the caller's space.
-    std::vector<thread_assignment> remapped(solution.assignments.size());
-    for (std::size_t i = 0; i < remapped.size(); ++i) {
-        remapped[i] = thread_assignment{solution.assignments[i].voltage_index, last_tsr};
-    }
-    return evaluate_assignment(input, remapped);
+    // Re-express in the full space (k index -> last level) so metrics
+    // reference the caller's space.
+    std::vector<thread_assignment> remapped(input.thread_count());
+    return evaluate_ladder(input, thetas, [&](double theta) {
+        const std::span<const thread_assignment> picked = plan.pick(theta);
+        for (std::size_t i = 0; i < remapped.size(); ++i) {
+            remapped[i] = thread_assignment{picked[i].voltage_index, last_tsr};
+        }
+        return std::span<const thread_assignment>(remapped);
+    });
 }
 
 interval_solution nominal_solution(const solver_input& input)
 {
+    return std::move(nominal_solution(input, std::span(&input.theta, 1)).front());
+}
+
+std::vector<interval_solution> nominal_solution(const solver_input& input,
+                                                std::span<const double> thetas)
+{
     input.validate();
     const std::vector<thread_assignment> assignments(input.thread_count(),
                                                      input.space->nominal_assignment());
-    return evaluate_assignment(input, assignments);
+    return evaluate_ladder(input, thetas,
+                           [&](double) { return std::span<const thread_assignment>(assignments); });
 }
 
 } // namespace synts::core

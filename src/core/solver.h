@@ -13,15 +13,54 @@
 //   * solve_no_ts        -- the No-TS baseline: joint DVFS without timing
 //                           speculation (r pinned to 1).
 //   * nominal_solution   -- every core at the highest voltage, r = 1.
+//
+// Plan and pick. Only the last step of each optimizer depends on theta:
+// Algorithm 1's candidate set (one per critical thread and (V, r), with its
+// energy, t_exec and assignments) and Per-core TS's per-thread grids are
+// theta-free. A Pareto sweep therefore builds that plan once per interval
+// and picks from it per theta, O(M^2 Q^2 S^2) once plus O(MQS) per theta.
+// The pick scans the plan in enumeration order, computes exactly
+// energy + theta * t_exec and keeps a candidate only when it is strictly
+// below the best so far, so ties resolve to the earliest candidate. When no
+// candidate is feasible the assignments stay default-constructed. The
+// single-theta solvers are a ladder of one through the same code.
 
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "core/system_model.h"
 
 namespace synts::core {
 
+/// The theta-free half of Algorithm 1: every feasible (critical thread,
+/// voltage, TSR) candidate in enumeration order.
+class synts_plan {
+public:
+    /// Enumerates the candidates of `input` (input.theta is not read).
+    explicit synts_plan(const solver_input& input);
+
+    /// The assignments minimizing energy + theta * t_exec (first candidate
+    /// wins ties; default-constructed when none is feasible). The span
+    /// lives as long as the plan.
+    [[nodiscard]] std::span<const thread_assignment> pick(double theta) const;
+
+private:
+    std::size_t threads_ = 0;
+    std::vector<double> energy_;                 ///< per candidate
+    std::vector<double> texec_ps_;               ///< per candidate
+    std::vector<thread_assignment> assignments_; ///< [candidate * M + thread]
+    std::vector<thread_assignment> fallback_;    ///< M default assignments
+};
+
 /// Algorithm 1 (SynTS-Poly). Returns the optimal interval solution.
 [[nodiscard]] interval_solution solve_synts_poly(const solver_input& input);
+
+/// Algorithm 1 at every theta of `thetas` (input.theta is ignored); entry t
+/// is evaluated with solver_input::theta = thetas[t].
+[[nodiscard]] std::vector<interval_solution>
+solve_synts_poly(const solver_input& input, std::span<const double> thetas);
 
 /// Exhaustive search over all joint assignments. Intended for tests;
 /// throws std::invalid_argument when (QS)^M exceeds `max_combinations`.
@@ -32,11 +71,40 @@ namespace synts::core {
 /// en_i + theta * t_i over the full (V, r) grid.
 [[nodiscard]] interval_solution solve_per_core_ts(const solver_input& input);
 
+/// Per-core TS at every theta of `thetas`, from one set of per-thread grids.
+[[nodiscard]] std::vector<interval_solution>
+solve_per_core_ts(const solver_input& input, std::span<const double> thetas);
+
 /// Conventional joint DVFS (no timing speculation): SynTS restricted to
 /// r = 1.
 [[nodiscard]] interval_solution solve_no_ts(const solver_input& input);
 
+/// No-TS at every theta of `thetas`: one SynTS plan over the r = 1 space,
+/// remapped to the caller's last TSR level.
+[[nodiscard]] std::vector<interval_solution>
+solve_no_ts(const solver_input& input, std::span<const double> thetas);
+
 /// The Nominal baseline: highest voltage, r = 1 for every thread.
 [[nodiscard]] interval_solution nominal_solution(const solver_input& input);
+
+/// Nominal at every theta of `thetas` (only weighted_cost moves).
+[[nodiscard]] std::vector<interval_solution>
+nominal_solution(const solver_input& input, std::span<const double> thetas);
+
+/// Evaluates `pick(theta)` under `input` at every theta of `thetas`, with
+/// solver_input::theta set to that theta: the shared tail of every ladder.
+template <typename Pick>
+[[nodiscard]] std::vector<interval_solution>
+evaluate_ladder(const solver_input& input, std::span<const double> thetas, Pick&& pick)
+{
+    solver_input at = input;
+    std::vector<interval_solution> solutions;
+    solutions.reserve(thetas.size());
+    for (const double theta : thetas) {
+        at.theta = theta;
+        solutions.push_back(evaluate_assignment(at, pick(theta)));
+    }
+    return solutions;
+}
 
 } // namespace synts::core

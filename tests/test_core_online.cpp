@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/online_estimator.h"
 #include "util/rng.h"
 
@@ -117,6 +119,43 @@ TEST(online_estimator, sampled_instruction_budget)
         total += n;
     }
     EXPECT_EQ(total, result.sampled_instructions);
+}
+
+TEST(online_estimator, tiny_interval_levels_never_underflow)
+{
+    // Fewer instructions than TSR levels - 1: the last levels sample
+    // nothing, and no level's count may wrap around below zero.
+    const double tnom = 500.0;
+    const config_space space = make_space(tnom);
+    const double cpi_base = 1.5;
+    const online_estimator estimator;
+    const synts::energy::energy_params params;
+    for (const std::size_t n : {0u, 3u, 5u}) {
+        SCOPED_TRACE(testing::Message() << "instruction_count = " << n);
+        const auto data = make_interval(n, 0.5, tnom, 13 + n);
+        const sampling_result result = estimator.sample_interval(space, data, cpi_base, params);
+        EXPECT_EQ(result.sampled_instructions, n);
+        std::uint64_t total = 0;
+        for (std::size_t k = 0; k < result.instructions.size(); ++k) {
+            EXPECT_LE(result.instructions[k], result.sampled_instructions) << "level " << k;
+            EXPECT_LE(result.errors[k], result.instructions[k]) << "level " << k;
+            total += result.instructions[k];
+        }
+        EXPECT_EQ(total, result.sampled_instructions);
+
+        // Every sampled instruction failing at the slowest sampling clock
+        // bounds the phase's cost.
+        const double max_time = synts::energy::thread_execution_time(
+            n, tnom, 1.0, cpi_base, params.error_penalty_cycles);
+        const double max_energy = synts::energy::thread_energy(
+            params, space.voltage(0), n, 1.0, cpi_base);
+        EXPECT_TRUE(std::isfinite(result.sampling_time_ps));
+        EXPECT_TRUE(std::isfinite(result.sampling_energy));
+        EXPECT_GE(result.sampling_time_ps, 0.0);
+        EXPECT_GE(result.sampling_energy, 0.0);
+        EXPECT_LE(result.sampling_time_ps, max_time);
+        EXPECT_LE(result.sampling_energy, max_energy);
+    }
 }
 
 TEST(online_estimator, respects_min_sample_floor)

@@ -1,15 +1,22 @@
 // Property tests for the optimizers: SynTS-Poly (Algorithm 1) must agree
 // with exhaustive search (Lemma 4.2.1) and dominate every baseline in
-// weighted cost, on randomized instances.
+// weighted cost, on randomized instances. Differential tests hold the
+// theta-ladder path (plan once, pick per theta) to the per-theta reference
+// solvers bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "core/solver.h"
+#include "reference_solvers.h"
 #include "solver_fixtures.h"
 
 namespace {
 
 using namespace synts::core;
+using synts::test::expect_same_solution;
 using synts::test::make_random_instance;
 
 class solver_property : public ::testing::TestWithParam<std::uint64_t> {};
@@ -86,9 +93,157 @@ TEST_P(solver_property, energy_non_decreasing_in_theta)
     }
 }
 
+/// A ladder around `input`'s own theta with the edge cases the pick must
+/// resolve exactly as a fresh per-theta solve: zero, repeats, and extremes.
+std::vector<double> edge_ladder(double theta)
+{
+    return {0.0,          theta,        theta, 1e-12,        1e12,         theta * 0.25,
+            theta * 4.0,  0.0,          1e-12, theta * 1e-3, theta * 1e3,  theta};
+}
+
+using ladder_solver = std::function<std::vector<interval_solution>(
+    const solver_input&, std::span<const double>)>;
+using single_solver = std::function<interval_solution(const solver_input&)>;
+
+/// The ladder solve of `input` equals, at every theta, both the per-theta
+/// reference and a per-theta loop over the single-theta entry point.
+void expect_ladder_matches(const solver_input& input, std::span<const double> thetas,
+                           const ladder_solver& ladder, const single_solver& single,
+                           const single_solver& reference)
+{
+    const std::vector<interval_solution> got = ladder(input, thetas);
+    ASSERT_EQ(got.size(), thetas.size());
+    solver_input at = input;
+    for (std::size_t t = 0; t < thetas.size(); ++t) {
+        at.theta = thetas[t];
+        SCOPED_TRACE(testing::Message() << "theta[" << t << "] = " << thetas[t]);
+        expect_same_solution(got[t], reference(at));
+        expect_same_solution(got[t], single(at));
+    }
+}
+
+void expect_all_ladders_match(const solver_input& input, std::span<const double> thetas)
+{
+    using synts::test::reference_no_ts;
+    using synts::test::reference_nominal;
+    using synts::test::reference_per_core_ts;
+    using synts::test::reference_synts_poly;
+    {
+        SCOPED_TRACE("synts_poly");
+        expect_ladder_matches(
+            input, thetas,
+            [](const solver_input& in, std::span<const double> th) {
+                return solve_synts_poly(in, th);
+            },
+            [](const solver_input& in) { return solve_synts_poly(in); }, reference_synts_poly);
+    }
+    {
+        SCOPED_TRACE("per_core_ts");
+        expect_ladder_matches(
+            input, thetas,
+            [](const solver_input& in, std::span<const double> th) {
+                return solve_per_core_ts(in, th);
+            },
+            [](const solver_input& in) { return solve_per_core_ts(in); },
+            reference_per_core_ts);
+    }
+    {
+        SCOPED_TRACE("no_ts");
+        expect_ladder_matches(
+            input, thetas,
+            [](const solver_input& in, std::span<const double> th) {
+                return solve_no_ts(in, th);
+            },
+            [](const solver_input& in) { return solve_no_ts(in); }, reference_no_ts);
+    }
+    {
+        SCOPED_TRACE("nominal");
+        expect_ladder_matches(
+            input, thetas,
+            [](const solver_input& in, std::span<const double> th) {
+                return nominal_solution(in, th);
+            },
+            [](const solver_input& in) { return nominal_solution(in); }, reference_nominal);
+    }
+}
+
+TEST_P(solver_property, ladder_equals_per_theta_reference)
+{
+    for (const auto& [m, q, s] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{1, 3, 3},
+          {2, 4, 4},
+          {3, 7, 6},
+          {4, 7, 6},
+          {6, 3, 4}}) {
+        auto inst = make_random_instance(m, q, s, GetParam() * 211 + m * 13 + q * 5 + s);
+        SCOPED_TRACE(testing::Message() << "M=" << m << " Q=" << q << " S=" << s);
+        expect_all_ladders_match(inst.input, edge_ladder(inst.input.theta));
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(seeds, solver_property,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull,
                                            8ull));
+
+TEST(solver_ladder, tie_resolves_to_earliest_candidate)
+{
+    // Voltage levels 0 and 1 are identical, so every (critical thread, 0, k)
+    // candidate ties exactly with (critical thread, 1, k) at every theta.
+    // Enumeration order puts level 0 first, and a strict < keeps it.
+    auto inst = make_random_instance(3, 3, 4, 17);
+    const std::vector<double> volts = {1.0, 1.0, 0.9};
+    const std::vector<double> tnom = {100.0, 100.0, 125.0};
+    const config_space tied(volts,
+                            std::vector<double>(inst.space->tsr_levels().begin(),
+                                                inst.space->tsr_levels().end()),
+                            tnom);
+    inst.input.space = &tied;
+    inst.input.theta = equal_weight_theta(inst.input);
+    const std::vector<double> thetas = edge_ladder(inst.input.theta);
+    expect_all_ladders_match(inst.input, thetas);
+
+    const synts_plan plan(inst.input);
+    for (const double theta : thetas) {
+        for (const thread_assignment& a : plan.pick(theta)) {
+            EXPECT_NE(a.voltage_index, 1u) << "theta " << theta;
+        }
+    }
+}
+
+/// An error curve that answers NaN: every time and energy is NaN, so no
+/// cost is ever below the best so far.
+class nan_error_curve final : public error_curve {
+public:
+    [[nodiscard]] double error_probability(std::size_t, double) const override
+    {
+        return std::numeric_limits<double>::quiet_NaN();
+    }
+};
+
+TEST(solver_ladder, no_feasible_candidate_keeps_default_assignments)
+{
+    auto inst = make_random_instance(2, 3, 3, 23);
+    const nan_error_curve nan_curve;
+    inst.input.error_models = {&nan_curve, &nan_curve};
+    const std::vector<double> thetas = {0.0, 1.0, 1e12};
+    expect_all_ladders_match(inst.input, thetas);
+
+    const synts_plan plan(inst.input);
+    for (const double theta : thetas) {
+        for (const thread_assignment& a : plan.pick(theta)) {
+            EXPECT_EQ(a, thread_assignment{});
+        }
+    }
+}
+
+TEST(solver_ladder, empty_ladder_and_negative_theta)
+{
+    auto inst = make_random_instance(3, 3, 3, 29);
+    EXPECT_TRUE(solve_synts_poly(inst.input, std::span<const double>{}).empty());
+    const std::vector<double> negative = {1.0, -1.0};
+    EXPECT_THROW((void)solve_synts_poly(inst.input, negative), std::invalid_argument);
+    EXPECT_THROW((void)solve_per_core_ts(inst.input, negative), std::invalid_argument);
+}
 
 TEST(solvers, per_core_ts_optimizes_each_thread_independently)
 {

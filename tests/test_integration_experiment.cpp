@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/experiment.h"
+#include "reference_solvers.h"
 
 namespace {
 
@@ -118,6 +121,85 @@ TEST_F(radix_simple_alu, pareto_sweep_brackets_nominal)
     // SynTS never loses to Nominal in weighted cost; at the high-theta end
     // it must be strictly faster than nominal.
     EXPECT_LT(points[2].time, 1.0);
+}
+
+/// The 97-multiplier dense ladder, 2^(e/8) for e = -48..48.
+std::vector<double> dense_multipliers()
+{
+    std::vector<double> multipliers;
+    for (int e = -48; e <= 48; ++e) {
+        multipliers.push_back(std::pow(2.0, e / 8.0));
+    }
+    return multipliers;
+}
+
+TEST_F(radix_simple_alu, dense_pareto_sweep_equals_per_theta_run_policy)
+{
+    using test::same_bits;
+    const std::vector<double> multipliers = dense_multipliers();
+    ASSERT_EQ(multipliers.size(), 97u);
+    const double theta_eq = experiment->equal_weight_theta();
+    const auto nominal = experiment->run_policy(policy_kind::nominal, theta_eq);
+    for (const policy_kind kind : core::all_policies()) {
+        SCOPED_TRACE(core::policy_name(kind));
+        const auto points =
+            core::pareto_sweep(*experiment, kind, multipliers, theta_eq, nominal);
+        ASSERT_EQ(points.size(), multipliers.size());
+        for (std::size_t t = 0; t < multipliers.size(); ++t) {
+            const double theta = theta_eq * multipliers[t];
+            const auto run = experiment->run_policy(kind, theta);
+            EXPECT_TRUE(same_bits(points[t].theta, theta)) << t;
+            EXPECT_TRUE(same_bits(points[t].energy, run.sum.energy / nominal.sum.energy))
+                << t;
+            EXPECT_TRUE(same_bits(points[t].time, run.sum.time_ps / nominal.sum.time_ps))
+                << t;
+        }
+    }
+}
+
+TEST_F(radix_simple_alu, run_policy_equals_per_theta_reference)
+{
+    // Per-interval outcomes (weighted_cost included) at theta_eq, and the
+    // interval-order totals over the dense ladder, against the per-theta
+    // reference solvers.
+    const double theta_eq = experiment->equal_weight_theta();
+    std::vector<double> thetas;
+    for (const double multiplier : dense_multipliers()) {
+        thetas.push_back(theta_eq * multiplier);
+    }
+    const core::sampling_config sampling{};
+    for (const policy_kind kind : core::all_policies()) {
+        SCOPED_TRACE(core::policy_name(kind));
+        auto reference_at = [&](std::size_t k, double theta) {
+            const core::solver_input truth = experiment->make_solver_input(k, theta);
+            std::vector<const core::interval_characterization*> sampling_data;
+            for (std::size_t t = 0; t < experiment->thread_count(); ++t) {
+                sampling_data.push_back(&experiment->characterization().threads[t][k]);
+            }
+            return test::reference_interval(kind, truth, sampling_data, sampling);
+        };
+
+        const auto run = experiment->run_policy(kind, theta_eq);
+        ASSERT_EQ(run.intervals.size(), experiment->interval_count());
+        for (std::size_t k = 0; k < experiment->interval_count(); ++k) {
+            SCOPED_TRACE(testing::Message() << "interval " << k);
+            test::expect_same_outcome(run.intervals[k], reference_at(k, theta_eq));
+        }
+
+        const auto sums = experiment->run_policy_ladder(kind, thetas);
+        ASSERT_EQ(sums.size(), thetas.size());
+        for (std::size_t t = 0; t < thetas.size(); ++t) {
+            double energy = 0.0;
+            double time_ps = 0.0;
+            for (std::size_t k = 0; k < experiment->interval_count(); ++k) {
+                const core::interval_outcome want = reference_at(k, thetas[t]);
+                energy += want.energy;
+                time_ps += want.time_ps;
+            }
+            EXPECT_TRUE(test::same_bits(sums[t].energy, energy)) << t;
+            EXPECT_TRUE(test::same_bits(sums[t].time_ps, time_ps)) << t;
+        }
+    }
 }
 
 TEST(integration_fft, homogeneous_and_error_bound)
