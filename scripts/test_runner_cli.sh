@@ -51,6 +51,10 @@ expect_usage_error cores_zero --cores=0
 # Negative and whitespace-prefixed tokens must not wrap through stoull
 # (--workers=-1 would otherwise try to spawn 2^64 threads).
 expect_usage_error workers_negative --workers=-1
+# Pool widths above the 1024 ceiling are rejected while parsing, before
+# any thread starts.
+expect_usage_error workers_huge --workers=100000
+expect_usage_error jobs_huge --jobs=1025
 expect_usage_error seed_negative --seed=-1
 expect_usage_error cores_whitespace --cores=' 2'
 # A value flag at the end of the line must not read past argv.

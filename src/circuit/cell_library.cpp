@@ -90,49 +90,6 @@ bool evaluate_cell(cell_kind kind, std::span<const bool> inputs) noexcept
     return false;
 }
 
-std::uint64_t evaluate_cell_word(cell_kind kind, std::uint64_t a, std::uint64_t b,
-                                 std::uint64_t c) noexcept
-{
-    switch (kind) {
-    case cell_kind::const0:
-        return 0;
-    case cell_kind::const1:
-        return ~0ull;
-    case cell_kind::buf:
-    case cell_kind::dff:
-        return a;
-    case cell_kind::inv:
-        return ~a;
-    case cell_kind::and2:
-        return a & b;
-    case cell_kind::or2:
-        return a | b;
-    case cell_kind::nand2:
-        return ~(a & b);
-    case cell_kind::nor2:
-        return ~(a | b);
-    case cell_kind::xor2:
-        return a ^ b;
-    case cell_kind::xnor2:
-        return ~(a ^ b);
-    case cell_kind::and3:
-        return a & b & c;
-    case cell_kind::or3:
-        return a | b | c;
-    case cell_kind::nand3:
-        return ~(a & b & c);
-    case cell_kind::nor3:
-        return ~(a | b | c);
-    case cell_kind::aoi21:
-        return ~((a & b) | c);
-    case cell_kind::oai21:
-        return ~((a | b) & c);
-    case cell_kind::mux2:
-        return (c & b) | (~c & a);
-    }
-    return 0;
-}
-
 cell_library cell_library::standard_22nm()
 {
     cell_library lib;

@@ -98,10 +98,52 @@ struct cell_params {
 /// the result is evaluate_cell applied to bit j of each operand). Unused
 /// operands are ignored; const cells produce all-0 / all-1 words. This is
 /// the lane engine of dynamic_timing_simulator::step_batch -- one bitwise
-/// expression replaces 64 scalar cell evaluations.
-[[nodiscard]] std::uint64_t evaluate_cell_word(cell_kind kind, std::uint64_t a,
-                                               std::uint64_t b,
-                                               std::uint64_t c) noexcept;
+/// expression replaces 64 scalar cell evaluations. Inline: the functional
+/// pass calls it once per gate, and an out-of-line call cost as much as
+/// the expression.
+[[nodiscard]] constexpr std::uint64_t evaluate_cell_word(cell_kind kind, std::uint64_t a,
+                                                         std::uint64_t b,
+                                                         std::uint64_t c) noexcept
+{
+    switch (kind) {
+    case cell_kind::const0:
+        return 0;
+    case cell_kind::const1:
+        return ~0ull;
+    case cell_kind::buf:
+    case cell_kind::dff:
+        return a;
+    case cell_kind::inv:
+        return ~a;
+    case cell_kind::and2:
+        return a & b;
+    case cell_kind::or2:
+        return a | b;
+    case cell_kind::nand2:
+        return ~(a & b);
+    case cell_kind::nor2:
+        return ~(a | b);
+    case cell_kind::xor2:
+        return a ^ b;
+    case cell_kind::xnor2:
+        return ~(a ^ b);
+    case cell_kind::and3:
+        return a & b & c;
+    case cell_kind::or3:
+        return a | b | c;
+    case cell_kind::nand3:
+        return ~(a & b & c);
+    case cell_kind::nor3:
+        return ~(a | b | c);
+    case cell_kind::aoi21:
+        return ~((a & b) | c);
+    case cell_kind::oai21:
+        return ~((a | b) & c);
+    case cell_kind::mux2:
+        return (c & b) | (~c & a);
+    }
+    return 0;
+}
 
 /// The standard-cell library: parameter lookup per cell class.
 class cell_library {

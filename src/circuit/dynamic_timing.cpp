@@ -15,12 +15,12 @@ namespace detail {
 
 /// What one step_batch delay pass reads and writes.
 struct delay_pass {
-    const gate* gates;
+    const gate_pins* pins;               ///< per gate, three input pins and the output
     const double* gate_delays;           ///< [gate * row_stride + corner]
-    const std::uint64_t* toggles;        ///< per net, lane toggle masks
+    const std::uint64_t* toggles;        ///< per net plus the padding slot, toggle masks
     double* toggle_ps;                   ///< [net * row_stride + corner]
     std::size_t zero_row;                ///< toggle_ps row that is always 0.0
-    const std::uint8_t* drives_output;   ///< per gate, output is a primary output
+    const double* output_scale;          ///< per gate, 1.0 if it drives a primary output, else 0.0
     const std::uint32_t* lane_gates;     ///< lane j's live gates end at (j + 1) * gate_count
     std::uint32_t* const* lane_firsts;   ///< per lane, its first live gate
     std::size_t gate_count;
@@ -64,12 +64,12 @@ template <typename V>
     constexpr std::size_t regs = corner_block / width;
     // The pass's fields in locals: read through the reference, GCC must
     // reload every field after each store into the may_alias rows.
-    const gate* const gates = pass.gates;
+    const detail::gate_pins* const pins = pass.pins;
     const double* const gate_delays = pass.gate_delays;
     const std::uint64_t* const toggles = pass.toggles;
     double* const toggle_ps = pass.toggle_ps;
     const std::size_t zero_row = pass.zero_row;
-    const std::uint8_t* const drives_output = pass.drives_output;
+    const double* const output_scale = pass.output_scale;
     const std::size_t lane_count = pass.lane_count;
     const std::size_t corner_count = pass.corner_count;
     const std::size_t stride = pass.row_stride;
@@ -87,35 +87,39 @@ template <typename V>
             V worst[regs] = {};
             for (const std::uint32_t* it = first; it != last; ++it) {
                 const std::uint32_t gi = *it;
-                const gate& g = gates[gi];
-                // Per corner: max over the changed inputs in pin order,
-                // then one add -- the scalar walk's arithmetic order.
-                // `a < b ? b : a` is std::max(a, b) lane for lane. An
-                // unchanged pin reads the all-zero row instead of
-                // branching: max(x, +0.0) is x bit for bit here, and a
-                // data-dependent select beats a mispredicted branch.
-                V latest[regs] = {};
-                for (std::size_t i = 0; i < g.input_count; ++i) {
-                    const net_id in = g.inputs[i];
-                    const std::size_t row = (toggles[in] & lane_bit) != 0 ? in : zero_row;
-                    const V* const in_toggle =
-                        reinterpret_cast<const V*>(toggle_ps + row * stride + block);
-                    for (std::size_t r = 0; r < regs; ++r) {
-                        latest[r] = latest[r] < in_toggle[r] ? in_toggle[r] : latest[r];
-                    }
+                const detail::gate_pins& p = pins[gi];
+                // Every gate has three pins; a pin reads its settle-time
+                // row only if it toggled in this lane, else the all-zero
+                // row (an unused pin's padding slot never toggles). So no
+                // branch depends on the pin count or on the data. Per
+                // corner this is max(a, b, c) + delay: max is exact and
+                // order-free on these finite non-negative times and
+                // max(x, +0.0) is x, so the scalar walk's max over its
+                // changed pins gives the same bits. `a < b ? b : a` is
+                // std::max(a, b) lane for lane.
+                const V* in_rows[3];
+                for (std::size_t i = 0; i < 3; ++i) {
+                    const std::size_t row =
+                        (toggles[p.in[i]] & lane_bit) != 0 ? p.in[i] : zero_row;
+                    in_rows[i] = reinterpret_cast<const V*>(toggle_ps + row * stride + block);
                 }
-                V* const out_toggle =
-                    reinterpret_cast<V*>(toggle_ps + g.output * stride + block);
+                V* const out_toggle = reinterpret_cast<V*>(toggle_ps + p.out * stride + block);
                 const V* const delays =
                     reinterpret_cast<const V*>(gate_delays + gi * stride + block);
+                // The output fold is arithmetic: latest * 1.0 is latest and
+                // latest * 0.0 is +0.0, which cannot raise worst (>= +0.0).
+                // The product feeds a max, not an add, so no FMA can form.
+                const double scale = output_scale[gi];
                 for (std::size_t r = 0; r < regs; ++r) {
-                    latest[r] += delays[r];
-                    out_toggle[r] = latest[r];
-                }
-                if (drives_output[gi] != 0) {
-                    for (std::size_t r = 0; r < regs; ++r) {
-                        worst[r] = worst[r] < latest[r] ? latest[r] : worst[r];
-                    }
+                    const V a = in_rows[0][r];
+                    const V b = in_rows[1][r];
+                    const V c = in_rows[2][r];
+                    const V ab = a < b ? b : a;
+                    V latest = ab < c ? c : ab;
+                    latest += delays[r];
+                    out_toggle[r] = latest;
+                    const V folded = latest * scale;
+                    worst[r] = worst[r] < folded ? folded : worst[r];
                 }
             }
             const std::size_t corners = std::min(corner_block, corner_count - block);
@@ -365,20 +369,34 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         throw std::invalid_argument("dynamic_timing_simulator: batch delay buffer mismatch");
     }
     const auto gates = nl_.gates();
-    if (value_words_.size() != net_count) {
-        value_words_.resize(net_count);
-        toggle_words_.resize(net_count);
-        need_words_.resize(net_count);
-        output_need_.resize(net_count);
-        lane_gates_.resize(max_batch_lanes * gates.size());
-        drives_output_.resize(gates.size());
+    const std::size_t gate_count = gates.size();
+    // Net net_count is the padding slot every unused pin points at: its
+    // value and toggle words stay 0, and its need word is a write-only sink.
+    const auto pad = static_cast<net_id>(net_count);
+    if (value_words_.size() != net_count + 1) {
+        value_words_.assign(net_count + 1, 0);
+        toggle_words_.assign(net_count + 1, 0);
+        need_words_.assign(net_count + 1, 0);
+        output_need_.assign(net_count + 1, 0);
+        lane_gates_.resize(max_batch_lanes * gate_count);
+        gate_pins_.resize(gate_count);
+        for (std::size_t gi = 0; gi < gate_count; ++gi) {
+            const gate& g = gates[gi];
+            detail::gate_pins& p = gate_pins_[gi];
+            for (std::size_t i = 0; i < 3; ++i) {
+                p.in[i] = i < g.input_count ? g.inputs[i] : pad;
+            }
+            p.out = g.output;
+        }
+        output_scale_.assign(gate_count, 0.0);
         for (const net_id out : nl_.output_nets()) {
             output_need_[out] = ~0ull;
-            if (const gate_id g = nl_.driver_of(out); g < gates.size()) {
-                drives_output_[g] = 1;
+            if (const gate_id g = nl_.driver_of(out); g < gate_count) {
+                output_scale_[g] = 1.0;
             }
         }
     }
+    const detail::gate_pins* const pins = gate_pins_.data();
 
     // Functional pass, word-parallel: lane j of a net's word is its settled
     // value under input vector j. The toggle mask compares each lane with
@@ -392,14 +410,12 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         words[i] = w;
         toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[i]));
     }
-    for (const gate& g : gates) {
-        const std::uint64_t a = g.input_count > 0 ? words[g.inputs[0]] : 0;
-        const std::uint64_t b = g.input_count > 1 ? words[g.inputs[1]] : 0;
-        const std::uint64_t c = g.input_count > 2 ? words[g.inputs[2]] : 0;
-        const std::uint64_t w = evaluate_cell_word(g.kind, a, b, c);
-        const net_id out = g.output;
-        words[out] = w;
-        toggles[out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[out]));
+    for (std::size_t gi = 0; gi < gate_count; ++gi) {
+        const detail::gate_pins& p = pins[gi];
+        const std::uint64_t w =
+            evaluate_cell_word(gates[gi].kind, words[p.in[0]], words[p.in[1]], words[p.in[2]]);
+        words[p.out] = w;
+        toggles[p.out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[p.out]));
     }
 
     // Liveness, in reverse topological order: need[n] holds the lanes in
@@ -416,23 +432,21 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     std::uint64_t* const need = need_words_.data();
     std::copy(output_need_.begin(), output_need_.end(), need);
     std::uint32_t* const lists = lane_gates_.data();
-    const std::size_t gate_count = gates.size();
     std::array<std::uint32_t*, max_batch_lanes> lane_firsts{};
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
         lane_firsts[lane] = lists + (lane + 1) * gate_count;
     }
     std::uint64_t toggled_pairs = 0;
     for (std::size_t gi = gate_count; gi-- > 0;) {
-        const gate& g = gates[gi];
-        const std::uint64_t toggled = toggles[g.output] & lane_mask;
-        const std::uint64_t live = toggled & need[g.output];
+        const detail::gate_pins& p = pins[gi];
+        const std::uint64_t toggled = toggles[p.out] & lane_mask;
+        const std::uint64_t live = toggled & need[p.out];
         toggled_pairs += static_cast<std::uint64_t>(std::popcount(toggled));
-        if (live == 0) {
-            continue;
-        }
-        for (std::size_t i = 0; i < g.input_count; ++i) {
-            need[g.inputs[i]] |= live;
-        }
+        // Unconditional: a dead gate ORs in 0, an unused pin ORs into the
+        // padding slot's sink, and the push loop below runs zero times.
+        need[p.in[0]] |= live;
+        need[p.in[1]] |= live;
+        need[p.in[2]] |= live;
         for (std::uint64_t lanes = live; lanes != 0; lanes &= lanes - 1) {
             *--lane_firsts[std::countr_zero(lanes)] = static_cast<std::uint32_t>(gi);
         }
@@ -451,12 +465,12 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     live_counter.add(live_pairs);
 
     // Delay propagation per lane over its own list, in 8-corner blocks.
-    const detail::delay_pass pass{.gates = gates.data(),
+    const detail::delay_pass pass{.pins = pins,
                                   .gate_delays = tables_->gate_delay_ps.data(),
                                   .toggles = toggles,
                                   .toggle_ps = toggle_ps_.data(),
                                   .zero_row = net_count,
-                                  .drives_output = drives_output_.data(),
+                                  .output_scale = output_scale_.data(),
                                   .lane_gates = lists,
                                   .lane_firsts = lane_firsts.data(),
                                   .gate_count = gate_count,

@@ -16,36 +16,52 @@
 //                     functional pass, delay propagation over toggled gates;
 //   * step_batch() -- the vectorized hot path: up to 64 consecutive input
 //                     vectors packed one bit-lane per vector into a
-//                     std::uint64_t word per net. A forward scan over the
-//                     gates runs the functional pass word-parallel (one
-//                     bitwise evaluate_cell_word per gate covers all
-//                     lanes) and derives each output's toggle word. A
-//                     backward scan, in reverse topological order, then
-//                     finds each gate's live lanes: those where its output
-//                     toggles and some live reader (or a primary output)
-//                     needs its settle time --
+//                     std::uint64_t word per net. Every gate gets one
+//                     fixed pin record {in0, in1, in2, out}; pins past its
+//                     input count point at the padding slot net_count,
+//                     whose value and toggle words are always 0 and whose
+//                     settle-time row is the always-zero row. So none of
+//                     the three passes below branches on a gate's pin
+//                     count. A forward scan runs the functional pass
+//                     word-parallel (one inline evaluate_cell_word per
+//                     gate covers all lanes; a padded pin feeds the 0
+//                     word, which no cell reads) and derives each output's
+//                     toggle word. A backward scan, in reverse topological
+//                     order, then finds each gate's live lanes: those
+//                     where its output toggles and some live reader (or a
+//                     primary output) needs its settle time --
 //                       live = toggles[out] & need[out] & lane_mask,
-//                       need[in] |= live for every input pin,
+//                       need[in0] |= live, need[in1] |= live,
+//                       need[in2] |= live (unconditionally: a dead gate
+//                       ORs 0, a padded pin ORs into a write-only sink),
 //                     with need seeded per batch to all lanes at the
 //                     primary-output nets. The same scan pushes each live
 //                     gate onto its lanes' lists back to front, so lane
 //                     j's list ends at (j + 1) * gate_count and runs in
 //                     topological order. Delay propagation walks each
 //                     lane's own list, never visiting a dead or untoggled
-//                     gate; an unchanged input pin reads an always-zero
-//                     settle-time row instead of branching (max(x, +0.0)
-//                     == x on these non-negative times), and each toggled
-//                     primary output is folded into the lane's delay as
-//                     the walk reaches it (max is exact, so the visit
-//                     order cannot move a bit).
+//                     gate. Each of the three pins reads its settle-time
+//                     row if it toggled in that lane, else the zero row;
+//                     the gate's time is max(a, b, c) + delay, and it is
+//                     folded into the lane's delay as
+//                     worst = max(worst, latest * scale[gate]), where
+//                     scale is 1.0 for a gate that drives a primary output
+//                     and 0.0 otherwise.
 //
-// Pruning is bit-identical: a lane reads an input's settle time only from
-// a live toggled gate, which makes the input's driver live in that lane,
-// so the row was written earlier in the same walk; the output fold only
-// sees gates that drive primary outputs, and those are live whenever they
-// toggle. step() is not pruned, so it stays an independent oracle. The
-// registry counters circuit.toggled_pairs and circuit.live_pairs count the
-// toggled and live (gate, lane) pairs, once per step_batch call.
+// Both the padding and the fold are exact, not approximately equal: max
+// is exact and order-free on these finite, non-negative times, so the
+// order the pins are read in cannot change a bit; max(x, +0.0) == x, so a
+// padded or untoggled pin that reads the zero row changes nothing;
+// x * 1.0 == x and x * 0.0 == +0.0 <= worst, so the fold sees exactly the
+// output-driving gates; and the product feeds a max, not an add, so no FMA
+// contraction can form. Pruning is bit-identical too: a lane reads an
+// input's settle time only from a live toggled gate, which makes the
+// input's driver live in that lane, so the row was written earlier in the
+// same walk; gates that drive primary outputs are live whenever they
+// toggle. step() is neither padded nor pruned, so it stays an independent
+// oracle. The registry counters circuit.toggled_pairs and
+// circuit.live_pairs count the toggled and live (gate, lane) pairs, once
+// per step_batch call.
 //
 // Timing data is laid out corner-minor ("SoA") in zero-padded rows: gate
 // delays as [gate][corner] and per-net settle times as [net][corner], each
@@ -62,15 +78,18 @@
 // process (non-x86 builds compile only the 16-byte one). Plain 8-wide
 // corner loops over padded rows are not enough: GCC does not vectorize
 // them (they measured no faster than the unpadded 7-wide loops), so the
-// kernel spells the vector width out. Max and add are exact, nothing
-// multiplies, and per-corner order (pins in order, then one add) is
-// step()'s, so every instantiation is bit-identical to the scalar walk
-// (pinned by tests/test_circuit_dynamic_timing_batch for each supported
-// instantiation at 1, 3, 7, 8, 9 and 17 corners, and on a hand-built
-// netlist whose masked toggles the pruning skips).
+// kernel spells the vector width out. Max and add are exact, the only
+// multiply is the 0/1 output scale argued above, and per corner there is
+// one max over the pins and then one add, as in step(), so every
+// instantiation is bit-identical to the scalar walk (pinned by
+// tests/test_circuit_dynamic_timing_batch for each supported
+// instantiation at 1, 3, 7, 8, 9 and 17 corners, on a hand-built netlist
+// whose masked toggles the pruning skips, and on one that exercises every
+// kind of pin padding).
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -155,6 +174,14 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
 class dynamic_timing_simulator;
 
 namespace detail {
+
+/// step_batch's fixed pin record of one gate: three input nets and the
+/// output net. Pins past the gate's input_count point at the padding slot
+/// net_count, whose value and toggle words are always 0.
+struct gate_pins {
+    std::array<net_id, 3> in;
+    net_id out;
+};
 
 /// What one step_batch delay pass reads and writes (dynamic_timing.cpp).
 struct delay_pass;
@@ -273,7 +300,9 @@ private:
     corner_rows toggle_ps_;
     std::vector<double> latest_ps_;     ///< per corner scratch (size corners)
     /// Batch-mode scratch, sized lazily on the first step_batch call so
-    /// scalar-only simulators never pay for it.
+    /// scalar-only simulators never pay for it. The per-net words have one
+    /// extra slot at net_count, the padding pin: value and toggle stay 0
+    /// there, need is a write-only sink.
     std::vector<std::uint64_t> value_words_;  ///< per net, lane values
     std::vector<std::uint64_t> toggle_words_; ///< per net, lane toggle masks
     std::vector<std::uint64_t> need_words_;   ///< per net, lanes a live reader needs
@@ -281,7 +310,8 @@ private:
     /// Per-lane live-gate lists: lane j's gates (topological order) end at
     /// lane_gates_[(j + 1) * gate_count]; sized once, max_batch_lanes wide.
     std::vector<std::uint32_t> lane_gates_;
-    std::vector<std::uint8_t> drives_output_; ///< per gate, drives a primary output
+    std::vector<detail::gate_pins> gate_pins_; ///< per gate, padded to three pins
+    std::vector<double> output_scale_; ///< per gate, 1.0 if it drives a primary output, else 0.0
 };
 
 } // namespace synts::circuit

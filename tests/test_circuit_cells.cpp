@@ -69,6 +69,31 @@ TEST_P(cell_truth_tables, matches_reference_on_all_inputs)
     }
 }
 
+TEST_P(cell_truth_tables, word_matches_reference_on_all_inputs)
+{
+    // Lane j carries input combo j mod 2^arity, so every lane of the word
+    // is checked. Pins past the arity get the 0 word, as step_batch's pin
+    // padding feeds them.
+    const cell_kind kind = GetParam();
+    const std::size_t arity = cell_input_count(kind);
+    const std::size_t combos = std::size_t{1} << arity;
+    std::uint64_t words[3] = {0, 0, 0};
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+        for (std::size_t pin = 0; pin < arity; ++pin) {
+            if (((lane % combos) >> pin) & 1) {
+                words[pin] |= 1ull << lane;
+            }
+        }
+    }
+    const std::uint64_t got = evaluate_cell_word(kind, words[0], words[1], words[2]);
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+        const std::size_t bits = lane % combos;
+        const bool want = reference_eval(kind, bits & 1, bits & 2, bits & 4);
+        ASSERT_EQ(((got >> lane) & 1) != 0, want)
+            << cell_kind_name(kind) << " inputs=" << bits << " lane=" << lane;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     all_kinds, cell_truth_tables,
     ::testing::Values(cell_kind::const0, cell_kind::const1, cell_kind::buf,

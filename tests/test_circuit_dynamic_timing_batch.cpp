@@ -10,7 +10,10 @@
 // step_batch picks. A hand-built netlist pins the liveness pruning where
 // it bites (an AND-masked subtree, a mux's unselected input, an output net
 // that feeds another gate) against step() and against hand-counted live
-// (gate, lane) pairs. Plus state continuity across interleaved
+// (gate, lane) pairs; another pins the three-pin padding of every gate (a
+// const gate at an output, one net on all three pins, a primary input
+// marked as an output, an output-driving 1-pin gate that feeds a 3-pin
+// gate). Plus state continuity across interleaved
 // scalar/batched stepping, argument validation and the padded row layout.
 
 #include <gtest/gtest.h>
@@ -486,6 +489,75 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
             const corner_setup setup(corners);
             for (const std::size_t chunk : {std::size_t{7}, std::size_t{63}, std::size_t{64}}) {
                 expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
+            }
+        }
+    }
+}
+
+/// Every way a gate's three-pin record can be padded or aliased, with
+/// inputs a, b, c:
+///
+///   k = const1()                 -- out "k": no pins, all three padded
+///   t = and3(a, a, a)            -- one net on all three pins
+///   i = inv(b)                   -- out "i": 1-pin, output-driving, feeds y
+///   y = or3(t, c, i)             -- out "y"
+///
+/// and the primary input a is itself marked as output "a".
+netlist make_padding_netlist()
+{
+    netlist nl("padding");
+    const net_id a = nl.add_input("a");
+    const net_id b = nl.add_input("b");
+    const net_id c = nl.add_input("c");
+    nl.mark_output("k", nl.add_gate0(cell_kind::const1));
+    const net_id t = nl.add_gate3(cell_kind::and3, a, a, a);
+    const net_id i = nl.add_gate1(cell_kind::inv, b);
+    nl.mark_output("i", i);
+    nl.mark_output("y", nl.add_gate3(cell_kind::or3, t, c, i));
+    nl.mark_output("a", a);
+    nl.validate();
+    return nl;
+}
+
+TEST(dynamic_timing_batch, padded_pins_match_scalar_and_count_live_pairs)
+{
+    // From the all-zero reset state (gate by gate: toggled, then live; k,
+    // i and y drive outputs, t is live only where y toggles):
+    //   v0 000: k i y toggle                      toggled 3, live 3
+    //   v1 100: t; y holds, so t is dead         toggled 1, live 0
+    //   v2 110: i                                 toggled 1, live 1
+    //   v3 010: t y                               toggled 2, live 2
+    //   v4 001: i y                               toggled 2, live 2
+    //   v5 101: t; y holds                        toggled 1, live 0
+    //   v6 100: nothing                           toggled 0, live 0
+    //   v7 011: t i; y holds, so t is dead        toggled 2, live 1
+    const std::vector<std::vector<bool>> vectors = {
+        {false, false, false}, {true, false, false}, {true, true, false},
+        {false, true, false},  {false, false, true}, {true, false, true},
+        {true, false, false},  {false, true, true}};
+    constexpr std::uint64_t toggled_pairs = 12;
+    constexpr std::uint64_t live_pairs = 9;
+
+    const netlist nl = make_padding_netlist();
+    auto& registry = synts::obs::metrics_registry::global();
+    const synts::obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
+    const synts::obs::counter& live = registry.counter_at("circuit.live_pairs");
+    xoshiro256 rng(31);
+    const auto random_vectors = make_vectors(nl.input_count(), 150, rng);
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{8}}) {
+                const std::uint64_t toggled_before = toggled.value();
+                const std::uint64_t live_before = live.value();
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
+                EXPECT_EQ(toggled.value() - toggled_before, toggled_pairs) << chunk;
+                EXPECT_EQ(live.value() - live_before, live_pairs) << chunk;
+            }
+            for (const std::size_t chunk : {std::size_t{7}, std::size_t{64}}) {
+                expect_batch_matches_scalar(nl, setup, random_vectors, chunk, *kernel);
             }
         }
     }

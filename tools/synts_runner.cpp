@@ -55,7 +55,7 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       synts_online or "all" (default: all)
   --ladder=SPEC       theta multipliers: "default" (2^-6..2^6), "none", or a
                       comma list of numbers (default: none)
-  --workers=N         thread-pool width, N >= 1 (default: hardware
+  --workers=N         thread-pool width, 1 <= N <= 1024 (default: hardware
                       concurrency)
   --jobs=N            alias for --workers (last one given wins)
   --cores=M           modeled CMP cores per experiment, M >= 1 (default: 4)
@@ -161,6 +161,22 @@ std::uint64_t parse_positive(std::string_view flag, std::string_view token)
         throw std::invalid_argument(std::string(flag) + " must be >= 1");
     }
     return value;
+}
+
+/// Widest pool --workers/--jobs may ask for. Rejecting more at parse
+/// time keeps a typo like --workers=100000 from starting that many OS
+/// threads before anything fails.
+constexpr std::uint64_t max_workers = 1024;
+
+/// parse_positive for --workers/--jobs: also rejects N > max_workers.
+std::size_t parse_workers(std::string_view flag, std::string_view token)
+{
+    const std::uint64_t value = parse_positive(flag, token);
+    if (value > max_workers) {
+        throw std::invalid_argument(std::string(flag) + " must be <= " +
+                                    std::to_string(max_workers));
+    }
+    return static_cast<std::size_t>(value);
 }
 
 /// "table" / "csv" / "json" for --metrics.
@@ -272,11 +288,11 @@ int main(int argc, char** argv)
             } else if (const auto v = flag_value(arg, "ladder")) {
                 spec.theta_multipliers = parse_ladder(*v);
             } else if (arg == "--workers" || arg == "--jobs") {
-                workers = parse_positive(arg, take(arg));
+                workers = parse_workers(arg, take(arg));
             } else if (const auto v = flag_value(arg, "workers")) {
-                workers = parse_positive("--workers", *v);
+                workers = parse_workers("--workers", *v);
             } else if (const auto v = flag_value(arg, "jobs")) {
-                workers = parse_positive("--jobs", *v);
+                workers = parse_workers("--jobs", *v);
             } else if (arg == "--cores") {
                 spec.config.thread_count = parse_positive(arg, take(arg));
             } else if (const auto v = flag_value(arg, "cores")) {
