@@ -4,10 +4,7 @@
 # "benches": [{"name", "seconds", "exit_code"}...]}), then runs the
 # characterization phase-timing bench, whose own JSON (per-pipeline-phase
 # serial vs parallel timings plus the bit-identity verdict) is captured as
-# BENCH_characterization.json, then the persistent-store bench
-# (serialize/deserialize throughput plus cold vs warm vs resumed sweep
-# timings and the zero-compute / bit-identity verdicts) as
-# BENCH_storage.json, then the telemetry overhead gate (disabled
+# BENCH_characterization.json, then the telemetry overhead gate (disabled
 # instrumentation must cost <= 2% over bare) as BENCH_obs.json, then the
 # annotated-mutex overhead gate (release-build annotated lock <= 2% over
 # bare std::mutex) as BENCH_locks.json. Finally
@@ -96,24 +93,6 @@ if [[ -x "${char_bench}" ]]; then
     cat "${char_out}"
 else
     echo "skip bench_characterization: not built" >&2
-fi
-
-# -- persistent store: cold vs warm ------------------------------------------
-# bench_storage emits its own JSON (codec throughput, cold/warm/resumed
-# sweep timings) on stdout and verifies zero-compute warm runs plus cell
-# bit-identity itself, exiting non-zero on violation.
-storage_bench="${build_dir}/bench_storage"
-storage_out="BENCH_storage.json"
-if [[ -x "${storage_bench}" ]]; then
-    echo "== bench_storage" >&2
-    if ! "${storage_bench}" > "${storage_out}"; then
-        echo "FAIL bench_storage" >&2
-        failures=$((failures + 1))
-    fi
-    echo "wrote ${storage_out}" >&2
-    cat "${storage_out}"
-else
-    echo "skip bench_storage: not built" >&2
 fi
 
 # -- telemetry overhead gate -------------------------------------------------

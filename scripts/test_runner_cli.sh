@@ -5,9 +5,9 @@
 # Pins the argument-parsing hardening (each bad invocation must produce a
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
 # default) and the registry surface: --list-benchmarks enumerates the ten
-# SPLASH-2 profiles plus the scenario families, scenario sweeps run through
-# the full three-tier cache, and a warm re-run is byte-identical with zero
-# program-tier computes.
+# SPLASH-2 profiles plus the scenario families, a scenario sweep
+# checkpoints its cells, and a resumed re-run restores every cell with zero
+# program-tier computes and byte-identical JSON.
 set -u
 
 RUNNER=${1:?usage: test_runner_cli.sh <synts_runner>}
@@ -117,38 +117,45 @@ else
     failures=$((failures + 1))
 fi
 
-# A scenario-family sweep runs end to end through the three-tier cache:
-# cold run populates the store, the warm re-run must do zero program-tier
-# computes and emit byte-identical JSON.
+# A scenario-family sweep checkpoints its cells: the cold run populates the
+# store (cell checkpoints only, no program-artifact bucket), and the
+# resumed re-run must restore every cell -- zero checkpoint misses, zero
+# program-tier computes -- and emit byte-identical JSON.
 STORE="$WORK/store"
 COLD="$WORK/cold.json"
-WARM="$WORK/warm.json"
+RESUMED="$WORK/resumed.json"
 STATS="$WORK/stats.json"
 if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
         --store="$STORE" --quiet --json="$COLD" >/dev/null 2>&1 &&
    "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
-        --store="$STORE" --quiet --json="$WARM" --cache-stats=json >"$STATS" 2>&1; then
+        --store="$STORE" --resume --quiet --json="$RESUMED" --cache-stats=json >"$STATS" 2>&1; then
     ok=1
     # The volatile `meta` line (timestamp, host) is excluded from the
     # byte-identity contract by design: it rides on its own line.
-    if ! cmp -s <(grep -v '"meta"' "$COLD") <(grep -v '"meta"' "$WARM"); then
-        echo "FAIL scenario_sweep: warm JSON differs from cold" >&2
+    if ! cmp -s <(grep -v '"meta"' "$COLD") <(grep -v '"meta"' "$RESUMED"); then
+        echo "FAIL scenario_sweep: resumed JSON differs from cold" >&2
         ok=0
     fi
     if ! grep -q '"meta": {"schema_version": 1, "generated_utc": "' "$COLD"; then
         echo "FAIL scenario_sweep: cold JSON carries no meta stamp" >&2
         ok=0
     fi
-    if ! grep -q '"program_computes": 0' "$STATS"; then
-        echo "FAIL scenario_sweep: warm run recomputed program artifacts:" >&2
+    if ! grep -q '"checkpoint": {"hits": 2, "misses": 0}' "$STATS" ||
+       ! grep -q '"program_computes": 0' "$STATS"; then
+        echo "FAIL scenario_sweep: resumed run did not restore every cell:" >&2
         cat "$STATS" >&2
+        ok=0
+    fi
+    if [ ! -d "$STORE/v2/cell" ] || [ -e "$STORE/v2/program" ]; then
+        echo "FAIL scenario_sweep: store does not hold cell checkpoints only:" >&2
+        ls "$STORE"/v2 >&2
         ok=0
     fi
     if ! grep -q '"benchmark": "lock_ladder"' "$COLD"; then
         echo "FAIL scenario_sweep: JSON does not carry the workload name" >&2
         ok=0
     fi
-    if [ "$ok" -eq 1 ]; then echo "ok scenario_sweep_warm_store"; else failures=$((failures + 1)); fi
+    if [ "$ok" -eq 1 ]; then echo "ok scenario_sweep_checkpoint_resume"; else failures=$((failures + 1)); fi
 else
     echo "FAIL scenario_sweep: runner exited non-zero" >&2
     failures=$((failures + 1))

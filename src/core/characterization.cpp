@@ -28,62 +28,6 @@ characterizer::characterizer(const circuit::cell_library& lib,
 {
 }
 
-interval_characterization characterizer::characterize_interval(
-    const circuit::stage_netlist& stage_nl, const arch::stage_tap& tap,
-    const std::shared_ptr<const circuit::timing_corner_tables>& tables,
-    const arch::thread_trace& trace, std::size_t interval,
-    std::size_t warmup_op) const
-{
-    // One simulator per cell: the stage's datapath state is private to the
-    // core the thread runs on, and a settled netlist's node values are a
-    // pure function of the last applied vector. Replaying the last driving
-    // vector of the preceding intervals -- `warmup_op`, precomputed by
-    // characterize() -- with its delays discarded therefore reproduces
-    // exactly the state a single serial walk of the whole thread would
-    // carry into this interval: cells stay bit-identical to serial while
-    // running embarrassingly parallel. The shared corner tables keep
-    // per-cell construction cheap (no STA).
-    const std::size_t corner_count = tables->vdd.size();
-    const std::vector<double>& tnom_ps = tables->nominal_period_ps;
-    circuit::dynamic_timing_simulator sim(stage_nl.nl, tables);
-    const auto bits_storage = std::make_unique<bool[]>(tap.width());
-    const std::span<bool> bits(bits_storage.get(), tap.width());
-    std::vector<double> corner_delays(corner_count);
-
-    if (warmup_op != no_warmup_op) {
-        if (!tap.extract(trace.ops[warmup_op], bits)) {
-            throw std::logic_error("characterizer: warm-up op does not drive the stage");
-        }
-        sim.step(std::span<const bool>(bits_storage.get(), tap.width()), corner_delays);
-    }
-
-    interval_characterization data;
-    data.delay_histograms.reserve(corner_count);
-    for (std::size_t c = 0; c < corner_count; ++c) {
-        data.delay_histograms.emplace_back(
-            0.0, tnom_ps[c] * config_.histogram_headroom, config_.histogram_bins);
-    }
-
-    const auto ops = trace.interval(interval);
-    data.instruction_count = ops.size();
-    for (std::size_t n = 0; n < ops.size(); ++n) {
-        if (!tap.extract(ops[n], bits)) {
-            continue;
-        }
-        sim.step(std::span<const bool>(bits_storage.get(), tap.width()), corner_delays);
-
-        ++data.vector_count;
-        for (std::size_t c = 0; c < corner_count; ++c) {
-            data.delay_histograms[c].add(corner_delays[c]);
-        }
-        if (config_.keep_sampling_trace) {
-            data.sampling_delays_ps.push_back(static_cast<float>(corner_delays[0]));
-            data.sampling_instr_index.push_back(static_cast<std::uint32_t>(n));
-        }
-    }
-    return data;
-}
-
 stage_characterization characterizer::characterize(const program_artifacts& program,
                                                    circuit::pipe_stage stage,
                                                    const util::parallel_for_fn& parallel,
@@ -145,30 +89,11 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
     });
 
-    if (!config_.batched) {
-        // Scalar reference walk: every (thread, interval) cell is
-        // independent (see characterize_interval) and lands in its
-        // pre-assigned slot, so the merge order is deterministic
-        // regardless of schedule.
-        util::for_each_index(parallel, thread_count * interval_count,
-                             [&](std::size_t cell) {
-                                 const std::size_t t = cell / interval_count;
-                                 const std::size_t k = cell % interval_count;
-                                 const obs::scoped_timer timer(cell_ns);
-                                 result.threads[t][k] = characterize_interval(
-                                     stage_nl, tap, tables, program.trace.threads[t], k,
-                                     warmup_ops[t][k]);
-                                 cells_counter.add(1);
-                                 vectors_counter.add(result.threads[t][k].vector_count);
-                             });
-        return result;
-    }
-
-    // Batched mode: the task grain is a contiguous run of intervals of one
-    // thread. Within a chunk the simulator CHAINS -- the carried state
-    // entering interval k is the settled last driving vector before k,
-    // exactly what the scalar path's warm-up replay reconstructs -- so
-    // chunking eliminates all warm-up work except one step at chunk entry.
+    // The task grain is a contiguous run of intervals of one thread. Within
+    // a chunk the simulator CHAINS -- the carried state entering interval k
+    // is the settled last driving vector before k, exactly what a warm-up
+    // replay of that vector reconstructs -- so chunking eliminates all
+    // warm-up work except one step at chunk entry.
     // Chunk count scales with the worker pool: enough chunks to load every
     // worker (with slack for imbalance), never more. At one worker this is
     // ONE chunk per thread, i.e. the plain serial walk with zero replay.

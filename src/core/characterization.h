@@ -82,13 +82,6 @@ struct characterization_config {
     double histogram_headroom = 1.05;
     /// Keep the raw sampling-corner delay trace (needed by SynTS-online).
     bool keep_sampling_trace = true;
-    /// Run the vectorized hot path (64-lane step_batch over chunked
-    /// interval ranges). false selects the scalar per-cell reference walk.
-    /// Results are bit-identical either way (pinned by
-    /// tests/test_core_characterization_batch.cpp), so this flag is NOT
-    /// part of experiment_config::digest(): flipping it never invalidates
-    /// cached sweep results.
-    bool batched = true;
     arch::core_config core{};
 };
 
@@ -102,21 +95,21 @@ public:
     /// Characterizes pre-built program artifacts against one pipe stage --
     /// the staged-pipeline entry point; the architectural profiles are taken
     /// from `program`, never recomputed. `parallel` fans independent work
-    /// out. In batched mode the grain is a contiguous run of intervals per
-    /// thread (a *chunk*): the simulator chains serially within a chunk --
-    /// a settled netlist's state is a pure function of the last applied
-    /// vector, so entering interval k with the chunk's carried state equals
-    /// replaying the last driving vector before k -- and only chunk entry
-    /// pays a warm-up step. `worker_hint` sizes the chunks (0 = derive from
+    /// out. The grain is a contiguous run of intervals per thread (a
+    /// *chunk*), stepped 64 vectors at a time through step_batch: the
+    /// simulator chains serially within a chunk -- a settled netlist's
+    /// state is a pure function of the last applied vector, so entering
+    /// interval k with the chunk's carried state equals replaying the last
+    /// driving vector before k -- and only chunk entry pays a warm-up step.
+    /// `worker_hint` sizes the chunks (0 = derive from
     /// hardware_concurrency when `parallel` is set, serial otherwise); at
     /// one worker the partition degenerates to one chunk per thread, i.e.
     /// the exact serial walk (the `characterize.chunks` and
     /// `characterize.warmup_steps` registry counters record the partition
-    /// actually run). In scalar mode the grain is one (thread,
-    /// interval) cell with per-cell warm-up replay. Every grain lands in a
-    /// pre-assigned slot, so output is bit-identical to the serial pass for
-    /// any executor and either mode (pinned by
-    /// tests/test_core_characterization_pipeline.cpp and
+    /// actually run). Every chunk lands in pre-assigned slots, so output
+    /// is bit-identical to the serial pass for any executor (pinned by
+    /// tests/test_core_characterization_pipeline.cpp, and against the
+    /// scalar per-cell walk of tests/reference_characterizer.h by
     /// tests/test_core_characterization_batch.cpp).
     [[nodiscard]] stage_characterization
     characterize(const program_artifacts& program, circuit::pipe_stage stage,
@@ -126,12 +119,6 @@ public:
 private:
     /// Sentinel for "no driving op precedes the interval" (fresh sim state).
     static constexpr std::size_t no_warmup_op = static_cast<std::size_t>(-1);
-
-    [[nodiscard]] interval_characterization characterize_interval(
-        const circuit::stage_netlist& stage_nl, const arch::stage_tap& tap,
-        const std::shared_ptr<const circuit::timing_corner_tables>& tables,
-        const arch::thread_trace& trace, std::size_t interval,
-        std::size_t warmup_op) const;
 
     const circuit::cell_library& lib_;
     const circuit::voltage_model& vm_;

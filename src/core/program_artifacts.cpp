@@ -37,15 +37,6 @@ void program_artifacts::validate() const
     }
 }
 
-bool program_artifacts::provenance_matches(
-    const workload::workload_key& expected_workload, std::size_t expected_thread_count,
-    std::uint64_t expected_workload_digest) const noexcept
-{
-    return workload == expected_workload && thread_count == expected_thread_count &&
-           workload_digest == expected_workload_digest &&
-           trace.thread_count() == expected_thread_count;
-}
-
 program_characterizer::program_characterizer(arch::core_config core) : core_(core) {}
 
 program_artifacts program_characterizer::characterize(

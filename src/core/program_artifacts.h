@@ -42,7 +42,7 @@ namespace synts::core {
 struct program_artifacts {
     /// Registry identity of the producing workload (see workload/registry.h);
     /// the key's 64-bit id -- not an enum ordinal -- is what every cache
-    /// tier and store frame keys on.
+    /// tier keys on.
     workload::workload_key workload;
     std::size_t thread_count = 0;
     std::uint64_t seed = 0;
@@ -67,20 +67,6 @@ struct program_artifacts {
     /// (same thread count, same interval count per thread). Throws
     /// std::logic_error on violation.
     void validate() const;
-
-    /// Provenance check for artifacts of EXTERNAL origin (deserialized from
-    /// an artifact store, handed across an API boundary): true only when
-    /// the stamped provenance says these artifacts were produced for
-    /// exactly the workload of `expected_workload` (name and identity
-    /// digest) with `thread_count` threads under
-    /// `expected_workload_digest` (seed + core model, see
-    /// core::workload_digest), and the trace agrees with the stamp. A
-    /// digest mismatch means "not the artifacts you asked for" -- loaders
-    /// must treat it as a cache miss and rebuild, never serve the data.
-    [[nodiscard]] bool
-    provenance_matches(const workload::workload_key& expected_workload,
-                       std::size_t expected_thread_count,
-                       std::uint64_t expected_workload_digest) const noexcept;
 };
 
 /// Produces program_artifacts: workload generation plus architectural

@@ -1,4 +1,4 @@
-// experiment_cache.h -- multi-tier, process-wide memoization of the staged
+// experiment_cache.h -- two-tier, process-wide memoization of the staged
 // characterization pipeline.
 //
 // benchmark_experiment construction is the heavyweight step of every figure
@@ -15,17 +15,12 @@
 //   stage tier    (benchmark, stage, digest)   -> benchmark_experiment
 //       the per-stage characterization + config space + error models,
 //       constructed FROM the program tier's artifacts.
-//   disk tier     (optional; attach_store)     -> storage::artifact_store
-//       a process-SURVIVING tier below the program tier. A program-tier
-//       miss falls through memory -> disk -> compute: the store is probed
-//       for a serialized artifact frame keyed by the same program_key
-//       digest; a decodable frame whose stamped provenance matches the
-//       request is adopted (a disk hit -- no trace generation, no profiler
-//       run), anything else (absent, truncated, bit-flipped, wrong
-//       version, wrong digest) counts as a disk miss and the freshly
-//       computed artifacts are written back atomically. Deserialized
-//       artifacts are bit-identical to computed ones, so the tier never
-//       changes what a key maps to -- it only changes how fast.
+//
+// Both tiers live in memory only. What survives the process is finished
+// sweep cells (sweep_options::store), not artifacts: the program tier is
+// the cheap phase (trace generation + profiling is under a tenth of a
+// serial canonical pass), and decoding a persisted artifact frame cost
+// about as much as recomputing it.
 //
 // Both tiers use the same discipline:
 //
@@ -62,17 +57,12 @@
 #include <future>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "util/hashing.h"
-
-namespace synts::storage {
-class artifact_store;
-}
 
 namespace synts::runtime {
 
@@ -99,9 +89,7 @@ struct experiment_key {
 };
 
 /// Program-tier key: what uniquely determines the stage-independent
-/// artifacts (see experiment_config::workload_digest()). Its digest() is
-/// also the persistent store key of the artifact frame, so it must stay
-/// stable across processes (both fields already are).
+/// artifacts (see experiment_config::workload_digest()).
 struct program_key {
     workload::workload_key workload;
     std::uint64_t workload_digest = 0;
@@ -133,13 +121,11 @@ struct tier_traffic {
 /// global counters and the caller's sink, and the sink sees exactly the
 /// traffic of the calls made with it. Waiting on another caller's
 /// in-flight construction counts as a hit here (this caller was served
-/// without doing the work); the constructing caller owns the miss and any
-/// disk traffic / compute it triggers.
+/// without doing the work); the constructing caller owns the miss and the
+/// compute it triggers.
 struct cache_traffic {
     tier_traffic stage;
     tier_traffic program;
-    std::atomic<std::uint64_t> disk_hits{0};
-    std::atomic<std::uint64_t> disk_misses{0};
     /// Times the expensive pipeline (trace generation + architectural
     /// profiling) ran on behalf of this caller. Counted directly at the
     /// compute site -- never derived by subtracting counters, so it cannot
@@ -316,28 +302,12 @@ public:
 
     /// Returns the cached stage-independent artifacts for
     /// (workload, config.workload_digest()), constructing them on this
-    /// thread if absent. With a store attached, a memory miss probes the
-    /// disk tier before computing (see file comment). `traffic` as above.
+    /// thread if absent. `traffic` as above.
     [[nodiscard]] program_ptr
     get_or_create_program(const workload::workload_key& workload,
                           const core::experiment_config& config = {},
                           thread_pool* pool = nullptr,
                           cache_traffic* traffic = nullptr);
-
-    /// Attaches (or, with nullptr, detaches) the persistent disk tier.
-    /// Not synchronized against in-flight lookups: attach before handing
-    /// the cache to workers. The store may be shared with other caches and
-    /// processes; see artifact_store for the torn-write guarantees.
-    void attach_store(std::shared_ptr<storage::artifact_store> store) noexcept
-    {
-        store_ = std::move(store);
-    }
-
-    /// The attached disk tier, or nullptr.
-    [[nodiscard]] const std::shared_ptr<storage::artifact_store>& store() const noexcept
-    {
-        return store_;
-    }
 
     /// Stage-tier calls served without construction.
     [[nodiscard]] std::uint64_t hit_count() const noexcept { return stage_tier_.hit_count(); }
@@ -351,29 +321,15 @@ public:
     {
         return program_tier_.hit_count();
     }
-    /// Program-tier calls not served by memory. Without a store this equals
-    /// the number of trace generations + profiler runs; with one, a miss
-    /// may still be served from disk (see program_compute_count()).
+    /// Program-tier calls that had to construct.
     [[nodiscard]] std::uint64_t program_miss_count() const noexcept
     {
         return program_tier_.miss_count();
     }
-    /// Memory misses served by a decodable, provenance-matching store entry
-    /// (no trace generation, no profiler run).
-    [[nodiscard]] std::uint64_t disk_hit_count() const noexcept
-    {
-        return disk_hits_.load(std::memory_order_relaxed);
-    }
-    /// Memory misses the disk tier could not serve (store attached but the
-    /// entry was absent, corrupt, version-skewed, or provenance-mismatched)
-    /// -- each one computed the artifacts and wrote them back.
-    [[nodiscard]] std::uint64_t disk_miss_count() const noexcept
-    {
-        return disk_misses_.load(std::memory_order_relaxed);
-    }
-    /// Times the expensive pipeline actually ran (trace generated + profiler
-    /// run). Counted directly at the compute site, never derived by
-    /// subtraction, so it cannot wrap.
+    /// Times the pipeline's first phase ran (trace generation + profiler);
+    /// every program-tier miss computes, so this equals
+    /// program_miss_count(). Counted at the compute site, like the
+    /// per-caller cache_traffic::program_computes.
     [[nodiscard]] std::uint64_t program_compute_count() const noexcept
     {
         return program_computes_.load(std::memory_order_relaxed);
@@ -395,21 +351,15 @@ public:
 private:
     memo_tier<experiment_key, experiment_ptr> stage_tier_;
     memo_tier<program_key, program_ptr> program_tier_;
-    std::shared_ptr<storage::artifact_store> store_;
-    std::atomic<std::uint64_t> disk_hits_{0};
-    std::atomic<std::uint64_t> disk_misses_{0};
     std::atomic<std::uint64_t> program_computes_{0};
 
     // Registry instruments (cache.tier<N>.* taxonomy: tier1 = stage memo,
-    // tier2 = program memo, tier3 = disk). The tiers' own counters feed
-    // hit/miss via memo_tier's registry hooks; these cover the disk tier,
-    // the compute count, and the gated latency histograms.
-    obs::counter* obs_disk_hits_;
-    obs::counter* obs_disk_misses_;
+    // tier2 = program memo). The tiers' own counters feed hit/miss via
+    // memo_tier's registry hooks; these cover the compute count and the
+    // gated latency histograms.
     obs::counter* obs_computes_;
     obs::latency_histogram* obs_stage_build_ns_;
     obs::latency_histogram* obs_compute_ns_;
-    obs::latency_histogram* obs_disk_load_ns_;
 };
 
 } // namespace synts::runtime

@@ -108,10 +108,7 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
 {
     const std::vector<benchmark_stage> pairs = spec.expanded_pairs();
     const std::size_t policy_count = spec.policies.size();
-    // Effective checkpoint store: the explicit override, else the store
-    // already attached to the cache (one attach wires the whole feature).
-    storage::artifact_store* const store =
-        options.store != nullptr ? options.store : cache_->store().get();
+    storage::artifact_store* const store = options.store;
     const std::uint64_t spec_digest = spec.digest();
 
     sweep_result result;
@@ -270,8 +267,6 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     result.cache_misses = traffic.stage.misses.load(std::memory_order_relaxed);
     result.program_cache_hits = traffic.program.hits.load(std::memory_order_relaxed);
     result.program_cache_misses = traffic.program.misses.load(std::memory_order_relaxed);
-    result.disk_hits = traffic.disk_hits.load(std::memory_order_relaxed);
-    result.disk_misses = traffic.disk_misses.load(std::memory_order_relaxed);
     result.program_computes = traffic.program_computes.load(std::memory_order_relaxed);
     result.checkpointing = store != nullptr;
     result.cells_loaded = cells_loaded.load(std::memory_order_relaxed);

@@ -113,16 +113,11 @@ struct sweep_result {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     /// Program-tier (shared artifacts) cache traffic attributable to this
-    /// sweep. misses == lookups not served by memory; of those, disk_hits
-    /// were served by the persistent store and program_computes actually
-    /// generated the trace and ran the profiler.
+    /// sweep.
     std::uint64_t program_cache_hits = 0;
     std::uint64_t program_cache_misses = 0;
-    /// Disk-tier (persistent artifact store) traffic attributable to this
-    /// sweep; both zero when no store is attached to the cache.
-    std::uint64_t disk_hits = 0;
-    std::uint64_t disk_misses = 0;
-    /// Trace generations + profiler runs this sweep actually performed.
+    /// Trace generations + profiler runs this sweep performed (one per
+    /// program-tier miss).
     std::uint64_t program_computes = 0;
     /// True when the run had a checkpoint store (sweep_options::store).
     bool checkpointing = false;
@@ -152,21 +147,18 @@ struct sweep_result {
 
 /// Checkpointing knobs for sweep_scheduler::run.
 struct sweep_options {
-    /// Checkpoint store override. When null (the default), the run uses
-    /// the store attached to the scheduler's experiment_cache -- attaching
-    /// once via experiment_cache::attach_store enables BOTH the artifact
-    /// disk tier and cell checkpointing, so the feature cannot be silently
-    /// half-wired. When set, every computed cell is persisted (atomic
-    /// write-back) as it finishes, keyed on (spec digest, cell index) -- a
-    /// killed sweep leaves its finished cells behind. Must outlive the run.
+    /// Checkpoint store; null (the default) disables checkpointing. When
+    /// set, every computed cell is persisted (atomic write-back) as it
+    /// finishes, keyed on (spec digest, cell index) -- a killed sweep
+    /// leaves its finished cells behind. Must outlive the run.
     storage::artifact_store* store = nullptr;
     /// With `store`: cells already materialized (decodable, matching
     /// (benchmark, stage, policy)) are adopted instead of recomputed, so a
     /// restarted sweep re-runs only the missing cells. A pair whose every
     /// cell is checkpointed skips its characterization entirely. Off by
-    /// default so a warm re-run still exercises (and thus re-verifies) the
-    /// evaluation path -- it then recomputes cells from disk-tier
-    /// artifacts, bit-identically, with zero trace generations.
+    /// default: a re-run without it recomputes every cell and overwrites
+    /// its checkpoint, so the store always holds what the current binary
+    /// computes.
     bool resume = false;
 };
 

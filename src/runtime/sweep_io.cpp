@@ -247,14 +247,14 @@ std::string render_sweep_table(const sweep_result& result)
 
 namespace {
 
-/// The four tier rows + trailing scalars both cache-stats sources render.
+/// The three tier rows + trailing scalars both cache-stats sources render.
 struct cache_stats_view {
     struct row {
         const char* tier;
         std::uint64_t hits;
         std::uint64_t misses;
     };
-    row rows[4];
+    row rows[3];
     std::uint64_t program_computes = 0;
     std::uint64_t cells_stored = 0;
 };
@@ -281,9 +281,8 @@ std::string format_cache_stats(const cache_stats_view& view, cache_stats_format 
     }
     case cache_stats_format::csv:
         // Strictly (tier, hits, misses) rows; the compute count is not a
-        // tier and is derivable as program.misses - disk.hits, so it is
-        // omitted rather than bent into the schema (table and JSON carry
-        // it explicitly).
+        // tier and equals program.misses, so it is omitted rather than
+        // bent into the schema (table and JSON carry it explicitly).
         out << "tier,hits,misses\n";
         for (const cache_stats_view::row& r : view.rows) {
             out << r.tier << ',' << r.hits << ',' << r.misses << '\n';
@@ -310,7 +309,6 @@ std::string render_cache_stats(const sweep_result& result, cache_stats_format fo
         {
             {"program", result.program_cache_hits, result.program_cache_misses},
             {"stage", result.cache_hits, result.cache_misses},
-            {"disk", result.disk_hits, result.disk_misses},
             {"checkpoint", result.cells_loaded, result.cells_missed()},
         },
         result.program_computes,
@@ -326,13 +324,12 @@ std::string render_cache_stats_from_metrics(cache_stats_format format)
         return registry.counter_at(name).value();
     };
     // Row mapping onto the registry taxonomy: program = tier2 (program
-    // memo), stage = tier1 (stage memo), disk = tier3, checkpoint =
-    // sweep.cells_loaded / sweep.cells_missed.
+    // memo), stage = tier1 (stage memo), checkpoint = sweep.cells_loaded /
+    // sweep.cells_missed.
     const cache_stats_view view{
         {
             {"program", count("cache.tier2.hits"), count("cache.tier2.misses")},
             {"stage", count("cache.tier1.hits"), count("cache.tier1.misses")},
-            {"disk", count("cache.tier3.hits"), count("cache.tier3.misses")},
             {"checkpoint", count("sweep.cells_loaded"), count("sweep.cells_missed")},
         },
         count("cache.tier2.computes"),

@@ -48,8 +48,8 @@ struct sweep_json_meta {
 /// The whole result (spec echo incl. the checkpoint keying digests, cells,
 /// pareto points) as one JSON document. Without `meta` the document is
 /// deliberately DETERMINISTIC: it contains no wall-clock or cache-traffic
-/// fields, so two runs of the same spec -- cold, warm via the artifact
-/// store, or resumed -- emit byte-identical documents (the CI warm-store
+/// fields, so two runs of the same spec -- cold, or resumed from a
+/// checkpoint store -- emit byte-identical documents (the CI checkpoint
 /// job diffs them). With `meta`, ONE extra line (`"meta": {...}`) carries
 /// the volatile provenance stamp; byte-identity consumers strip that line.
 /// Volatile run stats live in render_cache_stats.
@@ -64,12 +64,11 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
 enum class cache_stats_format { table, csv, json };
 
 /// Hit/miss counts of every cache tier attributable to `result` -- program
-/// artifacts, stage experiments, the persistent disk tier, and sweep-cell
-/// checkpoints (hits = cells restored, misses = cells computed) -- plus
-/// the number of program-tier computes (trace generations + profiler
-/// runs), as a console table, CSV rows, or a JSON object (the runner's
-/// --cache-stats flag). Disk and checkpoint rows read 0 when no store is
-/// attached.
+/// artifacts, stage experiments, and sweep-cell checkpoints (hits = cells
+/// restored, misses = cells computed) -- plus the number of program-tier
+/// computes (trace generations + profiler runs), as a console table, CSV
+/// rows, or a JSON object (the runner's --cache-stats flag). The
+/// checkpoint row reads 0 when the sweep had no store.
 [[nodiscard]] std::string render_cache_stats(const sweep_result& result,
                                              cache_stats_format format);
 

@@ -31,8 +31,8 @@ std::string hex16(std::uint64_t v)
 /// Reaps staging files orphaned by killed writers. A tmp name embeds its
 /// writer's pid (<hex16>.<pid>.<n>.tmp); files whose pid is no longer
 /// alive on this machine, or that cannot be parsed, are dead weight --
-/// multi-megabyte artifact frames a kill -9 mid-publish left behind, which
-/// nothing else ever deletes. Files of live pids are kept. (A writer on
+/// frames a kill -9 mid-publish left behind, which nothing else ever
+/// deletes. Files of live pids are kept. (A writer on
 /// ANOTHER machine sharing the store could lose its staging file to a
 /// pid-number coincidence in the other direction only -- we KEEP anything
 /// that looks alive -- and losing a tmp file merely fails that writer's
@@ -105,10 +105,9 @@ fs::path artifact_store::entry_path(std::string_view bucket, std::uint64_t diges
 std::optional<std::string> artifact_store::load(std::string_view bucket,
                                                 std::uint64_t digest) const
 {
-    // One sized block read: frames are multi-megabyte and this is the
-    // warm-hit path the store exists to make fast. A frame swapped by a
-    // concurrent publish between the stat and the read just comes up short
-    // or long -- the decoder's checksum treats either as a miss.
+    // One sized block read. A frame swapped by a concurrent publish
+    // between the stat and the read just comes up short or long -- the
+    // decoder's checksum treats either as a miss.
     const obs::scoped_timer timer(*obs_load_ns_);
     const fs::path path = entry_path(bucket, digest);
     std::error_code ec;
@@ -130,12 +129,6 @@ std::optional<std::string> artifact_store::load(std::string_view bucket,
     obs_load_hits_->add(1);
     obs_bytes_read_->add(frame.size());
     return frame;
-}
-
-bool artifact_store::contains(std::string_view bucket, std::uint64_t digest) const
-{
-    std::error_code ec;
-    return fs::is_regular_file(entry_path(bucket, digest), ec);
 }
 
 bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
@@ -182,12 +175,6 @@ bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
     obs_stores_->add(1);
     obs_bytes_written_->add(frame.size());
     return true;
-}
-
-void artifact_store::erase(std::string_view bucket, std::uint64_t digest) const
-{
-    std::error_code ec;
-    fs::remove(entry_path(bucket, digest), ec);
 }
 
 } // namespace synts::storage

@@ -1,15 +1,16 @@
-// artifact_store.h -- the on-disk third cache tier.
+// artifact_store.h -- on-disk sweep-cell checkpoints.
 //
-// A content-addressed blob store for serialized artifacts, shared by every
+// A content-addressed blob store for serialized frames, shared by every
 // process pointed at the same root directory. Layout:
 //
 //   root/v<format_version>/<bucket>/<hh>/<16-hex-digest>.bin
 //
-// where <bucket> groups payload kinds ("program" for program_artifacts,
-// "cell" for finished sweep cells), <hh> is the digest's top byte in hex
-// (256-way directory sharding, so huge stores never degenerate into one
-// flat directory), and the file is a self-verifying storage::serialize
-// frame. The format version is part of the PATH: bumping it makes every
+// where <bucket> groups payload kinds (today only "cell", for finished
+// sweep cells; stores written by older builds may also hold "program" and
+// "manifest" directories, which nothing reads), <hh> is the digest's top
+// byte in hex (256-way directory sharding, so huge stores never
+// degenerate into one flat directory), and the file is a self-verifying
+// storage::serialize frame. The format version is part of the PATH: bumping it makes every
 // old file invisible instead of rejected one by one.
 //
 // Concurrency contract: writers stage into a per-store tmp/ directory and
@@ -19,11 +20,11 @@
 // both frames are identical by construction (deterministic pipeline), and
 // rename-over-existing simply replaces like with like. The store itself is
 // dumb on purpose -- it moves bytes and never decodes them; typed
-// validation (checksum, provenance digests) lives with the callers, which
-// treat every failure as a miss and rebuild.
+// validation (checksum, cell identity) lives with the callers, which treat
+// every failure as a miss and recompute.
 //
 // All filesystem errors are absorbed into "miss" (load) or "false" (store):
-// a read-only or vanished directory degrades the disk tier to a no-op
+// a read-only or vanished directory degrades checkpointing to a no-op
 // rather than failing the sweep.
 
 #pragma once
@@ -42,9 +43,8 @@ class latency_histogram;
 
 namespace synts::storage {
 
-/// Bucket names used by the runtime (kept here so every writer/reader pair
+/// Bucket of sweep-cell checkpoints (kept here so every writer/reader pair
 /// agrees; the store accepts any bucket token).
-inline constexpr std::string_view program_bucket = "program";
 inline constexpr std::string_view cell_bucket = "cell";
 
 class artifact_store {
@@ -70,17 +70,11 @@ public:
     [[nodiscard]] std::optional<std::string> load(std::string_view bucket,
                                                   std::uint64_t digest) const;
 
-    /// True when an entry file exists (says nothing about validity).
-    [[nodiscard]] bool contains(std::string_view bucket, std::uint64_t digest) const;
-
     /// Atomically publishes `frame` as (bucket, digest): temp file in the
     /// store's tmp/ dir, then rename over the final path. Returns false
     /// (leaving no partial file behind) on any I/O failure.
     bool store(std::string_view bucket, std::uint64_t digest,
                std::string_view frame) const;
-
-    /// Removes the entry if present (used to invalidate a checkpoint).
-    void erase(std::string_view bucket, std::uint64_t digest) const;
 
     /// Lifetime I/O counters (loads that returned bytes / came up empty,
     /// successful stores, absorbed store failures).

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <limits>
-#include <utility>
 
 #include "util/hashing.h"
 
@@ -133,14 +132,8 @@ void write(binary_writer& out, const workload::workload_key& key)
     out.str(key.name);
 }
 
-workload::workload_key read_workload_key(binary_reader& in, std::uint32_t version)
+workload::workload_key read_workload_key(binary_reader& in)
 {
-    if (version < 2) {
-        // v1 frames predate the registry: the identity is a benchmark_id
-        // ordinal, which maps 1:1 onto the built-in key.
-        return workload::builtin_key(checked_enum<workload::benchmark_id>(
-            in.u8(), workload::benchmark_count, "benchmark_id out of range"));
-    }
     workload::workload_key key;
     key.id = in.u64();
     key.name = in.str();
@@ -150,154 +143,7 @@ workload::workload_key read_workload_key(binary_reader& in, std::uint32_t versio
     return key;
 }
 
-// -- arch types -------------------------------------------------------------
-
-void write(binary_writer& out, const arch::micro_op& op)
-{
-    out.u8(static_cast<std::uint8_t>(op.cls));
-    out.u32(op.encoding);
-    out.u64(op.operand_a);
-    out.u64(op.operand_b);
-    out.u64(op.address);
-    out.boolean(op.branch_taken);
-}
-
-arch::micro_op read_micro_op(binary_reader& in)
-{
-    arch::micro_op op;
-    op.cls = checked_enum<arch::op_class>(in.u8(), arch::op_class_count,
-                                          "op_class out of range");
-    op.encoding = in.u32();
-    op.operand_a = in.u64();
-    op.operand_b = in.u64();
-    op.address = in.u64();
-    op.branch_taken = in.boolean();
-    return op;
-}
-
-void write(binary_writer& out, const arch::thread_trace& trace)
-{
-    out.size(trace.ops.size());
-    for (const arch::micro_op& op : trace.ops) {
-        write(out, op);
-    }
-    out.size(trace.barrier_points.size());
-    for (const std::size_t point : trace.barrier_points) {
-        out.size(point);
-    }
-}
-
-arch::thread_trace read_thread_trace(binary_reader& in)
-{
-    arch::thread_trace trace;
-    const std::size_t op_count = in.size();
-    // A micro_op occupies >= 30 payload bytes, so `remaining` bounds the
-    // plausible count: a corrupt length cannot force a huge allocation.
-    if (op_count > in.remaining()) {
-        throw serialize_error("storage frame: op count exceeds frame size");
-    }
-    trace.ops.reserve(op_count);
-    for (std::size_t i = 0; i < op_count; ++i) {
-        trace.ops.push_back(read_micro_op(in));
-    }
-    const std::size_t barrier_count = in.size();
-    if (barrier_count > in.remaining()) {
-        throw serialize_error("storage frame: barrier count exceeds frame size");
-    }
-    trace.barrier_points.reserve(barrier_count);
-    for (std::size_t i = 0; i < barrier_count; ++i) {
-        trace.barrier_points.push_back(in.size());
-    }
-    return trace;
-}
-
-void write(binary_writer& out, const arch::program_trace& trace)
-{
-    out.size(trace.threads.size());
-    for (const arch::thread_trace& thread : trace.threads) {
-        write(out, thread);
-    }
-}
-
-arch::program_trace read_program_trace(binary_reader& in)
-{
-    arch::program_trace trace;
-    const std::size_t thread_count = in.size();
-    if (thread_count > in.remaining()) {
-        throw serialize_error("storage frame: thread count exceeds frame size");
-    }
-    trace.threads.reserve(thread_count);
-    for (std::size_t i = 0; i < thread_count; ++i) {
-        trace.threads.push_back(read_thread_trace(in));
-    }
-    return trace;
-}
-
-void write(binary_writer& out, const arch::interval_profile& profile)
-{
-    out.u64(profile.instruction_count);
-    out.u64(profile.base_cycles);
-    out.f64(profile.cpi_base);
-    out.f64(profile.dcache_miss_rate);
-    out.f64(profile.branch_misprediction_rate);
-}
-
-arch::interval_profile read_interval_profile(binary_reader& in)
-{
-    arch::interval_profile profile;
-    profile.instruction_count = in.u64();
-    profile.base_cycles = in.u64();
-    profile.cpi_base = in.f64();
-    profile.dcache_miss_rate = in.f64();
-    profile.branch_misprediction_rate = in.f64();
-    return profile;
-}
-
 // -- core types -------------------------------------------------------------
-
-void write(binary_writer& out, const core::program_artifacts& artifacts)
-{
-    write(out, artifacts.workload);
-    out.size(artifacts.thread_count);
-    out.u64(artifacts.seed);
-    out.u64(artifacts.workload_digest);
-    write(out, artifacts.trace);
-    out.size(artifacts.arch_profiles.size());
-    for (const arch::thread_profile& thread : artifacts.arch_profiles) {
-        out.size(thread.size());
-        for (const arch::interval_profile& interval : thread) {
-            write(out, interval);
-        }
-    }
-}
-
-core::program_artifacts read_program_artifacts(binary_reader& in, std::uint32_t version)
-{
-    core::program_artifacts artifacts;
-    artifacts.workload = read_workload_key(in, version);
-    artifacts.thread_count = in.size();
-    artifacts.seed = in.u64();
-    artifacts.workload_digest = in.u64();
-    artifacts.trace = read_program_trace(in);
-    const std::size_t profile_threads = in.size();
-    if (profile_threads > in.remaining()) {
-        throw serialize_error("storage frame: profile count exceeds frame size");
-    }
-    artifacts.arch_profiles.reserve(profile_threads);
-    for (std::size_t t = 0; t < profile_threads; ++t) {
-        const std::size_t interval_count = in.size();
-        if (interval_count > in.remaining()) {
-            throw serialize_error("storage frame: interval count exceeds frame size");
-        }
-        arch::thread_profile thread;
-        thread.reserve(interval_count);
-        for (std::size_t k = 0; k < interval_count; ++k) {
-            thread.push_back(read_interval_profile(in));
-        }
-        artifacts.arch_profiles.push_back(std::move(thread));
-    }
-    return artifacts;
-}
 
 void write(binary_writer& out, const core::pareto_point& point)
 {
@@ -425,10 +271,10 @@ void write(binary_writer& out, const runtime::sweep_cell& cell)
     }
 }
 
-runtime::sweep_cell read_sweep_cell(binary_reader& in, std::uint32_t version)
+runtime::sweep_cell read_sweep_cell(binary_reader& in)
 {
     runtime::sweep_cell cell;
-    cell.workload = read_workload_key(in, version);
+    cell.workload = read_workload_key(in);
     cell.stage = checked_enum<circuit::pipe_stage>(in.u8(), circuit::pipe_stage_count,
                                                    "pipe_stage out of range");
     cell.policy = checked_enum<core::policy_kind>(in.u8(), core::policy_count,
@@ -451,35 +297,10 @@ runtime::sweep_cell read_sweep_cell(binary_reader& in, std::uint32_t version)
 
 namespace {
 
-template <typename Payload>
-std::string encode_frame(payload_kind kind, const Payload& payload)
-{
-    binary_writer out;
-    for (const char c : frame_magic) {
-        out.u8(static_cast<std::uint8_t>(c));
-    }
-    out.u32(format_version);
-    out.u32(static_cast<std::uint32_t>(kind));
-    write(out, payload);
-    std::string frame = out.take();
-    binary_writer trailer;
-    trailer.u64(checksum_bytes(frame));
-    frame += trailer.bytes();
-    return frame;
-}
-
-/// Verifies framing and returns a reader positioned at the payload, plus
-/// the frame's own format version (decoders accept every version in
-/// [min_format_version, format_version] and parse the payload under the
-/// frame's version). The checksum is verified FIRST: a frame that fails it
-/// is corrupt, and no other field of it can be trusted (including the
-/// version word).
-struct opened_frame {
-    binary_reader in;
-    std::uint32_t version;
-};
-
-opened_frame open_frame(std::string_view frame, payload_kind expected)
+/// Verifies framing and returns a reader positioned at the payload. The
+/// checksum is verified FIRST: a frame that fails it is corrupt, and no
+/// other field of it can be trusted (including the version word).
+binary_reader open_frame(std::string_view frame, payload_kind expected)
 {
     constexpr std::size_t header_size = 8 + 4 + 4;
     constexpr std::size_t checksum_size = 8;
@@ -499,55 +320,41 @@ opened_frame open_frame(std::string_view frame, payload_kind expected)
             fail("bad magic");
         }
     }
-    const std::uint32_t version = in.u32();
-    if (version < min_format_version || version > format_version) {
+    if (in.u32() != format_version) {
         fail("format version mismatch");
     }
     if (in.u32() != static_cast<std::uint32_t>(expected)) {
         fail("payload kind mismatch");
     }
-    return {in, version};
-}
-
-template <typename Payload, typename Read>
-Payload decode_frame(std::string_view frame, payload_kind kind, Read&& read)
-{
-    opened_frame opened = open_frame(frame, kind);
-    Payload payload = read(opened.in, opened.version);
-    if (!opened.in.at_end()) {
-        fail("trailing bytes after payload");
-    }
-    return payload;
+    return in;
 }
 
 } // namespace
 
-std::string encode(const core::program_artifacts& artifacts)
-{
-    return encode_frame(payload_kind::program_artifacts, artifacts);
-}
-
-core::program_artifacts decode_program_artifacts(std::string_view frame)
-{
-    return decode_frame<core::program_artifacts>(
-        frame, payload_kind::program_artifacts,
-        [](binary_reader& in, std::uint32_t version) {
-            return read_program_artifacts(in, version);
-        });
-}
-
 std::string encode(const runtime::sweep_cell& cell)
 {
-    return encode_frame(payload_kind::sweep_cell, cell);
+    binary_writer out;
+    for (const char c : frame_magic) {
+        out.u8(static_cast<std::uint8_t>(c));
+    }
+    out.u32(format_version);
+    out.u32(static_cast<std::uint32_t>(payload_kind::sweep_cell));
+    write(out, cell);
+    std::string frame = out.take();
+    binary_writer trailer;
+    trailer.u64(checksum_bytes(frame));
+    frame += trailer.bytes();
+    return frame;
 }
 
 runtime::sweep_cell decode_sweep_cell(std::string_view frame)
 {
-    return decode_frame<runtime::sweep_cell>(
-        frame, payload_kind::sweep_cell,
-        [](binary_reader& in, std::uint32_t version) {
-            return read_sweep_cell(in, version);
-        });
+    binary_reader in = open_frame(frame, payload_kind::sweep_cell);
+    runtime::sweep_cell cell = read_sweep_cell(in);
+    if (!in.at_end()) {
+        fail("trailing bytes after payload");
+    }
+    return cell;
 }
 
 } // namespace synts::storage

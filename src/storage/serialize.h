@@ -1,14 +1,13 @@
-// serialize.h -- versioned binary serialization for persistent artifacts.
+// serialize.h -- versioned binary serialization for sweep checkpoints.
 //
-// The artifact store persists the expensive products of the
-// characterization pipeline -- core::program_artifacts (generated trace +
-// architectural profiles) and finished runtime::sweep_cells -- across
-// process lifetimes. Everything here is explicit about bytes, because the
-// files outlive any one build of the code:
+// The artifact store persists finished runtime::sweep_cells across process
+// lifetimes, so a killed or repeated sweep can restore them instead of
+// recomputing. Everything here is explicit about bytes, because the files
+// outlive any one build of the code:
 //
 //   * all integers are written little-endian, regardless of host order;
 //     doubles go through their IEEE-754 bit pattern (bit-exactness is the
-//     whole point: a warm run must reproduce a cold run bit for bit);
+//     whole point: a resumed run must reproduce a cold run bit for bit);
 //   * every frame starts with an 8-byte magic, the format version and a
 //     payload kind, and ends with a trailing FNV-1a checksum over
 //     everything before it -- so truncation, bit flips, version skew and
@@ -19,29 +18,25 @@
 //
 // format_version MUST be bumped for any change to a serialized struct's
 // fields or their order, AND for any result-affecting change to the
-// pipeline that produces them (trace generation, the architectural
-// profiler, policy evaluation): stored frames are adopted verbatim, so a
-// behavioral change behind an unchanged layout would otherwise let a warm
-// store keep serving pre-change results. The store keys its directory
-// layout on the version, so a bump makes every old file invisible rather
-// than misread. (CI additionally keys its persistent store on a hash of
-// src/, catching a forgotten bump before it can taint a green build.)
-// tests/test_storage_serialize.cpp perturbs every serialized field (encoded
-// bytes must change) and pins the current frame bytes of a golden artifact,
-// so silent drift fails the suite.
+// pipeline that produces them (characterization, policy evaluation):
+// stored cells are adopted verbatim on resume, so a behavioral change
+// behind an unchanged layout would otherwise let a store keep serving
+// pre-change results. The store keys its directory layout on the version,
+// so a bump makes every old file invisible rather than misread. (CI
+// additionally keys its persistent store on a hash of src/, catching a
+// forgotten bump before it can taint a green build.)
+// tests/test_storage_serialize.cpp perturbs every serialized field
+// (encoded bytes must change) and pins the current frame bytes of a golden
+// cell, so silent drift fails the suite.
 //
 // Version history:
 //   v1  workload identity = benchmark_id ordinal (u8) -- the closed ten.
 //   v2  workload identity = workload_key (u64 registry digest + name), so
 //       frames can carry any registered workload, including parametric
-//       scenario instances. Encoders always write the current version;
-//       decoders still accept v1 FRAMES (the ordinal maps onto the
-//       built-in key). Note the scope: this is frame-level compatibility
-//       for anything holding v1 bytes (exports, fixtures, external
-//       tooling). The artifact_store itself does NOT serve v1 entries --
-//       its paths embed the version, and the registry rekeyed the cache
-//       digests anyway, so a v2 store deliberately starts cold rather
-//       than probe old directories.
+//       scenario instances.
+// Decoders accept exactly format_version. v1 decoding is retired: the
+// store never served v1 files (its paths embed the version), and nothing
+// else reads frames.
 
 #pragma once
 
@@ -50,7 +45,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/program_artifacts.h"
 #include "runtime/sweep.h"
 
 namespace synts::storage {
@@ -58,15 +52,12 @@ namespace synts::storage {
 /// Bumped on ANY change to the framing or a serialized struct layout.
 inline constexpr std::uint32_t format_version = 2;
 
-/// Oldest frame version decoders still accept (see version history above).
-inline constexpr std::uint32_t min_format_version = 1;
-
 /// First 8 bytes of every frame.
 inline constexpr std::string_view frame_magic = "SYNTSTOR";
 
 /// Raised by decoders on truncation, checksum/magic/version/kind mismatch,
 /// out-of-range enum values, or trailing bytes. Callers treat it as "this
-/// file is not a usable artifact" (a cache miss), never as fatal.
+/// file is not a usable checkpoint" (recompute the cell), never as fatal.
 class serialize_error : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
@@ -75,12 +66,11 @@ public:
 /// What a frame contains (encoded in the header, checked on decode).
 /// Adding a kind does not change any existing frame's bytes, so it needs
 /// no format_version bump -- old frames stay valid, and an old binary
-/// rejects the new kind as a payload-kind mismatch. Values 3 and 4 were
-/// the retired shard-manifest and shard-progress frames; stores written
-/// before their removal still hold such files under `manifest/`, so those
-/// values must never be reused.
+/// rejects the new kind as a payload-kind mismatch. Retired values, never
+/// to be reused (stores written before their removal still hold such
+/// files): 1 = program artifacts (`program/`), 3 = shard manifest and
+/// 4 = shard progress (`manifest/`).
 enum class payload_kind : std::uint32_t {
-    program_artifacts = 1,
     sweep_cell = 2,
 };
 
@@ -141,26 +131,7 @@ private:
 // enough to check inline (deep structural validation is the caller's call).
 
 void write(binary_writer& out, const workload::workload_key& key);
-/// `version` selects the layout: v1 frames stored a benchmark_id ordinal
-/// (mapped onto the built-in key), v2+ the full key.
-[[nodiscard]] workload::workload_key read_workload_key(binary_reader& in,
-                                                       std::uint32_t version);
-
-void write(binary_writer& out, const arch::micro_op& op);
-[[nodiscard]] arch::micro_op read_micro_op(binary_reader& in);
-
-void write(binary_writer& out, const arch::thread_trace& trace);
-[[nodiscard]] arch::thread_trace read_thread_trace(binary_reader& in);
-
-void write(binary_writer& out, const arch::program_trace& trace);
-[[nodiscard]] arch::program_trace read_program_trace(binary_reader& in);
-
-void write(binary_writer& out, const arch::interval_profile& profile);
-[[nodiscard]] arch::interval_profile read_interval_profile(binary_reader& in);
-
-void write(binary_writer& out, const core::program_artifacts& artifacts);
-[[nodiscard]] core::program_artifacts
-read_program_artifacts(binary_reader& in, std::uint32_t version = format_version);
+[[nodiscard]] workload::workload_key read_workload_key(binary_reader& in);
 
 void write(binary_writer& out, const core::pareto_point& point);
 [[nodiscard]] core::pareto_point read_pareto_point(binary_reader& in);
@@ -173,21 +144,15 @@ void write(binary_writer& out, const core::benchmark_experiment::policy_run& run
 read_policy_run(binary_reader& in);
 
 void write(binary_writer& out, const runtime::sweep_cell& cell);
-[[nodiscard]] runtime::sweep_cell read_sweep_cell(binary_reader& in,
-                                                  std::uint32_t version = format_version);
+[[nodiscard]] runtime::sweep_cell read_sweep_cell(binary_reader& in);
 
 // -- framed envelopes -------------------------------------------------------
-// encode_* produce a complete self-verifying frame (always the current
-// format_version):
+// encode produces a complete self-verifying frame:
 //   magic(8) | format_version(u32) | payload_kind(u32) | payload |
 //   checksum(u64, FNV-1a over everything before it)
-// decode_* verify magic, version (any in [min_format_version,
-// format_version]), kind and checksum, parse the payload under the frame's
-// own version, and require the frame to end exactly at the checksum (no
-// trailing bytes).
-
-[[nodiscard]] std::string encode(const core::program_artifacts& artifacts);
-[[nodiscard]] core::program_artifacts decode_program_artifacts(std::string_view frame);
+// decode_sweep_cell verifies checksum, magic, version (exactly
+// format_version) and kind, and requires the frame to end exactly at the
+// checksum (no trailing bytes).
 
 [[nodiscard]] std::string encode(const runtime::sweep_cell& cell);
 [[nodiscard]] runtime::sweep_cell decode_sweep_cell(std::string_view frame);

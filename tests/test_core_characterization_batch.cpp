@@ -1,10 +1,10 @@
 // Differential tests pinning the batched characterization hot path
 // (chunked interval grain + 64-lane step_batch + bulk histogram insert)
-// bit-identical to the scalar per-cell reference walk
-// (characterization_config::batched = false), over every real pipe stage,
-// serial and pool-parallel, across chunk-sizing worker hints. Identity is
-// exact -- EXPECT_EQ on floats/doubles and histogram bin counts -- because
-// the batch contract is bit-identity, not tolerance.
+// bit-identical to the scalar per-cell reference walk of
+// reference_characterizer.h, over every real pipe stage, serial and
+// pool-parallel, across chunk-sizing worker hints. Identity is exact --
+// EXPECT_EQ on floats/doubles and histogram bin counts -- because the
+// batch contract is bit-identity, not tolerance.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include "core/characterization.h"
 #include "core/program_artifacts.h"
 #include "runtime/thread_pool.h"
+
+#include "reference_characterizer.h"
 
 namespace {
 
@@ -70,12 +72,10 @@ TEST_P(characterization_batch, batched_serial_matches_scalar_reference)
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
 
-    core::characterization_config scalar_cfg;
-    scalar_cfg.batched = false;
-    const core::characterizer scalar_chars(lib, vm, scalar_cfg);
     const core::characterizer batched_chars(lib, vm, {});
 
-    const auto scalar = scalar_chars.characterize(shared_artifacts(), GetParam());
+    const auto scalar = test::reference_characterize(lib, vm, {}, shared_artifacts(),
+                                                     GetParam());
     const auto batched = batched_chars.characterize(shared_artifacts(), GetParam());
     expect_same_characterization(scalar, batched);
 }
@@ -85,12 +85,10 @@ TEST_P(characterization_batch, batched_parallel_matches_scalar_reference)
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
 
-    core::characterization_config scalar_cfg;
-    scalar_cfg.batched = false;
-    const core::characterizer scalar_chars(lib, vm, scalar_cfg);
     const core::characterizer batched_chars(lib, vm, {});
 
-    const auto scalar = scalar_chars.characterize(shared_artifacts(), GetParam());
+    const auto scalar = test::reference_characterize(lib, vm, {}, shared_artifacts(),
+                                                     GetParam());
 
     runtime::thread_pool pool(3);
     const auto parallel = batched_chars.characterize(
@@ -136,15 +134,13 @@ TEST(characterization_batch, sampling_trace_off_matches_scalar)
     const circuit::voltage_model vm(0.04);
     constexpr auto kStage = circuit::pipe_stage::simple_alu;
 
-    core::characterization_config batched_cfg;
-    batched_cfg.keep_sampling_trace = false;
-    core::characterization_config scalar_cfg = batched_cfg;
-    scalar_cfg.batched = false;
+    core::characterization_config config;
+    config.keep_sampling_trace = false;
 
-    const auto scalar = core::characterizer(lib, vm, scalar_cfg)
-                            .characterize(shared_artifacts(), kStage);
-    const auto batched = core::characterizer(lib, vm, batched_cfg)
-                             .characterize(shared_artifacts(), kStage);
+    const auto scalar =
+        test::reference_characterize(lib, vm, config, shared_artifacts(), kStage);
+    const auto batched =
+        core::characterizer(lib, vm, config).characterize(shared_artifacts(), kStage);
     expect_same_characterization(scalar, batched);
     for (const auto& thread : batched.threads) {
         for (const auto& cell : thread) {

@@ -331,22 +331,12 @@ TEST(obs_metrics, characterization_bumps_cell_and_vector_counters)
     ASSERT_EQ(result.threads[0].size(), 2u);
     EXPECT_EQ(result.threads[0][0].vector_count, 2u);
     EXPECT_EQ(result.threads[0][1].vector_count, 1u);
-
-    // The scalar reference path must report the same counts.
-    core::characterization_config scalar_cfg;
-    scalar_cfg.batched = false;
-    const std::uint64_t cells_mid = cells.value();
-    const std::uint64_t vectors_mid = vectors.value();
-    (void)core::characterizer(lib, vm, scalar_cfg)
-        .characterize(artifacts, circuit::pipe_stage::simple_alu);
-    EXPECT_EQ(cells.value() - cells_mid, 2u);
-    EXPECT_EQ(vectors.value() - vectors_mid, 3u);
 }
 
 TEST(obs_metrics, characterization_counts_toggled_and_live_pairs)
 {
     // step_batch adds its toggled (gate, lane) pairs and the live subset
-    // its delay kernel visits; the scalar reference path adds neither.
+    // its delay kernel visits.
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
     obs::counter& live = registry.counter_at("circuit.live_pairs");
@@ -355,23 +345,14 @@ TEST(obs_metrics, characterization_counts_toggled_and_live_pairs)
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
 
-    std::uint64_t toggled_before = toggled.value();
-    std::uint64_t live_before = live.value();
+    const std::uint64_t toggled_before = toggled.value();
+    const std::uint64_t live_before = live.value();
     (void)core::characterizer(lib, vm, {})
         .characterize(artifacts, circuit::pipe_stage::simple_alu);
     const std::uint64_t toggled_delta = toggled.value() - toggled_before;
     const std::uint64_t live_delta = live.value() - live_before;
     EXPECT_GT(live_delta, 0u);
     EXPECT_LE(live_delta, toggled_delta);
-
-    core::characterization_config scalar_cfg;
-    scalar_cfg.batched = false;
-    toggled_before = toggled.value();
-    live_before = live.value();
-    (void)core::characterizer(lib, vm, scalar_cfg)
-        .characterize(artifacts, circuit::pipe_stage::simple_alu);
-    EXPECT_EQ(toggled.value(), toggled_before);
-    EXPECT_EQ(live.value(), live_before);
 }
 
 TEST(obs_metrics, characterization_counts_chunks_and_warmup_steps)

@@ -255,8 +255,6 @@ TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
         EXPECT_EQ(result->program_computes, 1u);
         EXPECT_EQ(result->cache_misses, 1u);
         EXPECT_EQ(result->cache_hits, 0u);
-        EXPECT_EQ(result->disk_hits, 0u);
-        EXPECT_EQ(result->disk_misses, 0u);
     }
     // The globals still see the union.
     EXPECT_EQ(cache.program_miss_count(), 2u);
@@ -321,14 +319,17 @@ TEST(runtime_sweep, emitters_cover_every_cell)
 
     EXPECT_NE(runtime::render_sweep_table(result).find("Radix"), std::string::npos);
 
-    // A store-less run reports empty disk and checkpoint tiers (no phantom
-    // "checkpoint misses" from a tier that never ran).
+    // A store-less run reports an empty checkpoint tier (no phantom
+    // "checkpoint misses" from a tier that never ran). The rows are the
+    // three tiers: two memory memos and the checkpoints.
     EXPECT_FALSE(result.checkpointing);
     EXPECT_EQ(result.cells_missed(), 0u);
     const std::string stats =
         runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
-    EXPECT_NE(stats.find("disk,0,0"), std::string::npos);
-    EXPECT_NE(stats.find("checkpoint,0,0"), std::string::npos);
+    EXPECT_EQ(stats.find("tier,hits,misses\nprogram,"), 0u);
+    EXPECT_NE(stats.find("\nstage,"), std::string::npos);
+    EXPECT_NE(stats.find("\ncheckpoint,0,0\n"), std::string::npos);
+    EXPECT_EQ(std::count(stats.begin(), stats.end(), '\n'), 4);
 }
 
 TEST(runtime_sweep, sweep_json_meta_rides_on_one_strippable_line)

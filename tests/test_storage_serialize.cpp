@@ -1,15 +1,16 @@
-// Tests for storage/serialize: bit-exact round trips of every persisted
-// type, PR-2-style drift guards (perturbing any serialized field must
-// change the encoded bytes -- a field the codec forgets fails here), a
-// golden-bytes test pinning the v1 on-disk format, and decode rejection of
-// every corruption class (truncation, bit flips, version skew, payload
-// kind mismatch, trailing bytes).
+// Tests for storage/serialize: bit-exact round trips of sweep-cell frames,
+// drift guards (perturbing any serialized field must change the encoded
+// bytes -- a field the codec forgets fails here), a golden-bytes test
+// pinning the v2 cell frame, and decode rejection of every corruption
+// class (truncation, bit flips, version skew including well-formed v1
+// frames, payload kind mismatch, trailing bytes, hostile lengths).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -23,31 +24,6 @@ namespace {
 using namespace synts;
 
 // -- fixtures ---------------------------------------------------------------
-
-/// A small, fully hand-specified artifact set: every field non-default so
-/// a dropped field cannot hide behind a zero.
-core::program_artifacts tiny_artifacts()
-{
-    core::program_artifacts artifacts;
-    artifacts.workload = workload::benchmark_id::radix;
-    artifacts.thread_count = 2;
-    artifacts.seed = 42;
-    artifacts.workload_digest = 0x0123456789ABCDEFull;
-
-    arch::thread_trace thread0;
-    thread0.ops.push_back({arch::op_class::int_add, 0xDEADBEEFu, 1, 2, 3, false});
-    thread0.barrier_points = {1};
-    arch::thread_trace thread1;
-    thread1.ops.push_back({arch::op_class::branch, 0x12345678u, 4, 5, 6, true});
-    thread1.barrier_points = {1};
-    artifacts.trace.threads = {thread0, thread1};
-
-    artifacts.arch_profiles = {
-        {{10, 20, 2.0, 0.25, 0.125}},
-        {{11, 22, 2.5, 0.5, 0.0625}},
-    };
-    return artifacts;
-}
 
 /// A hand-specified sweep cell exercising every nested struct.
 runtime::sweep_cell tiny_cell()
@@ -78,48 +54,6 @@ runtime::sweep_cell tiny_cell()
 
     cell.pareto = {{0.75, 0.9, 1.1}, {1.5, 0.8, 1.3}};
     return cell;
-}
-
-bool same_artifacts(const core::program_artifacts& a, const core::program_artifacts& b)
-{
-    if (a.workload != b.workload || a.thread_count != b.thread_count ||
-        a.seed != b.seed || a.workload_digest != b.workload_digest ||
-        a.trace.thread_count() != b.trace.thread_count() ||
-        a.arch_profiles.size() != b.arch_profiles.size()) {
-        return false;
-    }
-    for (std::size_t t = 0; t < a.trace.thread_count(); ++t) {
-        const arch::thread_trace& x = a.trace.threads[t];
-        const arch::thread_trace& y = b.trace.threads[t];
-        if (x.barrier_points != y.barrier_points || x.ops.size() != y.ops.size()) {
-            return false;
-        }
-        for (std::size_t n = 0; n < x.ops.size(); ++n) {
-            if (x.ops[n].cls != y.ops[n].cls || x.ops[n].encoding != y.ops[n].encoding ||
-                x.ops[n].operand_a != y.ops[n].operand_a ||
-                x.ops[n].operand_b != y.ops[n].operand_b ||
-                x.ops[n].address != y.ops[n].address ||
-                x.ops[n].branch_taken != y.ops[n].branch_taken) {
-                return false;
-            }
-        }
-    }
-    for (std::size_t t = 0; t < a.arch_profiles.size(); ++t) {
-        if (a.arch_profiles[t].size() != b.arch_profiles[t].size()) {
-            return false;
-        }
-        for (std::size_t k = 0; k < a.arch_profiles[t].size(); ++k) {
-            const arch::interval_profile& x = a.arch_profiles[t][k];
-            const arch::interval_profile& y = b.arch_profiles[t][k];
-            if (x.instruction_count != y.instruction_count ||
-                x.base_cycles != y.base_cycles || x.cpi_base != y.cpi_base ||
-                x.dcache_miss_rate != y.dcache_miss_rate ||
-                x.branch_misprediction_rate != y.branch_misprediction_rate) {
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 bool same_cells(const runtime::sweep_cell& a, const runtime::sweep_cell& b)
@@ -198,31 +132,6 @@ std::string with_fixed_checksum(std::string frame)
 
 // -- round trips ------------------------------------------------------------
 
-TEST(storage_serialize, tiny_artifacts_round_trip_bit_exact)
-{
-    const core::program_artifacts original = tiny_artifacts();
-    const std::string frame = storage::encode(original);
-    const core::program_artifacts decoded = storage::decode_program_artifacts(frame);
-    EXPECT_TRUE(same_artifacts(original, decoded));
-    // Re-encoding the decoded struct reproduces the frame byte for byte.
-    EXPECT_EQ(storage::encode(decoded), frame);
-}
-
-TEST(storage_serialize, real_pipeline_artifacts_round_trip_bit_exact)
-{
-    const auto original = core::make_program_artifacts(workload::benchmark_id::radix);
-    const std::string frame = storage::encode(*original);
-    const core::program_artifacts decoded = storage::decode_program_artifacts(frame);
-    EXPECT_TRUE(same_artifacts(*original, decoded));
-    EXPECT_NO_THROW(decoded.validate());
-    EXPECT_TRUE(decoded.provenance_matches(workload::benchmark_id::radix,
-                                           original->thread_count,
-                                           original->workload_digest));
-    EXPECT_FALSE(decoded.provenance_matches(workload::benchmark_id::fmm,
-                                            original->thread_count,
-                                            original->workload_digest));
-}
-
 TEST(storage_serialize, tiny_cell_round_trip_bit_exact)
 {
     const runtime::sweep_cell original = tiny_cell();
@@ -254,50 +163,6 @@ TEST(storage_serialize, real_sweep_cell_round_trip_bit_exact)
 // -- drift guards -----------------------------------------------------------
 // Perturb exactly one field; the encoded bytes MUST change. A serializer
 // that forgets the field (or a reader/writer pair that drops it) fails.
-
-TEST(storage_serialize, every_artifact_field_reaches_the_encoding)
-{
-    const std::string baseline = storage::encode(tiny_artifacts());
-
-    const std::vector<
-        std::pair<const char*, std::function<void(core::program_artifacts&)>>>
-        perturbations = {
-            {"workload.name", [](auto& a) { a.workload.name += "x"; }},
-            {"workload.id", [](auto& a) { a.workload.id ^= 1; }},
-            {"thread_count", [](auto& a) { a.thread_count = 3; }},
-            {"seed", [](auto& a) { a.seed = 43; }},
-            {"workload_digest", [](auto& a) { a.workload_digest ^= 1; }},
-            {"op.cls",
-             [](auto& a) { a.trace.threads[0].ops[0].cls = arch::op_class::int_sub; }},
-            {"op.encoding", [](auto& a) { a.trace.threads[0].ops[0].encoding ^= 1; }},
-            {"op.operand_a", [](auto& a) { a.trace.threads[0].ops[0].operand_a ^= 1; }},
-            {"op.operand_b", [](auto& a) { a.trace.threads[0].ops[0].operand_b ^= 1; }},
-            {"op.address", [](auto& a) { a.trace.threads[0].ops[0].address ^= 1; }},
-            {"op.branch_taken",
-             [](auto& a) { a.trace.threads[0].ops[0].branch_taken = true; }},
-            {"barrier_points",
-             [](auto& a) {
-                 a.trace.threads[0].ops.push_back(a.trace.threads[0].ops[0]);
-                 a.trace.threads[0].barrier_points = {2};
-             }},
-            {"profile.instruction_count",
-             [](auto& a) { a.arch_profiles[0][0].instruction_count ^= 1; }},
-            {"profile.base_cycles",
-             [](auto& a) { a.arch_profiles[0][0].base_cycles ^= 1; }},
-            {"profile.cpi_base", [](auto& a) { a.arch_profiles[0][0].cpi_base = 3.0; }},
-            {"profile.dcache_miss_rate",
-             [](auto& a) { a.arch_profiles[0][0].dcache_miss_rate = 0.375; }},
-            {"profile.branch_misprediction_rate",
-             [](auto& a) { a.arch_profiles[0][0].branch_misprediction_rate = 0.75; }},
-        };
-
-    for (const auto& [name, perturb] : perturbations) {
-        core::program_artifacts perturbed = tiny_artifacts();
-        perturb(perturbed);
-        EXPECT_NE(storage::encode(perturbed), baseline)
-            << "field not serialized: " << name;
-    }
-}
 
 TEST(storage_serialize, every_cell_field_reaches_the_encoding)
 {
@@ -372,80 +237,34 @@ TEST(storage_serialize, every_cell_field_reaches_the_encoding)
 
 // -- golden bytes -----------------------------------------------------------
 
-/// Re-encodes tiny_artifacts() as a v1 frame: the pre-registry layout with
-/// a benchmark_id ordinal (u8) where v2 stores the workload key. Used to
-/// prove v1 store frames of the built-in ten still decode after the bump.
-std::string encode_v1_artifacts(const core::program_artifacts& artifacts,
-                                std::uint8_t benchmark_ordinal)
-{
-    storage::binary_writer out;
-    for (const char c : storage::frame_magic) {
-        out.u8(static_cast<std::uint8_t>(c));
-    }
-    out.u32(1); // v1
-    out.u32(static_cast<std::uint32_t>(storage::payload_kind::program_artifacts));
-    out.u8(benchmark_ordinal);
-    out.size(artifacts.thread_count);
-    out.u64(artifacts.seed);
-    out.u64(artifacts.workload_digest);
-    storage::write(out, artifacts.trace);
-    out.size(artifacts.arch_profiles.size());
-    for (const auto& thread : artifacts.arch_profiles) {
-        out.size(thread.size());
-        for (const auto& interval : thread) {
-            storage::write(out, interval);
-        }
-    }
-    std::string frame = out.take();
-    frame.append(8, '\0');
-    return with_fixed_checksum(std::move(frame));
-}
-
-/// The exact 269-byte v1 frame of tiny_artifacts(), as hex: header
-/// ("SYNTSTOR", version 1, kind 1), the payload field by field in little
-/// endian (benchmark as a u8 ordinal), and the trailing FNV-1a checksum.
-/// These bytes were produced by the PR-3 v1 encoder and are frozen here:
-/// they are what a pre-registry store actually contains.
-constexpr std::string_view kGoldenV1FrameHex =
-    "53594e5453544f520100000001000000"
-    "0102000000000000002a000000000000"
-    "00efcdab896745230102000000000000"
-    "00010000000000000000efbeadde0100"
-    "00000000000002000000000000000300"
-    "00000000000000010000000000000001"
-    "00000000000000010000000000000006"
-    "78563412040000000000000005000000"
-    "00000000060000000000000001010000"
-    "00000000000100000000000000020000"
-    "000000000001000000000000000a0000"
-    "00000000001400000000000000000000"
-    "0000000040000000000000d03f000000"
-    "000000c03f01000000000000000b0000"
-    "00000000001600000000000000000000"
-    "0000000440000000000000e03f000000"
-    "000000b03f3dea736deece9031";
-
-/// The exact v2 frame of tiny_artifacts(): as v1, but the benchmark
-/// ordinal is replaced by the workload key (u64 registry digest + length-
-/// prefixed name "Radix") and the header says version 2.
-constexpr std::string_view kGoldenV2FrameHex =
-    "53594e5453544f520200000001000000"
-    "d04842bc646e0c42050000000000000052616469780200000000000000"
-    "2a00000000000000efcdab8967452301"
-    "0200000000000000010000000000000000efbeadde0100000000000000"
-    "02000000000000000300000000000000"
-    "00010000000000000001000000000000"
-    "00010000000000000006785634120400"
-    "00000000000005000000000000000600"
-    "00000000000001010000000000000001"
-    "00000000000000020000000000000001"
-    "000000000000000a0000000000000014"
-    "00000000000000000000000000004000"
-    "0000000000d03f000000000000c03f01"
-    "000000000000000b0000000000000016"
-    "00000000000000000000000000044000"
-    "0000000000e03f000000000000b03f"
-    "9c4c2e8fdb345eca";
+/// The exact v2 frame of tiny_cell(), as hex: header ("SYNTSTOR",
+/// version 2, kind 2 = sweep_cell), the workload key (u64 registry digest
+/// + length-prefixed name "FMM"), stage and policy ordinals, theta_eq,
+/// task_seed, the equal-weight policy run (kind, one interval outcome,
+/// sums), the Pareto points, and the trailing FNV-1a checksum.
+constexpr std::string_view kGoldenCellFrameHex =
+    "53594e5453544f520200000002000000"
+    "f19231c76d3507610300000000000000"
+    "464d4d0103000000000000f83f785634"
+    "12cefaedfe0301000000000000000200"
+    "00000000000001000000000000000200"
+    "00000000000003000000000000000000"
+    "0000000000000200000000000000cdcc"
+    "ccccccccec3f9a9999999999e93f0000"
+    "000000e085402d431cebe2361a3f0000"
+    "000000408f4000000000000049400000"
+    "00000000f03f000000000000f03f0000"
+    "000000508440f168e388b5f8f43e0000"
+    "000000208c400000000000004e400000"
+    "000000408f400000000000805b400000"
+    "000000289940000000000000e03f0000"
+    "000000001c400000000000a05b400000"
+    "000000788f400000000000a05b400000"
+    "000000788f4002000000000000000000"
+    "00000000e83fcdccccccccccec3f9a99"
+    "99999999f13f000000000000f83f9a99"
+    "99999999e93fcdccccccccccf43fa046"
+    "a6b70a686188";
 
 std::string from_hex(std::string_view hex)
 {
@@ -463,66 +282,83 @@ std::string from_hex(std::string_view hex)
     return out;
 }
 
-TEST(storage_serialize, golden_v1_frame_still_decodes_after_version_bump)
-{
-    // The frozen PR-3 bytes: a v1 store frame of tiny_artifacts() with
-    // benchmark_id::radix as a u8 ordinal. The v2 decoder must keep
-    // accepting it, mapping the ordinal onto the built-in registry key.
-    const core::program_artifacts decoded =
-        storage::decode_program_artifacts(from_hex(kGoldenV1FrameHex));
-    EXPECT_TRUE(same_artifacts(decoded, tiny_artifacts()));
-    EXPECT_EQ(decoded.workload, workload::builtin_key(workload::benchmark_id::radix));
-}
-
-TEST(storage_serialize, v1_frames_of_every_builtin_benchmark_decode)
-{
-    for (const workload::benchmark_id id : workload::all_benchmarks()) {
-        const std::string frame =
-            encode_v1_artifacts(tiny_artifacts(), static_cast<std::uint8_t>(id));
-        const core::program_artifacts decoded = storage::decode_program_artifacts(frame);
-        EXPECT_EQ(decoded.workload, workload::builtin_key(id));
-        EXPECT_EQ(decoded.seed, tiny_artifacts().seed);
-    }
-    // The golden hex and the re-encoder agree byte for byte (so the
-    // re-encoder really is the v1 layout, not an approximation).
-    EXPECT_EQ(to_hex(encode_v1_artifacts(
-                  tiny_artifacts(),
-                  static_cast<std::uint8_t>(workload::benchmark_id::radix))),
-              std::string(kGoldenV1FrameHex));
-}
-
-TEST(storage_serialize, v1_out_of_range_benchmark_ordinal_is_rejected)
-{
-    const std::string frame = encode_v1_artifacts(
-        tiny_artifacts(), static_cast<std::uint8_t>(workload::benchmark_count));
-    EXPECT_THROW((void)storage::decode_program_artifacts(frame),
-                 storage::serialize_error);
-}
-
 TEST(storage_serialize, golden_frame_pins_v2_format)
 {
-    // The exact v2 frame of tiny_artifacts(). If this test fails, the
-    // on-disk format changed: bump storage::format_version (old store
-    // files become invisible, not misread) and re-pin these bytes.
+    // The exact v2 frame of tiny_cell(). If this test fails, the on-disk
+    // format changed: bump storage::format_version (old store files become
+    // invisible, not misread) and re-pin these bytes.
     ASSERT_EQ(storage::format_version, 2u);
-    const std::string frame = storage::encode(tiny_artifacts());
+    const std::string frame = storage::encode(tiny_cell());
 
     // Header: magic + version + payload kind, all fixed.
     ASSERT_GE(frame.size(), 16u);
     EXPECT_EQ(frame.substr(0, 8), "SYNTSTOR");
     EXPECT_EQ(to_hex(frame.substr(8, 4)), "02000000");  // version 2, LE
-    EXPECT_EQ(to_hex(frame.substr(12, 4)), "01000000"); // kind: program_artifacts
+    EXPECT_EQ(to_hex(frame.substr(12, 4)), "02000000"); // kind: sweep_cell
 
-    EXPECT_EQ(to_hex(frame), std::string(kGoldenV2FrameHex));
+    EXPECT_EQ(to_hex(frame), std::string(kGoldenCellFrameHex));
+    EXPECT_TRUE(same_cells(storage::decode_sweep_cell(from_hex(kGoldenCellFrameHex)),
+                           tiny_cell()));
+}
+
+/// Writes a frame header with an arbitrary version and kind.
+storage::binary_writer frame_header(std::uint32_t version, std::uint32_t kind)
+{
+    storage::binary_writer out;
+    for (const char c : storage::frame_magic) {
+        out.u8(static_cast<std::uint8_t>(c));
+    }
+    out.u32(version);
+    out.u32(kind);
+    return out;
+}
+
+/// Appends a placeholder checksum to `out`'s bytes and fixes it up.
+std::string seal(storage::binary_writer& out)
+{
+    std::string frame = out.take();
+    frame.append(8, '\0');
+    return with_fixed_checksum(std::move(frame));
+}
+
+/// Encodes `cell` as a well-formed v1 frame: the pre-registry layout, with
+/// a benchmark_id ordinal (u8) where v2 stores the workload key.
+std::string encode_v1_cell(const runtime::sweep_cell& cell, std::uint8_t benchmark_ordinal)
+{
+    storage::binary_writer out =
+        frame_header(1, static_cast<std::uint32_t>(storage::payload_kind::sweep_cell));
+    out.u8(benchmark_ordinal);
+    out.u8(static_cast<std::uint8_t>(cell.stage));
+    out.u8(static_cast<std::uint8_t>(cell.policy));
+    out.f64(cell.theta_eq);
+    out.u64(cell.task_seed);
+    storage::write(out, cell.equal_weight);
+    out.size(cell.pareto.size());
+    for (const core::pareto_point& point : cell.pareto) {
+        storage::write(out, point);
+    }
+    return seal(out);
+}
+
+TEST(storage_serialize, well_formed_v1_frame_is_rejected)
+{
+    // v1 decoding is retired: a checksum-valid v1 cell frame of any
+    // built-in benchmark is a version mismatch, never a decoded cell.
+    for (const workload::benchmark_id id : workload::all_benchmarks()) {
+        const std::string frame =
+            encode_v1_cell(tiny_cell(), static_cast<std::uint8_t>(id));
+        EXPECT_THROW((void)storage::decode_sweep_cell(frame), storage::serialize_error)
+            << workload::benchmark_name(id);
+    }
 }
 
 // -- corruption rejection ---------------------------------------------------
 
 TEST(storage_serialize, truncation_is_rejected_at_every_length)
 {
-    const std::string frame = storage::encode(tiny_artifacts());
+    const std::string frame = storage::encode(tiny_cell());
     for (std::size_t len = 0; len < frame.size(); ++len) {
-        EXPECT_THROW((void)storage::decode_program_artifacts(frame.substr(0, len)),
+        EXPECT_THROW((void)storage::decode_sweep_cell(frame.substr(0, len)),
                      storage::serialize_error)
             << "accepted a frame truncated to " << len << " bytes";
     }
@@ -530,93 +366,101 @@ TEST(storage_serialize, truncation_is_rejected_at_every_length)
 
 TEST(storage_serialize, any_single_bit_flip_is_rejected)
 {
-    const std::string frame = storage::encode(tiny_artifacts());
+    const std::string frame = storage::encode(tiny_cell());
     // Every byte, one bit each (bit index varies to cover all positions).
     for (std::size_t i = 0; i < frame.size(); ++i) {
         std::string corrupt = frame;
         corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << (i % 8)));
-        EXPECT_THROW((void)storage::decode_program_artifacts(corrupt),
-                     storage::serialize_error)
+        EXPECT_THROW((void)storage::decode_sweep_cell(corrupt), storage::serialize_error)
             << "accepted a bit flip in byte " << i;
     }
 }
 
 TEST(storage_serialize, wrong_version_is_rejected_even_with_valid_checksum)
 {
-    // Future versions are rejected...
-    std::string future = storage::encode(tiny_artifacts());
-    future[8] = static_cast<char>(storage::format_version + 1); // LE low byte
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(future)),
-                 storage::serialize_error);
-    // ...and so is anything below min_format_version (0 was never valid).
-    std::string ancient = storage::encode(tiny_artifacts());
-    ancient[8] = 0;
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(ancient)),
-                 storage::serialize_error);
+    // Only format_version decodes: the next version, the retired v1 and
+    // the never-valid 0 are all rejected.
+    for (const std::uint32_t version : {storage::format_version + 1, 1u, 0u}) {
+        std::string frame = storage::encode(tiny_cell());
+        frame[8] = static_cast<char>(version); // LE low byte
+        EXPECT_THROW((void)storage::decode_sweep_cell(with_fixed_checksum(frame)),
+                     storage::serialize_error)
+            << "accepted version " << version;
+    }
 }
 
 TEST(storage_serialize, wrong_magic_is_rejected_even_with_valid_checksum)
 {
-    std::string frame = storage::encode(tiny_artifacts());
+    std::string frame = storage::encode(tiny_cell());
     frame[0] = 'X';
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(frame)),
+    EXPECT_THROW((void)storage::decode_sweep_cell(with_fixed_checksum(frame)),
                  storage::serialize_error);
 }
 
 TEST(storage_serialize, payload_kind_mismatch_is_rejected)
 {
-    // A perfectly valid artifact frame is not a sweep cell, and vice versa.
-    EXPECT_THROW((void)storage::decode_sweep_cell(storage::encode(tiny_artifacts())),
-                 storage::serialize_error);
-    EXPECT_THROW((void)storage::decode_program_artifacts(storage::encode(tiny_cell())),
-                 storage::serialize_error);
+    // A checksum-valid frame labeled with a retired kind (1 = program
+    // artifacts, 3 = shard manifest, 4 = shard progress) or an unknown one
+    // is not a sweep cell, whatever its payload.
+    for (const std::uint32_t kind : {0u, 1u, 3u, 4u, 5u}) {
+        std::string frame = storage::encode(tiny_cell());
+        frame[12] = static_cast<char>(kind); // LE low byte
+        EXPECT_THROW((void)storage::decode_sweep_cell(with_fixed_checksum(frame)),
+                     storage::serialize_error)
+            << "accepted payload kind " << kind;
+    }
 }
 
 TEST(storage_serialize, trailing_bytes_are_rejected)
 {
-    std::string frame = storage::encode(tiny_artifacts());
+    std::string frame = storage::encode(tiny_cell());
     frame.insert(frame.size() - 8, 1, '\0'); // extra payload byte
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(frame)),
+    EXPECT_THROW((void)storage::decode_sweep_cell(with_fixed_checksum(frame)),
                  storage::serialize_error);
 }
 
 TEST(storage_serialize, hostile_length_fields_cannot_force_huge_allocations)
 {
-    // Claim 2^60 ops in a 100-byte v1 frame; the decoder must reject from
-    // the length bound, not die attempting the allocation.
-    storage::binary_writer out;
-    for (const char c : storage::frame_magic) {
-        out.u8(static_cast<std::uint8_t>(c));
-    }
-    out.u32(1); // v1 framing (u8 benchmark ordinal below)
-    out.u32(static_cast<std::uint32_t>(storage::payload_kind::program_artifacts));
-    out.u8(0);          // benchmark
-    out.size(2);        // thread_count
-    out.u64(42);        // seed
-    out.u64(0);         // workload digest
-    out.size(1ull << 60); // thread count of the trace: hostile
-    std::string frame = out.take();
-    frame.append(8, '\0');
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(frame)),
+    // Claim 2^60 Pareto points (and, separately, 2^60 intervals) in a tiny
+    // cell frame; the decoder must reject from the length bound, not die
+    // attempting the allocation.
+    runtime::sweep_cell cell = tiny_cell();
+    cell.equal_weight.intervals.clear();
+    const auto hostile_frame = [&cell](bool hostile_intervals) {
+        storage::binary_writer out = frame_header(
+            storage::format_version,
+            static_cast<std::uint32_t>(storage::payload_kind::sweep_cell));
+        storage::write(out, cell.workload);
+        out.u8(static_cast<std::uint8_t>(cell.stage));
+        out.u8(static_cast<std::uint8_t>(cell.policy));
+        out.f64(cell.theta_eq);
+        out.u64(cell.task_seed);
+        out.u8(static_cast<std::uint8_t>(cell.equal_weight.kind));
+        if (hostile_intervals) {
+            out.size(1ull << 60); // interval count: hostile
+        } else {
+            out.size(0);
+            out.f64(cell.equal_weight.sum.energy);
+            out.f64(cell.equal_weight.sum.time_ps);
+            out.size(1ull << 60); // pareto count: hostile
+        }
+        return seal(out);
+    };
+    EXPECT_THROW((void)storage::decode_sweep_cell(hostile_frame(false)),
+                 storage::serialize_error);
+    EXPECT_THROW((void)storage::decode_sweep_cell(hostile_frame(true)),
                  storage::serialize_error);
 }
 
 TEST(storage_serialize, hostile_workload_name_length_is_rejected)
 {
-    // A v2 frame whose workload-name length claims 2^60 bytes: the string
+    // A cell frame whose workload-name length claims 2^60 bytes: the string
     // read must reject against the remaining frame size, never allocate.
-    storage::binary_writer out;
-    for (const char c : storage::frame_magic) {
-        out.u8(static_cast<std::uint8_t>(c));
-    }
-    out.u32(storage::format_version);
-    out.u32(static_cast<std::uint32_t>(storage::payload_kind::program_artifacts));
+    storage::binary_writer out = frame_header(
+        storage::format_version, static_cast<std::uint32_t>(storage::payload_kind::sweep_cell));
     out.u64(0x1234);      // workload id
     out.size(1ull << 60); // workload name length: hostile
-    std::string frame = out.take();
-    frame.append(8, '\0');
-    EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(frame)),
-                 storage::serialize_error);
+    EXPECT_THROW((void)storage::decode_sweep_cell(seal(out)), storage::serialize_error);
 }
 
 } // namespace

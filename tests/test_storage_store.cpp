@@ -1,11 +1,9 @@
-// Tests for storage/artifact_store and the disk tier it provides: sharded
-// layout and atomic publish, the experiment cache's memory -> disk ->
-// compute fall-through, every corruption class (truncated, bit-flipped,
-// wrong-version, wrong-digest files) degrading to a rebuild -- never a
-// crash, never stale data -- sweep checkpointing with --resume semantics,
-// the closed set of buckets a store-backed sweep writes, and two caches
-// racing on one shared store directory (the TSan job runs
-// this suite with two concurrent runners).
+// Tests for storage/artifact_store and the sweep checkpoints it holds:
+// sharded layout and atomic publish, every corruption class of a
+// checkpoint (truncated, bit-flipped, wrong-version, misfiled frames)
+// degrading to a recompute -- never a crash, never stale data -- --resume
+// semantics, the single bucket a store-backed sweep writes, and two sweeps
+// racing on one shared store directory (the TSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -13,14 +11,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
-#include "core/experiment.h"
+#include "obs/metrics.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/sweep.h"
 #include "runtime/thread_pool.h"
@@ -53,13 +49,6 @@ struct temp_dir {
     }
 };
 
-/// The program-tier store key the cache uses for (benchmark, config).
-std::uint64_t program_key_digest(workload::benchmark_id benchmark,
-                                 const core::experiment_config& config)
-{
-    return runtime::program_key{benchmark, config.workload_digest()}.digest();
-}
-
 void corrupt_file(const fs::path& path, std::size_t byte, std::uint8_t mask)
 {
     std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -76,20 +65,16 @@ void truncate_file(const fs::path& path, std::size_t keep_bytes)
     fs::resize_file(path, keep_bytes);
 }
 
-bool same_artifacts(const core::program_artifacts& a, const core::program_artifacts& b)
-{
-    if (a.workload != b.workload || a.thread_count != b.thread_count ||
-        a.seed != b.seed || a.workload_digest != b.workload_digest) {
-        return false;
-    }
-    // Frames are canonical (field-by-field little-endian), so byte equality
-    // of the encodings IS bit equality of every field.
-    return storage::encode(a) == storage::encode(b);
-}
-
 bool same_cells(const runtime::sweep_cell& a, const runtime::sweep_cell& b)
 {
     return storage::encode(a) == storage::encode(b);
+}
+
+/// Removes a checkpoint file, as if its sweep was killed before writing it.
+void erase_entry(const storage::artifact_store& store, std::uint64_t digest)
+{
+    std::error_code ec;
+    fs::remove(store.entry_path(storage::cell_bucket, digest), ec);
 }
 
 // -- raw store behavior -----------------------------------------------------
@@ -101,35 +86,30 @@ TEST(storage_store, blob_round_trip_layout_and_counters)
     EXPECT_EQ(store.root(), dir.path);
 
     const std::uint64_t key = 0xABCDEF0011223344ull;
-    EXPECT_FALSE(store.contains(storage::program_bucket, key));
-    EXPECT_EQ(store.load(storage::program_bucket, key), std::nullopt);
+    const fs::path entry = store.entry_path(storage::cell_bucket, key);
+    EXPECT_FALSE(fs::exists(entry));
+    EXPECT_EQ(store.load(storage::cell_bucket, key), std::nullopt);
     EXPECT_EQ(store.load_miss_count(), 1u);
 
-    ASSERT_TRUE(store.store(storage::program_bucket, key, "some frame bytes"));
-    EXPECT_TRUE(store.contains(storage::program_bucket, key));
-    EXPECT_EQ(store.load(storage::program_bucket, key), "some frame bytes");
+    ASSERT_TRUE(store.store(storage::cell_bucket, key, "some frame bytes"));
+    EXPECT_EQ(store.load(storage::cell_bucket, key), "some frame bytes");
     EXPECT_EQ(store.load_hit_count(), 1u);
     EXPECT_EQ(store.store_count(), 1u);
 
     // Sharded, versioned layout: v<format_version>/<bucket>/<top byte>/<hex16>.bin.
     const fs::path version_dir = "v" + std::to_string(storage::format_version);
-    const fs::path expected = dir.path / version_dir / "program" / "ab" /
-                              "abcdef0011223344.bin";
-    EXPECT_EQ(store.entry_path(storage::program_bucket, key), expected);
-    EXPECT_TRUE(fs::is_regular_file(expected));
+    EXPECT_EQ(entry, dir.path / version_dir / "cell" / "ab" / "abcdef0011223344.bin");
+    EXPECT_TRUE(fs::is_regular_file(entry));
 
     // Overwrite is a whole-file replace; no tmp files linger.
-    ASSERT_TRUE(store.store(storage::program_bucket, key, "updated"));
-    EXPECT_EQ(store.load(storage::program_bucket, key), "updated");
+    ASSERT_TRUE(store.store(storage::cell_bucket, key, "updated"));
+    EXPECT_EQ(store.load(storage::cell_bucket, key), "updated");
     EXPECT_TRUE(fs::is_empty(dir.path / version_dir / "tmp"));
 
-    store.erase(storage::program_bucket, key);
-    EXPECT_FALSE(store.contains(storage::program_bucket, key));
-
     // Distinct buckets do not collide on one key.
-    ASSERT_TRUE(store.store(storage::cell_bucket, key, "cell bytes"));
-    EXPECT_FALSE(store.contains(storage::program_bucket, key));
-    EXPECT_TRUE(store.contains(storage::cell_bucket, key));
+    ASSERT_TRUE(store.store("other", key, "other bytes"));
+    EXPECT_EQ(store.load("other", key), "other bytes");
+    EXPECT_EQ(store.load(storage::cell_bucket, key), "updated");
 }
 
 TEST(storage_store, orphaned_tmp_files_are_reaped_on_open)
@@ -161,67 +141,91 @@ TEST(storage_store, unusable_root_is_a_constructor_error)
     EXPECT_THROW(storage::artifact_store{blocked}, std::runtime_error);
 }
 
-// -- disk tier of the experiment cache --------------------------------------
+// -- sweep checkpointing and resume -----------------------------------------
 
-TEST(storage_store, warm_cache_restores_artifacts_without_computing)
+runtime::sweep_spec checkpoint_spec()
 {
-    temp_dir dir;
-    const core::experiment_config config;
-
-    // Cold process: computes, writes back.
-    runtime::experiment_cache cold;
-    cold.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto computed = cold.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(cold.disk_hit_count(), 0u);
-    EXPECT_EQ(cold.disk_miss_count(), 1u);
-    EXPECT_EQ(cold.program_compute_count(), 1u);
-    EXPECT_TRUE(cold.store()->contains(storage::program_bucket,
-                                       program_key_digest(kBenchmark, config)));
-
-    // Warm "process" (fresh cache, fresh store handle, same directory):
-    // the artifacts come off disk -- zero trace generations -- and are bit
-    // identical to the computed ones.
-    runtime::experiment_cache warm;
-    warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto restored = warm.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(warm.disk_hit_count(), 1u);
-    EXPECT_EQ(warm.disk_miss_count(), 0u);
-    EXPECT_EQ(warm.program_compute_count(), 0u);
-    EXPECT_TRUE(same_artifacts(*computed, *restored));
-    EXPECT_NO_THROW(restored->validate());
-
-    // The acceptance pin: disk-tier hits cover every program-tier lookup
-    // that memory could not serve.
-    EXPECT_EQ(warm.disk_hit_count(), warm.program_miss_count());
+    runtime::sweep_spec spec;
+    spec.benchmarks = {kBenchmark};
+    spec.stages = {circuit::pipe_stage::simple_alu};
+    spec.policies = {core::policy_kind::nominal, core::policy_kind::synts_offline};
+    spec.theta_multipliers = {0.5, 1.0};
+    return spec;
 }
 
-TEST(storage_store, full_experiment_from_disk_artifacts_is_bit_identical)
+/// One sweep of `spec` in a fresh cache against a fresh store handle on
+/// `root` -- what a separate runner process sharing the directory does.
+runtime::sweep_result run_on_store(runtime::thread_pool& pool, const fs::path& root,
+                                   const runtime::sweep_spec& spec, bool resume)
+{
+    runtime::experiment_cache cache;
+    storage::artifact_store store(root);
+    return runtime::sweep_scheduler(pool, cache).run(spec, {&store, resume});
+}
+
+TEST(storage_store, warm_sweep_re_run_computes_nothing_and_matches_bit_for_bit)
 {
     temp_dir dir;
-    runtime::experiment_cache cold;
-    cold.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto from_compute =
-        cold.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
 
-    runtime::experiment_cache warm;
-    warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto from_disk =
-        warm.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-    EXPECT_EQ(warm.program_compute_count(), 0u);
+    // Cold run: everything computed and persisted.
+    const runtime::sweep_result cold = run_on_store(pool, dir.path, spec, false);
+    EXPECT_TRUE(cold.checkpointing);
+    EXPECT_EQ(cold.program_computes, 1u);
+    EXPECT_EQ(cold.cells_stored, 2u);
+    EXPECT_EQ(cold.cells_loaded, 0u);
 
-    const double theta = from_compute->equal_weight_theta();
-    EXPECT_EQ(from_disk->equal_weight_theta(), theta);
-    for (const core::policy_kind kind : core::all_policies()) {
-        const auto a = from_compute->run_policy(kind, theta);
-        const auto b = from_disk->run_policy(kind, theta);
-        EXPECT_EQ(a.sum.energy, b.sum.energy);
-        EXPECT_EQ(a.sum.time_ps, b.sum.time_ps);
+    // Re-run WITHOUT resume: every cell is recomputed (the store holds no
+    // artifacts) and re-persisted, bit-identical to the cold run.
+    const runtime::sweep_result again = run_on_store(pool, dir.path, spec, false);
+    EXPECT_EQ(again.program_computes, 1u);
+    EXPECT_EQ(again.cells_loaded, 0u);
+    EXPECT_EQ(again.cells_stored, 2u);
+    ASSERT_EQ(again.cells.size(), cold.cells.size());
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        EXPECT_TRUE(same_cells(cold.cells[i], again.cells[i])) << "cell " << i;
+    }
+
+    // Warm run WITH resume: cells restored outright; no cache traffic at
+    // all, so nothing is characterized or computed.
+    const runtime::sweep_result resumed = run_on_store(pool, dir.path, spec, true);
+    EXPECT_EQ(resumed.cells_loaded, 2u);
+    EXPECT_EQ(resumed.cells_stored, 0u);
+    EXPECT_EQ(resumed.cells_missed(), 0u);
+    EXPECT_EQ(resumed.program_cache_misses, 0u);
+    EXPECT_EQ(resumed.program_computes, 0u);
+    EXPECT_EQ(resumed.cache_misses, 0u);
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
+    }
+}
+
+TEST(storage_store, resume_recomputes_only_the_missing_cells)
+{
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
+    const runtime::sweep_result cold = run_on_store(pool, dir.path, spec, false);
+
+    // Simulate a sweep killed mid-run: cell 1's checkpoint never landed.
+    const storage::artifact_store store(dir.path);
+    erase_entry(store, runtime::sweep_cell_digest(spec.digest(), 1));
+
+    const runtime::sweep_result resumed = run_on_store(pool, dir.path, spec, true);
+    EXPECT_EQ(resumed.cells_loaded, 1u);      // cell 0 restored
+    EXPECT_EQ(resumed.cells_stored, 1u);      // cell 1 recomputed and re-persisted
+    EXPECT_EQ(resumed.cells_missed(), 1u);
+    EXPECT_EQ(resumed.program_computes, 1u);  // its pair was characterized again
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
     }
 }
 
 TEST(storage_store, every_corruption_class_is_a_miss_and_gets_rebuilt)
 {
-    const core::experiment_config config;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
 
     struct corruption {
         const char* name;
@@ -239,252 +243,139 @@ TEST(storage_store, every_corruption_class_is_a_miss_and_gets_rebuilt)
         {"bad magic", [](const fs::path& p) { corrupt_file(p, 0, 0xFF); }},
     };
 
+    temp_dir pristine;
+    const runtime::sweep_result cold = run_on_store(pool, pristine.path, spec, false);
     for (const corruption& c : corruptions) {
         SCOPED_TRACE(c.name);
         temp_dir dir;
-        {
-            runtime::experiment_cache seeder;
-            seeder.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-            (void)seeder.get_or_create_program(kBenchmark, config);
-        }
-        storage::artifact_store probe(dir.path);
+        fs::copy(pristine.path, dir.path, fs::copy_options::recursive);
+        const storage::artifact_store probe(dir.path);
         const fs::path entry = probe.entry_path(
-            storage::program_bucket, program_key_digest(kBenchmark, config));
+            storage::cell_bucket, runtime::sweep_cell_digest(spec.digest(), 0));
         ASSERT_TRUE(fs::is_regular_file(entry));
         c.apply(entry);
 
-        // The corrupt file is a miss: rebuilt, never crashed, never served.
-        runtime::experiment_cache victim;
-        victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        const auto rebuilt = victim.get_or_create_program(kBenchmark, config);
-        EXPECT_EQ(victim.disk_hit_count(), 0u);
-        EXPECT_EQ(victim.disk_miss_count(), 1u);
-        EXPECT_EQ(victim.program_compute_count(), 1u);
-        EXPECT_NO_THROW(rebuilt->validate());
-        EXPECT_EQ(rebuilt->seed, config.seed);
-        EXPECT_EQ(rebuilt->workload_digest, config.workload_digest());
+        // The corrupt checkpoint is a miss: recomputed, never crashed,
+        // never served.
+        const runtime::sweep_result victim = run_on_store(pool, dir.path, spec, true);
+        EXPECT_EQ(victim.cells_loaded, 1u);
+        EXPECT_EQ(victim.cells_stored, 1u);
+        EXPECT_EQ(victim.program_computes, 1u);
+        EXPECT_TRUE(same_cells(cold.cells[0], victim.cells[0]));
 
-        // ... and the rebuild repaired the store: the next fresh cache hits.
-        runtime::experiment_cache repaired;
-        repaired.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        (void)repaired.get_or_create_program(kBenchmark, config);
-        EXPECT_EQ(repaired.disk_hit_count(), 1u);
-        EXPECT_EQ(repaired.program_compute_count(), 0u);
+        // ... and the recompute repaired the store: the next resume
+        // restores every cell.
+        const runtime::sweep_result repaired = run_on_store(pool, dir.path, spec, true);
+        EXPECT_EQ(repaired.cells_loaded, 2u);
+        EXPECT_EQ(repaired.program_computes, 0u);
     }
 }
 
 TEST(storage_store, wrong_digest_entry_is_a_miss_never_stale_data)
 {
-    // A VALID frame parked under the wrong key (here: seed-43 artifacts
-    // where seed-42 artifacts belong) must be rejected by the provenance
-    // stamp -- the invalidation contract is digest mismatch => miss.
-    temp_dir dir;
-    core::experiment_config seed42;
-    seed42.seed = 42;
-    core::experiment_config seed43;
-    seed43.seed = 43;
-
-    {
-        runtime::experiment_cache seeder;
-        seeder.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        (void)seeder.get_or_create_program(kBenchmark, seed43);
-    }
-    storage::artifact_store probe(dir.path);
-    const auto frame43 =
-        probe.load(storage::program_bucket, program_key_digest(kBenchmark, seed43));
-    ASSERT_TRUE(frame43.has_value());
-    ASSERT_TRUE(probe.store(storage::program_bucket,
-                            program_key_digest(kBenchmark, seed42), *frame43));
-
-    runtime::experiment_cache victim;
-    victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto rebuilt = victim.get_or_create_program(kBenchmark, seed42);
-    EXPECT_EQ(victim.disk_hit_count(), 0u);
-    EXPECT_EQ(victim.program_compute_count(), 1u);
-    EXPECT_EQ(rebuilt->seed, 42u); // the request's workload, not the file's
-    EXPECT_EQ(rebuilt->workload_digest, seed42.workload_digest());
-}
-
-TEST(storage_store, detached_cache_never_touches_disk)
-{
-    runtime::experiment_cache cache;
-    (void)cache.get_or_create_program(kBenchmark);
-    EXPECT_EQ(cache.store(), nullptr);
-    EXPECT_EQ(cache.disk_hit_count(), 0u);
-    EXPECT_EQ(cache.disk_miss_count(), 0u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
-}
-
-// -- concurrent runners sharing one store directory -------------------------
-
-TEST(storage_store, two_runners_race_on_one_store_directory)
-{
-    // Two independent caches (separate store handles, one directory) pull
-    // the same workloads concurrently -- the worst case for write-back
-    // racing: both miss, both compute, both publish the same key. Atomic
-    // rename makes the race benign; both must end with valid, identical
-    // artifacts. Run under TSan by the CI storage job.
-    temp_dir dir;
-    const core::experiment_config config;
-
-    runtime::experiment_cache caches[2];
-    std::shared_ptr<const core::program_artifacts> results[2];
-    std::thread runners[2];
-    for (int i = 0; i < 2; ++i) {
-        caches[i].attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        runners[i] = std::thread([&, i] {
-            results[i] = caches[i].get_or_create_program(kBenchmark, config);
-        });
-    }
-    for (std::thread& runner : runners) {
-        runner.join();
-    }
-
-    ASSERT_NE(results[0], nullptr);
-    ASSERT_NE(results[1], nullptr);
-    EXPECT_TRUE(same_artifacts(*results[0], *results[1]));
-    EXPECT_NO_THROW(results[0]->validate());
-
-    // Whoever lost the publish race left a fully valid entry behind.
-    runtime::experiment_cache after;
-    after.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    (void)after.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(after.disk_hit_count(), 1u);
-    EXPECT_EQ(after.program_compute_count(), 0u);
-}
-
-// -- sweep checkpointing and resume -----------------------------------------
-
-runtime::sweep_spec checkpoint_spec()
-{
-    runtime::sweep_spec spec;
-    spec.benchmarks = {kBenchmark};
-    spec.stages = {circuit::pipe_stage::simple_alu};
-    spec.policies = {core::policy_kind::nominal, core::policy_kind::synts_offline};
-    spec.theta_multipliers = {0.5, 1.0};
-    return spec;
-}
-
-TEST(storage_store, warm_sweep_re_run_computes_nothing_and_matches_bit_for_bit)
-{
+    // A VALID frame filed under the wrong key (here: the synts_offline
+    // cell parked where the nominal cell belongs) must be rejected by the
+    // identity check against its slot -- never adopted as that cell.
     temp_dir dir;
     const runtime::sweep_spec spec = checkpoint_spec();
     runtime::thread_pool pool(2);
+    const runtime::sweep_result cold = run_on_store(pool, dir.path, spec, false);
 
-    // Cold run: store attached, everything computed and persisted.
-    runtime::experiment_cache cold_cache;
-    auto cold_store = std::make_shared<storage::artifact_store>(dir.path);
-    cold_cache.attach_store(cold_store);
-    const runtime::sweep_result cold = runtime::sweep_scheduler(pool, cold_cache)
-                                           .run(spec, {cold_store.get(), false});
-    EXPECT_EQ(cold.program_computes, 1u);
-    EXPECT_EQ(cold.cells_stored, 2u);
-    EXPECT_EQ(cold.cells_loaded, 0u);
+    const storage::artifact_store store(dir.path);
+    const std::uint64_t nominal_key = runtime::sweep_cell_digest(spec.digest(), 0);
+    const std::uint64_t offline_key = runtime::sweep_cell_digest(spec.digest(), 1);
+    const auto offline_frame = store.load(storage::cell_bucket, offline_key);
+    ASSERT_TRUE(offline_frame.has_value());
+    ASSERT_TRUE(store.store(storage::cell_bucket, nominal_key, *offline_frame));
 
-    // Warm run, NO resume: cells recomputed from disk-tier artifacts --
-    // zero trace generations, disk hits covering every program miss, and
-    // cell-for-cell bit-identical results.
-    runtime::experiment_cache warm_cache;
-    auto warm_store = std::make_shared<storage::artifact_store>(dir.path);
-    warm_cache.attach_store(warm_store);
-    const runtime::sweep_result warm = runtime::sweep_scheduler(pool, warm_cache)
-                                           .run(spec, {warm_store.get(), false});
-    EXPECT_EQ(warm.program_computes, 0u);
-    EXPECT_EQ(warm.disk_hits, warm.program_cache_misses);
-    EXPECT_EQ(warm.disk_misses, 0u);
-    EXPECT_EQ(warm.cells_loaded, 0u);
-    ASSERT_EQ(warm.cells.size(), cold.cells.size());
-    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
-        EXPECT_TRUE(same_cells(cold.cells[i], warm.cells[i])) << "cell " << i;
-    }
-
-    // Resumed run: cells restored outright; no cache traffic at all.
-    runtime::experiment_cache resumed_cache;
-    auto resumed_store = std::make_shared<storage::artifact_store>(dir.path);
-    resumed_cache.attach_store(resumed_store);
-    const runtime::sweep_result resumed =
-        runtime::sweep_scheduler(pool, resumed_cache)
-            .run(spec, {resumed_store.get(), true});
-    EXPECT_EQ(resumed.cells_loaded, 2u);
-    EXPECT_EQ(resumed.program_cache_misses, 0u);
-    EXPECT_EQ(resumed.program_computes, 0u);
-    EXPECT_EQ(resumed.cache_misses, 0u);
-    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
-        EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
-    }
-}
-
-TEST(storage_store, resume_recomputes_only_the_missing_cells)
-{
-    temp_dir dir;
-    const runtime::sweep_spec spec = checkpoint_spec();
-    runtime::thread_pool pool(2);
-
-    runtime::experiment_cache cold_cache;
-    auto store = std::make_shared<storage::artifact_store>(dir.path);
-    cold_cache.attach_store(store);
-    const runtime::sweep_result cold =
-        runtime::sweep_scheduler(pool, cold_cache).run(spec, {store.get(), false});
-
-    // Simulate a sweep killed mid-run: cell 1's checkpoint never landed.
-    store->erase(storage::cell_bucket, runtime::sweep_cell_digest(spec.digest(), 1));
-
-    runtime::experiment_cache resumed_cache;
-    auto resumed_store = std::make_shared<storage::artifact_store>(dir.path);
-    resumed_cache.attach_store(resumed_store);
-    const runtime::sweep_result resumed =
-        runtime::sweep_scheduler(pool, resumed_cache)
-            .run(spec, {resumed_store.get(), true});
-
-    EXPECT_EQ(resumed.cells_loaded, 1u);  // cell 0 restored
-    EXPECT_EQ(resumed.cells_stored, 1u);  // cell 1 recomputed and re-persisted
-    EXPECT_EQ(resumed.program_computes, 0u); // artifacts still come off disk
-    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
-        EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
-    }
-
-    // A corrupt checkpoint is equivalent to a missing one.
-    corrupt_file(resumed_store->entry_path(storage::cell_bucket,
-                                           runtime::sweep_cell_digest(spec.digest(), 0)),
-                 20, 0x40);
-    runtime::experiment_cache again_cache;
-    auto again_store = std::make_shared<storage::artifact_store>(dir.path);
-    again_cache.attach_store(again_store);
-    const runtime::sweep_result again =
-        runtime::sweep_scheduler(pool, again_cache)
-            .run(spec, {again_store.get(), true});
-    EXPECT_EQ(again.cells_loaded, 1u);
-    EXPECT_EQ(again.cells_stored, 1u);
-    EXPECT_TRUE(same_cells(cold.cells[0], again.cells[0]));
+    const runtime::sweep_result resumed = run_on_store(pool, dir.path, spec, true);
+    EXPECT_EQ(resumed.cells_loaded, 1u);
+    EXPECT_EQ(resumed.cells_stored, 1u);
+    EXPECT_EQ(resumed.cells[0].policy, core::policy_kind::nominal);
+    EXPECT_TRUE(same_cells(cold.cells[0], resumed.cells[0]));
 }
 
 TEST(storage_store, resume_keys_on_the_spec_a_different_sweep_shares_nothing)
 {
     temp_dir dir;
     runtime::thread_pool pool(2);
-
-    runtime::experiment_cache first_cache;
-    auto store = std::make_shared<storage::artifact_store>(dir.path);
-    first_cache.attach_store(store);
     const runtime::sweep_spec spec = checkpoint_spec();
-    (void)runtime::sweep_scheduler(pool, first_cache).run(spec, {store.get(), false});
+    (void)run_on_store(pool, dir.path, spec, false);
 
     // Same pair, different theta ladder: every cell key changes, so resume
-    // must restore nothing (stale checkpoints cannot leak across specs) --
-    // while the program artifacts, keyed on workload alone, still hit.
+    // must restore nothing (stale checkpoints cannot leak across specs).
     runtime::sweep_spec changed = spec;
     changed.theta_multipliers = {0.25, 4.0};
     ASSERT_NE(changed.digest(), spec.digest());
 
-    runtime::experiment_cache second_cache;
-    auto second_store = std::make_shared<storage::artifact_store>(dir.path);
-    second_cache.attach_store(second_store);
-    const runtime::sweep_result result =
-        runtime::sweep_scheduler(pool, second_cache)
-            .run(changed, {second_store.get(), true});
+    const runtime::sweep_result result = run_on_store(pool, dir.path, changed, true);
     EXPECT_EQ(result.cells_loaded, 0u);
     EXPECT_EQ(result.cells_stored, 2u);
-    EXPECT_EQ(result.program_computes, 0u);
+}
+
+TEST(storage_store, detached_cache_never_touches_disk)
+{
+    // Without a checkpoint store a sweep performs no store I/O at all: the
+    // cache tiers live in memory only.
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    const auto io_count = [&registry] {
+        return registry.counter_at("store.load_hits").value() +
+               registry.counter_at("store.load_misses").value() +
+               registry.counter_at("store.stores").value() +
+               registry.counter_at("store.store_failures").value();
+    };
+    const std::uint64_t before = io_count();
+
+    runtime::thread_pool pool(2);
+    runtime::experiment_cache cache;
+    const runtime::sweep_result result =
+        runtime::sweep_scheduler(pool, cache).run(checkpoint_spec());
+    EXPECT_FALSE(result.checkpointing);
+    EXPECT_EQ(result.cells_loaded, 0u);
+    EXPECT_EQ(result.cells_stored, 0u);
+    EXPECT_EQ(result.cells_missed(), 0u);
+    EXPECT_EQ(result.program_computes, 1u);
+    EXPECT_EQ(io_count(), before);
+}
+
+// -- concurrent runners sharing one store directory -------------------------
+
+TEST(storage_store, two_runners_race_on_one_store_directory)
+{
+    // Two independent sweeps (separate caches, separate store handles, one
+    // directory) run the same spec concurrently -- the worst case for
+    // write-back racing: both compute every cell and both publish the same
+    // keys. Atomic rename makes the race benign; both must end with
+    // identical cells. Run under TSan by the CI storage job.
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::sweep_result results[2];
+    std::thread runners[2];
+    for (int i = 0; i < 2; ++i) {
+        runners[i] = std::thread([&, i] {
+            runtime::thread_pool pool(2);
+            results[i] = run_on_store(pool, dir.path, spec, false);
+        });
+    }
+    for (std::thread& runner : runners) {
+        runner.join();
+    }
+
+    ASSERT_EQ(results[0].cells.size(), 2u);
+    ASSERT_EQ(results[1].cells.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_cells(results[0].cells[i], results[1].cells[i])) << "cell " << i;
+    }
+    EXPECT_EQ(results[0].cells_stored + results[1].cells_stored, 4u);
+
+    // Whoever lost the publish race left fully valid entries behind.
+    runtime::thread_pool pool(2);
+    const runtime::sweep_result after = run_on_store(pool, dir.path, spec, true);
+    EXPECT_EQ(after.cells_loaded, 2u);
+    EXPECT_EQ(after.program_computes, 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_cells(results[0].cells[i], after.cells[i])) << "cell " << i;
+    }
 }
 
 /// Bucket directories present under the store's versioned root (the tmp/
@@ -501,34 +392,25 @@ std::set<std::string> bucket_names(const fs::path& root)
     return names;
 }
 
-TEST(storage_store, store_backed_sweeps_write_only_program_and_cell_buckets)
+TEST(storage_store, store_backed_sweeps_write_only_the_cell_bucket)
 {
-    // A checkpointing sweep's only durable products are program artifacts
-    // and finished cells -- with and without resume, nothing else lands in
-    // the store.
+    // A checkpointing sweep's only durable products are finished cells --
+    // with and without resume, nothing else (in particular no `program`
+    // artifact bucket) lands in the store.
     temp_dir dir;
     const runtime::sweep_spec spec = checkpoint_spec();
     runtime::thread_pool pool(2);
-    const std::set<std::string> expected{std::string(storage::program_bucket),
-                                         std::string(storage::cell_bucket)};
+    const std::set<std::string> expected{std::string(storage::cell_bucket)};
 
-    runtime::experiment_cache cold_cache;
-    auto cold_store = std::make_shared<storage::artifact_store>(dir.path);
-    cold_cache.attach_store(cold_store);
-    const runtime::sweep_result cold = runtime::sweep_scheduler(pool, cold_cache)
-                                           .run(spec, {cold_store.get(), false});
+    const runtime::sweep_result cold = run_on_store(pool, dir.path, spec, false);
     EXPECT_EQ(cold.cells_stored, 2u);
     EXPECT_EQ(bucket_names(dir.path), expected);
 
     // Resume with one checkpoint missing: one cell restored, one recomputed
     // and persisted.
-    cold_store->erase(storage::cell_bucket, runtime::sweep_cell_digest(spec.digest(), 1));
-    runtime::experiment_cache resumed_cache;
-    auto resumed_store = std::make_shared<storage::artifact_store>(dir.path);
-    resumed_cache.attach_store(resumed_store);
-    const runtime::sweep_result resumed =
-        runtime::sweep_scheduler(pool, resumed_cache)
-            .run(spec, {resumed_store.get(), true});
+    erase_entry(storage::artifact_store(dir.path),
+                runtime::sweep_cell_digest(spec.digest(), 1));
+    const runtime::sweep_result resumed = run_on_store(pool, dir.path, spec, true);
     EXPECT_EQ(resumed.cells_loaded, 1u);
     EXPECT_EQ(resumed.cells_stored, 1u);
     EXPECT_EQ(bucket_names(dir.path), expected);

@@ -346,8 +346,9 @@ TEST(workload_scenarios, scenario_workload_characterizes_through_the_pipeline)
     EXPECT_NO_THROW(artifacts->validate());
     EXPECT_EQ(artifacts->workload, key);
     core::experiment_config config;
-    EXPECT_TRUE(artifacts->provenance_matches(key, config.thread_count,
-                                              config.workload_digest()));
+    EXPECT_EQ(artifacts->thread_count, config.thread_count);
+    EXPECT_EQ(artifacts->trace.thread_count(), config.thread_count);
+    EXPECT_EQ(artifacts->workload_digest, config.workload_digest());
     // Heterogeneous by construction: the convoy head's error behavior must
     // separate from rung 0 after the full cross-layer characterization.
     const core::benchmark_experiment experiment(key, circuit::pipe_stage::simple_alu);

@@ -64,18 +64,16 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --summary-csv=PATH  write equal-weight operating points as CSV
   --json=PATH         write the full result (spec echo + cells; byte-stable
                       across cold/warm/resumed runs of one spec)
-  --store[=DIR]       persist program artifacts and finished sweep cells in
-                      DIR (default .synts-store), and reuse artifacts from
-                      it: a warm re-run performs zero trace generations and
-                      zero profiler runs. Safe to share between concurrent
+  --store[=DIR]       checkpoint every finished sweep cell in DIR (default
+                      .synts-store). Safe to share between concurrent
                       runners (atomic write-back).
-  --resume            with --store: skip cells already materialized in the
-                      store, so a killed sweep restarts where it died
+  --resume            with --store: restore cells already checkpointed in
+                      the store instead of recomputing them, so a killed
+                      sweep restarts where it died
   --cache-stats[=FMT] print hit/miss counts of every cache tier (program
-                      artifacts, stage experiments, disk store, cell
-                      checkpoints) plus the compute count, sourced from the
-                      process metrics registry; FMT: table (default), csv,
-                      json
+                      artifacts, stage experiments, cell checkpoints) plus
+                      the compute count, sourced from the process metrics
+                      registry; FMT: table (default), csv, json
   --metrics[=FMT]     after the run, print the whole metrics registry --
                       pool.*, cache.tier<N>.*, store.*, sweep.* counters,
                       gauges and latency histograms (p50/p95/p99); FMT:
@@ -351,10 +349,9 @@ int main(int argc, char** argv)
 
         runtime::experiment_cache& cache = runtime::experiment_cache::process_cache();
         runtime::sweep_options options;
-        std::shared_ptr<storage::artifact_store> store;
+        std::unique_ptr<storage::artifact_store> store;
         if (!store_dir.empty()) {
-            store = std::make_shared<storage::artifact_store>(store_dir);
-            cache.attach_store(store);
+            store = std::make_unique<storage::artifact_store>(store_dir);
             options.store = store.get();
             options.resume = resume;
         }
@@ -375,11 +372,8 @@ int main(int argc, char** argv)
                         static_cast<unsigned long long>(result.program_cache_misses),
                         static_cast<unsigned long long>(pool.steal_count()));
             if (store != nullptr) {
-                std::printf("store %s: %llu artifact disk hits, %llu computes, "
-                            "%llu cells restored, %llu cells persisted\n",
+                std::printf("store %s: %llu cells restored, %llu cells persisted\n",
                             store->root().c_str(),
-                            static_cast<unsigned long long>(result.disk_hits),
-                            static_cast<unsigned long long>(result.program_computes),
                             static_cast<unsigned long long>(result.cells_loaded),
                             static_cast<unsigned long long>(result.cells_stored));
             }
