@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "util/histogram.h"
@@ -32,18 +31,26 @@ public:
 /// Empirical error model built from the cross-layer characterization: one
 /// sensitized-delay histogram per voltage corner plus the fraction of
 /// instructions that drive the stage.
+///
+/// Each corner keeps only suffix counts (at_or_above[b] = samples in bins
+/// b.., so at_or_above[0] is the total), so a lookup is O(1): the mass above
+/// the containing bin and the bin's own count are differences of two
+/// entries. The integer math is exact, so the result equals a bin-by-bin
+/// sum bit for bit (tests/test_core_error_model.cpp holds it to that loop).
 class empirical_error_model final : public error_curve {
 public:
     /// `per_corner_delays[j]` holds the delay distribution at voltage level
     /// j; `tnom_ps[j]` is the stage's nominal period there. `drive_fraction`
     /// in [0, 1]. Throws std::invalid_argument on size mismatch.
-    empirical_error_model(std::vector<util::histogram> per_corner_delays,
+    empirical_error_model(const std::vector<util::histogram>& per_corner_delays,
                           std::vector<double> tnom_ps, double drive_fraction);
 
     [[nodiscard]] double error_probability(std::size_t voltage_index,
                                            double tsr) const override;
 
-    /// Per-vector exceedance (without the drive-fraction factor).
+    /// Per-vector exceedance P(delay > tsr * tnom) at a corner (without the
+    /// drive-fraction factor); within the containing bin, mass is
+    /// interpolated linearly.
     [[nodiscard]] double vector_error_probability(std::size_t voltage_index,
                                                   double tsr) const;
 
@@ -51,16 +58,18 @@ public:
     [[nodiscard]] double drive_fraction() const noexcept { return drive_fraction_; }
 
     /// Number of voltage corners.
-    [[nodiscard]] std::size_t corner_count() const noexcept { return histograms_.size(); }
-
-    /// Delay histogram at a corner (plots / tests).
-    [[nodiscard]] const util::histogram& corner_histogram(std::size_t j) const
-    {
-        return histograms_[j];
-    }
+    [[nodiscard]] std::size_t corner_count() const noexcept { return corners_.size(); }
 
 private:
-    std::vector<util::histogram> histograms_;
+    /// One corner's delay distribution as suffix counts.
+    struct corner_table {
+        double lo = 0.0;
+        double hi = 0.0;
+        double width = 0.0;
+        std::vector<std::uint64_t> at_or_above; ///< size bins + 1, last entry 0
+    };
+
+    std::vector<corner_table> corners_;
     std::vector<double> tnom_ps_;
     double drive_fraction_;
 };

@@ -155,35 +155,36 @@ benchmark_experiment::run_interval_ladder(policy_kind kind, std::size_t k,
     return engine_.run_interval_ladder(kind, truth, thetas, sampling_data);
 }
 
+benchmark_experiment::policy_sweep
+benchmark_experiment::sweep_policy(policy_kind kind, double theta,
+                                   std::span<const double> ladder) const
+{
+    std::vector<double> thetas;
+    thetas.reserve(1 + ladder.size());
+    thetas.push_back(theta);
+    thetas.insert(thetas.end(), ladder.begin(), ladder.end());
+
+    policy_sweep sweep;
+    sweep.run.kind = kind;
+    sweep.run.intervals.reserve(interval_count());
+    sweep.ladder.resize(ladder.size());
+    for (std::size_t k = 0; k < interval_count(); ++k) {
+        std::vector<interval_outcome> outcomes = run_interval_ladder(kind, k, thetas);
+        for (std::size_t t = 0; t < sweep.ladder.size(); ++t) {
+            sweep.ladder[t].energy += outcomes[t + 1].energy;
+            sweep.ladder[t].time_ps += outcomes[t + 1].time_ps;
+        }
+        sweep.run.sum.energy += outcomes.front().energy;
+        sweep.run.sum.time_ps += outcomes.front().time_ps;
+        sweep.run.intervals.push_back(std::move(outcomes.front()));
+    }
+    return sweep;
+}
+
 benchmark_experiment::policy_run benchmark_experiment::run_policy(policy_kind kind,
                                                                   double theta) const
 {
-    policy_run run;
-    run.kind = kind;
-    run.intervals.reserve(interval_count());
-    for (std::size_t k = 0; k < interval_count(); ++k) {
-        interval_outcome outcome =
-            std::move(run_interval_ladder(kind, k, std::span(&theta, 1)).front());
-        run.sum.energy += outcome.energy;
-        run.sum.time_ps += outcome.time_ps;
-        run.intervals.push_back(std::move(outcome));
-    }
-    return run;
-}
-
-std::vector<benchmark_experiment::totals>
-benchmark_experiment::run_policy_ladder(policy_kind kind,
-                                        std::span<const double> thetas) const
-{
-    std::vector<totals> sums(thetas.size());
-    for (std::size_t k = 0; k < interval_count(); ++k) {
-        const std::vector<interval_outcome> outcomes = run_interval_ladder(kind, k, thetas);
-        for (std::size_t t = 0; t < sums.size(); ++t) {
-            sums[t].energy += outcomes[t].energy;
-            sums[t].time_ps += outcomes[t].time_ps;
-        }
-    }
-    return sums;
+    return std::move(sweep_policy(kind, theta, {}).run);
 }
 
 benchmark_experiment::policy_run
@@ -242,24 +243,32 @@ std::vector<pareto_point> pareto_sweep(const benchmark_experiment& experiment,
                                        const double theta_eq,
                                        const benchmark_experiment::policy_run& nominal)
 {
+    return evaluate_policy_cell(experiment, kind, theta_multipliers, theta_eq, nominal).pareto;
+}
+
+policy_cell evaluate_policy_cell(const benchmark_experiment& experiment, policy_kind kind,
+                                 std::span<const double> theta_multipliers,
+                                 const double theta_eq,
+                                 const benchmark_experiment::policy_run& nominal)
+{
     std::vector<double> thetas;
     thetas.reserve(theta_multipliers.size());
     for (const double multiplier : theta_multipliers) {
         thetas.push_back(theta_eq * multiplier);
     }
-    const std::vector<benchmark_experiment::totals> sums =
-        experiment.run_policy_ladder(kind, thetas);
+    benchmark_experiment::policy_sweep sweep = experiment.sweep_policy(kind, theta_eq, thetas);
 
-    std::vector<pareto_point> points;
-    points.reserve(thetas.size());
+    policy_cell cell;
+    cell.equal_weight = std::move(sweep.run);
+    cell.pareto.reserve(thetas.size());
     for (std::size_t t = 0; t < thetas.size(); ++t) {
         pareto_point p;
         p.theta = thetas[t];
-        p.energy = sums[t].energy / nominal.sum.energy;
-        p.time = sums[t].time_ps / nominal.sum.time_ps;
-        points.push_back(p);
+        p.energy = sweep.ladder[t].energy / nominal.sum.energy;
+        p.time = sweep.ladder[t].time_ps / nominal.sum.time_ps;
+        cell.pareto.push_back(p);
     }
-    return points;
+    return cell;
 }
 
 std::vector<double> default_theta_multipliers()

@@ -135,10 +135,23 @@ public:
         totals sum;
     };
 
-    /// Runs one policy at `theta` over every interval.
+    /// One policy at `theta` (a full per-interval run) and at every theta
+    /// of `ladder` (interval-order totals).
+    struct policy_sweep {
+        policy_run run;
+        std::vector<totals> ladder; ///< entry t at ladder[t]
+    };
+
+    /// The one policy-evaluation pass: per interval, one
+    /// policy_engine::run_interval_ladder call over {theta, ladder...}
+    /// builds the theta-free plan once and prices each distinct pick once.
+    /// run.intervals[k] equals the policy evaluated at `theta` alone, and
+    /// ladder[t] equals run_policy(kind, ladder[t]).sum, bit for bit.
+    /// run_policy, pareto_sweep and the runtime's sweep cells are views of
+    /// it. A negative theta anywhere throws std::invalid_argument.
     ///
     /// Thread safety: this and every other const member (make_solver_input,
-    /// equal_weight_theta, run_policy_ladder, run_all_policies,
+    /// equal_weight_theta, run_policy, run_all_policies,
     /// run_synts_online_predicted, and the free pareto_sweep below) may be
     /// called concurrently on one instance. The evaluation path holds no
     /// hidden mutable state -- plans are built per call, the
@@ -146,15 +159,12 @@ public:
     /// MILP's instrumentation counters are thread_local. The runtime's
     /// experiment_cache relies on this to share one instance across all
     /// sweep workers; tests/test_runtime_sweep.cpp pins the contract.
-    [[nodiscard]] policy_run run_policy(policy_kind kind, double theta) const;
+    [[nodiscard]] policy_sweep sweep_policy(policy_kind kind, double theta,
+                                            std::span<const double> ladder) const;
 
-    /// Runs one policy at every theta of `thetas` in one pass over the
-    /// intervals: each interval's theta-free plan is built once (see
-    /// policy_engine::run_interval_ladder). Entry t is the interval-order
-    /// sum of the outcomes at thetas[t], equal to run_policy(kind,
-    /// thetas[t]).sum bit for bit. Plans are local to the call.
-    [[nodiscard]] std::vector<totals> run_policy_ladder(policy_kind kind,
-                                                        std::span<const double> thetas) const;
+    /// Runs one policy at `theta` over every interval (sweep_policy with an
+    /// empty ladder).
+    [[nodiscard]] policy_run run_policy(policy_kind kind, double theta) const;
 
     /// Convenience: runs all five policies at `theta`.
     [[nodiscard]] std::vector<policy_run> run_all_policies(double theta) const;
@@ -202,7 +212,7 @@ struct pareto_point {
 
 /// Sweeps theta over `theta_multipliers` x equal_weight_theta() and returns
 /// (energy, time) of `kind` normalized to the Nominal baseline. The whole
-/// ladder is evaluated in one pass per interval (run_policy_ladder).
+/// ladder is evaluated in one pass per interval (sweep_policy).
 [[nodiscard]] std::vector<pareto_point>
 pareto_sweep(const benchmark_experiment& experiment, policy_kind kind,
              std::span<const double> theta_multipliers);
@@ -210,13 +220,29 @@ pareto_sweep(const benchmark_experiment& experiment, policy_kind kind,
 /// Same sweep with the shared per-experiment inputs precomputed:
 /// `theta_eq` must be experiment.equal_weight_theta() and
 /// `nominal_baseline` its Nominal run at theta_eq. The two-argument
-/// overload above delegates here, so results are bit-identical; the runtime
-/// scheduler uses this form to compute the baseline once per
-/// (benchmark, stage) pair instead of once per policy cell.
+/// overload above delegates here, so results are bit-identical. Equal to
+/// evaluate_policy_cell(...).pareto.
 [[nodiscard]] std::vector<pareto_point>
 pareto_sweep(const benchmark_experiment& experiment, policy_kind kind,
              std::span<const double> theta_multipliers, double theta_eq,
              const benchmark_experiment::policy_run& nominal_baseline);
+
+/// One sweep cell: a policy at theta_eq and its Pareto ladder.
+struct policy_cell {
+    benchmark_experiment::policy_run equal_weight;
+    std::vector<pareto_point> pareto; ///< index-aligned with the multipliers
+};
+
+/// Evaluates `kind` at theta_eq and over `theta_multipliers` x theta_eq in
+/// one sweep_policy pass: equal_weight is run_policy(kind, theta_eq) and
+/// pareto is pareto_sweep(...) with the same arguments, bit for bit. The
+/// runtime scheduler computes each cell with one call (the baseline once
+/// per (benchmark, stage) pair); `nominal_baseline` is not read when the
+/// ladder is empty.
+[[nodiscard]] policy_cell
+evaluate_policy_cell(const benchmark_experiment& experiment, policy_kind kind,
+                     std::span<const double> theta_multipliers, double theta_eq,
+                     const benchmark_experiment::policy_run& nominal_baseline);
 
 /// Default multiplier ladder for Pareto sweeps (log-spaced around 1).
 [[nodiscard]] std::vector<double> default_theta_multipliers();

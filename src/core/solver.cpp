@@ -1,5 +1,6 @@
 #include "core/solver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -39,27 +40,45 @@ struct thread_grid {
     return grids;
 }
 
-/// minEnergy procedure of Algorithm 1: cheapest config of thread `i` whose
-/// execution time does not exceed `texec`. Returns its energy and writes
-/// the winning assignment (untouched when infeasible -> +inf).
-[[nodiscard]] double min_energy_within(const thread_grid& grid, std::size_t q,
-                                       std::size_t s, double texec_ps,
-                                       thread_assignment& chosen)
+} // namespace
+
+min_energy_staircase::min_energy_staircase(std::span<const double> time_ps,
+                                           std::span<const double> energy)
 {
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < q; ++j) {
-        for (std::size_t k = 0; k < s; ++k) {
-            const std::size_t idx = j * s + k;
-            if (grid.time_ps[idx] <= texec_ps && grid.energy[idx] < best) {
-                best = grid.energy[idx];
-                chosen = thread_assignment{j, k};
-            }
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::vector<std::size_t> order;
+    order.reserve(time_ps.size());
+    for (std::size_t c = 0; c < time_ps.size(); ++c) {
+        if (!std::isnan(time_ps[c]) && energy[c] < inf) {
+            order.push_back(c);
         }
     }
-    return best;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return time_ps[a] < time_ps[b]; });
+
+    time_ps_.reserve(order.size());
+    cheapest_.reserve(order.size());
+    std::size_t best = none;
+    for (const std::size_t c : order) {
+        // Lexicographic (energy, index) minimum: equal to the first strict
+        // < winner of an index-order scan over the same set.
+        if (best == none || energy[c] < energy[best] ||
+            (!(energy[best] < energy[c]) && c < best)) {
+            best = c;
+        }
+        time_ps_.push_back(time_ps[c]);
+        cheapest_.push_back(best);
+    }
 }
 
-} // namespace
+std::size_t min_energy_staircase::cheapest_within(double texec_ps) const noexcept
+{
+    if (std::isnan(texec_ps)) {
+        return none;
+    }
+    const auto step = std::upper_bound(time_ps_.begin(), time_ps_.end(), texec_ps);
+    return step == time_ps_.begin() ? none : cheapest_[step - time_ps_.begin() - 1];
+}
 
 synts_plan::synts_plan(const solver_input& input)
     : threads_(input.thread_count()), fallback_(input.thread_count())
@@ -70,6 +89,11 @@ synts_plan::synts_plan(const solver_input& input)
     const std::size_t q = space.voltage_count();
     const std::size_t s = space.tsr_count();
     const auto grids = precompute_grids(input);
+    std::vector<min_energy_staircase> stairs;
+    stairs.reserve(m);
+    for (const thread_grid& grid : grids) {
+        stairs.emplace_back(grid.time_ps, grid.energy);
+    }
 
     std::vector<thread_assignment> candidate(m);
 
@@ -87,12 +111,13 @@ synts_plan::synts_plan(const solver_input& input)
                     if (l == i) {
                         continue;
                     }
-                    const double e =
-                        min_energy_within(grids[l], q, s, texec, candidate[l]);
-                    if (!std::isfinite(e)) {
+                    const std::size_t cheapest = stairs[l].cheapest_within(texec);
+                    if (cheapest == min_energy_staircase::none ||
+                        !std::isfinite(grids[l].energy[cheapest])) {
                         feasible = false;
                     } else {
-                        energy += e;
+                        energy += grids[l].energy[cheapest];
+                        candidate[l] = thread_assignment{cheapest / s, cheapest % s};
                     }
                 }
                 if (!feasible) {

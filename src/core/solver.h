@@ -4,7 +4,11 @@
 //                           thread and its (V, r); give every other thread
 //                           its cheapest config that still meets the
 //                           critical thread's finish time. Exact
-//                           (Lemma 4.2.1), O(M^2 Q^2 S^2).
+//                           (Lemma 4.2.1). minEnergy is a binary search in a
+//                           per-thread staircase (configs sorted by time,
+//                           running cheapest), so the plan costs
+//                           O(M^2 QS log QS) instead of the scan's
+//                           O(M^2 Q^2 S^2).
 //   * solve_exhaustive   -- brute force over all (QS)^M joint assignments;
 //                           ground truth for property tests (small M only).
 //   * solve_per_core_ts  -- the Per-core TS baseline: each core minimizes
@@ -18,21 +22,47 @@
 // Algorithm 1's candidate set (one per critical thread and (V, r), with its
 // energy, t_exec and assignments) and Per-core TS's per-thread grids are
 // theta-free. A Pareto sweep therefore builds that plan once per interval
-// and picks from it per theta, O(M^2 Q^2 S^2) once plus O(MQS) per theta.
+// and picks from it per theta, O(M^2 QS log QS) once plus O(MQS) per theta.
 // The pick scans the plan in enumeration order, computes exactly
 // energy + theta * t_exec and keeps a candidate only when it is strictly
 // below the best so far, so ties resolve to the earliest candidate. When no
 // candidate is feasible the assignments stay default-constructed. The
-// single-theta solvers are a ladder of one through the same code.
+// single-theta solvers are a ladder of one through the same code, and a
+// ladder prices each distinct pick once (evaluate_ladder).
 
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/system_model.h"
 
 namespace synts::core {
+
+/// Algorithm 1's minEnergy over one thread's (V, r) grid: configs sorted by
+/// time with a running lexicographic (energy, index) minimum, so a query is
+/// one binary search. A config is eligible when its time is not NaN and its
+/// energy is below +inf; the answer equals an index-order scan that keeps
+/// the first config with time <= texec and energy strictly below the best
+/// so far (tests/reference_solvers.h).
+class min_energy_staircase {
+public:
+    /// No eligible config meets the deadline.
+    static constexpr std::size_t none = static_cast<std::size_t>(-1);
+
+    /// `time_ps[c]` and `energy[c]` of config c = j * S + k (equal sizes).
+    min_energy_staircase(std::span<const double> time_ps, std::span<const double> energy);
+
+    /// The cheapest eligible config with time <= texec_ps (lowest index on
+    /// ties), or `none` when there is none or texec_ps is NaN.
+    [[nodiscard]] std::size_t cheapest_within(double texec_ps) const noexcept;
+
+private:
+    std::vector<double> time_ps_;        ///< eligible configs' times, ascending
+    std::vector<std::size_t> cheapest_;  ///< argmin over time_ps_[0..n]
+};
 
 /// The theta-free half of Algorithm 1: every feasible (critical thread,
 /// voltage, TSR) candidate in enumeration order.
@@ -93,6 +123,10 @@ nominal_solution(const solver_input& input, std::span<const double> thetas);
 
 /// Evaluates `pick(theta)` under `input` at every theta of `thetas`, with
 /// solver_input::theta set to that theta: the shared tail of every ladder.
+/// Each distinct pick is priced once: a pick equal to an earlier one copies
+/// that solution and recomputes only weighted_cost, exactly as
+/// evaluate_assignment does. Every theta is still validated (a negative one
+/// throws std::invalid_argument).
 template <typename Pick>
 [[nodiscard]] std::vector<interval_solution>
 evaluate_ladder(const solver_input& input, std::span<const double> thetas, Pick&& pick)
@@ -100,9 +134,25 @@ evaluate_ladder(const solver_input& input, std::span<const double> thetas, Pick&
     solver_input at = input;
     std::vector<interval_solution> solutions;
     solutions.reserve(thetas.size());
+    std::vector<std::size_t> distinct; // first solution of each distinct pick
     for (const double theta : thetas) {
         at.theta = theta;
-        solutions.push_back(evaluate_assignment(at, pick(theta)));
+        const std::span<const thread_assignment> picked = pick(theta);
+        // Ladders are usually monotone, so a repeat is most often the last
+        // distinct pick: search newest first.
+        const auto earlier =
+            std::find_if(distinct.rbegin(), distinct.rend(), [&](std::size_t d) {
+                return std::ranges::equal(solutions[d].assignments, picked);
+            });
+        if (earlier == distinct.rend()) {
+            distinct.push_back(solutions.size());
+            solutions.push_back(evaluate_assignment(at, picked));
+            continue;
+        }
+        at.validate();
+        interval_solution repeat = solutions[*earlier];
+        repeat.weighted_cost = repeat.total_energy + theta * repeat.exec_time_ps;
+        solutions.push_back(std::move(repeat));
     }
     return solutions;
 }

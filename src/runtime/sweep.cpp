@@ -6,6 +6,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "circuit/netlist_builder.h"
 #include "core/policies.h"
@@ -213,17 +214,11 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
                             name += core::policy_name(cell.policy);
                             return name;
                         });
-                    cell.equal_weight =
-                        cell.policy == core::policy_kind::nominal &&
-                                !spec.theta_multipliers.empty()
-                            ? nominal_baseline
-                            : experiment->run_policy(cell.policy, theta_eq);
-                    if (!spec.theta_multipliers.empty()) {
-                        cell.pareto =
-                            core::pareto_sweep(*experiment, cell.policy,
-                                               spec.theta_multipliers, theta_eq,
-                                               nominal_baseline);
-                    }
+                    core::policy_cell evaluated = core::evaluate_policy_cell(
+                        *experiment, cell.policy, spec.theta_multipliers, theta_eq,
+                        nominal_baseline);
+                    cell.equal_weight = std::move(evaluated.equal_weight);
+                    cell.pareto = std::move(evaluated.pareto);
                 }
                 // Persist as soon as the cell settles, so a kill between
                 // here and the sweep's end loses only in-flight cells.

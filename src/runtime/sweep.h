@@ -12,7 +12,8 @@
 // cells in a deterministic, schedule-independent order.
 //
 // Determinism contract: every cell's numbers are produced by the same
-// const code path the serial benches use (equal_weight_theta, run_policy,
+// const code path the serial benches use (equal_weight_theta, then one
+// core::evaluate_policy_cell per cell, equal to run_policy plus
 // pareto_sweep on an identically-constructed benchmark_experiment), tasks
 // share no mutable state, and results land in pre-assigned slots -- so a
 // sweep's output is bit-identical across runs, worker counts, and the

@@ -81,28 +81,6 @@ double histogram::bin_center(std::size_t i) const noexcept
     return bin_lower(i) + 0.5 * width_;
 }
 
-double histogram::exceedance(double x) const noexcept
-{
-    if (total_ == 0) {
-        return 0.0;
-    }
-    if (x < lo_) {
-        return 1.0;
-    }
-    if (x >= hi_) {
-        return 0.0;
-    }
-    const auto bin = std::min(static_cast<std::size_t>((x - lo_) / width_), counts_.size() - 1);
-    std::uint64_t above = 0;
-    for (std::size_t i = bin + 1; i < counts_.size(); ++i) {
-        above += counts_[i];
-    }
-    // Linear interpolation of the containing bin's mass.
-    const double in_bin_fraction = (bin_lower(bin) + width_ - x) / width_;
-    const double partial = static_cast<double>(counts_[bin]) * in_bin_fraction;
-    return (static_cast<double>(above) + partial) / static_cast<double>(total_);
-}
-
 double histogram::quantile(double q) const noexcept
 {
     if (total_ == 0) {

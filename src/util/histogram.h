@@ -58,10 +58,10 @@ public:
     [[nodiscard]] double bin_center(std::size_t i) const noexcept;
     /// Width of every bin.
     [[nodiscard]] double bin_width() const noexcept { return width_; }
-
-    /// Empirical P(X > x). Exact with respect to bin boundaries; within the
-    /// containing bin, mass is interpolated linearly.
-    [[nodiscard]] double exceedance(double x) const noexcept;
+    /// Lower edge of the range (bin 0's lower edge).
+    [[nodiscard]] double lo() const noexcept { return lo_; }
+    /// Upper edge of the range.
+    [[nodiscard]] double hi() const noexcept { return hi_; }
 
     /// Empirical q-quantile (linear interpolation inside bins).
     [[nodiscard]] double quantile(double q) const noexcept;

@@ -50,6 +50,25 @@ inline reference_grids make_reference_grids(const core::solver_input& input)
     return grids;
 }
 
+/// Algorithm 1's minEnergy as a linear scan over one thread's configs: the
+/// index of the config that is cheapest among those with time <= texec (the
+/// first one found on ties, by a strict <), or min_energy_staircase::none
+/// when no energy is below +inf.
+inline std::size_t reference_cheapest_within(std::span<const double> time_ps,
+                                             std::span<const double> energy,
+                                             double texec)
+{
+    double cheapest = std::numeric_limits<double>::infinity();
+    std::size_t chosen = core::min_energy_staircase::none;
+    for (std::size_t c = 0; c < time_ps.size(); ++c) {
+        if (time_ps[c] <= texec && energy[c] < cheapest) {
+            cheapest = energy[c];
+            chosen = c;
+        }
+    }
+    return chosen;
+}
+
 /// Algorithm 1 at input.theta, enumerating and picking in one scan.
 inline core::interval_solution reference_synts_poly(const core::solver_input& input)
 {
@@ -74,21 +93,14 @@ inline core::interval_solution reference_synts_poly(const core::solver_input& in
                     if (l == i) {
                         continue;
                     }
-                    double cheapest = std::numeric_limits<double>::infinity();
-                    for (std::size_t jj = 0; jj < q; ++jj) {
-                        for (std::size_t kk = 0; kk < s; ++kk) {
-                            const std::size_t idx = jj * s + kk;
-                            if (grids.time_ps[l][idx] <= texec &&
-                                grids.energy[l][idx] < cheapest) {
-                                cheapest = grids.energy[l][idx];
-                                candidate[l] = core::thread_assignment{jj, kk};
-                            }
-                        }
-                    }
-                    if (!std::isfinite(cheapest)) {
+                    const std::size_t c =
+                        reference_cheapest_within(grids.time_ps[l], grids.energy[l], texec);
+                    if (c == core::min_energy_staircase::none ||
+                        !std::isfinite(grids.energy[l][c])) {
                         feasible = false;
                     } else {
-                        energy += cheapest;
+                        energy += grids.energy[l][c];
+                        candidate[l] = core::thread_assignment{c / s, c % s};
                     }
                 }
                 if (!feasible) {

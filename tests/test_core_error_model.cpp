@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "core/error_model.h"
+#include "reference_error_model.h"
 #include "util/rng.h"
 
 namespace {
@@ -74,6 +81,113 @@ TEST(empirical_model, out_of_range_voltage_throws)
 {
     const auto model = make_two_corner_model();
     EXPECT_THROW((void)model.error_probability(5, 0.9), std::out_of_range);
+}
+
+bool same_bits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Lookups that stress the containing-bin math: outside the range, on its
+/// edges and their neighbours, on every bin edge and centre, and at random.
+std::vector<double> probe_points(const histogram& h, synts::util::xoshiro256& rng)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> xs = {h.lo() - 1.0,
+                              std::nextafter(h.lo(), -inf),
+                              h.lo(),
+                              std::nextafter(h.lo(), inf),
+                              std::nextafter(h.hi(), -inf),
+                              h.hi(),
+                              std::nextafter(h.hi(), inf),
+                              h.hi() + 1.0};
+    for (std::size_t b = 0; b <= h.bin_count(); ++b) {
+        xs.push_back(h.bin_lower(b));
+        xs.push_back(h.bin_center(b));
+    }
+    for (int r = 0; r < 64; ++r) {
+        xs.push_back(rng.uniform(h.lo(), h.hi()));
+    }
+    return xs;
+}
+
+TEST(empirical_model, suffix_counts_match_histogram_loop_bit_for_bit)
+{
+    // Random ranges, bin counts and fills (trial 0 has a single bin and
+    // trial 1 is empty); samples spill past both edges so the clamped end
+    // bins carry mass. With a nominal period of 1 the threshold is the
+    // probe point itself.
+    synts::util::xoshiro256 rng(41);
+    for (int trial = 0; trial < 24; ++trial) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        const std::size_t bins = trial == 0 ? 1 : 1 + rng.uniform_below(700);
+        const double lo = rng.uniform(-50.0, 50.0);
+        const double hi = lo + rng.uniform(0.5, 400.0);
+        histogram h(lo, hi, bins);
+        const std::uint64_t samples = trial == 1 ? 0 : rng.uniform_below(6000);
+        const double spill = 0.1 * (hi - lo);
+        for (std::uint64_t n = 0; n < samples; ++n) {
+            h.add(rng.uniform(lo - spill, hi + spill));
+        }
+        const double drive = rng.uniform();
+        const empirical_error_model model({h}, {1.0}, drive);
+        for (const double x : probe_points(h, rng)) {
+            const double want = synts::test::reference_exceedance(h, x);
+            EXPECT_TRUE(same_bits(model.vector_error_probability(0, x), want)) << x;
+            EXPECT_TRUE(same_bits(model.error_probability(0, x), want * drive)) << x;
+        }
+    }
+}
+
+TEST(empirical_model, suffix_counts_match_per_corner_thresholds)
+{
+    // Several corners with their own ranges and nominal periods: the lookup
+    // at (j, tsr) prices tsr * tnom_ps[j] against corner j's histogram.
+    synts::util::xoshiro256 rng(43);
+    std::vector<histogram> corners;
+    std::vector<double> tnom;
+    for (std::size_t j = 0; j < 7; ++j) {
+        tnom.push_back(100.0 * (1.0 + 0.2 * static_cast<double>(j)));
+        corners.emplace_back(0.0, tnom.back() * 1.05, 512);
+        for (int n = 0; n < 4000; ++n) {
+            corners.back().add(rng.uniform(0.0, tnom.back()) * rng.uniform());
+        }
+    }
+    const double drive = 0.37;
+    const empirical_error_model model(corners, tnom, drive);
+    for (std::size_t j = 0; j < corners.size(); ++j) {
+        for (double tsr : {0.0, 0.5, 0.64, 0.712, 0.784, 0.856, 0.928, 1.0, 1.05, 2.0}) {
+            const double want = synts::test::reference_exceedance(corners[j], tsr * tnom[j]);
+            EXPECT_TRUE(same_bits(model.vector_error_probability(j, tsr), want))
+                << j << " " << tsr;
+            EXPECT_TRUE(same_bits(model.error_probability(j, tsr), want * drive))
+                << j << " " << tsr;
+        }
+    }
+}
+
+TEST(empirical_model, empty_and_single_bin_histograms)
+{
+    const histogram empty(0.0, 10.0, 8);
+    const empirical_error_model none({empty}, {10.0}, 1.0);
+    for (const double tsr : {-1.0, 0.0, 0.5, 1.0, 2.0}) {
+        EXPECT_EQ(none.error_probability(0, tsr), 0.0);
+    }
+
+    histogram single(2.0, 6.0, 1);
+    single.add(3.0);
+    single.add(5.0);
+    single.add(100.0); // clamps into the one bin
+    const empirical_error_model one({single}, {1.0}, 1.0);
+    EXPECT_EQ(one.vector_error_probability(0, 1.0), 1.0);
+    EXPECT_EQ(one.vector_error_probability(0, 2.0), 1.0);
+    EXPECT_EQ(one.vector_error_probability(0, 4.0), 0.5);
+    EXPECT_EQ(one.vector_error_probability(0, 6.0), 0.0);
+    for (const double x : {2.0, 2.5, 3.0, 4.0, 5.999}) {
+        EXPECT_TRUE(same_bits(one.vector_error_probability(0, x),
+                              synts::test::reference_exceedance(single, x)))
+            << x;
+    }
 }
 
 TEST(synthetic_curve, zero_above_onset)

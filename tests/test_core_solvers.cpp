@@ -8,10 +8,14 @@
 
 #include <functional>
 #include <limits>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "core/solver.h"
 #include "reference_solvers.h"
 #include "solver_fixtures.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -243,6 +247,158 @@ TEST(solver_ladder, empty_ladder_and_negative_theta)
     const std::vector<double> negative = {1.0, -1.0};
     EXPECT_THROW((void)solve_synts_poly(inst.input, negative), std::invalid_argument);
     EXPECT_THROW((void)solve_per_core_ts(inst.input, negative), std::invalid_argument);
+}
+
+TEST(solver_ladder, repeated_pick_still_rejects_negative_theta)
+{
+    // Nominal picks the same assignments at every theta, so -1.0 repeats the
+    // pick at 1.0; the repeat is copied, but its theta is still validated.
+    auto inst = make_random_instance(3, 3, 3, 31);
+    const std::vector<double> negative = {1.0, -1.0};
+    EXPECT_THROW((void)nominal_solution(inst.input, negative), std::invalid_argument);
+    EXPECT_THROW((void)solve_no_ts(inst.input, negative), std::invalid_argument);
+    const std::vector<thread_assignment> fixed(3);
+    EXPECT_THROW((void)evaluate_ladder(inst.input, negative,
+                                       [&](double) {
+                                           return std::span<const thread_assignment>(fixed);
+                                       }),
+                 std::invalid_argument);
+}
+
+// ---- minEnergy staircase against the linear scan ----
+
+constexpr double inf = std::numeric_limits<double>::infinity();
+constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+
+/// Every query the staircase must answer like the scan: each grid time,
+/// each pool value, and points between and beyond them.
+void expect_staircase_matches_scan(const std::vector<double>& time_ps,
+                                   const std::vector<double>& energy,
+                                   std::span<const double> extra_queries)
+{
+    const min_energy_staircase stairs(time_ps, energy);
+    std::vector<double> queries(time_ps.begin(), time_ps.end());
+    queries.insert(queries.end(), extra_queries.begin(), extra_queries.end());
+    for (const double texec : queries) {
+        EXPECT_EQ(stairs.cheapest_within(texec),
+                  synts::test::reference_cheapest_within(time_ps, energy, texec))
+            << "texec " << texec;
+    }
+}
+
+TEST(min_energy_staircase, matches_scan_on_adversarial_grids)
+{
+    // Small value pools force duplicate times, equal energies at different
+    // indices, signed zeros, and +-inf/NaN in both times and energies.
+    const std::vector<double> time_pool = {nan, -inf, -0.0, 0.0, 1.0, 1.0, 2.0, 3.0, inf};
+    const std::vector<double> energy_pool = {nan, inf, -inf, -0.0, 0.0, 1.0, 1.0, 2.0, 5.0};
+    const std::vector<double> queries = {nan, -inf, -1.0, -0.0, 0.0,  0.5,
+                                         1.0, 1.5,  2.5,  3.0,  1e300, inf};
+    synts::util::xoshiro256 rng(57);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t n = 1 + rng.uniform_below(48);
+        std::vector<double> time_ps(n);
+        std::vector<double> energy(n);
+        for (std::size_t c = 0; c < n; ++c) {
+            time_ps[c] = time_pool[rng.uniform_below(time_pool.size())];
+            energy[c] = energy_pool[rng.uniform_below(energy_pool.size())];
+        }
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        expect_staircase_matches_scan(time_ps, energy, queries);
+        if (HasFailure()) {
+            return;
+        }
+    }
+}
+
+/// The staircase's answer for one grid and one deadline.
+std::size_t cheapest(const std::vector<double>& time_ps, const std::vector<double>& energy,
+                     double texec)
+{
+    return min_energy_staircase(time_ps, energy).cheapest_within(texec);
+}
+
+TEST(min_energy_staircase, ties_signed_zeros_and_exclusions)
+{
+    const std::vector<double> queries = {nan, -1.0, 0.0, 1.0, 2.0, 3.0, inf};
+    // Equal energies at different indices and equal times: lowest index.
+    const std::vector<double> tied_time = {2.0, 1.0, 1.0, 2.0};
+    const std::vector<double> tied_energy = {3.0, 3.0, 3.0, 3.0};
+    expect_staircase_matches_scan(tied_time, tied_energy, queries);
+    EXPECT_EQ(cheapest(tied_time, tied_energy, 1.0), 1u);
+    EXPECT_EQ(cheapest(tied_time, tied_energy, 2.0), 0u);
+    // +0 and -0 compare equal: the lower index wins whichever sign it has.
+    const std::vector<double> zero_time = {1.0, 1.0, 0.0};
+    const std::vector<double> zero_energy = {0.0, -0.0, 0.0};
+    expect_staircase_matches_scan(zero_time, zero_energy, queries);
+    EXPECT_EQ(cheapest(zero_time, zero_energy, 0.0), 2u);
+    EXPECT_EQ(cheapest(zero_time, zero_energy, 1.0), 0u);
+    // NaN times never qualify; NaN and +inf energies never win; a NaN
+    // deadline admits nothing.
+    const std::vector<double> odd_time = {nan, 1.0, 1.0, 2.0};
+    const std::vector<double> odd_energy = {0.0, nan, inf, 4.0};
+    expect_staircase_matches_scan(odd_time, odd_energy, queries);
+    EXPECT_EQ(cheapest(odd_time, odd_energy, 1.5), min_energy_staircase::none);
+    EXPECT_EQ(cheapest(odd_time, odd_energy, inf), 3u);
+    EXPECT_EQ(cheapest(odd_time, odd_energy, nan), min_energy_staircase::none);
+    // A -inf energy wins (the plan then drops the candidate as infeasible).
+    expect_staircase_matches_scan({3.0, 1.0, 2.0}, {1.0, -inf, -inf}, queries);
+}
+
+/// An error curve that answers from a per-(voltage, TSR) table, so a plan
+/// can be fed +-inf/NaN times and energies.
+class table_error_curve final : public error_curve {
+public:
+    table_error_curve(const config_space& space, std::vector<double> table)
+        : space_(space), table_(std::move(table))
+    {
+    }
+    [[nodiscard]] double error_probability(std::size_t voltage_index,
+                                           double tsr) const override
+    {
+        for (std::size_t k = 0; k < space_.tsr_count(); ++k) {
+            if (space_.tsr(k) == tsr) {
+                return table_[voltage_index * space_.tsr_count() + k];
+            }
+        }
+        return 0.0;
+    }
+
+private:
+    const config_space& space_;
+    std::vector<double> table_;
+};
+
+TEST(min_energy_staircase, plans_match_reference_on_adversarial_curves)
+{
+    // Duplicate voltage levels give duplicate times and equal energies at
+    // different indices; inf and NaN error probabilities give inf/NaN
+    // times and energies. Plans must match the scan-based reference.
+    const std::vector<double> pool = {0.0, 0.0, 0.001, 0.02, 0.02, inf, nan};
+    synts::util::xoshiro256 rng(61);
+    for (int trial = 0; trial < 40; ++trial) {
+        auto inst = make_random_instance(1 + trial % 4, 3, 3, 500 + trial);
+        const config_space tied({1.0, 1.0, 0.9},
+                                std::vector<double>(inst.space->tsr_levels().begin(),
+                                                    inst.space->tsr_levels().end()),
+                                {100.0, 100.0, 125.0});
+        inst.input.space = &tied;
+        std::vector<std::unique_ptr<table_error_curve>> curves;
+        for (std::size_t i = 0; i < inst.input.thread_count(); ++i) {
+            std::vector<double> table(tied.voltage_count() * tied.tsr_count());
+            for (double& p : table) {
+                p = pool[rng.uniform_below(pool.size())];
+            }
+            curves.push_back(std::make_unique<table_error_curve>(tied, std::move(table)));
+            inst.input.error_models[i] = curves.back().get();
+        }
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        const std::vector<double> thetas = {0.0, 1e-3, 0.5, 1.0, 1.0, 40.0, 1e9};
+        expect_all_ladders_match(inst.input, thetas);
+        if (HasFailure()) {
+            return;
+        }
+    }
 }
 
 TEST(solvers, per_core_ts_optimizes_each_thread_independently)

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.h"
@@ -186,7 +187,7 @@ TEST_F(radix_simple_alu, run_policy_equals_per_theta_reference)
             test::expect_same_outcome(run.intervals[k], reference_at(k, theta_eq));
         }
 
-        const auto sums = experiment->run_policy_ladder(kind, thetas);
+        const auto sums = experiment->sweep_policy(kind, theta_eq, thetas).ladder;
         ASSERT_EQ(sums.size(), thetas.size());
         for (std::size_t t = 0; t < thetas.size(); ++t) {
             double energy = 0.0;
@@ -199,6 +200,75 @@ TEST_F(radix_simple_alu, run_policy_equals_per_theta_reference)
             EXPECT_TRUE(test::same_bits(sums[t].energy, energy)) << t;
             EXPECT_TRUE(test::same_bits(sums[t].time_ps, time_ps)) << t;
         }
+    }
+}
+
+TEST_F(radix_simple_alu, one_pass_cell_equals_separate_runs)
+{
+    // sweep_policy / evaluate_policy_cell fold theta_eq and the ladder into
+    // one pass per interval and copy repeated picks; every number must
+    // equal a separate run_policy at that theta (a ladder of one), bit for
+    // bit, whether or not the ladder is empty, holds theta_eq itself
+    // (multiplier 1.0) or repeats a theta.
+    using test::same_bits;
+    const double theta_eq = experiment->equal_weight_theta();
+    const auto nominal = experiment->run_policy(policy_kind::nominal, theta_eq);
+    const std::vector<std::vector<double>> ladders = {
+        {},
+        {0.25, 0.5, 2.0, 8.0},
+        {1.0, 0.5, 1.0, 3.0, 0.5, 1.0},
+    };
+    for (const policy_kind kind : core::all_policies()) {
+        SCOPED_TRACE(core::policy_name(kind));
+        const auto alone = experiment->run_policy(kind, theta_eq);
+        for (const std::vector<double>& multipliers : ladders) {
+            SCOPED_TRACE(testing::Message() << multipliers.size() << " rungs");
+            std::vector<double> thetas;
+            for (const double multiplier : multipliers) {
+                thetas.push_back(theta_eq * multiplier);
+            }
+            const auto sweep = experiment->sweep_policy(kind, theta_eq, thetas);
+            const auto cell =
+                core::evaluate_policy_cell(*experiment, kind, multipliers, theta_eq, nominal);
+            const auto points =
+                core::pareto_sweep(*experiment, kind, multipliers, theta_eq, nominal);
+            for (const auto* run : {&sweep.run, &cell.equal_weight}) {
+                EXPECT_EQ(run->kind, kind);
+                ASSERT_EQ(run->intervals.size(), alone.intervals.size());
+                for (std::size_t k = 0; k < alone.intervals.size(); ++k) {
+                    test::expect_same_outcome(run->intervals[k], alone.intervals[k]);
+                }
+                EXPECT_TRUE(same_bits(run->sum.energy, alone.sum.energy));
+                EXPECT_TRUE(same_bits(run->sum.time_ps, alone.sum.time_ps));
+            }
+            ASSERT_EQ(sweep.ladder.size(), thetas.size());
+            ASSERT_EQ(cell.pareto.size(), thetas.size());
+            ASSERT_EQ(points.size(), thetas.size());
+            for (std::size_t t = 0; t < thetas.size(); ++t) {
+                const auto single = experiment->run_policy(kind, thetas[t]);
+                EXPECT_TRUE(same_bits(sweep.ladder[t].energy, single.sum.energy)) << t;
+                EXPECT_TRUE(same_bits(sweep.ladder[t].time_ps, single.sum.time_ps)) << t;
+                const double energy = single.sum.energy / nominal.sum.energy;
+                const double time = single.sum.time_ps / nominal.sum.time_ps;
+                for (const core::pareto_point& p : {cell.pareto[t], points[t]}) {
+                    EXPECT_TRUE(same_bits(p.theta, thetas[t])) << t;
+                    EXPECT_TRUE(same_bits(p.energy, energy)) << t;
+                    EXPECT_TRUE(same_bits(p.time, time)) << t;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(radix_simple_alu, one_pass_rejects_negative_theta)
+{
+    const double theta_eq = experiment->equal_weight_theta();
+    const std::vector<double> negative = {theta_eq, -theta_eq};
+    for (const policy_kind kind : core::all_policies()) {
+        SCOPED_TRACE(core::policy_name(kind));
+        EXPECT_THROW((void)experiment->sweep_policy(kind, theta_eq, negative),
+                     std::invalid_argument);
+        EXPECT_THROW((void)experiment->sweep_policy(kind, -1.0, {}), std::invalid_argument);
     }
 }
 
