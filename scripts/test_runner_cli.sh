@@ -177,6 +177,23 @@ else
     echo "FAIL define_sweepable: runner exited non-zero" >&2
     failures=$((failures + 1))
 fi
+# The summary line names the thread count next to the time: the calling
+# thread runs cells too, so one worker means two threads. Its prefix is what
+# perfbench parses.
+SUMMARY="$WORK/summary.txt"
+if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
+        --workers=1 >"$SUMMARY" 2>&1; then
+    if grep -Eq '^1 cells in [0-9.]+ s on 1 workers \(2 threads\) ' "$SUMMARY"; then
+        echo "ok summary_threads"
+    else
+        echo "FAIL summary_threads: unexpected summary line:" >&2
+        tail -n2 "$SUMMARY" >&2
+        failures=$((failures + 1))
+    fi
+else
+    echo "FAIL summary_threads: runner exited non-zero" >&2
+    failures=$((failures + 1))
+fi
 # --trace + --metrics on a tiny sweep: the trace file is Chrome trace-event
 # JSON with paired-up "X" spans, and the metrics JSON carries per-tier
 # latency percentiles.

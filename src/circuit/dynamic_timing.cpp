@@ -13,20 +13,19 @@ namespace synts::circuit {
 
 namespace detail {
 
-/// What one step_batch delay pass reads and writes.
+/// What one step_batch delay pass reads and writes. Every timing row is
+/// one corner_block of doubles.
 struct delay_pass {
     const gate_pins* pins;               ///< per gate, three input pins and the output
-    const double* gate_delays;           ///< [gate * row_stride + corner]
+    const double* gate_delays;           ///< [gate * corner_block + corner]
     const std::uint64_t* toggles;        ///< per net plus the padding slot, toggle masks
-    double* toggle_ps;                   ///< [net * row_stride + corner]
+    double* toggle_ps;                   ///< [net * corner_block + corner]
     std::size_t zero_row;                ///< toggle_ps row that is always 0.0
-    const double* output_scale;          ///< per gate, 1.0 if it drives a primary output, else 0.0
     const std::uint32_t* lane_gates;     ///< lane j's live gates end at (j + 1) * gate_count
     std::uint32_t* const* lane_firsts;   ///< per lane, its first live gate
     std::size_t gate_count;
     std::size_t lane_count;
-    std::size_t corner_count;
-    std::size_t row_stride;              ///< a multiple of corner_block
+    std::size_t corner_count;            ///< at most corner_block
     double* out_delay_ps;                ///< [corner * lane_count + lane]
 };
 
@@ -45,12 +44,11 @@ typedef double vec32 __attribute__((vector_size(32), may_alias));
 typedef double vec64 __attribute__((vector_size(64), may_alias));
 #endif
 
-/// Max-plus delay propagation over each lane's live gates, one 8-corner
-/// block at a time in registers of type V (W doubles each, 8/W registers
-/// per block). The lane's gate list is walked once per block, so any
-/// corner count runs this code. Always inlined, so each wrapper below
-/// compiles it for its own target ISA and no vector value crosses a call
-/// boundary.
+/// Max-plus delay propagation over each lane's live gates, the whole
+/// 8-corner row in registers of type V (W doubles each, 8/W registers).
+/// The row stride is the constant corner_block, so each row address is a
+/// shift and an add. Always inlined, so each wrapper below compiles it for
+/// its own target ISA and no vector value crosses a call boundary.
 ///
 /// Lanes share toggle_ps sequentially exactly like consecutive scalar
 /// steps share it: a lane only reads settle times its own pass wrote
@@ -65,67 +63,56 @@ template <typename V>
     // The pass's fields in locals: read through the reference, GCC must
     // reload every field after each store into the may_alias rows.
     const detail::gate_pins* const pins = pass.pins;
-    const double* const gate_delays = pass.gate_delays;
+    const V* const gate_delays = reinterpret_cast<const V*>(pass.gate_delays);
     const std::uint64_t* const toggles = pass.toggles;
-    double* const toggle_ps = pass.toggle_ps;
+    V* const toggle_ps = reinterpret_cast<V*>(pass.toggle_ps);
     const std::size_t zero_row = pass.zero_row;
-    const double* const output_scale = pass.output_scale;
     const std::size_t lane_count = pass.lane_count;
     const std::size_t corner_count = pass.corner_count;
-    const std::size_t stride = pass.row_stride;
     double* const out_delay_ps = pass.out_delay_ps;
 
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
         const std::uint64_t lane_bit = 1ull << lane;
         const std::uint32_t* const first = pass.lane_firsts[lane];
         const std::uint32_t* const last = pass.lane_gates + (lane + 1) * pass.gate_count;
-        for (std::size_t block = 0; block < stride; block += corner_block) {
-            // Running max over the lane's toggled primary outputs. Settle
-            // times are non-negative and max is exact, so folding the
-            // output reduction into the gate walk gives the scalar walk's
-            // bits in any visit order.
-            V worst[regs] = {};
-            for (const std::uint32_t* it = first; it != last; ++it) {
-                const std::uint32_t gi = *it;
-                const detail::gate_pins& p = pins[gi];
-                // Every gate has three pins; a pin reads its settle-time
-                // row only if it toggled in this lane, else the all-zero
-                // row (an unused pin's padding slot never toggles). So no
-                // branch depends on the pin count or on the data. Per
-                // corner this is max(a, b, c) + delay: max is exact and
-                // order-free on these finite non-negative times and
-                // max(x, +0.0) is x, so the scalar walk's max over its
-                // changed pins gives the same bits. `a < b ? b : a` is
-                // std::max(a, b) lane for lane.
-                const V* in_rows[3];
-                for (std::size_t i = 0; i < 3; ++i) {
-                    const std::size_t row =
-                        (toggles[p.in[i]] & lane_bit) != 0 ? p.in[i] : zero_row;
-                    in_rows[i] = reinterpret_cast<const V*>(toggle_ps + row * stride + block);
-                }
-                V* const out_toggle = reinterpret_cast<V*>(toggle_ps + p.out * stride + block);
-                const V* const delays =
-                    reinterpret_cast<const V*>(gate_delays + gi * stride + block);
-                // The output fold is arithmetic: latest * 1.0 is latest and
-                // latest * 0.0 is +0.0, which cannot raise worst (>= +0.0).
-                // The product feeds a max, not an add, so no FMA can form.
-                const double scale = output_scale[gi];
-                for (std::size_t r = 0; r < regs; ++r) {
-                    const V a = in_rows[0][r];
-                    const V b = in_rows[1][r];
-                    const V c = in_rows[2][r];
-                    const V ab = a < b ? b : a;
-                    V latest = ab < c ? c : ab;
-                    latest += delays[r];
-                    out_toggle[r] = latest;
-                    const V folded = latest * scale;
-                    worst[r] = worst[r] < folded ? folded : worst[r];
-                }
+        // Running max over every live gate the lane visits. A live gate
+        // either drives a primary output or has a live reader that reads
+        // its toggled row and settles no earlier (delays are >= 0), so this
+        // max is the max over the toggled primary outputs; max is exact,
+        // so any visit order gives the scalar walk's bits.
+        V worst[regs] = {};
+        for (const std::uint32_t* it = first; it != last; ++it) {
+            const std::uint32_t gi = *it;
+            const detail::gate_pins& p = pins[gi];
+            // Every gate has three pins; a pin reads its settle-time row
+            // only if it toggled in this lane, else the all-zero row (an
+            // unused pin's padding slot never toggles). So no branch
+            // depends on the pin count or on the data. Per corner this is
+            // max(a, b, c) + delay: max is exact and order-free on these
+            // finite non-negative times and max(x, +0.0) is x, so the
+            // scalar walk's max over its changed pins gives the same bits.
+            // `a < b ? b : a` is std::max(a, b) lane for lane.
+            const V* in_rows[3];
+            for (std::size_t i = 0; i < 3; ++i) {
+                const std::size_t row =
+                    (toggles[p.in[i]] & lane_bit) != 0 ? p.in[i] : zero_row;
+                in_rows[i] = toggle_ps + row * regs;
             }
-            const std::size_t corners = std::min(corner_block, corner_count - block);
-            for (std::size_t c = 0; c < corners; ++c) {
-                out_delay_ps[(block + c) * lane_count + lane] = worst[c / width][c % width];
+            V* const out_toggle = toggle_ps + std::size_t{p.out} * regs;
+            const V* const delays = gate_delays + std::size_t{gi} * regs;
+            for (std::size_t r = 0; r < regs; ++r) {
+                const V a = in_rows[0][r];
+                const V b = in_rows[1][r];
+                const V c = in_rows[2][r];
+                const V ab = a < b ? b : a;
+                V latest = ab < c ? c : ab;
+                latest += delays[r];
+                out_toggle[r] = latest;
+                worst[r] = worst[r] < latest ? latest : worst[r];
             }
+        }
+        for (std::size_t c = 0; c < corner_count; ++c) {
+            out_delay_ps[c * lane_count + lane] = worst[c / width][c % width];
         }
     }
 }
@@ -199,8 +186,8 @@ std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
                    std::span<const double> vdd_levels)
 {
-    if (vdd_levels.empty()) {
-        throw std::invalid_argument("make_corner_tables: need at least one corner");
+    if (vdd_levels.empty() || vdd_levels.size() > corner_block) {
+        throw std::invalid_argument("make_corner_tables: need 1 to 8 corners");
     }
     const static_timing_analyzer sta(nl);
     const std::vector<double> nominal = sta.nominal_gate_delays(lib);
@@ -210,8 +197,7 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
     auto tables = std::make_shared<timing_corner_tables>();
     tables->vdd.assign(vdd_levels.begin(), vdd_levels.end());
     tables->nominal_period_ps.reserve(corner_count);
-    const std::size_t stride = tables->row_stride();
-    tables->gate_delay_ps.resize(gates.size() * stride); // padding stays 0.0
+    tables->gate_delay_ps.resize(gates.size() * corner_block); // padding stays 0.0
     std::vector<double> delays(gates.size());
     for (std::size_t c = 0; c < corner_count; ++c) {
         vm.scale_gate_delays(gates, nominal, delays, vdd_levels[c]);
@@ -219,7 +205,7 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
         // Transpose into the corner-minor layout: one gate's corners are
         // contiguous so the simulators' inner corner loops stream.
         for (std::size_t g = 0; g < gates.size(); ++g) {
-            tables->gate_delay_ps[g * stride + c] = delays[g];
+            tables->gate_delay_ps[g * corner_block + c] = delays[g];
         }
     }
     return tables;
@@ -236,8 +222,8 @@ dynamic_timing_simulator::dynamic_timing_simulator(
     const netlist& nl, std::shared_ptr<const timing_corner_tables> tables)
     : nl_(nl), tables_(std::move(tables))
 {
-    if (!tables_ || tables_->vdd.empty()) {
-        throw std::invalid_argument("dynamic_timing_simulator: need at least one corner");
+    if (!tables_ || tables_->vdd.empty() || tables_->vdd.size() > corner_block) {
+        throw std::invalid_argument("dynamic_timing_simulator: need 1 to 8 corners");
     }
     // Single initialization: vector value-init already zeroes every buffer,
     // which IS the reset-state contract. reset() re-establishes it for
@@ -246,7 +232,7 @@ dynamic_timing_simulator::dynamic_timing_simulator(
     changed_.resize(nl_.net_count());
     // One extra row past the last net stays 0.0 forever: step_batch's
     // branch-free reads of unchanged pins land there.
-    toggle_ps_.resize((nl_.net_count() + 1) * tables_->row_stride());
+    toggle_ps_.resize((nl_.net_count() + 1) * corner_block);
     latest_ps_.resize(tables_->vdd.size());
 }
 
@@ -284,7 +270,6 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
     }
 
     const auto gates = nl_.gates();
-    const std::size_t stride = tables_->row_stride();
     const double* const gate_delays = tables_->gate_delay_ps.data();
     double* const toggle = toggle_ps_.data();
     double* const latest = latest_ps_.data();
@@ -314,13 +299,13 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
             if (!changed_[in]) {
                 continue;
             }
-            const double* const in_toggle = toggle + in * stride;
+            const double* const in_toggle = toggle + in * corner_block;
             for (std::size_t c = 0; c < corner_count_; ++c) {
                 latest[c] = std::max(latest[c], in_toggle[c]);
             }
         }
-        double* const out_toggle = toggle + out * stride;
-        const double* const delays = gate_delays + gi * stride;
+        double* const out_toggle = toggle + out * corner_block;
+        const double* const delays = gate_delays + gi * corner_block;
         for (std::size_t c = 0; c < corner_count_; ++c) {
             out_toggle[c] = latest[c] + delays[c];
         }
@@ -331,7 +316,7 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
         if (!changed_[out]) {
             continue;
         }
-        const double* const out_toggle = toggle + out * stride;
+        const double* const out_toggle = toggle + out * corner_block;
         for (std::size_t c = 0; c < corner_count_; ++c) {
             latest[c] = std::max(latest[c], out_toggle[c]);
         }
@@ -388,12 +373,8 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
             }
             p.out = g.output;
         }
-        output_scale_.assign(gate_count, 0.0);
         for (const net_id out : nl_.output_nets()) {
             output_need_[out] = ~0ull;
-            if (const gate_id g = nl_.driver_of(out); g < gate_count) {
-                output_scale_[g] = 1.0;
-            }
         }
     }
     const detail::gate_pins* const pins = gate_pins_.data();
@@ -464,19 +445,17 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     toggled_counter.add(toggled_pairs);
     live_counter.add(live_pairs);
 
-    // Delay propagation per lane over its own list, in 8-corner blocks.
+    // Delay propagation per lane over its own list, one 8-corner row per gate.
     const detail::delay_pass pass{.pins = pins,
                                   .gate_delays = tables_->gate_delay_ps.data(),
                                   .toggles = toggles,
                                   .toggle_ps = toggle_ps_.data(),
                                   .zero_row = net_count,
-                                  .output_scale = output_scale_.data(),
                                   .lane_gates = lists,
                                   .lane_firsts = lane_firsts.data(),
                                   .gate_count = gate_count,
                                   .lane_count = lane_count,
                                   .corner_count = corner_count,
-                                  .row_stride = tables_->row_stride(),
                                   .out_delay_ps = out_delay_ps.data()};
     kernel.run(pass);
 

@@ -44,48 +44,47 @@
 //                     row if it toggled in that lane, else the zero row;
 //                     the gate's time is max(a, b, c) + delay, and it is
 //                     folded into the lane's delay as
-//                     worst = max(worst, latest * scale[gate]), where
-//                     scale is 1.0 for a gate that drives a primary output
-//                     and 0.0 otherwise.
+//                     worst = max(worst, latest) for every live gate.
 //
 // Both the padding and the fold are exact, not approximately equal: max
 // is exact and order-free on these finite, non-negative times, so the
-// order the pins are read in cannot change a bit; max(x, +0.0) == x, so a
-// padded or untoggled pin that reads the zero row changes nothing;
-// x * 1.0 == x and x * 0.0 == +0.0 <= worst, so the fold sees exactly the
-// output-driving gates; and the product feeds a max, not an add, so no FMA
-// contraction can form. Pruning is bit-identical too: a lane reads an
-// input's settle time only from a live toggled gate, which makes the
-// input's driver live in that lane, so the row was written earlier in the
-// same walk; gates that drive primary outputs are live whenever they
-// toggle. step() is neither padded nor pruned, so it stays an independent
-// oracle. The registry counters circuit.toggled_pairs and
-// circuit.live_pairs count the toggled and live (gate, lane) pairs, once
-// per step_batch call.
+// order the pins are read in cannot change a bit, and max(x, +0.0) == x,
+// so a padded or untoggled pin that reads the zero row changes nothing.
+// The fold over all live gates equals the scalar walk's max over the
+// toggled primary outputs: a live gate either drives a primary output or
+// has a live reader that reads its toggled row, and that reader settles no
+// earlier (delays are >= 0 and a + d >= a for d >= 0), so no live gate
+// exceeds the latest live output driver -- which is live whenever it
+// toggles. Pruning is bit-identical too: a lane reads an input's settle
+// time only from a live toggled gate, which makes the input's driver live
+// in that lane, so the row was written earlier in the same walk. step() is
+// neither padded nor pruned, so it stays an independent oracle. The
+// registry counters circuit.toggled_pairs and circuit.live_pairs count the
+// toggled and live (gate, lane) pairs, once per step_batch call.
 //
-// Timing data is laid out corner-minor ("SoA") in zero-padded rows: gate
-// delays as [gate][corner] and per-net settle times as [net][corner], each
-// row row_stride() doubles -- the corner count rounded up to a multiple of
-// 8, so the paper's 7 corners are one 64-byte, cache-line-aligned block per
-// gate or net. Padding columns are 0.0 and stay 0.0 (max(0, 0) + 0 == 0),
-// so they never reach an output.
+// Timing data is laid out corner-minor ("SoA") in zero-padded rows of
+// exactly corner_block = 8 doubles: gate delays as [gate][corner] and
+// per-net settle times as [net][corner], so the paper's 7 corners are one
+// 64-byte, cache-line-aligned block per gate or net. Padding columns are
+// 0.0 and stay 0.0 (max(0, 0) + 0 == 0), so they never reach an output.
+// make_corner_tables (and the simulator) reject more than 8 corners: the
+// fixed stride turns every row address in the kernel into a shift.
 //
 // step_batch's max-plus kernel is one template over a GCC vector type of
-// 2, 4 or 8 doubles: each 8-corner block is 8/W registers, and the lane's
-// gate list is walked once per block, so every corner count runs the same
-// code. It is compiled three times -- SSE2 (the x86-64 baseline), AVX2 and
-// AVX-512F -- and the widest one the CPU supports is chosen once per
-// process (non-x86 builds compile only the 16-byte one). Plain 8-wide
-// corner loops over padded rows are not enough: GCC does not vectorize
-// them (they measured no faster than the unpadded 7-wide loops), so the
-// kernel spells the vector width out. Max and add are exact, the only
-// multiply is the 0/1 output scale argued above, and per corner there is
+// 2, 4 or 8 doubles: the 8-corner row is 8/W registers. It is compiled
+// three times -- SSE2 (the x86-64 baseline), AVX2 and AVX-512F -- and the
+// widest one the CPU supports is chosen once per process (non-x86 builds
+// compile only the 16-byte one). Plain 8-wide corner loops over padded
+// rows are not enough: GCC does not vectorize them (they measured no
+// faster than the unpadded 7-wide loops), so the kernel spells the vector
+// width out. The kernel only takes maxes and adds, and per corner there is
 // one max over the pins and then one add, as in step(), so every
 // instantiation is bit-identical to the scalar walk (pinned by
 // tests/test_circuit_dynamic_timing_batch for each supported
-// instantiation at 1, 3, 7, 8, 9 and 17 corners, on a hand-built netlist
-// whose masked toggles the pruning skips, and on one that exercises every
-// kind of pin padding).
+// instantiation at 1, 3, 7 and 8 corners, on a hand-built netlist whose
+// masked toggles the pruning skips -- including a dead subtree that
+// settles after every output -- and on one that exercises every kind of
+// pin padding).
 
 #pragma once
 
@@ -103,11 +102,11 @@
 
 namespace synts::circuit {
 
-/// Corners per vector block: the padded row stride is a multiple of this.
+/// Doubles per timing row, and so the most corners a table can hold.
 inline constexpr std::size_t corner_block = 8;
 
 /// Allocator for the padded corner rows: every row starts on a 64-byte
-/// cache line, so one 8-corner block never straddles two.
+/// cache line, so one 8-corner row never straddles two.
 template <typename T>
 struct cache_aligned_allocator {
     using value_type = T;
@@ -142,31 +141,26 @@ using corner_rows = std::vector<double, cache_aligned_allocator<double>>;
 struct timing_corner_tables {
     std::vector<double> vdd;               ///< [corner]
     std::vector<double> nominal_period_ps; ///< [corner]
-    /// Gate delays in corner-minor layout: [gate * row_stride() + corner],
-    /// columns corner_count() .. row_stride() zero. The transpose (vs the
+    /// Gate delays in corner-minor layout: [gate * corner_block + corner],
+    /// columns corner_count() .. corner_block zero. The transpose (vs the
     /// historical [corner][gate]) keeps one gate's corners contiguous --
     /// the inner loop of both stepping modes.
     corner_rows gate_delay_ps;
 
-    /// Number of voltage corners.
+    /// Number of voltage corners (1 .. corner_block).
     [[nodiscard]] std::size_t corner_count() const noexcept { return vdd.size(); }
-
-    /// Doubles per padded row: corner_count() rounded up to corner_block.
-    [[nodiscard]] std::size_t row_stride() const noexcept
-    {
-        return (vdd.size() + corner_block - 1) / corner_block * corner_block;
-    }
 
     /// Per-corner delays of gate `g` (contiguous, size corner_count()).
     [[nodiscard]] std::span<const double> gate_delays(gate_id g) const noexcept
     {
         return std::span<const double>(gate_delay_ps)
-            .subspan(static_cast<std::size_t>(g) * row_stride(), vdd.size());
+            .subspan(static_cast<std::size_t>(g) * corner_block, vdd.size());
     }
 };
 
 /// Runs the STA and builds the shared tables for every supply level in
-/// `vdd_levels` (throws std::invalid_argument when empty).
+/// `vdd_levels` (throws std::invalid_argument unless it holds 1 to
+/// corner_block levels).
 [[nodiscard]] std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
                    std::span<const double> vdd_levels);
@@ -222,9 +216,9 @@ public:
     dynamic_timing_simulator(const netlist& nl, const cell_library& lib,
                              const voltage_model& vm, std::span<const double> vdd_levels);
 
-    /// Binds to `nl` sharing precomputed tables (which must describe `nl`):
-    /// no STA runs, so construction is cheap enough for one simulator per
-    /// characterization chunk.
+    /// Binds to `nl` sharing precomputed tables (which must describe `nl`
+    /// and hold 1 to corner_block corners): no STA runs, so construction is
+    /// cheap enough for one simulator per characterization chunk.
     dynamic_timing_simulator(const netlist& nl,
                              std::shared_ptr<const timing_corner_tables> tables);
 
@@ -295,7 +289,7 @@ private:
     std::shared_ptr<const timing_corner_tables> tables_;
     std::vector<std::uint8_t> values_;  ///< per net, current value
     std::vector<std::uint8_t> changed_; ///< per net, toggled in current step
-    /// [net * row_stride + corner], plus an always-zero row at net_count;
+    /// [net * corner_block + corner], plus an always-zero row at net_count;
     /// padding columns stay 0.0
     corner_rows toggle_ps_;
     std::vector<double> latest_ps_;     ///< per corner scratch (size corners)
@@ -311,7 +305,6 @@ private:
     /// lane_gates_[(j + 1) * gate_count]; sized once, max_batch_lanes wide.
     std::vector<std::uint32_t> lane_gates_;
     std::vector<detail::gate_pins> gate_pins_; ///< per gate, padded to three pins
-    std::vector<double> output_scale_; ///< per gate, 1.0 if it drives a primary output, else 0.0
 };
 
 } // namespace synts::circuit

@@ -2,19 +2,21 @@
 // (dynamic_timing_simulator::step_batch) bit-identical to the scalar
 // reference walk (step), over random netlists covering every combinational
 // cell kind -- including const0/const1, whose all-0/all-1 lane words are a
-// batch-specific edge -- at 1, 3, 7 (the paper's), 8, 9 and 17 voltage
-// corners (one, two and three 8-corner blocks per row), for batch sizes
-// 1/63/64/65 and odd tails. Every delay-kernel instantiation this CPU
+// batch-specific edge -- at 1, 3, 7 (the paper's) and 8 voltage corners
+// (every count one 8-corner row holds), for batch sizes 1/63/64/65 and odd
+// tails. Every delay-kernel instantiation this CPU
 // supports runs the differential and the wide/narrow batch alternation
 // (per-lane gate lists must not leak between calls), not only the one
 // step_batch picks. A hand-built netlist pins the liveness pruning where
 // it bites (an AND-masked subtree, a mux's unselected input, an output net
-// that feeds another gate) against step() and against hand-counted live
-// (gate, lane) pairs; another pins the three-pin padding of every gate (a
+// that feeds another gate, and a dead chain that settles after every
+// output, so a walk that folded dead gates would report it) against step()
+// and against hand-counted live (gate, lane) pairs; another pins the three-pin padding of every gate (a
 // const gate at an output, one net on all three pins, a primary input
 // marked as an output, an output-driving 1-pin gate that feeds a 3-pin
 // gate). Plus state continuity across interleaved
-// scalar/batched stepping, argument validation and the padded row layout.
+// scalar/batched stepping, argument validation (including the 8-corner
+// ceiling) and the padded row layout.
 
 #include <gtest/gtest.h>
 
@@ -103,11 +105,12 @@ std::vector<std::uint64_t> pack_lanes(const std::vector<std::vector<bool>>& vect
 }
 
 /// Supply levels for `count` corners: the paper's seven, a subset of them
-/// (count < 7), or the seven plus in-range extras (count 8 .. 17).
+/// (count < 7), or the seven plus in-range extras (count > 7; the tables
+/// reject more than corner_block).
 std::vector<double> corner_levels(std::size_t count)
 {
     std::vector<double> levels(paper_voltage_levels().begin(), paper_voltage_levels().end());
-    for (const double extra : {0.95, 0.75, 0.98, 0.89, 0.83, 0.77, 0.70, 0.66, 0.90, 0.84}) {
+    for (const double extra : {0.95, 0.75}) {
         if (levels.size() < count) {
             levels.push_back(extra);
         }
@@ -119,7 +122,7 @@ std::vector<double> corner_levels(std::size_t count)
     return levels;
 }
 
-constexpr std::array<std::size_t, 6> corner_counts = {1, 3, 7, 8, 9, 17};
+constexpr std::array<std::size_t, 4> corner_counts = {1, 3, 7, 8};
 
 /// The delay-kernel instantiations this CPU can run.
 std::vector<const detail::delay_kernel*> supported_kernels()
@@ -253,7 +256,7 @@ TEST_P(dynamic_timing_batch, wide_and_narrow_batches_alternate_on_one_simulator)
     const netlist nl = make_batch_test_netlist(inputs, 150, rng);
     const auto vectors = make_vectors(inputs, 4 * (64 + 5), rng);
     for (const detail::delay_kernel* kernel : supported_kernels()) {
-        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
             SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
                          std::to_string(corners));
             const corner_setup setup(corners);
@@ -391,13 +394,16 @@ INSTANTIATE_TEST_SUITE_P(seeds, dynamic_timing_batch,
 /// a, b, c, d, z, s (z and s held at 0 by the tests' vectors):
 ///
 ///   x1 = xor2(a, b); x2 = inv(x1); masked = and2(x2, z)   -- out "masked"
+///   y1 = buf(x2); ...; y6 = buf(y5); deep = and2(y6, z)    -- out "deep"
 ///   p = buf(c); q = inv(d); m = mux2(p, q, s)              -- out "mux"
 ///   o1 = xor2(a, c)                                        -- out "o1"
 ///   o2 = and2(o1, b)                                       -- out "o2"
 ///
-/// The x1/x2 subtree toggles under an AND whose side input is 0, the mux's
-/// unselected input q toggles, and o1 is a primary output that also feeds
-/// o2.
+/// The x1/x2 subtree toggles under an AND whose side input is 0, and so
+/// does the y chain hanging off x2, which settles after every output that
+/// can toggle (dead_chain_floor): folding a dead gate into a lane's delay
+/// would show. The mux's unselected input q toggles, and o1 is a primary
+/// output that also feeds o2.
 netlist make_masked_netlist()
 {
     netlist nl("masked");
@@ -410,6 +416,11 @@ netlist make_masked_netlist()
     const net_id x1 = nl.add_gate2(cell_kind::xor2, a, b);
     const net_id x2 = nl.add_gate1(cell_kind::inv, x1);
     nl.mark_output("masked", nl.add_gate2(cell_kind::and2, x2, z));
+    net_id y = x2;
+    for (int i = 0; i < 6; ++i) {
+        y = nl.add_gate1(cell_kind::buf, y);
+    }
+    nl.mark_output("deep", nl.add_gate2(cell_kind::and2, y, z));
     const net_id p = nl.add_gate1(cell_kind::buf, c);
     const net_id q = nl.add_gate1(cell_kind::inv, d);
     nl.mark_output("mux", nl.add_gate3(cell_kind::mux2, p, q, s));
@@ -418,6 +429,23 @@ netlist make_masked_netlist()
     nl.mark_output("o2", nl.add_gate2(cell_kind::and2, o1, b));
     nl.validate();
     return nl;
+}
+
+/// A floor on the masked netlist's y6 settle time at corner `c` whenever
+/// x2 toggles: the delays of x2 and y1 .. y6 (x1 may hold).
+double dead_chain_floor(const netlist& nl, const timing_corner_tables& tables, std::size_t c)
+{
+    const auto gates = nl.gates();
+    net_id net = gates[nl.driver_of(nl.output_net(1))].inputs[0]; // y6, into "deep"
+    double floor = 0.0;
+    for (;;) {
+        const gate_id g = nl.driver_of(net);
+        floor += tables.gate_delays(g)[c];
+        if (gates[g].kind == cell_kind::inv) {
+            return floor;
+        }
+        net = gates[g].inputs[0];
+    }
 }
 
 /// Vectors over (a, b, c, d) with z = s = 0.
@@ -433,29 +461,42 @@ std::vector<std::vector<bool>> masked_vectors(
 
 TEST(dynamic_timing_batch, masked_netlist_matches_scalar_and_counts_live_pairs)
 {
-    // From the all-zero reset state (gate by gate: toggled, then live):
-    //   v0 1111: x2 p m toggle; m is an output, p feeds it;
-    //            x2 is dead (masked holds 0)           toggled 3, live 2
-    //   v1 0100: x1 x2 p q m; m, p and q (a mux pin)   toggled 5, live 3
-    //   v2 1111: as v1                                 toggled 5, live 3
+    // From the all-zero reset state (gate by gate: toggled, then live; the
+    // six y bufs toggle with x2 and are dead with it, since deep holds 0):
+    //   v0 1111: x2 y* p m toggle; m is an output, p feeds it;
+    //            x2 is dead (masked holds 0)           toggled 9, live 2
+    //   v1 0100: x1 x2 y* p q m; m, p and q (a mux pin)  toggled 11, live 3
+    //   v2 1111: as v1                                 toggled 11, live 3
     //   v3 0010: q o1; m holds, so q is dead           toggled 2, live 1
-    //   v4 0110: x1 x2 o2; only o2 is live             toggled 3, live 1
-    //   v5 1111: x1 x2 q o1 o2; o1 and o2 are live     toggled 5, live 2
+    //   v4 0110: x1 x2 y* o2; only o2 is live          toggled 9, live 1
+    //   v5 1111: x1 x2 y* q o1 o2; o1 and o2 are live  toggled 11, live 2
     const auto vectors = masked_vectors({{true, true, true, true},
                                          {false, true, false, false},
                                          {true, true, true, true},
                                          {false, false, true, false},
                                          {false, true, true, false},
                                          {true, true, true, true}});
-    constexpr std::uint64_t toggled_pairs = 23;
+    constexpr std::uint64_t toggled_pairs = 53;
     constexpr std::uint64_t live_pairs = 12;
 
     const netlist nl = make_masked_netlist();
+    // The dead chain must settle after every vector's sensitized delay, or
+    // a walk that folded it in would still pass.
+    for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
+        const corner_setup setup(corners);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+        dynamic_timing_simulator sim(nl, tables);
+        for (const auto& delays : scalar_delays(sim, vectors)) {
+            for (std::size_t c = 0; c < corners; ++c) {
+                ASSERT_LT(delays[c], dead_chain_floor(nl, *tables, c)) << "corner " << c;
+            }
+        }
+    }
     auto& registry = synts::obs::metrics_registry::global();
     const synts::obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
     const synts::obs::counter& live = registry.counter_at("circuit.live_pairs");
     for (const detail::delay_kernel* kernel : supported_kernels()) {
-        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
             SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
                          std::to_string(corners));
             const corner_setup setup(corners);
@@ -483,7 +524,7 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
     }
     const netlist nl = make_masked_netlist();
     for (const detail::delay_kernel* kernel : supported_kernels()) {
-        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
             SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
                          std::to_string(corners));
             const corner_setup setup(corners);
@@ -545,7 +586,7 @@ TEST(dynamic_timing_batch, padded_pins_match_scalar_and_count_live_pairs)
     xoshiro256 rng(31);
     const auto random_vectors = make_vectors(nl.input_count(), 150, rng);
     for (const detail::delay_kernel* kernel : supported_kernels()) {
-        for (const std::size_t corners : {std::size_t{7}, std::size_t{9}}) {
+        for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
             SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
                          std::to_string(corners));
             const corner_setup setup(corners);
@@ -589,6 +630,18 @@ TEST(dynamic_timing_batch, rejects_bad_arguments)
     // Delay buffer must be exactly corner_count * lane_count.
     EXPECT_THROW(sim.step_batch(words, 2, std::span<double>(out.data(), corner_count)),
                  std::invalid_argument);
+
+    // One 8-corner row holds 1 to corner_block corners: the tables reject
+    // none and nine, and so does a simulator handed hand-built tables.
+    const std::vector<double> nine = corner_levels(corner_block + 1);
+    ASSERT_EQ(nine.size(), 9u);
+    EXPECT_THROW((void)make_corner_tables(nl, setup.lib, setup.vm, nine),
+                 std::invalid_argument);
+    EXPECT_THROW((void)make_corner_tables(nl, setup.lib, setup.vm, std::span<const double>{}),
+                 std::invalid_argument);
+    auto oversized = std::make_shared<timing_corner_tables>(*tables);
+    oversized->vdd = nine;
+    EXPECT_THROW(dynamic_timing_simulator(nl, oversized), std::invalid_argument);
 }
 
 TEST(dynamic_timing_batch, corner_tables_transpose_is_consistent)
@@ -599,19 +652,11 @@ TEST(dynamic_timing_batch, corner_tables_transpose_is_consistent)
 
     // Joint tables over all corners vs one table per corner: the
     // corner-minor layout must hold each gate's per-corner delays
-    // contiguously in a zero-padded row of row_stride() doubles and agree
+    // contiguously in a zero-padded row of corner_block doubles and agree
     // with the independently built single-corner tables (same arithmetic,
     // different layout).
     const auto joint = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
     ASSERT_EQ(joint->corner_count(), setup.corners.size());
-    ASSERT_EQ(joint->row_stride(), corner_block);
-    ASSERT_EQ(joint->gate_delay_ps.size(), nl.gates().size() * joint->row_stride());
-    for (std::size_t g = 0; g < nl.gates().size(); ++g) {
-        for (std::size_t c = joint->corner_count(); c < joint->row_stride(); ++c) {
-            ASSERT_EQ(joint->gate_delay_ps[g * joint->row_stride() + c], 0.0)
-                << "gate " << g << " padding column " << c;
-        }
-    }
     for (std::size_t c = 0; c < setup.corners.size(); ++c) {
         const double level[1] = {setup.corners[c]};
         const auto single = make_corner_tables(nl, setup.lib, setup.vm, level);
@@ -626,12 +671,21 @@ TEST(dynamic_timing_batch, corner_tables_transpose_is_consistent)
 
 TEST(dynamic_timing_batch, row_stride_pads_to_whole_blocks)
 {
+    // Every corner count the tables accept fills one corner_block row per
+    // gate, zero past the last corner.
+    xoshiro256 rng(13);
+    const netlist nl = make_batch_test_netlist(5, 40, rng);
     for (const std::size_t corners : corner_counts) {
-        timing_corner_tables tables;
-        tables.vdd.assign(corners, 1.0);
-        EXPECT_EQ(tables.row_stride() % corner_block, 0u) << corners;
-        EXPECT_GE(tables.row_stride(), corners);
-        EXPECT_LT(tables.row_stride() - corners, corner_block) << corners;
+        const corner_setup setup(corners);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+        ASSERT_EQ(tables->corner_count(), corners);
+        ASSERT_EQ(tables->gate_delay_ps.size(), nl.gates().size() * corner_block) << corners;
+        for (std::size_t g = 0; g < nl.gates().size(); ++g) {
+            for (std::size_t c = corners; c < corner_block; ++c) {
+                ASSERT_EQ(tables->gate_delay_ps[g * corner_block + c], 0.0)
+                    << "gate " << g << " padding column " << c << " of " << corners;
+            }
+        }
     }
 }
 

@@ -56,7 +56,8 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --ladder=SPEC       theta multipliers: "default" (2^-6..2^6), "none", or a
                       comma list of numbers (default: none)
   --workers=N         thread-pool width, 1 <= N <= 1024 (default: hardware
-                      concurrency)
+                      concurrency); the calling thread also runs cells, so
+                      a sweep runs on N + 1 threads
   --jobs=N            alias for --workers (last one given wins)
   --cores=M           modeled CMP cores per experiment, M >= 1 (default: 4)
   --seed=N            workload seed (default: 42)
@@ -362,10 +363,13 @@ int main(int argc, char** argv)
 
         if (!quiet) {
             std::fputs(runtime::render_sweep_table(result).c_str(), stdout);
-            std::printf("%zu cells in %.2f s on %zu workers "
+            // The calling thread runs pair tasks while it waits, so the
+            // sweep runs on one thread more than the pool has workers.
+            std::printf("%zu cells in %.2f s on %zu workers (%zu threads) "
                         "(stage cache: %llu hits, %llu misses; program cache: "
                         "%llu hits, %llu misses; %llu steals)\n",
                         result.cells.size(), result.wall_seconds, pool.worker_count(),
+                        pool.worker_count() + 1,
                         static_cast<unsigned long long>(result.cache_hits),
                         static_cast<unsigned long long>(result.cache_misses),
                         static_cast<unsigned long long>(result.program_cache_hits),
