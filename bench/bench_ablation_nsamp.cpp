@@ -50,7 +50,7 @@ int main()
                 }
                 const auto sample = estimator.sample_interval(
                     experiment.space(), experiment.characterization().threads[t][0],
-                    experiment.artifacts()->arch_profiles[t][0].cpi_base, params);
+                    experiment.arch_profiles()[t][0].cpi_base, params);
                 if (sample.err_estimates.front() > estimate_best) {
                     estimate_best = sample.err_estimates.front();
                     estimated_critical = t;

@@ -39,7 +39,7 @@ void run_benchmark(workload::benchmark_id id)
         const auto& truth = experiment.error_model(t, 0);
         const auto sample = estimator.sample_interval(
             space, experiment.characterization().threads[t][0],
-            experiment.artifacts()->arch_profiles[t][0].cpi_base, params);
+            experiment.arch_profiles()[t][0].cpi_base, params);
         const auto curve = sample.make_curve(space);
 
         for (std::size_t k = 0; k < space.tsr_count(); ++k) {

@@ -6,16 +6,16 @@
 // while exhaustive search is (QS)^M. This bench demonstrates the scaling
 // claim on randomized instances, times one plan build and a 97-rung ladder
 // through one plan, prices the (V, r) grid of a characterized error model,
-// and measures the exact B&B solver for comparison.
+// and measures the exact B&B solver (tests/reference_milp.h) for comparison.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <vector>
 
+#include "../tests/reference_milp.h"
 #include "../tests/solver_fixtures.h"
 #include "core/experiment.h"
-#include "core/milp.h"
 #include "core/solver.h"
 
 namespace {
@@ -99,7 +99,7 @@ void bm_branch_and_bound(benchmark::State& state)
     const auto m = static_cast<std::size_t>(state.range(0));
     auto inst = make_random_instance(m, 7, 6, 13 + m);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(synts::core::solve_branch_and_bound(inst.input));
+        benchmark::DoNotOptimize(synts::test::solve_branch_and_bound(inst.input));
     }
 }
 BENCHMARK(bm_branch_and_bound)->DenseRange(2, 8, 2);
@@ -122,15 +122,6 @@ void bm_per_core_ts(benchmark::State& state)
     }
 }
 BENCHMARK(bm_per_core_ts);
-
-void bm_milp_model_build(benchmark::State& state)
-{
-    auto inst = make_random_instance(4, 7, 6, 9);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(synts::core::milp_model::build(inst.input));
-    }
-}
-BENCHMARK(bm_milp_model_build);
 
 } // namespace
 

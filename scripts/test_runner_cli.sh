@@ -226,6 +226,32 @@ else
     echo "FAIL trace_and_metrics: runner exited non-zero" >&2
     failures=$((failures + 1))
 fi
+# End-of-run gauges on a three-stage sweep of two workloads: every
+# workload's program entry is released once its three stages settle, so no
+# trace is resident at the end; one worker means two threads.
+GAUGES="$WORK/gauges.csv"
+if "$RUNNER" --benchmarks=lock_ladder,fmm --stages=all --policies=nominal \
+        --workers=1 --quiet --metrics=csv >"$GAUGES" 2>&1; then
+    ok=1
+    if ! grep -q '^cache\.tier2\.resident,gauge,0,' "$GAUGES"; then
+        echo "FAIL end_gauges: program tier not empty at the end:" >&2
+        grep '^cache\.tier2\.' "$GAUGES" >&2
+        ok=0
+    fi
+    if ! grep -q '^sweep\.threads,gauge,2,' "$GAUGES"; then
+        echo "FAIL end_gauges: sweep.threads is not 2 at --workers=1:" >&2
+        grep '^sweep\.threads' "$GAUGES" >&2
+        ok=0
+    fi
+    if ! grep -Eq '^process\.peak_rss_kb,gauge,[1-9][0-9]*,' "$GAUGES"; then
+        echo "FAIL end_gauges: no positive process.peak_rss_kb" >&2
+        ok=0
+    fi
+    if [ "$ok" -eq 1 ]; then echo "ok end_gauges"; else failures=$((failures + 1)); fi
+else
+    echo "FAIL end_gauges: runner exited non-zero" >&2
+    failures=$((failures + 1))
+fi
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures CLI contract failure(s)" >&2

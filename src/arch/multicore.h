@@ -26,6 +26,8 @@ struct interval_profile {
     double cpi_base = 0.0;               ///< CPI_base_i
     double dcache_miss_rate = 0.0;
     double branch_misprediction_rate = 0.0;
+
+    friend bool operator==(const interval_profile&, const interval_profile&) = default;
 };
 
 /// Per-thread sequence of interval profiles.

@@ -72,9 +72,12 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     // a per-cell backward scan would re-walk the whole preceding history
     // per interval -- quadratic exactly when the stage fires rarely and
     // there is little simulation work to amortize it. drives_stage alone
-    // decides -- no bit extraction on this scan.
+    // decides -- no bit extraction on this scan. The same scan counts each
+    // interval's driving ops, which sizes its sampling vectors exactly.
     std::vector<std::vector<std::size_t>> warmup_ops(
         thread_count, std::vector<std::size_t>(interval_count, no_warmup_op));
+    std::vector<std::vector<std::size_t>> driving_counts(
+        thread_count, std::vector<std::size_t>(interval_count, 0));
     util::for_each_index(parallel, thread_count, [&](std::size_t t) {
         const arch::thread_trace& trace = program.trace.threads[t];
         std::size_t last_driving = no_warmup_op;
@@ -84,6 +87,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
             for (std::size_t n = begin; n < trace.barrier_points[k]; ++n) {
                 if (tap.drives_stage(trace.ops[n])) {
                     last_driving = n;
+                    ++driving_counts[t][k];
                 }
             }
         }
@@ -173,6 +177,11 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
                     0.0, tnom_ps[c] * config_.histogram_headroom, config_.histogram_bins);
             }
             data.instruction_count = ops.size();
+            const std::size_t driving = driving_counts[ch.thread][k];
+            if (config_.keep_sampling_trace) {
+                data.sampling_delays_ps.reserve(driving);
+                data.sampling_instr_index.reserve(driving);
+            }
 
             std::size_t offset = 0;
             while (offset < ops.size()) {
@@ -203,12 +212,22 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
                 offset += batch.ops_consumed;
             }
 
+            detail::check_driven_vectors(driving, data.vector_count);
             cells_counter.add(1);
             vectors_counter.add(data.vector_count);
             result.threads[ch.thread][k] = std::move(data);
         }
     });
     return result;
+}
+
+void detail::check_driven_vectors(std::uint64_t counted, std::uint64_t driven)
+{
+    if (counted != driven) {
+        throw std::logic_error("characterizer: the batch loop drove " +
+                               std::to_string(driven) + " vectors, the pre-pass counted " +
+                               std::to_string(counted));
+    }
 }
 
 } // namespace synts::core

@@ -35,6 +35,11 @@ struct interval_characterization {
     /// Sensitized-delay histogram per voltage corner.
     std::vector<util::histogram> delay_histograms;
     /// Raw per-vector delays at the sampling corner (corner 0 = nominal V).
+    /// With keep_sampling_trace, this and sampling_instr_index are sized
+    /// exactly: capacity() == size() == vector_count. The characterizer's
+    /// drives_stage pre-pass counts each interval's driving ops and
+    /// reserves both vectors to that count, so a cached experiment holds no
+    /// growth slack (8 bytes per driving vector, nothing more).
     std::vector<float> sampling_delays_ps;
     /// Instruction index (within the interval) of each vector above.
     std::vector<std::uint32_t> sampling_instr_index;
@@ -62,13 +67,10 @@ struct stage_characterization {
     std::vector<double> corner_vdd;
     /// [thread][interval].
     std::vector<std::vector<interval_characterization>> threads;
-    // NOTE: the per-thread ARCHITECTURAL profiles are deliberately not
-    // duplicated here. They are stage-independent and live in the
-    // program_artifacts the characterization was built from; copying them
-    // into every per-stage product tripled their footprint across the
-    // cached stages of one workload. Consumers that need N_i / CPI_base_i
-    // read them from the experiment's shared artifacts
-    // (benchmark_experiment::artifacts()->arch_profiles).
+    // NOTE: the per-thread ARCHITECTURAL profiles are not part of the
+    // stage product. They are stage-independent and come from the
+    // program_artifacts the characterization was built from; consumers that
+    // need N_i / CPI_base_i read benchmark_experiment::arch_profiles().
 
     /// Builds the empirical error model of (thread, interval).
     [[nodiscard]] empirical_error_model make_error_model(std::size_t thread,
@@ -124,5 +126,15 @@ private:
     const circuit::voltage_model& vm_;
     characterization_config config_;
 };
+
+namespace detail {
+
+/// Throws std::logic_error unless the batch loop drove exactly the
+/// `counted` vectors the drives_stage pre-pass found in one interval: the
+/// sampling vectors were reserved to that count, so any other number means
+/// the two scans disagree on which ops drive the stage.
+void check_driven_vectors(std::uint64_t counted, std::uint64_t driven);
+
+} // namespace detail
 
 } // namespace synts::core

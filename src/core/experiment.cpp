@@ -64,14 +64,14 @@ benchmark_experiment::benchmark_experiment(
     std::shared_ptr<const program_artifacts> artifacts, circuit::pipe_stage stage,
     const experiment_config& config, const util::parallel_for_fn& parallel)
     : workload_(checked_artifacts(artifacts).workload), stage_(stage), config_(config),
-      artifacts_(std::move(artifacts)), lib_(circuit::cell_library::standard_22nm()),
-      vm_(config.voltage_class_spread), engine_(config.sampling)
+      lib_(circuit::cell_library::standard_22nm()), vm_(config.voltage_class_spread),
+      engine_(config.sampling)
 {
-    if (artifacts_->trace.thread_count() != config_.thread_count) {
+    if (artifacts->trace.thread_count() != config_.thread_count) {
         throw std::invalid_argument(
             "benchmark_experiment: artifacts/config thread count mismatch");
     }
-    if (artifacts_->workload_digest != config_.workload_digest()) {
+    if (artifacts->workload_digest != config_.workload_digest()) {
         throw std::invalid_argument(
             "benchmark_experiment: artifacts/config workload mismatch (seed or "
             "core model differs -- results would be attributed to the wrong "
@@ -79,7 +79,8 @@ benchmark_experiment::benchmark_experiment(
     }
 
     const characterizer chars(lib_, vm_, config_.characterization);
-    characterization_ = chars.characterize(*artifacts_, stage, parallel);
+    characterization_ = chars.characterize(*artifacts, stage, parallel);
+    arch_profiles_ = artifacts->arch_profiles;
 
     space_ = config_space::paper_grid(characterization_.tnom_ps);
 
@@ -115,7 +116,7 @@ solver_input benchmark_experiment::make_solver_input(std::size_t interval,
     input.params = config_.params;
     input.theta = theta;
     for (std::size_t t = 0; t < thread_count(); ++t) {
-        const arch::interval_profile& p = artifacts_->arch_profiles[t][interval];
+        const arch::interval_profile& p = arch_profiles_[t][interval];
         input.workloads.push_back(
             thread_workload{p.instruction_count, p.cpi_base});
         input.error_models.push_back(&error_models_[t][interval]);

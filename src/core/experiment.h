@@ -72,8 +72,10 @@ public:
 
     /// Staged-pipeline constructor: consumes pre-built stage-independent
     /// artifacts (trace + architectural profiles) instead of regenerating
-    /// them, and keeps them alive for the experiment's lifetime. Throws
-    /// std::invalid_argument when `artifacts` is null or its provenance
+    /// them. The trace is read only while the stage characterizes; the
+    /// experiment copies the architectural profiles and keeps no reference
+    /// to `artifacts`, so the caller decides how long the trace lives.
+    /// Throws std::invalid_argument when `artifacts` is null or its provenance
     /// (thread count, and the stamped workload digest covering seed and
     /// core model) disagrees with `config`. `parallel` fans the
     /// per-(thread, interval) stage characterization out; results are
@@ -82,11 +84,12 @@ public:
                          circuit::pipe_stage stage, const experiment_config& config = {},
                          const util::parallel_for_fn& parallel = {});
 
-    /// The shared stage-independent artifacts this experiment was built on.
-    [[nodiscard]] const std::shared_ptr<const program_artifacts>&
-    artifacts() const noexcept
+    /// N_i and CPI_base_i of every (thread, interval), [thread][interval]:
+    /// the architectural profiles of the artifacts this experiment was
+    /// built on, copied (a few hundred bytes).
+    [[nodiscard]] const std::vector<arch::thread_profile>& arch_profiles() const noexcept
     {
-        return artifacts_;
+        return arch_profiles_;
     }
 
     /// The workload's registry identity.
@@ -154,11 +157,11 @@ public:
     /// equal_weight_theta, run_policy, run_all_policies,
     /// run_synts_online_predicted, and the free pareto_sweep below) may be
     /// called concurrently on one instance. The evaluation path holds no
-    /// hidden mutable state -- plans are built per call, the
-    /// policy_engine, solvers and estimators are pure const code, and the
-    /// MILP's instrumentation counters are thread_local. The runtime's
-    /// experiment_cache relies on this to share one instance across all
-    /// sweep workers; tests/test_runtime_sweep.cpp pins the contract.
+    /// hidden mutable state -- plans are built per call, and the
+    /// policy_engine, solvers and estimators are pure const code. The
+    /// runtime's experiment_cache relies on this to share one instance
+    /// across all sweep workers; tests/test_runtime_sweep.cpp pins the
+    /// contract.
     [[nodiscard]] policy_sweep sweep_policy(policy_kind kind, double theta,
                                             std::span<const double> ladder) const;
 
@@ -185,7 +188,7 @@ private:
     workload::workload_key workload_;
     circuit::pipe_stage stage_;
     experiment_config config_;
-    std::shared_ptr<const program_artifacts> artifacts_;
+    std::vector<arch::thread_profile> arch_profiles_; ///< [thread][interval]
     circuit::cell_library lib_;
     circuit::voltage_model vm_;
     stage_characterization characterization_;

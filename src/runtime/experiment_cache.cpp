@@ -35,9 +35,11 @@ experiment_cache::get_or_create(const workload::workload_key& workload,
                                 cache_traffic* traffic)
 {
     const experiment_key key{workload, stage, config.digest()};
-    return stage_tier_.get_or_create(
+    bool built = false;
+    experiment_ptr experiment = stage_tier_.get_or_create(
         key,
         [&]() -> experiment_ptr {
+            built = true;
             const program_ptr program =
                 get_or_create_program(workload, config, pool, traffic);
             const obs::trace_span span(
@@ -48,6 +50,19 @@ experiment_cache::get_or_create(const workload::workload_key& workload,
                 program, stage, config, pool_executor(pool));
         },
         traffic != nullptr ? &traffic->stage : nullptr);
+    if (built) {
+        // The last of the three stages to settle lets the trace go (see the
+        // file comment): no stage of this config will read it again.
+        bool all_settled = true;
+        for (std::size_t s = 0; s < circuit::pipe_stage_count && all_settled; ++s) {
+            all_settled = stage_tier_.settled(
+                {workload, static_cast<circuit::pipe_stage>(s), key.config_digest});
+        }
+        if (all_settled) {
+            program_tier_.erase({workload, config.workload_digest()});
+        }
+    }
+    return experiment;
 }
 
 experiment_cache::program_ptr

@@ -16,6 +16,29 @@
 //       the per-stage characterization + config space + error models,
 //       constructed FROM the program tier's artifacts.
 //
+// A program entry lives only while its stages characterize. The trace is
+// an intermediate (Fig. 5.8): it feeds the architectural profile and the
+// per-stage timing simulation, and policy evaluation never reads it. So
+// after a stage build, once all three stages of (workload, config digest)
+// are *settled* in the stage tier, the cache erases that workload's
+// program entry. "Settled", not "present": a stage whose factory has not
+// yet reached the program tier would otherwise regenerate the trace. A
+// caller holding the program_ptr keeps it alive; a later stage build of a
+// config with the same workload digest regenerates it (one more compute).
+// The canonical sweep therefore still generates each trace once (7
+// program misses, 14 hits) but ends with no trace resident.
+//
+// What one stage entry retains, per (thread, interval) at the default
+// config (7 corners x 512 bins), with the canonical sweep's totals over its
+// 21 experiments x 12 (thread, interval) cells (seed 42):
+//   * delay histograms: 7 x 512 x 8 B = 28 KB (7.2 MB in all);
+//   * error-model suffix counts: 7 x 513 x 8 B = 28 KB (7.2 MB);
+//   * the sampling trace: 8 B per driving vector (float delay + uint32
+//     index), sized exactly by the characterizer (17.1 MB);
+//   * the architectural profiles: 40 B, copied (10 KB).
+// That is ~1.5 MB per experiment, 32 MB for the sweep; the 48 MB of
+// micro-ops it generated (1.5 M x 32 B) are not among it.
+//
 // Both tiers live in memory only. What survives the process is finished
 // sweep cells (sweep_options::store), not artifacts: the program tier is
 // the cheap phase (trace generation + profiling is under a tenth of a
@@ -53,6 +76,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -186,8 +210,9 @@ public:
         }
 
         count(misses_, registry_misses_, sink != nullptr ? &sink->misses : nullptr);
+        Ptr value;
         try {
-            construction.set_value(factory());
+            value = factory();
         } catch (...) {
             construction.set_exception(std::current_exception());
             {
@@ -196,7 +221,34 @@ public:
             }
             throw;
         }
-        return entry.get();
+        {
+            // Settled under the shard lock, so settled() -- which reads
+            // under the same lock -- orders against it: of two owners that
+            // each settle and then check the other, at least one sees both.
+            const util::mutex_lock lock(home.mutex);
+            construction.set_value(value);
+        }
+        return value;
+    }
+
+    /// True when `key`'s entry is resident and its construction finished
+    /// with a value.
+    [[nodiscard]] bool settled(const Key& key)
+    {
+        shard& home = shard_for(key);
+        const util::mutex_lock lock(home.mutex);
+        const auto it = home.entries.find(key);
+        return it != home.entries.end() &&
+               it->second.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    }
+
+    /// Drops `key`'s entry, if any. Holders of its value keep it; waiters
+    /// on an in-flight construction are served normally.
+    void erase(const Key& key)
+    {
+        shard& home = shard_for(key);
+        const util::mutex_lock lock(home.mutex);
+        home.entries.erase(key);
     }
 
     [[nodiscard]] std::uint64_t hit_count() const noexcept
@@ -338,7 +390,8 @@ public:
     /// Stage-tier entries currently resident (settled or under
     /// construction).
     [[nodiscard]] std::size_t size() const { return stage_tier_.size(); }
-    /// Program-tier entries currently resident.
+    /// Program-tier entries currently resident: 0 once every workload's
+    /// three stages have settled (see file comment).
     [[nodiscard]] std::size_t program_size() const { return program_tier_.size(); }
 
     /// Drops every entry of both tiers (in-flight constructions settle

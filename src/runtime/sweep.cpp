@@ -133,6 +133,10 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     obs::counter& obs_cells_stored = registry.counter_at("sweep.cells_stored");
     obs::counter& obs_cells_missed = registry.counter_at("sweep.cells_missed");
     obs::counter& obs_cells_computed = registry.counter_at("sweep.cells_computed");
+    // The calling thread runs pair tasks while it waits, so the sweep runs
+    // on one thread more than the pool has workers.
+    registry.gauge_at("sweep.threads")
+        .set(static_cast<std::int64_t>(pool_->worker_count() + 1));
     const obs::trace_span run_span(obs::trace_recorder::global(), "sweep.run");
 
     const auto t0 = std::chrono::steady_clock::now();

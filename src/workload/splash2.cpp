@@ -522,6 +522,10 @@ arch::program_trace generate_program_trace(const benchmark_profile& profile,
             std::llround(static_cast<double>(profile.instructions_per_interval) *
                          profile.work_imbalance[t]));
 
+        // Exact-size: the trace is the largest allocation of a run, and a
+        // doubling vector would leave up to half of it as slack.
+        trace.ops.reserve(static_cast<std::size_t>(interval_ops) * profile.interval_count);
+        trace.barrier_points.reserve(profile.interval_count);
         for (std::size_t k = 0; k < profile.interval_count; ++k) {
             stream.begin_interval(k);
             for (std::uint64_t i = 0; i < interval_ops; ++i) {

@@ -73,6 +73,20 @@ void expect_same_characterization(const core::stage_characterization& a,
     }
 }
 
+/// capacity() == size() == vector_count for both sampling vectors of every
+/// interval: the pre-pass count sizes them exactly.
+void expect_exact_sampling_buffers(const core::stage_characterization& result)
+{
+    for (const auto& thread : result.threads) {
+        for (const core::interval_characterization& data : thread) {
+            EXPECT_EQ(data.sampling_delays_ps.size(), data.vector_count);
+            EXPECT_EQ(data.sampling_delays_ps.capacity(), data.vector_count);
+            EXPECT_EQ(data.sampling_instr_index.size(), data.vector_count);
+            EXPECT_EQ(data.sampling_instr_index.capacity(), data.vector_count);
+        }
+    }
+}
+
 TEST(characterization_pipeline, program_characterizer_produces_valid_artifacts)
 {
     const core::program_characterizer characterizer;
@@ -168,6 +182,32 @@ TEST(characterization_pipeline, parallel_characterization_is_bit_identical)
     expect_same_characterization(serial, parallel);
 }
 
+TEST(characterization_pipeline, sampling_vectors_are_exact_size)
+{
+    const core::program_characterizer program_chars;
+    const core::program_artifacts artifacts =
+        program_chars.characterize(kBenchmark, kThreads, kSeed);
+
+    const auto lib = circuit::cell_library::standard_22nm();
+    const circuit::voltage_model vm(0.04);
+    const core::characterizer chars(lib, vm, {});
+    runtime::thread_pool pool(4);
+    for (const auto stage : {circuit::pipe_stage::decode, circuit::pipe_stage::simple_alu,
+                             circuit::pipe_stage::complex_alu}) {
+        SCOPED_TRACE(circuit::pipe_stage_name(stage));
+        expect_exact_sampling_buffers(chars.characterize(artifacts, stage));
+        expect_exact_sampling_buffers(
+            chars.characterize(artifacts, stage, runtime::make_parallel_for(pool), 4));
+    }
+}
+
+TEST(characterization_pipeline, driven_vector_count_must_match_the_pre_pass)
+{
+    EXPECT_NO_THROW(core::detail::check_driven_vectors(17, 17));
+    EXPECT_THROW(core::detail::check_driven_vectors(17, 18), std::logic_error);
+    EXPECT_THROW(core::detail::check_driven_vectors(17, 16), std::logic_error);
+}
+
 TEST(characterization_pipeline, artifact_experiment_matches_direct_construction)
 {
     const core::experiment_config config;
@@ -175,7 +215,11 @@ TEST(characterization_pipeline, artifact_experiment_matches_direct_construction)
     const core::benchmark_experiment staged(artifacts, kStage, config);
     const core::benchmark_experiment direct(kBenchmark, kStage, config);
 
-    EXPECT_EQ(staged.artifacts().get(), artifacts.get());
+    // The experiment copies the architectural profiles; it holds no
+    // reference to the artifacts, so dropping them frees the trace.
+    EXPECT_EQ(staged.arch_profiles(), artifacts->arch_profiles);
+    EXPECT_EQ(staged.arch_profiles(), direct.arch_profiles());
+    EXPECT_EQ(artifacts.use_count(), 1);
     EXPECT_EQ(staged.workload(), direct.workload());
     const double theta = direct.equal_weight_theta();
     EXPECT_EQ(staged.equal_weight_theta(), theta);

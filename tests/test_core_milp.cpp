@@ -1,16 +1,20 @@
-// Tests for core/milp: the SynTS-MILP model (Eqs. 4.5-4.10) and the exact
-// branch-and-bound solver.
+// Tests for the reference SynTS-MILP model (Eqs. 4.5-4.10) and its exact
+// branch-and-bound solver (tests/reference_milp.h), and SynTS-Poly's
+// optimality against it.
 
 #include <gtest/gtest.h>
 
-#include "core/milp.h"
 #include "core/solver.h"
+#include "reference_milp.h"
 #include "solver_fixtures.h"
 
 namespace {
 
 using namespace synts::core;
+using synts::test::branch_and_bound_stats;
 using synts::test::make_random_instance;
+using synts::test::milp_model;
+using synts::test::solve_branch_and_bound;
 
 TEST(milp_model, dimensions_and_counts)
 {
@@ -97,8 +101,8 @@ TEST_P(milp_property, branch_and_bound_equals_poly)
 TEST_P(milp_property, branch_and_bound_prunes)
 {
     auto inst = make_random_instance(5, 5, 4, GetParam() * 7 + 100);
-    (void)solve_branch_and_bound(inst.input);
-    const branch_and_bound_stats stats = last_branch_and_bound_stats();
+    branch_and_bound_stats stats;
+    (void)solve_branch_and_bound(inst.input, &stats);
     EXPECT_GT(stats.nodes_expanded, 0u);
     EXPECT_GT(stats.nodes_pruned, 0u);
     // Without pruning the tree has (QS)^M ~ 3.2M leaves; expansion must be

@@ -294,11 +294,15 @@ namespace charz {
 arch::program_trace tiny_trace()
 {
     arch::thread_trace t;
-    t.ops.push_back({arch::op_class::int_add, 0x11, 3, 4, 0, false});
-    t.ops.push_back({arch::op_class::nop, 0, 0, 0, 0, false});
-    t.ops.push_back({arch::op_class::int_sub, 0x22, 9, 5, 0, false});
-    t.ops.push_back({arch::op_class::int_logic, 0x33, 6, 7, 0, false});
-    t.ops.push_back({arch::op_class::int_mul, 0x44, 2, 8, 0, false});
+    t.ops.push_back({.operand_a = 3, .operand_b = 4, .encoding = 0x11,
+                     .cls = arch::op_class::int_add});
+    t.ops.push_back({.cls = arch::op_class::nop});
+    t.ops.push_back({.operand_a = 9, .operand_b = 5, .encoding = 0x22,
+                     .cls = arch::op_class::int_sub});
+    t.ops.push_back({.operand_a = 6, .operand_b = 7, .encoding = 0x33,
+                     .cls = arch::op_class::int_logic});
+    t.ops.push_back({.operand_a = 2, .operand_b = 8, .encoding = 0x44,
+                     .cls = arch::op_class::int_mul});
     t.barrier_points = {3, 5};
     arch::program_trace trace;
     trace.threads.push_back(std::move(t));

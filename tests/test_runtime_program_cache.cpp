@@ -1,11 +1,13 @@
 // Tests for the experiment cache's program tier: one artifact set shared by
 // all pipe stages of a benchmark (the trace is generated and the
 // architectural profiler run exactly once), keying on workload_digest()
-// only, pool-parallel construction bit-identity, and the contract that a
+// only, the entry's lifetime (released once all three stages settle),
+// pool-parallel construction bit-identity, and the contract that a
 // characterization failure leaves no entry behind on either tier.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "core/experiment.h"
@@ -34,17 +36,18 @@ TEST(runtime_program_cache, three_stages_share_one_program_artifact)
     // trace and ran the architectural profiler exactly once.
     EXPECT_EQ(cache.program_miss_count(), 1u);
     EXPECT_EQ(cache.program_hit_count(), 2u);
-    EXPECT_EQ(cache.program_size(), 1u);
+    EXPECT_EQ(cache.program_compute_count(), 1u);
     EXPECT_EQ(cache.miss_count(), 3u);
+    // ...and once the third stage settled, the trace was let go.
+    EXPECT_EQ(cache.program_size(), 0u);
 
-    // All three experiments hold the very same artifact instance -- the
-    // architectural profiles are shared through it, never duplicated into
-    // the per-stage characterizations.
-    EXPECT_EQ(decode->artifacts().get(), simple->artifacts().get());
-    EXPECT_EQ(decode->artifacts().get(), complex_alu->artifacts().get());
-    const auto& from_artifacts = decode->artifacts()->arch_profiles;
-    ASSERT_EQ(from_artifacts.size(), decode->thread_count());
-    for (const auto& thread : from_artifacts) {
+    // Each experiment carries the one artifact set's profiles.
+    EXPECT_EQ(decode->arch_profiles(), simple->arch_profiles());
+    EXPECT_EQ(decode->arch_profiles(), complex_alu->arch_profiles());
+    EXPECT_EQ(decode->arch_profiles(),
+              core::make_program_artifacts(kBenchmark)->arch_profiles);
+    ASSERT_EQ(decode->arch_profiles().size(), decode->thread_count());
+    for (const auto& thread : decode->arch_profiles()) {
         ASSERT_EQ(thread.size(), decode->interval_count());
     }
 }
@@ -66,17 +69,21 @@ TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
 
     // Distinct experiments (different stage-tier keys), one shared artifact.
     EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(a->artifacts().get(), b->artifacts().get());
+    EXPECT_EQ(a->arch_profiles(), b->arch_profiles());
     EXPECT_EQ(cache.program_miss_count(), 1u);
     EXPECT_EQ(cache.program_hit_count(), 1u);
+    EXPECT_EQ(cache.program_compute_count(), 1u);
 
     // A workload knob, by contrast, forces fresh artifacts.
     core::experiment_config reseeded = base;
     reseeded.seed = 43;
     ASSERT_NE(reseeded.workload_digest(), base.workload_digest());
     const auto c = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, reseeded);
-    EXPECT_NE(c->artifacts().get(), a->artifacts().get());
     EXPECT_EQ(cache.program_miss_count(), 2u);
+    EXPECT_EQ(cache.program_compute_count(), 2u);
+    EXPECT_EQ(c->arch_profiles(),
+              core::make_program_artifacts(kBenchmark, reseeded)->arch_profiles);
+    // One stage per config: both entries stay resident.
     EXPECT_EQ(cache.program_size(), 2u);
 }
 
@@ -92,9 +99,72 @@ TEST(runtime_program_cache, get_or_create_program_is_directly_usable)
     // The stage tier reuses a pre-seeded program entry.
     const auto experiment =
         cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-    EXPECT_EQ(experiment->artifacts().get(), artifacts.get());
+    EXPECT_EQ(experiment->arch_profiles(), artifacts->arch_profiles);
     EXPECT_EQ(cache.program_miss_count(), 1u);
     EXPECT_EQ(cache.program_hit_count(), 1u);
+    EXPECT_EQ(cache.program_compute_count(), 1u);
+}
+
+TEST(runtime_program_cache, entry_stays_until_all_three_stages_settle)
+{
+    experiment_cache cache;
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    EXPECT_EQ(cache.program_size(), 1u);
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::complex_alu);
+    EXPECT_EQ(cache.program_size(), 1u);
+    // A stage-tier hit builds nothing and releases nothing.
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    EXPECT_EQ(cache.program_size(), 1u);
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
+    EXPECT_EQ(cache.program_size(), 0u);
+    EXPECT_EQ(cache.program_compute_count(), 1u);
+    EXPECT_EQ(cache.size(), 3u);
+
+    // A config sharing the workload digest regenerates the released trace.
+    core::experiment_config evaluation_only;
+    evaluation_only.params.leakage_power = 1e-6;
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, evaluation_only);
+    EXPECT_EQ(cache.program_compute_count(), 2u);
+    EXPECT_EQ(cache.program_size(), 1u);
+}
+
+TEST(runtime_program_cache, released_program_dies_with_its_last_holder)
+{
+    experiment_cache cache;
+    auto artifacts = cache.get_or_create_program(kBenchmark);
+    const std::weak_ptr<const core::program_artifacts> weak = artifacts;
+    for (const auto stage : {circuit::pipe_stage::decode, circuit::pipe_stage::simple_alu,
+                             circuit::pipe_stage::complex_alu}) {
+        (void)cache.get_or_create(kBenchmark, stage);
+    }
+    EXPECT_EQ(cache.program_size(), 0u);
+    // The caller's copy is the last one: no experiment holds the trace.
+    EXPECT_FALSE(weak.expired());
+    artifacts.reset();
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(runtime_program_cache, pooled_sweep_ends_with_no_program_resident)
+{
+    // Two workloads x three stages on a two-worker pool: the stages of one
+    // workload build concurrently, so whichever settles last must see the
+    // other two settled and release the entry.
+    runtime::thread_pool pool(2);
+    experiment_cache cache;
+    runtime::sweep_spec spec;
+    spec.benchmarks = {kBenchmark, workload::benchmark_id::fmm};
+    spec.stages = {circuit::pipe_stage::decode, circuit::pipe_stage::simple_alu,
+                   circuit::pipe_stage::complex_alu};
+    spec.policies = {core::policy_kind::nominal};
+
+    const runtime::sweep_result result = runtime::sweep_scheduler(pool, cache).run(spec);
+    EXPECT_EQ(result.cells.size(), 6u);
+    EXPECT_EQ(result.program_computes, 2u);
+    EXPECT_EQ(result.program_cache_misses, 2u);
+    EXPECT_EQ(result.program_cache_hits, 4u);
+    EXPECT_EQ(cache.program_compute_count(), 2u);
+    EXPECT_EQ(cache.program_size(), 0u);
+    EXPECT_EQ(cache.size(), 6u);
 }
 
 TEST(runtime_program_cache, pool_parallel_construction_is_bit_identical)

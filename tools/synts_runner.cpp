@@ -15,6 +15,7 @@
 //                --summary-csv=summary.csv --json=sweep.json
 //   (one line; wrapped here for width)
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +24,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include <sys/resource.h>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,8 +80,11 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       registry; FMT: table (default), csv, json
   --metrics[=FMT]     after the run, print the whole metrics registry --
                       pool.*, cache.tier<N>.*, store.*, sweep.* counters,
-                      gauges and latency histograms (p50/p95/p99); FMT:
-                      table (default), csv, json
+                      gauges and latency histograms (p50/p95/p99), plus
+                      end-of-run gauges: process.peak_rss_kb,
+                      cache.tier2.resident (program entries still held)
+                      and sweep.threads (workers + 1); FMT: table
+                      (default), csv, json
   --trace=FILE        record spans (sweep cells, cache builds/computes)
                       during the run and write Chrome trace-event JSON to
                       FILE (open in Perfetto or chrome://tracing)
@@ -191,6 +197,16 @@ obs::metrics_format parse_metrics_format(std::string_view token)
         return obs::metrics_format::json;
     }
     throw std::invalid_argument("bad --metrics format: \"" + std::string(token) + "\"");
+}
+
+/// Peak resident set size of this process so far, in KiB.
+std::int64_t peak_rss_kb()
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0) {
+        return 0;
+    }
+    return static_cast<std::int64_t>(usage.ru_maxrss); // KiB on Linux
 }
 
 } // namespace
@@ -390,10 +406,13 @@ int main(int argc, char** argv)
                        stdout);
         }
         if (metrics.has_value()) {
-            std::fputs(obs::render_metrics(obs::metrics_registry::global().snapshot(),
-                                           *metrics)
-                           .c_str(),
-                       stdout);
+            // End-of-run gauges: what the program tier and the process hold
+            // once the sweep is done.
+            obs::metrics_registry& registry = obs::metrics_registry::global();
+            registry.gauge_at("cache.tier2.resident")
+                .set(static_cast<std::int64_t>(cache.program_size()));
+            registry.gauge_at("process.peak_rss_kb").set(peak_rss_kb());
+            std::fputs(obs::render_metrics(registry.snapshot(), *metrics).c_str(), stdout);
         }
 
         const auto write_file = [](const std::string& path, const auto& writer) {
