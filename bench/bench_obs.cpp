@@ -35,7 +35,7 @@ constexpr std::uint64_t iterations = 50'000;
 /// The simulated work inside one "task": a short xorshift chain, roughly
 /// the cost of a cheap instrumented operation (a cache lookup or a small
 /// pool task), so the measured overhead ratio is a realistic worst case --
-/// real instrumented sites (cell computes, store I/O) are far heavier.
+/// real instrumented sites (cell computes, characterizations) are far heavier.
 inline std::uint64_t body(std::uint64_t x) noexcept
 {
     for (int i = 0; i < 24; ++i) {

@@ -1,6 +1,6 @@
-// Fixture: unsigned size() subtraction in a storage decode path is
+// Fixture: unsigned size() subtraction in the external-file parser is
 // flagged; the restructured comparison is not.
-// pseudo-path: src/storage/fixture.cpp
+// pseudo-path: src/util/json.cpp
 // expect: unchecked-size x1
 
 #include <cstddef>

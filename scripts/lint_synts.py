@@ -19,10 +19,12 @@ be):
                      counters move concurrently between the two reads;
                      snapshot once instead (the PR-6 telemetry registry
                      exists for exactly this).
-  unchecked-size  -- `payload.size() - N` arithmetic in src/storage/ decode
-                     paths. size() is unsigned; a short payload wraps to a
-                     huge length instead of failing the bounds check. Compare
-                     `size() < N` first, or restructure to addition.
+  unchecked-size  -- `text.size() - N` arithmetic in src/util/json.cpp, the
+                     one parser of files written outside the program
+                     (bench_diff ledgers). size() is unsigned; a short input
+                     wraps to a huge length instead of failing the bounds
+                     check. Compare `size() < N` first, or restructure to
+                     addition.
   system-call     -- system( anywhere. The runner composes shell-visible
                      strings from user-controlled sweep specs; spawning a
                      shell on them is an injection waiting to happen.
@@ -71,8 +73,8 @@ def _in_src_outside_thread_safety(path: str) -> bool:
     )
 
 
-def _in_storage(path: str) -> bool:
-    return path.startswith("src/storage/")
+def _in_external_parser(path: str) -> bool:
+    return path == "src/util/json.cpp"
 
 
 def _anywhere(_path: str) -> bool:
@@ -111,9 +113,9 @@ RULES = [
     (
         "unchecked-size",
         re.compile(r"\.size\(\)\s*-"),
-        "unsigned size() subtraction wraps on short payloads; compare "
+        "unsigned size() subtraction wraps on short input; compare "
         "`size() < N` before subtracting",
-        _in_storage,
+        _in_external_parser,
     ),
     (
         "system-call",

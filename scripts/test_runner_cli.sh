@@ -5,9 +5,8 @@
 # Pins the argument-parsing hardening (each bad invocation must produce a
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
 # default) and the registry surface: --list-benchmarks enumerates the ten
-# SPLASH-2 profiles plus the scenario families, a scenario sweep
-# checkpoints its cells, and a resumed re-run restores every cell with zero
-# program-tier computes and byte-identical JSON.
+# SPLASH-2 profiles plus the scenario families, and a scenario sweep emits
+# byte-identical JSON at one and at four workers.
 set -u
 
 RUNNER=${1:?usage: test_runner_cli.sh <synts_runner>}
@@ -59,8 +58,6 @@ expect_usage_error seed_negative --seed=-1
 expect_usage_error cores_whitespace --cores=' 2'
 # A value flag at the end of the line must not read past argv.
 expect_usage_error missing_value --benchmarks
-# --resume without --store has no checkpoint source.
-expect_usage_error resume_without_store --resume
 # Unknown flags still fail loudly.
 expect_usage_error unknown_flag --frobnicate
 # --define grammar errors are usage errors, not crashes.
@@ -74,16 +71,17 @@ expect_usage_error metrics_bad_format --metrics=xml
 expect_usage_error trace_missing_value --trace
 # Removed flags are unknown flags (a usage error, never silently ignored):
 # the idle-worker speculation flag (its name spliced from two halves so a
-# source search for it stays empty) and the fleet-layer flags (sharding,
-# merge, store status/watch, the stall threshold, the metrics sampler). The
-# OpenMetrics value of --metrics is a bad format.
+# source search for it stays empty), the fleet-layer flags (sharding,
+# merge, store status/watch, the stall threshold, the metrics sampler) and
+# the sweep-cell checkpoint flags. The OpenMetrics value of --metrics is a
+# bad format.
 ok=1
 for removed in "--spec""ulate" --shard=0/2 --merge --status --watch --stall-ms=5 \
-               --sample=10; do
+               --sample=10 --store --store=cells --resume; do
     "$RUNNER" "$removed" >/dev/null 2>"$WORK/removed.err"
     rc=$?
     if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q "unknown flag: $removed"; then
-        echo "FAIL removed_fleet_flags: $removed gave rc=$rc:" >&2
+        echo "FAIL removed_flags: $removed gave rc=$rc:" >&2
         head -n1 "$WORK/removed.err" >&2
         ok=0
     fi
@@ -91,10 +89,10 @@ done
 "$RUNNER" --metrics=prom >/dev/null 2>"$WORK/removed.err"
 rc=$?
 if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q 'bad --metrics format'; then
-    echo "FAIL removed_fleet_flags: --metrics=prom gave rc=$rc" >&2
+    echo "FAIL removed_flags: --metrics=prom gave rc=$rc" >&2
     ok=0
 fi
-if [ "$ok" -eq 1 ]; then echo "ok removed_fleet_flags"; else failures=$((failures + 1)); fi
+if [ "$ok" -eq 1 ]; then echo "ok removed_flags"; else failures=$((failures + 1)); fi
 
 # --list-benchmarks: the ten SPLASH-2 names plus the scenario families.
 LIST="$WORK/list.txt"
@@ -117,45 +115,37 @@ else
     failures=$((failures + 1))
 fi
 
-# A scenario-family sweep checkpoints its cells: the cold run populates the
-# store (cell checkpoints only, no program-artifact bucket), and the
-# resumed re-run must restore every cell -- zero checkpoint misses, zero
-# program-tier computes -- and emit byte-identical JSON.
-STORE="$WORK/store"
-COLD="$WORK/cold.json"
-RESUMED="$WORK/resumed.json"
+# A scenario-family sweep is worker-invariant: the same spec at one and at
+# four workers emits byte-identical JSON, keyed on a non-SPLASH workload
+# name, and --cache-stats carries exactly the two memory tiers.
+SERIAL="$WORK/serial.json"
+PARALLEL="$WORK/parallel.json"
 STATS="$WORK/stats.json"
-if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
-        --store="$STORE" --quiet --json="$COLD" >/dev/null 2>&1 &&
-   "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
-        --store="$STORE" --resume --quiet --json="$RESUMED" --cache-stats=json >"$STATS" 2>&1; then
+SCENARIO_SPEC="--benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline"
+if "$RUNNER" $SCENARIO_SPEC --workers=1 --quiet --json="$SERIAL" >/dev/null 2>&1 &&
+   "$RUNNER" $SCENARIO_SPEC --workers=4 --quiet --json="$PARALLEL" \
+        --cache-stats=json >"$STATS" 2>&1; then
     ok=1
     # The volatile `meta` line (timestamp, host) is excluded from the
     # byte-identity contract by design: it rides on its own line.
-    if ! cmp -s <(grep -v '"meta"' "$COLD") <(grep -v '"meta"' "$RESUMED"); then
-        echo "FAIL scenario_sweep: resumed JSON differs from cold" >&2
+    if ! cmp -s <(grep -v '"meta"' "$SERIAL") <(grep -v '"meta"' "$PARALLEL"); then
+        echo "FAIL scenario_sweep: JSON differs between 1 and 4 workers" >&2
         ok=0
     fi
-    if ! grep -q '"meta": {"schema_version": 1, "generated_utc": "' "$COLD"; then
-        echo "FAIL scenario_sweep: cold JSON carries no meta stamp" >&2
+    if ! grep -q '"meta": {"schema_version": 1, "generated_utc": "' "$SERIAL"; then
+        echo "FAIL scenario_sweep: JSON carries no meta stamp" >&2
         ok=0
     fi
-    if ! grep -q '"checkpoint": {"hits": 2, "misses": 0}' "$STATS" ||
-       ! grep -q '"program_computes": 0' "$STATS"; then
-        echo "FAIL scenario_sweep: resumed run did not restore every cell:" >&2
-        cat "$STATS" >&2
-        ok=0
-    fi
-    if [ ! -d "$STORE/v2/cell" ] || [ -e "$STORE/v2/program" ]; then
-        echo "FAIL scenario_sweep: store does not hold cell checkpoints only:" >&2
-        ls "$STORE"/v2 >&2
-        ok=0
-    fi
-    if ! grep -q '"benchmark": "lock_ladder"' "$COLD"; then
+    if ! grep -q '"benchmark": "lock_ladder"' "$SERIAL"; then
         echo "FAIL scenario_sweep: JSON does not carry the workload name" >&2
         ok=0
     fi
-    if [ "$ok" -eq 1 ]; then echo "ok scenario_sweep_checkpoint_resume"; else failures=$((failures + 1)); fi
+    if ! grep -Eqx '\{"cache": \{"program": \{"hits": 0, "misses": 1\}, "stage": \{"hits": 0, "misses": 1\}, "program_computes": 1\}\}' "$STATS"; then
+        echo "FAIL scenario_sweep: unexpected --cache-stats=json:" >&2
+        cat "$STATS" >&2
+        ok=0
+    fi
+    if [ "$ok" -eq 1 ]; then echo "ok scenario_sweep_worker_invariant"; else failures=$((failures + 1)); fi
 else
     echo "FAIL scenario_sweep: runner exited non-zero" >&2
     failures=$((failures + 1))

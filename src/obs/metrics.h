@@ -5,7 +5,7 @@
 // scale past two call sites: every new observable meant a new struct field,
 // a new accessor, and a new column in every renderer. This registry is the
 // one place an instrument is declared (a dotted name: `pool.steals`,
-// `cache.tier2.compute_ns`, `store.bytes_read`) and the one place a
+// `cache.tier2.compute_ns`, `sweep.cells_computed`) and the one place a
 // consumer reads it back (`snapshot()` -> deterministic name order ->
 // JSON/CSV/table emitters in render_metrics).
 //

@@ -31,10 +31,6 @@
 #include "runtime/experiment_cache.h"
 #include "runtime/thread_pool.h"
 
-namespace synts::storage {
-class artifact_store;
-}
-
 namespace synts::runtime {
 
 /// One (workload, stage) evaluation target. Workloads are registry keys
@@ -71,16 +67,9 @@ struct sweep_spec {
     /// Stable digest over everything that determines the sweep's cells:
     /// the config digest, the expanded pair list, the policy list, and the
     /// theta ladder. Two specs with equal digests expand to cell-for-cell
-    /// identical sweeps, so checkpointed cells are keyed on
-    /// (spec digest, cell index) -- any spec edit changes every key and a
-    /// stale checkpoint can never be resumed into the wrong sweep.
+    /// identical sweeps; any spec edit changes the digest.
     [[nodiscard]] std::uint64_t digest() const;
-
 };
-
-/// Checkpoint key of cell `index` of a spec (see sweep_spec::digest()).
-[[nodiscard]] std::uint64_t sweep_cell_digest(std::uint64_t spec_digest,
-                                              std::size_t index) noexcept;
 
 /// Fully evaluated (workload, stage, policy) cell.
 struct sweep_cell {
@@ -104,9 +93,8 @@ struct sweep_cell {
 /// spec's declaration order, independent of execution schedule).
 struct sweep_result {
     sweep_spec spec;
-    /// The spec's digest -- the checkpoint keying identity
-    /// (sweep_cell_digest(spec_digest, index)) and what the JSON document
-    /// emits.
+    /// The spec's digest: the sweep's identity, emitted by the JSON
+    /// document.
     std::uint64_t spec_digest = 0;
     std::vector<sweep_cell> cells;
     double wall_seconds = 0.0;
@@ -120,47 +108,11 @@ struct sweep_result {
     /// Trace generations + profiler runs this sweep performed (one per
     /// program-tier miss).
     std::uint64_t program_computes = 0;
-    /// True when the run had a checkpoint store (sweep_options::store).
-    bool checkpointing = false;
-    /// Checkpoint traffic: cells adopted from the store (resume) and cells
-    /// computed then persisted this run; both zero without a store.
-    std::uint64_t cells_loaded = 0;
-    std::uint64_t cells_stored = 0;
-
-    /// Cells that went through compute because no usable checkpoint
-    /// covered them; 0 when the run had no store at all. Guarded against
-    /// underflow: a caller-filled result can present cells_loaded >
-    /// cells.size(), which on the unsigned types would wrap to ~2^64 --
-    /// such a state reports 0 missed, never a wrapped count.
-    [[nodiscard]] std::uint64_t cells_missed() const noexcept
-    {
-        if (!checkpointing || cells_loaded >= cells.size()) {
-            return 0;
-        }
-        return cells.size() - cells_loaded;
-    }
 
     /// The cell of (workload, stage, policy), or nullptr.
     [[nodiscard]] const sweep_cell* find(const workload::workload_key& workload,
                                          circuit::pipe_stage stage,
                                          core::policy_kind policy) const noexcept;
-};
-
-/// Checkpointing knobs for sweep_scheduler::run.
-struct sweep_options {
-    /// Checkpoint store; null (the default) disables checkpointing. When
-    /// set, every computed cell is persisted (atomic write-back) as it
-    /// finishes, keyed on (spec digest, cell index) -- a killed sweep
-    /// leaves its finished cells behind. Must outlive the run.
-    storage::artifact_store* store = nullptr;
-    /// With `store`: cells already materialized (decodable, matching
-    /// (benchmark, stage, policy)) are adopted instead of recomputed, so a
-    /// restarted sweep re-runs only the missing cells. A pair whose every
-    /// cell is checkpointed skips its characterization entirely. Off by
-    /// default: a re-run without it recomputes every cell and overwrites
-    /// its checkpoint, so the store always holds what the current binary
-    /// computes.
-    bool resume = false;
 };
 
 /// Expands sweep_specs into pool tasks and aggregates the results.
@@ -174,10 +126,7 @@ public:
 
     /// Runs every cell of `spec`; blocks until done. The first cell
     /// exception (in cell order) is rethrown after all tasks settle.
-    /// Determinism contract: `options` never change what a cell contains,
-    /// only whether it is recomputed or restored.
-    [[nodiscard]] sweep_result run(const sweep_spec& spec,
-                                   const sweep_options& options = {}) const;
+    [[nodiscard]] sweep_result run(const sweep_spec& spec) const;
 
 private:
     thread_pool* pool_;

@@ -193,8 +193,7 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
          // Digests are 64-bit; as bare JSON numbers they would be rounded
          // by double-based consumers (anything past 2^53), so emit strings.
          << ", \"digest\": \"" << result.spec.config.digest() << "\"},\n"
-         // The checkpoint keying identity: the artifact store keys this
-         // sweep's cells on (spec_digest, cell index).
+         // The sweep's identity (sweep_spec::digest()).
          << "  \"spec_digest\": \"" << result.spec_digest << "\",\n";
     body << "  \"theta_multipliers\": [";
     for (std::size_t i = 0; i < result.spec.theta_multipliers.size(); ++i) {
@@ -247,16 +246,15 @@ std::string render_sweep_table(const sweep_result& result)
 
 namespace {
 
-/// The three tier rows + trailing scalars both cache-stats sources render.
+/// The two tier rows + the compute count both cache-stats sources render.
 struct cache_stats_view {
     struct row {
         const char* tier;
         std::uint64_t hits;
         std::uint64_t misses;
     };
-    row rows[3];
+    row rows[2];
     std::uint64_t program_computes = 0;
-    std::uint64_t cells_stored = 0;
 };
 
 /// One formatter for both sources, so the sink-sourced and
@@ -294,8 +292,7 @@ std::string format_cache_stats(const cache_stats_view& view, cache_stats_format 
             out << (i ? ", " : "") << '"' << view.rows[i].tier << "\": {\"hits\": "
                 << view.rows[i].hits << ", \"misses\": " << view.rows[i].misses << '}';
         }
-        out << ", \"program_computes\": " << view.program_computes
-            << ", \"cells_stored\": " << view.cells_stored << "}}\n";
+        out << ", \"program_computes\": " << view.program_computes << "}}\n";
         break;
     }
     return out.str();
@@ -309,10 +306,8 @@ std::string render_cache_stats(const sweep_result& result, cache_stats_format fo
         {
             {"program", result.program_cache_hits, result.program_cache_misses},
             {"stage", result.cache_hits, result.cache_misses},
-            {"checkpoint", result.cells_loaded, result.cells_missed()},
         },
         result.program_computes,
-        result.cells_stored,
     };
     return format_cache_stats(view, format);
 }
@@ -324,16 +319,13 @@ std::string render_cache_stats_from_metrics(cache_stats_format format)
         return registry.counter_at(name).value();
     };
     // Row mapping onto the registry taxonomy: program = tier2 (program
-    // memo), stage = tier1 (stage memo), checkpoint = sweep.cells_loaded /
-    // sweep.cells_missed.
+    // memo), stage = tier1 (stage memo).
     const cache_stats_view view{
         {
             {"program", count("cache.tier2.hits"), count("cache.tier2.misses")},
             {"stage", count("cache.tier1.hits"), count("cache.tier1.misses")},
-            {"checkpoint", count("sweep.cells_loaded"), count("sweep.cells_missed")},
         },
         count("cache.tier2.computes"),
-        count("sweep.cells_stored"),
     };
     return format_cache_stats(view, format);
 }

@@ -45,13 +45,13 @@ struct sweep_json_meta {
 /// `git describe` there -- the library itself never shells out).
 [[nodiscard]] sweep_json_meta collect_sweep_json_meta();
 
-/// The whole result (spec echo incl. the checkpoint keying digests, cells,
+/// The whole result (spec echo incl. the config and spec digests, cells,
 /// pareto points) as one JSON document. Without `meta` the document is
 /// deliberately DETERMINISTIC: it contains no wall-clock or cache-traffic
-/// fields, so two runs of the same spec -- cold, or resumed from a
-/// checkpoint store -- emit byte-identical documents (the CI checkpoint
-/// job diffs them). With `meta`, ONE extra line (`"meta": {...}`) carries
-/// the volatile provenance stamp; byte-identity consumers strip that line.
+/// fields, so two runs of the same spec -- on a cold or warm cache, at any
+/// worker count -- emit byte-identical documents. With `meta`, ONE extra
+/// line (`"meta": {...}`) carries the volatile provenance stamp;
+/// byte-identity consumers strip that line.
 /// Volatile run stats live in render_cache_stats.
 void write_sweep_json(const sweep_result& result, std::ostream& out,
                       const sweep_json_meta* meta = nullptr);
@@ -63,22 +63,20 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
 /// Output shape for render_cache_stats.
 enum class cache_stats_format { table, csv, json };
 
-/// Hit/miss counts of every cache tier attributable to `result` -- program
-/// artifacts, stage experiments, and sweep-cell checkpoints (hits = cells
-/// restored, misses = cells computed) -- plus the number of program-tier
+/// Hit/miss counts of both cache tiers attributable to `result` -- program
+/// artifacts and stage experiments -- plus the number of program-tier
 /// computes (trace generations + profiler runs), as a console table, CSV
-/// rows, or a JSON object (the runner's --cache-stats flag). The
-/// checkpoint row reads 0 when the sweep had no store.
+/// rows, or a JSON object (the runner's --cache-stats flag).
 [[nodiscard]] std::string render_cache_stats(const sweep_result& result,
                                              cache_stats_format format);
 
 /// Registry-sourced twin of render_cache_stats: the same rows, same
 /// formats, byte-identical layout -- but read from the process-wide
-/// metrics registry (cache.tier<N>.*, sweep.cells_*) instead of a
-/// sweep_result's attribution sink. This is what the runner's
-/// --cache-stats prints: the registry is the single source of truth for
-/// process-global counts, while the sink variant stays for callers
-/// attributing traffic to one sweep among several.
+/// metrics registry (cache.tier<N>.*) instead of a sweep_result's
+/// attribution sink. This is what the runner's --cache-stats prints: the
+/// registry is the single source of truth for process-global counts, while
+/// the sink variant stays for callers attributing traffic to one sweep
+/// among several.
 [[nodiscard]] std::string render_cache_stats_from_metrics(cache_stats_format format);
 
 /// Parses "table" / "csv" / "json" (same forgiving matching as the enum

@@ -27,9 +27,6 @@
 //    110 | trace_buffers     | trace_recorder::buffers_mutex_   | (leaf; once per
 //        |                   |                                  | (thread, recorder))
 //
-// storage/artifact_store holds no mutex at all (atomic-rename publishes),
-// so it has no row.
-//
 // Gating: the detector compiles to NOTHING in release builds --
 // annotated_mutex is then layout-identical to std::mutex and every note_*
 // call disappears (bench_locks pins the overhead at <= 2% over a raw

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
 #include "util/hashing.h"
@@ -271,21 +272,6 @@ TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
     EXPECT_EQ(warm.program_computes, 0u);
 }
 
-TEST(runtime_sweep, cells_missed_never_underflows)
-{
-    runtime::sweep_result result;
-    result.checkpointing = true;
-    result.cells.resize(2);
-    result.cells_loaded = 5; // a caller-filled result can report more loaded
-    EXPECT_EQ(result.cells_missed(), 0u);
-
-    result.cells_loaded = 1;
-    EXPECT_EQ(result.cells_missed(), 1u);
-
-    result.checkpointing = false;
-    EXPECT_EQ(result.cells_missed(), 0u);
-}
-
 TEST(runtime_sweep, emitters_cover_every_cell)
 {
     runtime::thread_pool pool(2);
@@ -319,17 +305,38 @@ TEST(runtime_sweep, emitters_cover_every_cell)
 
     EXPECT_NE(runtime::render_sweep_table(result).find("Radix"), std::string::npos);
 
-    // A store-less run reports an empty checkpoint tier (no phantom
-    // "checkpoint misses" from a tier that never ran). The rows are the
-    // three tiers: two memory memos and the checkpoints.
-    EXPECT_FALSE(result.checkpointing);
-    EXPECT_EQ(result.cells_missed(), 0u);
+    // The rows are the two memory tiers: program memo, then stage memo.
     const std::string stats =
         runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
     EXPECT_EQ(stats.find("tier,hits,misses\nprogram,"), 0u);
     EXPECT_NE(stats.find("\nstage,"), std::string::npos);
-    EXPECT_NE(stats.find("\ncheckpoint,0,0\n"), std::string::npos);
-    EXPECT_EQ(std::count(stats.begin(), stats.end(), '\n'), 4);
+    EXPECT_EQ(std::count(stats.begin(), stats.end(), '\n'), 3);
+}
+
+TEST(runtime_sweep, cache_stats_twins_render_identically)
+{
+    // The registry-sourced renderer (what the runner prints) and the
+    // sink-sourced one share a layout: on a fresh registry and a fresh
+    // cache, one sweep renders byte-identically through both, in every
+    // format.
+    obs::metrics_registry::global().reset();
+    runtime::thread_pool pool(2);
+    runtime::experiment_cache cache;
+    runtime::sweep_spec spec;
+    spec.benchmarks = {tiny_workload("tiny_cache_stats", 41)};
+    spec.stages = {circuit::pipe_stage::simple_alu, circuit::pipe_stage::decode};
+    spec.policies = {policy_kind::nominal};
+    const runtime::sweep_result result = runtime::sweep_scheduler(pool, cache).run(spec);
+
+    for (const runtime::cache_stats_format format :
+         {runtime::cache_stats_format::table, runtime::cache_stats_format::csv,
+          runtime::cache_stats_format::json}) {
+        EXPECT_EQ(runtime::render_cache_stats(result, format),
+                  runtime::render_cache_stats_from_metrics(format));
+    }
+    EXPECT_EQ(runtime::render_cache_stats(result, runtime::cache_stats_format::json),
+              "{\"cache\": {\"program\": {\"hits\": 1, \"misses\": 1}, "
+              "\"stage\": {\"hits\": 0, \"misses\": 2}, \"program_computes\": 1}}\n");
 }
 
 TEST(runtime_sweep, sweep_json_meta_rides_on_one_strippable_line)

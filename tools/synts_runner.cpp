@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,7 +30,6 @@
 #include "obs/trace.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
-#include "storage/artifact_store.h"
 #include "workload/registry.h"
 
 namespace {
@@ -67,20 +65,14 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --pareto-csv=PATH   write per-multiplier Pareto fronts as CSV
   --summary-csv=PATH  write equal-weight operating points as CSV
   --json=PATH         write the full result (spec echo + cells; byte-stable
-                      across cold/warm/resumed runs of one spec)
-  --store[=DIR]       checkpoint every finished sweep cell in DIR (default
-                      .synts-store). Safe to share between concurrent
-                      runners (atomic write-back).
-  --resume            with --store: restore cells already checkpointed in
-                      the store instead of recomputing them, so a killed
-                      sweep restarts where it died
-  --cache-stats[=FMT] print hit/miss counts of every cache tier (program
-                      artifacts, stage experiments, cell checkpoints) plus
-                      the compute count, sourced from the process metrics
-                      registry; FMT: table (default), csv, json
+                      across cold/warm runs and worker counts)
+  --cache-stats[=FMT] print hit/miss counts of both cache tiers (program
+                      artifacts, stage experiments) plus the compute
+                      count, sourced from the process metrics registry;
+                      FMT: table (default), csv, json
   --metrics[=FMT]     after the run, print the whole metrics registry --
-                      pool.*, cache.tier<N>.*, store.*, sweep.* counters,
-                      gauges and latency histograms (p50/p95/p99), plus
+                      pool.*, cache.tier<N>.*, sweep.* counters, gauges
+                      and latency histograms (p50/p95/p99), plus
                       end-of-run gauges: process.peak_rss_kb,
                       cache.tier2.resident (program entries still held)
                       and sweep.threads (workers + 1); FMT: table
@@ -94,7 +86,7 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --quiet             suppress the console table
   --help              this text
 
-  Value flags accept both --flag=VALUE and --flag VALUE, except --store,
+  Value flags accept both --flag=VALUE and --flag VALUE, except
   --cache-stats and --metrics, whose bare spellings select their defaults
   (use = to pass a value).
 )";
@@ -223,14 +215,12 @@ int main(int argc, char** argv)
     std::string pareto_csv_path;
     std::string summary_csv_path;
     std::string json_path;
-    std::string store_dir; // empty = no persistent store
     // Benchmark resolution is deferred until after every --define has
     // registered (flag order must not matter), so only the raw list text
     // is captured in the flag loop.
     std::string benchmarks_csv = "reported";
     std::vector<std::string> defines;
     bool list_benchmarks = false;
-    bool resume = false;
     bool quiet = false;
     std::optional<runtime::cache_stats_format> cache_stats;
     std::optional<obs::metrics_format> metrics;
@@ -258,12 +248,6 @@ int main(int argc, char** argv)
                 list_benchmarks = true;
             } else if (arg == "--quiet") {
                 quiet = true;
-            } else if (arg == "--store") {
-                store_dir = ".synts-store";
-            } else if (const auto v = flag_value(arg, "store")) {
-                store_dir = *v;
-            } else if (arg == "--resume") {
-                resume = true;
             } else if (arg == "--define") {
                 defines.emplace_back(take(arg));
             } else if (const auto v = flag_value(arg, "define")) {
@@ -332,10 +316,6 @@ int main(int argc, char** argv)
                 throw std::invalid_argument("unknown flag: " + std::string(arg));
             }
         }
-        if (resume && store_dir.empty()) {
-            throw std::invalid_argument("--resume requires --store");
-        }
-
         // Register every --define, THEN resolve the benchmark list against
         // the enlarged registry.
         for (const std::string& define : defines) {
@@ -354,7 +334,7 @@ int main(int argc, char** argv)
     }
 
     try {
-        // Telemetry switches on BEFORE the pool/cache/store exist so their
+        // Telemetry switches on BEFORE the pool and cache exist so their
         // instruments observe the whole run. Counters are always live; this
         // flag arms the clock-reading paths (latency histograms, spans).
         if (metrics.has_value() || !trace_path.empty()) {
@@ -365,17 +345,9 @@ int main(int argc, char** argv)
         }
 
         runtime::experiment_cache& cache = runtime::experiment_cache::process_cache();
-        runtime::sweep_options options;
-        std::unique_ptr<storage::artifact_store> store;
-        if (!store_dir.empty()) {
-            store = std::make_unique<storage::artifact_store>(store_dir);
-            options.store = store.get();
-            options.resume = resume;
-        }
-
         runtime::thread_pool pool(workers);
         runtime::sweep_scheduler scheduler(pool, cache);
-        const runtime::sweep_result result = scheduler.run(spec, options);
+        const runtime::sweep_result result = scheduler.run(spec);
 
         if (!quiet) {
             std::fputs(runtime::render_sweep_table(result).c_str(), stdout);
@@ -391,12 +363,6 @@ int main(int argc, char** argv)
                         static_cast<unsigned long long>(result.program_cache_hits),
                         static_cast<unsigned long long>(result.program_cache_misses),
                         static_cast<unsigned long long>(pool.steal_count()));
-            if (store != nullptr) {
-                std::printf("store %s: %llu cells restored, %llu cells persisted\n",
-                            store->root().c_str(),
-                            static_cast<unsigned long long>(result.cells_loaded),
-                            static_cast<unsigned long long>(result.cells_stored));
-            }
         }
         if (cache_stats) {
             // Registry-sourced: the process-wide counters are the single
