@@ -1,7 +1,6 @@
 // bench_common.h -- shared helpers for the figure/table reproduction
 // benches. Every bench prints a banner, the regenerated data, and a
-// paper-vs-measured comparison block so EXPERIMENTS.md can quote it
-// directly.
+// paper-vs-measured comparison block.
 
 #pragma once
 

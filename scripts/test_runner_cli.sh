@@ -4,9 +4,9 @@
 #
 # Pins the argument-parsing hardening (each bad invocation must produce a
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
-# default) and the registry surface: --list-benchmarks enumerates the ten
-# SPLASH-2 profiles plus the scenario families, and a scenario sweep emits
-# byte-identical JSON at one and at four workers.
+# default) and the registry surface: --list-benchmarks enumerates exactly
+# the ten SPLASH-2 profiles and the two lock_ladder instances, and a
+# lock_ladder sweep emits byte-identical JSON at one and at four workers.
 set -u
 
 RUNNER=${1:?usage: test_runner_cli.sh <synts_runner>}
@@ -60,24 +60,18 @@ expect_usage_error cores_whitespace --cores=' 2'
 expect_usage_error missing_value --benchmarks
 # Unknown flags still fail loudly.
 expect_usage_error unknown_flag --frobnicate
-# --define grammar errors are usage errors, not crashes.
-expect_usage_error define_unknown_family --define=nosuch:name=x
-expect_usage_error define_missing_name --define=lock_ladder:rungs=3
-expect_usage_error define_unknown_param --define=lock_ladder:name=x,frob=1
-expect_usage_error define_bad_value --define=lock_ladder:name=x,rungs=abc
-expect_usage_error define_family_validation --define=lock_ladder:name=x,base_contention=1.5
 # Telemetry flag hardening: bad --metrics format, --trace without a value.
 expect_usage_error metrics_bad_format --metrics=xml
 expect_usage_error trace_missing_value --trace
 # Removed flags are unknown flags (a usage error, never silently ignored):
 # the idle-worker speculation flag (its name spliced from two halves so a
 # source search for it stays empty), the fleet-layer flags (sharding,
-# merge, store status/watch, the stall threshold, the metrics sampler) and
-# the sweep-cell checkpoint flags. The OpenMetrics value of --metrics is a
-# bad format.
+# merge, store status/watch, the stall threshold, the metrics sampler), the
+# sweep-cell checkpoint flags and the runtime workload definition flag. The
+# OpenMetrics value of --metrics is a bad format.
 ok=1
 for removed in "--spec""ulate" --shard=0/2 --merge --status --watch --stall-ms=5 \
-               --sample=10 --store --store=cells --resume; do
+               --sample=10 --store --store=cells --resume --define=lock_ladder:name=x; do
     "$RUNNER" "$removed" >/dev/null 2>"$WORK/removed.err"
     rc=$?
     if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q "unknown flag: $removed"; then
@@ -94,28 +88,24 @@ if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q 'bad --metrics fo
 fi
 if [ "$ok" -eq 1 ]; then echo "ok removed_flags"; else failures=$((failures + 1)); fi
 
-# --list-benchmarks: the ten SPLASH-2 names plus the scenario families.
+# --list-benchmarks: exactly the ten SPLASH-2 names, then the two
+# lock_ladder instances, in registration order.
 LIST="$WORK/list.txt"
 if "$RUNNER" --list-benchmarks >"$LIST" 2>&1; then
-    ok=1
-    for name in FMM Radix Lu-Contig Lu-nContig FFT Water-sp Barnes Raytrace \
-                Cholesky Ocean lock_ladder pipeline graph_walk; do
-        if ! grep -qx "$name" "$LIST"; then
-            echo "FAIL list_benchmarks: missing $name" >&2
-            ok=0
-        fi
-    done
-    if [ "$(wc -l <"$LIST")" -lt 13 ]; then
-        echo "FAIL list_benchmarks: fewer than 13 workloads listed" >&2
-        ok=0
+    if printf '%s\n' FMM Radix Lu-Contig Lu-nContig FFT Water-sp Barnes Raytrace \
+              Cholesky Ocean lock_ladder lock_ladder_heavy | cmp -s - "$LIST"; then
+        echo "ok list_benchmarks"
+    else
+        echo "FAIL list_benchmarks: expected the 12 built-in names, got:" >&2
+        cat "$LIST" >&2
+        failures=$((failures + 1))
     fi
-    if [ "$ok" -eq 1 ]; then echo "ok list_benchmarks"; else failures=$((failures + 1)); fi
 else
     echo "FAIL list_benchmarks: non-zero exit" >&2
     failures=$((failures + 1))
 fi
 
-# A scenario-family sweep is worker-invariant: the same spec at one and at
+# A lock_ladder sweep is worker-invariant: the same spec at one and at
 # four workers emits byte-identical JSON, keyed on a non-SPLASH workload
 # name, and --cache-stats carries exactly the two memory tiers.
 SERIAL="$WORK/serial.json"
@@ -151,22 +141,6 @@ else
     failures=$((failures + 1))
 fi
 
-# A --define'd instance is sweepable without recompiling: it runs next to
-# a built-in scenario and its name lands in the JSON.
-DEFINE="--define=lock_ladder:name=ll_cli,base_contention=0.4,rungs=6"
-DEFINE_SPEC="$DEFINE --benchmarks=lock_ladder,ll_cli --stages=simple_alu --policies=nominal"
-DEFINED="$WORK/defined.json"
-if "$RUNNER" $DEFINE_SPEC --quiet --json="$DEFINED" >/dev/null 2>&1; then
-    if grep -q '"benchmark": "ll_cli"' "$DEFINED"; then
-        echo "ok define_sweepable"
-    else
-        echo "FAIL define_sweepable: defined instance missing from JSON" >&2
-        failures=$((failures + 1))
-    fi
-else
-    echo "FAIL define_sweepable: runner exited non-zero" >&2
-    failures=$((failures + 1))
-fi
 # The summary line names the thread count next to the time: the calling
 # thread runs cells too, so one worker means two threads. Its prefix is what
 # perfbench parses.

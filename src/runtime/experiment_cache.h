@@ -91,8 +91,8 @@ namespace synts::runtime {
 
 /// Stage-tier key: what uniquely determines a characterized experiment.
 /// The workload axis is the registry key (workload/registry.h), not an enum
-/// ordinal, so any registered workload -- built-in SPLASH-2 profile or
-/// parametric scenario instance -- gets its own entries.
+/// ordinal, so any registered workload -- built-in SPLASH-2 profile or an
+/// instance of the lock_ladder family -- gets its own entries.
 struct experiment_key {
     workload::workload_key workload;
     circuit::pipe_stage stage = circuit::pipe_stage::decode;

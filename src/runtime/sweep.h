@@ -40,8 +40,8 @@ using benchmark_stage = std::pair<workload::workload_key, circuit::pipe_stage>;
 /// Declarative description of a batched sweep.
 struct sweep_spec {
     /// Cross-product axes (used when `pairs` is empty). Any registered
-    /// workload key -- built-in SPLASH-2 profile or parametric scenario
-    /// instance -- is a valid axis value.
+    /// workload key -- built-in SPLASH-2 profile or an instance of the
+    /// lock_ladder family -- is a valid axis value.
     std::vector<workload::workload_key> benchmarks;
     std::vector<circuit::pipe_stage> stages;
     /// Explicit pair list; when non-empty it replaces the cross product

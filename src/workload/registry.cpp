@@ -60,13 +60,6 @@ void workload_registry::add(workload_key key, profile_factory factory)
     entries_.push_back(entry{std::move(key), std::move(factory)});
 }
 
-workload_key workload_registry::register_defined(std::string_view definition)
-{
-    scenario_definition parsed = parse_scenario_definition(definition);
-    parsed.install(*this); // throws on duplicate name/identity
-    return parsed.key;
-}
-
 bool workload_registry::contains(std::string_view name) const
 {
     const util::mutex_lock lock(mutex_);

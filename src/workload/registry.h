@@ -1,18 +1,17 @@
 // registry.h -- the pluggable workload subsystem.
 //
-// PRs 0-3 hard-wired the workload axis to a closed benchmark_id enum of ten
-// SPLASH-2 profiles, which capped every downstream layer (cache keys, sweep
-// specs, store frames, the runner CLI) at exactly those ten programs. This
-// module opens the axis:
+// A closed benchmark_id enum of ten SPLASH-2 profiles would cap every
+// downstream layer (cache keys, sweep specs, the runner CLI) at exactly
+// those ten programs. This module opens the axis:
 //
 //   workload_key       a stable identity -- a human-readable registry name
 //                      plus a 64-bit digest of (family, parameters). The
-//                      digest, not the enum ordinal, is what cache tiers and
-//                      store frames key on, so the key space is unbounded.
-//   workload_registry  name -> profile-factory map. The ten SPLASH-2
-//                      profiles are the built-in set; parametric scenario
-//                      families (workload/scenarios.h) register concrete
-//                      instances, and callers may register their own.
+//                      digest, not the enum ordinal, is what cache tiers
+//                      key on, so the key space is unbounded.
+//   workload_registry  name -> profile-factory map. The built-in set is the
+//                      ten SPLASH-2 profiles plus two instances of the
+//                      lock_ladder family (workload/scenarios.h); callers
+//                      may register their own.
 //
 // Identity rules:
 //   * a key's `id` folds the producing family and its full parameter set
@@ -87,15 +86,6 @@ public:
     /// factory is null.
     void add(workload_key key, profile_factory factory);
 
-    /// Parses and registers a parametric scenario instance from its CLI
-    /// definition string, "family:name=NAME[,param=value]..." (grammar in
-    /// workload/scenarios.h), and returns the new key -- identical to the
-    /// key the family's programmatic register_* helper would produce for
-    /// equal params, so CLI-defined instances share cache/store identity
-    /// with compiled-in ones. Throws std::invalid_argument on grammar or
-    /// value errors and on duplicate name/identity.
-    workload_key register_defined(std::string_view definition);
-
     /// True when `name` is registered.
     [[nodiscard]] bool contains(std::string_view name) const;
 
@@ -117,9 +107,9 @@ public:
     /// Number of registered workloads.
     [[nodiscard]] std::size_t size() const;
 
-    /// A fresh registry holding the built-in set: the ten SPLASH-2 profiles
-    /// plus the default instances of each scenario family
-    /// (workload/scenarios.h). Use for isolated tests.
+    /// A fresh registry holding the built-in set: the ten SPLASH-2 profiles,
+    /// then lock_ladder and lock_ladder_heavy (workload/scenarios.h). Use
+    /// for isolated tests.
     [[nodiscard]] static workload_registry with_builtins();
 
     /// The process-wide registry the characterization pipeline resolves

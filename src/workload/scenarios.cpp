@@ -1,22 +1,18 @@
 #include "workload/scenarios.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "util/hashing.h"
-#include "util/rng.h"
 #include "workload/registry.h"
 
 namespace synts::workload {
 
 namespace {
 
-using arch::op_class;
-
-/// Identity digest of a (family, params) pair: the family tag keeps two
-/// families with coincidentally equal param digests apart. Doubles as the
+/// Identity digest of a (family, params) pair: the family tag keeps it
+/// apart from the SPLASH-2 keys (tagged "splash2"). Doubles as the
 /// profile's trace-generation stream salt, so two parameterizations draw
 /// distinct operand streams even at equal experiment seeds.
 [[nodiscard]] std::uint64_t identity(std::string_view family,
@@ -156,399 +152,6 @@ void register_lock_ladder(workload_registry& registry, std::string name,
               });
 }
 
-// -- producer-consumer pipeline ---------------------------------------------
-
-std::uint64_t pipeline_params::digest() const noexcept
-{
-    util::digest_builder h;
-    h.values(stage_weights);
-    h.value(queue_pressure);
-    h.value(item_bytes);
-    return h.digest();
-}
-
-workload_key pipeline_key(std::string name, const pipeline_params& params)
-{
-    return {std::move(name), identity("pipeline", params.digest())};
-}
-
-benchmark_profile make_pipeline_profile(const pipeline_params& params,
-                                        std::size_t thread_count)
-{
-    require(thread_count >= 1, "pipeline: thread_count must be >= 1");
-    require(!params.stage_weights.empty(), "pipeline: stage_weights must be non-empty");
-    for (const double w : params.stage_weights) {
-        require(w > 0.0, "pipeline: stage weights must be > 0");
-    }
-    require(params.queue_pressure >= 0.0 && params.queue_pressure <= 1.0,
-            "pipeline: queue_pressure must be in [0, 1]");
-    require(params.item_bytes > 0, "pipeline: item_bytes must be > 0");
-
-    const std::size_t stages = params.stage_weights.size();
-    const double w_max =
-        *std::max_element(params.stage_weights.begin(), params.stage_weights.end());
-
-    benchmark_profile profile;
-    profile.name = "pipeline";
-    profile.stream_salt = identity("pipeline", params.digest());
-    profile.thread_count = thread_count;
-    profile.interval_count = 3;
-    profile.instructions_per_interval = 16000;
-    profile.threads.reserve(thread_count);
-    profile.work_imbalance.assign(thread_count, 1.0);
-
-    for (std::size_t t = 0; t < thread_count; ++t) {
-        const std::size_t stage = t % stages;
-        const double weight = params.stage_weights[stage] / w_max;
-        // Light stages spend the deficit spinning on queue full/empty
-        // checks, scaled by the configured backpressure.
-        const double spin = params.queue_pressure * (1.0 - weight);
-
-        thread_character c;
-        if (stage == 0) {
-            // Producer: streaming reads, payload writes, index arithmetic
-            // whose wrap-around checks exercise long carries.
-            c.mix = mix_of(0.18, 0.04, 0.08, 0.02, 0.32, 0.16, 0.12, 0.06, 0.02);
-            c.long_carry_fraction = 0.10;
-            c.sequential_access_fraction = 0.90;
-            c.opcode_variety = 14;
-        } else if (stage == stages - 1) {
-            // Consumer: drains the last queue, store/branch bound.
-            c.mix = mix_of(0.14, 0.06, 0.10, 0.02, 0.22, 0.24, 0.16, 0.04, 0.02);
-            c.long_carry_fraction = 0.04;
-            c.sequential_access_fraction = 0.75;
-            c.opcode_variety = 10;
-        } else {
-            // Transform: the compute stage -- multiplier-heavy payload work.
-            c.mix = mix_of(0.20, 0.08, 0.12, 0.14, 0.18, 0.08, 0.08, 0.10, 0.02);
-            c.long_carry_fraction = 0.07;
-            c.mul_sensitize_fraction = 0.05;
-            c.mul_magnitude_min_bits = 6;
-            c.mul_magnitude_max_bits = 16;
-            c.sequential_access_fraction = 0.60;
-            c.opcode_variety = 24;
-        }
-        c.carry_len_min = 12;
-        c.carry_len_max = 32;
-        c.working_set_bytes = params.item_bytes;
-        // Spinning stages hammer the queue head/tail registers and their
-        // full/empty branch, which is taken over and over until state flips.
-        c.register_collision_fraction = std::min(0.4, 0.02 + 0.10 * spin);
-        c.collision_low_register_bias = 1.0 + 2.0 * spin;
-        c.branch_taken_bias = 0.55;
-        c.branch_repeat_fraction = std::min(0.98, 0.82 + 0.14 * spin);
-        profile.threads.push_back(c);
-        profile.work_imbalance[t] = weight;
-    }
-    return profile;
-}
-
-void register_pipeline(workload_registry& registry, std::string name,
-                       const pipeline_params& params)
-{
-    add_named(registry, pipeline_key(std::move(name), params),
-              [params](std::size_t thread_count) {
-                  return make_pipeline_profile(params, thread_count);
-              });
-}
-
-// -- irregular graph walk ----------------------------------------------------
-
-std::uint64_t graph_walk_params::digest() const noexcept
-{
-    util::digest_builder h;
-    h.value(tail_alpha);
-    h.value(hub_fraction);
-    h.value(working_set_bytes);
-    h.value(mix_seed);
-    return h.digest();
-}
-
-workload_key graph_walk_key(std::string name, const graph_walk_params& params)
-{
-    return {std::move(name), identity("graph_walk", params.digest())};
-}
-
-benchmark_profile make_graph_walk_profile(const graph_walk_params& params,
-                                          std::size_t thread_count)
-{
-    require(thread_count >= 1, "graph_walk: thread_count must be >= 1");
-    require(params.tail_alpha > 0.0, "graph_walk: tail_alpha must be > 0");
-    require(params.hub_fraction >= 0.0 && params.hub_fraction <= 1.0,
-            "graph_walk: hub_fraction must be in [0, 1]");
-    require(params.working_set_bytes > 0, "graph_walk: working_set_bytes must be > 0");
-
-    benchmark_profile profile;
-    profile.name = "graph_walk";
-    profile.stream_salt = identity("graph_walk", params.digest());
-    profile.thread_count = thread_count;
-    profile.interval_count = 3;
-    profile.instructions_per_interval = 16000;
-    profile.threads.reserve(thread_count);
-    profile.work_imbalance.assign(thread_count, 1.0);
-
-    // Per-thread frontier shares from a Pareto(alpha) tail, drawn serially
-    // from mix_seed so the profile depends only on (params, thread_count).
-    util::xoshiro256 rng(params.mix_seed ^ 0x5851F42D4C957F2Dull);
-    std::vector<double> shares(thread_count);
-    double share_max = 0.0;
-    for (std::size_t t = 0; t < thread_count; ++t) {
-        // Inverse-CDF Pareto sample in [1, inf); clamp u away from 1 so a
-        // single draw cannot produce an astronomically heavy hub.
-        const double u = std::min(rng.uniform(), 0.999);
-        shares[t] = std::pow(1.0 - u, -1.0 / params.tail_alpha);
-        share_max = std::max(share_max, shares[t]);
-    }
-
-    for (std::size_t t = 0; t < thread_count; ++t) {
-        const double load = shares[t] / share_max; // (0, 1], 1 = heaviest hub
-        thread_character c;
-        // Pointer chasing: load-dominated, branchy, with offset arithmetic
-        // whose base+index additions carry deep on hub-sized frontiers.
-        c.mix = mix_of(0.20, 0.06, 0.12, 0.03, 0.30, 0.08, 0.14, 0.05, 0.02);
-        c.long_carry_fraction = 0.015 + 0.16 * std::pow(load, 1.5);
-        c.carry_len_min = 14;
-        c.carry_len_max = 32;
-        c.mul_sensitize_fraction = 0.008;
-        c.mul_magnitude_min_bits = 4;
-        c.mul_magnitude_max_bits = 14;
-        c.opcode_variety =
-            static_cast<std::uint32_t>(10 + std::llround(30.0 * load));
-        c.register_collision_fraction = 0.01 + 0.10 * params.hub_fraction * load;
-        c.collision_low_register_bias = 1.0 + 3.0 * params.hub_fraction;
-        c.working_set_bytes = params.working_set_bytes;
-        c.sequential_access_fraction = 0.15; // edges land anywhere
-        c.branch_taken_bias = 0.50;          // visited? checks are coin flips
-        c.branch_repeat_fraction = 0.55;
-        profile.threads.push_back(c);
-        profile.work_imbalance[t] = load;
-    }
-    return profile;
-}
-
-void register_graph_walk(workload_registry& registry, std::string name,
-                         const graph_walk_params& params)
-{
-    add_named(registry, graph_walk_key(std::move(name), params),
-              [params](std::size_t thread_count) {
-                  return make_graph_walk_profile(params, thread_count);
-              });
-}
-
-// -- CLI-defined instances ---------------------------------------------------
-
-namespace {
-
-[[noreturn]] void definition_error(std::string_view what, std::string_view detail)
-{
-    throw std::invalid_argument("scenario definition: " + std::string(what) +
-                                (detail.empty() ? std::string{}
-                                                : " \"" + std::string(detail) + "\""));
-}
-
-/// Strict full-token decimal parse ("0.9", "1e-2"); rejects partial
-/// consumption so "0.9x" cannot silently truncate.
-double parse_definition_double(std::string_view param, std::string_view token)
-{
-    const std::string text(token);
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (text.empty() || consumed != text.size()) {
-        definition_error(std::string(param) + " expects a decimal, got", token);
-    }
-    return value;
-}
-
-/// Strict full-token unsigned parse; rejects signs, whitespace and
-/// trailing garbage (mirrors the runner's CLI hardening).
-std::uint64_t parse_definition_u64(std::string_view param, std::string_view token)
-{
-    const bool starts_with_digit = !token.empty() && token[0] >= '0' && token[0] <= '9';
-    std::uint64_t value = 0;
-    std::size_t consumed = 0;
-    if (starts_with_digit) {
-        try {
-            value = std::stoull(std::string(token), &consumed);
-        } catch (const std::exception&) {
-            consumed = 0;
-        }
-    }
-    if (!starts_with_digit || consumed != token.size()) {
-        definition_error(std::string(param) + " expects an unsigned integer, got",
-                         token);
-    }
-    return value;
-}
-
-/// '+'-separated decimal list (stage_weights; ',' separates parameters).
-std::vector<double> parse_definition_weights(std::string_view param,
-                                             std::string_view token)
-{
-    std::vector<double> weights;
-    std::string_view rest = token;
-    for (;;) {
-        const std::size_t plus = rest.find('+');
-        weights.push_back(parse_definition_double(param, rest.substr(0, plus)));
-        if (plus == std::string_view::npos) {
-            return weights;
-        }
-        rest = rest.substr(plus + 1);
-    }
-}
-
-/// One key=value assignment of a definition's parameter list.
-struct definition_assignment {
-    std::string_view param;
-    std::string_view value;
-};
-
-/// Splits "name=x,a=1,b=2" into assignments; rejects empty or '='-less
-/// tokens and duplicate parameter names.
-std::vector<definition_assignment> split_assignments(std::string_view text)
-{
-    std::vector<definition_assignment> assignments;
-    std::string_view rest = text;
-    for (;;) {
-        const std::size_t comma = rest.find(',');
-        const std::string_view token = rest.substr(0, comma);
-        const std::size_t equals = token.find('=');
-        if (token.empty() || equals == std::string_view::npos || equals == 0) {
-            definition_error("expected param=value, got", token);
-        }
-        const definition_assignment assignment{token.substr(0, equals),
-                                               token.substr(equals + 1)};
-        for (const definition_assignment& seen : assignments) {
-            if (seen.param == assignment.param) {
-                definition_error("duplicate parameter", assignment.param);
-            }
-        }
-        assignments.push_back(assignment);
-        if (comma == std::string_view::npos) {
-            return assignments;
-        }
-        rest = rest.substr(comma + 1);
-    }
-}
-
-/// Extracts the common `name` parameter and applies every other
-/// assignment to `params` through the family's `apply` hook (which
-/// returns false for an unknown parameter name).
-template <typename Params, typename Apply>
-std::pair<std::string, Params> parse_definition_params(std::string_view family,
-                                                       std::string_view rest,
-                                                       Params params, Apply&& apply)
-{
-    std::string name;
-    for (const definition_assignment& a : split_assignments(rest)) {
-        if (a.param == "name") {
-            if (a.value.empty()) {
-                definition_error("name must not be empty in", rest);
-            }
-            name = std::string(a.value);
-            continue;
-        }
-        if (!apply(params, a)) {
-            definition_error("unknown " + std::string(family) + " parameter", a.param);
-        }
-    }
-    if (name.empty()) {
-        definition_error("missing required parameter name= in", rest);
-    }
-    return {std::move(name), params};
-}
-
-} // namespace
-
-scenario_definition parse_scenario_definition(std::string_view text)
-{
-    const std::size_t colon = text.find(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= text.size()) {
-        definition_error("expected family:name=NAME[,param=value]..., got", text);
-    }
-    const std::string_view family = text.substr(0, colon);
-    const std::string_view rest = text.substr(colon + 1);
-
-    if (family == "lock_ladder") {
-        auto [name, params] = parse_definition_params(
-            family, rest, lock_ladder_params{},
-            [](lock_ladder_params& p, const definition_assignment& a) {
-                if (a.param == "rungs") {
-                    p.rungs = parse_definition_u64(a.param, a.value);
-                } else if (a.param == "base_contention") {
-                    p.base_contention = parse_definition_double(a.param, a.value);
-                } else if (a.param == "contention_step") {
-                    p.contention_step = parse_definition_double(a.param, a.value);
-                } else if (a.param == "hold_scale") {
-                    p.hold_scale = parse_definition_double(a.param, a.value);
-                } else if (a.param == "hot_locks") {
-                    p.hot_locks = parse_definition_u64(a.param, a.value);
-                } else {
-                    return false;
-                }
-                return true;
-            });
-        // Eager validation: every require() in the factory fires at
-        // definition time (a CLI usage error), not mid-sweep.
-        (void)make_lock_ladder_profile(params, 1);
-        return {std::string(family), name, lock_ladder_key(name, params),
-                [name, params](workload_registry& registry) {
-                    register_lock_ladder(registry, name, params);
-                }};
-    }
-    if (family == "pipeline") {
-        auto [name, params] = parse_definition_params(
-            family, rest, pipeline_params{},
-            [](pipeline_params& p, const definition_assignment& a) {
-                if (a.param == "stage_weights") {
-                    p.stage_weights = parse_definition_weights(a.param, a.value);
-                } else if (a.param == "queue_pressure") {
-                    p.queue_pressure = parse_definition_double(a.param, a.value);
-                } else if (a.param == "item_bytes") {
-                    p.item_bytes = parse_definition_u64(a.param, a.value);
-                } else {
-                    return false;
-                }
-                return true;
-            });
-        (void)make_pipeline_profile(params, 1);
-        return {std::string(family), name, pipeline_key(name, params),
-                [name, params](workload_registry& registry) {
-                    register_pipeline(registry, name, params);
-                }};
-    }
-    if (family == "graph_walk") {
-        auto [name, params] = parse_definition_params(
-            family, rest, graph_walk_params{},
-            [](graph_walk_params& p, const definition_assignment& a) {
-                if (a.param == "tail_alpha") {
-                    p.tail_alpha = parse_definition_double(a.param, a.value);
-                } else if (a.param == "hub_fraction") {
-                    p.hub_fraction = parse_definition_double(a.param, a.value);
-                } else if (a.param == "working_set_bytes") {
-                    p.working_set_bytes = parse_definition_u64(a.param, a.value);
-                } else if (a.param == "mix_seed") {
-                    p.mix_seed = parse_definition_u64(a.param, a.value);
-                } else {
-                    return false;
-                }
-                return true;
-            });
-        (void)make_graph_walk_profile(params, 1);
-        return {std::string(family), name, graph_walk_key(name, params),
-                [name, params](workload_registry& registry) {
-                    register_graph_walk(registry, name, params);
-                }};
-    }
-    definition_error("unknown scenario family (expected lock_ladder, pipeline, "
-                     "or graph_walk), got",
-                     family);
-}
-
 // -- default instances -------------------------------------------------------
 
 void register_default_scenarios(workload_registry& registry)
@@ -560,17 +163,6 @@ void register_default_scenarios(workload_registry& registry)
                                             .contention_step = 0.20,
                                             .hold_scale = 2.0,
                                             .hot_locks = 1});
-    register_pipeline(registry, "pipeline", pipeline_params{});
-    register_pipeline(registry, "pipeline_skewed",
-                      pipeline_params{.stage_weights = {1.0, 0.30, 0.12},
-                                      .queue_pressure = 0.85,
-                                      .item_bytes = 8ull << 20});
-    register_graph_walk(registry, "graph_walk", graph_walk_params{});
-    register_graph_walk(registry, "graph_walk_hubby",
-                        graph_walk_params{.tail_alpha = 0.9,
-                                          .hub_fraction = 0.25,
-                                          .working_set_bytes = 64ull << 20,
-                                          .mix_seed = 7});
 }
 
 } // namespace synts::workload

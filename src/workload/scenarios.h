@@ -1,39 +1,35 @@
-// scenarios.h -- parametric scenario families for the workload registry.
+// scenarios.h -- the lock_ladder scenario family for the workload registry.
 //
 // The paper's SynTS advantage lives exactly where per-thread timing-error
-// behavior is heterogeneous (Radix/FMM vs. the homogeneous FFT trio), and
-// the related speculative-multithreading literature (Prophet; Durbhakula's
-// multithreaded branch-prediction study) stresses program shapes the ten
-// SPLASH-2 profiles cannot express: lock convoys, skewed pipelines,
-// irregular pointer-chasing with heavy-tailed work distributions. Each
-// family here is a pure function
+// behavior is heterogeneous (Radix/FMM vs. the homogeneous FFT trio). The
+// ten SPLASH-2 profiles synchronize only at barriers; lock_ladder models
+// the other synchronization the paper's future work points at: a lock
+// convoy at the workload layer, beside core/critical_sections' lock-aware
+// evaluation. The family is a pure function
 //
 //   params -> benchmark_profile (per-thread characters + imbalance)
 //
-// so ONE family yields arbitrarily many concrete registry workloads -- the
-// parameter struct, not an enum ordinal, is the identity. Every family:
+// so one family yields arbitrarily many concrete registry workloads -- the
+// parameter struct, not an enum ordinal, is the identity. The family:
 //
 //   * digests its full parameter set (params.digest()); the workload_key id
-//     folds the family tag + that digest, so distinct (family, params)
-//     pairs never collide in any cache tier or store frame;
+//     folds the family tag + that digest, so distinct params never collide
+//     in any cache tier;
 //   * salts trace generation with that same identity digest, so two
 //     parameterizations produce distinct operand streams even at equal
 //     experiment seeds;
 //   * is deterministic: equal (params, thread_count, seed) reproduce the
 //     profile and the generated trace bit for bit.
 //
-// register_default_scenarios() installs two calibrated instances of each
-// family (a default and a stressed variant); tests and downstream users
-// register their own instances with the register_* helpers.
+// register_default_scenarios() installs two calibrated instances (a
+// default and a stressed variant); tests register their own instances
+// with register_lock_ladder.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "workload/registry.h"
 #include "workload/splash2.h"
@@ -76,107 +72,11 @@ struct lock_ladder_params {
 void register_lock_ladder(workload_registry& registry, std::string name,
                           const lock_ladder_params& params);
 
-// -- producer-consumer pipeline ---------------------------------------------
-// A software pipeline with imbalanced stage weights: thread t runs stage
-// t % stages. Producers are memory-streaming, transforms are ALU/multiplier
-// heavy, consumers are store/branch bound; the stage weights set the
-// per-thread work imbalance, and queue pressure converts the imbalance into
-// spin-like branchy waiting on the light stages.
-
-struct pipeline_params {
-    /// Relative work per stage, front = producer, back = consumer. Must be
-    /// non-empty with positive entries; normalized so the heaviest stage
-    /// carries weight 1.
-    std::vector<double> stage_weights = {1.0, 0.55, 0.30};
-    /// Backpressure in [0, 1]: how hard light stages hammer full/empty
-    /// queue checks (raises branch traffic and hazard collisions).
-    double queue_pressure = 0.5;
-    /// Per-stage payload bytes flowing through the queues (working set).
-    std::uint64_t item_bytes = 2ull << 20;
-
-    [[nodiscard]] std::uint64_t digest() const noexcept;
-};
-
-[[nodiscard]] workload_key pipeline_key(std::string name, const pipeline_params& params);
-[[nodiscard]] benchmark_profile make_pipeline_profile(const pipeline_params& params,
-                                                      std::size_t thread_count);
-void register_pipeline(workload_registry& registry, std::string name,
-                       const pipeline_params& params);
-
-// -- irregular graph walk ----------------------------------------------------
-// Frontier-parallel graph traversal with a heavy-tailed degree
-// distribution: each thread's frontier share is drawn (deterministically,
-// from mix_seed) from a Pareto tail, so a few threads chase hubs -- huge
-// working sets, unpredictable branches, deep address-arithmetic carry
-// chains -- while the rest idle at the barrier.
-
-struct graph_walk_params {
-    /// Pareto tail exponent of per-thread frontier shares; smaller = heavier
-    /// tail = starker imbalance. Must be > 0.
-    double tail_alpha = 1.3;
-    /// Fraction of accesses hitting hub vertices (register-collision and
-    /// branch-misprediction pressure).
-    double hub_fraction = 0.08;
-    /// Traversal working set in bytes.
-    std::uint64_t working_set_bytes = 16ull << 20;
-    /// Seed of the deterministic per-thread tail draw (part of identity:
-    /// two seeds are two different graphs).
-    std::uint64_t mix_seed = 1;
-
-    [[nodiscard]] std::uint64_t digest() const noexcept;
-};
-
-[[nodiscard]] workload_key graph_walk_key(std::string name,
-                                          const graph_walk_params& params);
-[[nodiscard]] benchmark_profile make_graph_walk_profile(const graph_walk_params& params,
-                                                        std::size_t thread_count);
-void register_graph_walk(workload_registry& registry, std::string name,
-                         const graph_walk_params& params);
-
-// -- CLI-defined instances ---------------------------------------------------
-// The "--define" grammar: one string names a family, an instance name, and
-// any subset of the family's parameters (unnamed ones keep their defaults):
-//
-//   family:name=NAME[,param=value]...
-//
-//   lock_ladder:  rungs=U  base_contention=F  contention_step=F
-//                 hold_scale=F  hot_locks=U
-//   pipeline:     stage_weights=F+F+...  queue_pressure=F  item_bytes=U
-//   graph_walk:   tail_alpha=F  hub_fraction=F  working_set_bytes=U
-//                 mix_seed=U
-//
-// (U = unsigned integer, F = decimal; stage_weights is a '+'-separated
-// list because ',' separates parameters.) Example:
-//
-//   lock_ladder:name=ll9,base_contention=0.9,rungs=30
-//
-// Parsing is strict: an unknown family or parameter, a duplicate or
-// malformed assignment, a missing name, or a value the family's own
-// validation rejects all throw std::invalid_argument naming the offense --
-// the runner CLI surfaces these as usage errors.
-
-/// A parsed scenario definition: the family and instance name, the
-/// registry key its parameters derive to (same identity the programmatic
-/// register_* helpers produce -- equal params, equal key), and an
-/// `install` closure that performs the registration (delegating to the
-/// family's register_* helper, so CLI-defined and compiled-in instances
-/// are indistinguishable downstream).
-struct scenario_definition {
-    std::string family;
-    std::string name;
-    workload_key key;
-    std::function<void(workload_registry&)> install;
-};
-
-/// Parses the grammar above. Throws std::invalid_argument on any error;
-/// never touches a registry (install does that).
-[[nodiscard]] scenario_definition parse_scenario_definition(std::string_view text);
-
 // -- default instances -------------------------------------------------------
 
-/// Registers the calibrated default + stressed instance of each family:
-/// lock_ladder, lock_ladder_heavy, pipeline, pipeline_skewed, graph_walk,
-/// graph_walk_hubby. Called by workload_registry::with_builtins().
+/// Registers the calibrated default + stressed lock-ladder instances,
+/// lock_ladder and lock_ladder_heavy. Called by
+/// workload_registry::with_builtins().
 void register_default_scenarios(workload_registry& registry);
 
 } // namespace synts::workload

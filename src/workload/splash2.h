@@ -113,16 +113,16 @@ struct thread_character {
 };
 
 /// Full benchmark profile: per-thread characters plus interval structure.
-/// Produced by make_profile for the built-in ten and by the scenario-family
-/// factories (workload/scenarios.h) for everything else.
+/// Produced by make_profile for the built-in ten and by the lock_ladder
+/// family's factory (workload/scenarios.h) for its instances.
 struct benchmark_profile {
     benchmark_id id = benchmark_id::fmm; ///< meaningful for built-ins only
     std::string name;
     /// Salt XORed into the trace-generation seed so distinct workloads draw
     /// from distinct RNG streams even at equal seeds. make_profile sets it
     /// to (benchmark ordinal << 32) -- the exact pre-registry value, so the
-    /// built-in traces are bit-identical to every earlier release; scenario
-    /// factories use their (family, params) identity digest.
+    /// built-in traces are bit-identical to every earlier release; the
+    /// lock_ladder factory uses its (family, params) identity digest.
     std::uint64_t stream_salt = 0;
     std::size_t thread_count = 4;
     std::size_t interval_count = 3; ///< paper: 3 barrier intervals or completion

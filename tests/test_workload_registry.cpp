@@ -1,14 +1,16 @@
 // Tests for workload/registry + workload/scenarios: key identity rules
-// (duplicate rejection, distinct digests per (family, params)), unknown-key
-// failure modes, determinism of every scenario family, the scenario
-// profiles' qualitative shapes, and the registry flowing end-to-end through
-// the experiment pipeline.
+// (duplicate rejection, distinct digests per (family, params)), the pinned
+// built-in set and its identities, unknown-key failure modes, determinism
+// of the lock_ladder instances, the lock_ladder profile's qualitative
+// shape, and the registry flowing end-to-end through the experiment
+// pipeline.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "workload/registry.h"
@@ -40,12 +42,11 @@ TEST(workload_registry, builtin_keys_are_stable_and_distinct)
 TEST(workload_registry, builtins_contains_ten_splash_plus_scenarios)
 {
     const workload_registry registry = workload_registry::with_builtins();
-    EXPECT_GE(registry.size(), benchmark_count + 6);
+    EXPECT_GE(registry.size(), benchmark_count + 2);
     for (const benchmark_id id : all_benchmarks()) {
         EXPECT_TRUE(registry.contains(benchmark_name(id)));
     }
-    for (const char* name : {"lock_ladder", "lock_ladder_heavy", "pipeline",
-                             "pipeline_skewed", "graph_walk", "graph_walk_hubby"}) {
+    for (const char* name : {"lock_ladder", "lock_ladder_heavy"}) {
         EXPECT_TRUE(registry.contains(name)) << name;
     }
     // Registration order is stable: the SPLASH-2 ten come first.
@@ -54,6 +55,27 @@ TEST(workload_registry, builtins_contains_ten_splash_plus_scenarios)
     for (std::size_t i = 0; i < benchmark_count; ++i) {
         EXPECT_EQ(keys[i],
                   builtin_key(static_cast<benchmark_id>(all_benchmarks()[i])));
+    }
+}
+
+TEST(workload_registry, builtin_set_and_ladder_identities_are_pinned)
+{
+    // The whole built-in set, in order: the SPLASH-2 ten, then the two
+    // lock_ladder instances. Nothing else is registered by default.
+    std::vector<workload_key> expected;
+    for (const benchmark_id id : all_benchmarks()) {
+        expected.push_back(builtin_key(id));
+    }
+    expected.push_back(workload_key{"lock_ladder", 0xc231e6b01d7cc6d1ull});
+    expected.push_back(workload_key{"lock_ladder_heavy", 0x2f0bf4716fa6a658ull});
+    const workload_registry registry = workload_registry::with_builtins();
+    EXPECT_EQ(registry.keys(), expected);
+    // The id is every cache key's workload identity and the trace salt:
+    // the literals above pin both, so a change to the family's digest or
+    // to its default parameters cannot slip through.
+    for (std::size_t i = benchmark_count; i < expected.size(); ++i) {
+        EXPECT_EQ(registry.make_profile(expected[i], 4).stream_salt, expected[i].id)
+            << expected[i].name;
     }
 }
 
@@ -96,7 +118,7 @@ TEST(workload_registry, distinct_family_params_pairs_digest_differently)
     const auto insert_unique = [&](const workload_key& key) {
         EXPECT_TRUE(ids.insert(key.id).second) << key.name << " id collided";
     };
-    // A parameter ladder per family -- dozens of concrete workloads.
+    // A parameter ladder -- eighteen concrete workloads.
     for (const double contention : {0.0, 0.1, 0.2, 0.3, 0.4, 0.5}) {
         for (const double hold : {0.5, 1.0, 2.0}) {
             insert_unique(lock_ladder_key(
@@ -104,27 +126,15 @@ TEST(workload_registry, distinct_family_params_pairs_digest_differently)
                                         .hold_scale = hold}));
         }
     }
-    for (const double w : {0.1, 0.2, 0.4, 0.8}) {
-        insert_unique(pipeline_key(
-            "p", pipeline_params{.stage_weights = {1.0, w}}));
-        insert_unique(pipeline_key(
-            "p", pipeline_params{.stage_weights = {1.0, w}, .queue_pressure = 0.9}));
-    }
-    for (const double alpha : {0.8, 1.0, 1.3, 1.8}) {
-        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-            insert_unique(graph_walk_key(
-                "g", graph_walk_params{.tail_alpha = alpha, .mix_seed = seed}));
-        }
-    }
-    // Families never collide with each other or the builtins, even with
-    // coincidentally equal param digests (the family tag separates them).
+    // The family never collides with the builtins, even with coincidentally
+    // equal param digests (the family tag separates them).
     for (const benchmark_id id : all_benchmarks()) {
         insert_unique(builtin_key(id));
     }
-    EXPECT_EQ(ids.size(), 6u * 3u + 4u * 2u + 4u * 3u + benchmark_count);
+    EXPECT_EQ(ids.size(), 6u * 3u + benchmark_count);
 }
 
-// -- scenario family shapes --------------------------------------------------
+// -- lock_ladder profile shape ---------------------------------------------
 
 TEST(workload_scenarios, families_validate_parameters)
 {
@@ -132,15 +142,13 @@ TEST(workload_scenarios, families_validate_parameters)
                  std::invalid_argument);
     EXPECT_THROW((void)make_lock_ladder_profile({.base_contention = 1.5}, 4),
                  std::invalid_argument);
+    EXPECT_THROW((void)make_lock_ladder_profile({.hot_locks = 0}, 4),
+                 std::invalid_argument);
+    EXPECT_THROW((void)make_lock_ladder_profile({.contention_step = -0.1}, 4),
+                 std::invalid_argument);
+    EXPECT_THROW((void)make_lock_ladder_profile({.hold_scale = 0.0}, 4),
+                 std::invalid_argument);
     EXPECT_THROW((void)make_lock_ladder_profile({}, 0), std::invalid_argument);
-    EXPECT_THROW((void)make_pipeline_profile({.stage_weights = {}}, 4),
-                 std::invalid_argument);
-    EXPECT_THROW((void)make_pipeline_profile({.stage_weights = {1.0, -0.5}}, 4),
-                 std::invalid_argument);
-    EXPECT_THROW((void)make_graph_walk_profile({.tail_alpha = 0.0}, 4),
-                 std::invalid_argument);
-    EXPECT_THROW((void)make_graph_walk_profile({.hub_fraction = 2.0}, 4),
-                 std::invalid_argument);
 }
 
 TEST(workload_scenarios, lock_ladder_contention_climbs_the_rungs)
@@ -160,48 +168,12 @@ TEST(workload_scenarios, lock_ladder_contention_climbs_the_rungs)
               p.threads[3].long_carry_fraction);
 }
 
-TEST(workload_scenarios, pipeline_stage_weights_set_the_imbalance)
-{
-    const pipeline_params params{.stage_weights = {1.0, 0.5, 0.25}};
-    const benchmark_profile p = make_pipeline_profile(params, 6);
-    ASSERT_EQ(p.work_imbalance.size(), 6u);
-    // Threads cycle through the stages; weights normalize to max 1.
-    EXPECT_DOUBLE_EQ(p.work_imbalance[0], 1.0);
-    EXPECT_DOUBLE_EQ(p.work_imbalance[1], 0.5);
-    EXPECT_DOUBLE_EQ(p.work_imbalance[2], 0.25);
-    EXPECT_DOUBLE_EQ(p.work_imbalance[3], 1.0);
-    // Light stages spin hardest under backpressure.
-    const benchmark_profile pressured =
-        make_pipeline_profile({.stage_weights = {1.0, 0.25}, .queue_pressure = 1.0}, 4);
-    EXPECT_GT(pressured.threads[1].register_collision_fraction,
-              pressured.threads[0].register_collision_fraction);
-    // The transform stage is the multiplier-heavy one.
-    EXPECT_GT(p.threads[1].mul_sensitize_fraction, p.threads[0].mul_sensitize_fraction);
-}
-
-TEST(workload_scenarios, graph_walk_tail_is_heavy_and_seeded)
-{
-    const benchmark_profile p = make_graph_walk_profile({}, 8);
-    double lo = 1.0;
-    double hi = 0.0;
-    for (const double w : p.work_imbalance) {
-        lo = std::min(lo, w);
-        hi = std::max(hi, w);
-    }
-    EXPECT_DOUBLE_EQ(hi, 1.0);   // heaviest hub normalizes to 1
-    EXPECT_LT(lo, 0.8);          // and the tail is genuinely imbalanced
-    // A different graph (mix_seed) redraws the tail.
-    const benchmark_profile q = make_graph_walk_profile({.mix_seed = 99}, 8);
-    EXPECT_NE(p.work_imbalance, q.work_imbalance);
-}
-
 // -- determinism -------------------------------------------------------------
 
 TEST(workload_scenarios, every_family_is_deterministic_per_seed)
 {
     const workload_registry registry = workload_registry::with_builtins();
-    for (const char* name : {"lock_ladder", "lock_ladder_heavy", "pipeline",
-                             "pipeline_skewed", "graph_walk", "graph_walk_hubby"}) {
+    for (const char* name : {"lock_ladder", "lock_ladder_heavy"}) {
         const workload_key key = registry.key(name);
         const benchmark_profile a = registry.make_profile(key, 4);
         const benchmark_profile b = registry.make_profile(key, 4);
@@ -247,93 +219,6 @@ TEST(workload_scenarios, distinct_params_generate_distinct_traces_at_equal_seed)
         differs = ta.threads[0].ops[i].encoding != tb.threads[0].ops[i].encoding;
     }
     EXPECT_TRUE(differs);
-}
-
-// -- CLI-defined instances ---------------------------------------------------
-
-TEST(workload_scenarios, parse_scenario_definition_matches_programmatic_identity)
-{
-    const scenario_definition ladder = parse_scenario_definition(
-        "lock_ladder:name=ll9,base_contention=0.55,rungs=9,hot_locks=2");
-    EXPECT_EQ(ladder.family, "lock_ladder");
-    EXPECT_EQ(ladder.name, "ll9");
-    lock_ladder_params ladder_params;
-    ladder_params.base_contention = 0.55;
-    ladder_params.rungs = 9;
-    ladder_params.hot_locks = 2;
-    // Same identity as the programmatic helper: CLI-defined and
-    // compiled-in instances share cache/store keys for equal params.
-    EXPECT_EQ(ladder.key, lock_ladder_key("ll9", ladder_params));
-
-    const scenario_definition pipe = parse_scenario_definition(
-        "pipeline:name=p3,stage_weights=1.0+0.5+0.25,queue_pressure=0.8");
-    pipeline_params pipe_params;
-    pipe_params.stage_weights = {1.0, 0.5, 0.25};
-    pipe_params.queue_pressure = 0.8;
-    EXPECT_EQ(pipe.key, pipeline_key("p3", pipe_params));
-
-    const scenario_definition walk = parse_scenario_definition(
-        "graph_walk:name=gw,tail_alpha=1.1,mix_seed=5");
-    graph_walk_params walk_params;
-    walk_params.tail_alpha = 1.1;
-    walk_params.mix_seed = 5;
-    EXPECT_EQ(walk.key, graph_walk_key("gw", walk_params));
-}
-
-TEST(workload_registry, register_defined_installs_a_working_factory)
-{
-    workload_registry registry;
-    const workload_key defined =
-        registry.register_defined("graph_walk:name=gw,tail_alpha=1.1,mix_seed=5");
-    ASSERT_TRUE(registry.contains("gw"));
-    EXPECT_EQ(registry.key("gw"), defined);
-
-    graph_walk_params params;
-    params.tail_alpha = 1.1;
-    params.mix_seed = 5;
-    const benchmark_profile via_registry = registry.make_profile(defined, 4);
-    const benchmark_profile programmatic = make_graph_walk_profile(params, 4);
-    // Registered-name stamping aside, the profiles are the same workload.
-    EXPECT_EQ(via_registry.name, "gw");
-    EXPECT_EQ(via_registry.stream_salt, programmatic.stream_salt);
-    EXPECT_EQ(via_registry.thread_count, programmatic.thread_count);
-    EXPECT_EQ(via_registry.work_imbalance, programmatic.work_imbalance);
-}
-
-TEST(workload_registry, register_defined_rejects_duplicates)
-{
-    workload_registry registry;
-    (void)registry.register_defined("lock_ladder:name=dup,rungs=3");
-    // Same name again.
-    EXPECT_THROW((void)registry.register_defined("lock_ladder:name=dup,rungs=4"),
-                 std::invalid_argument);
-    // Different name, identical (family, params): identity collision.
-    EXPECT_THROW((void)registry.register_defined("lock_ladder:name=dup2,rungs=3"),
-                 std::invalid_argument);
-}
-
-TEST(workload_scenarios, scenario_definition_grammar_errors_are_rejected)
-{
-    for (const char* bad : {
-             "",                                   // empty
-             "lock_ladder",                        // no colon
-             ":name=x",                            // empty family
-             "lock_ladder:",                       // empty body
-             "nosuch:name=x",                      // unknown family
-             "lock_ladder:rungs=3",                // missing name
-             "lock_ladder:name=",                  // empty name
-             "lock_ladder:name=x,frob=1",          // unknown parameter
-             "lock_ladder:name=x,rungs",           // '='-less token
-             "lock_ladder:name=x,rungs=abc",       // non-numeric unsigned
-             "lock_ladder:name=x,rungs=-1",        // signed unsigned
-             "lock_ladder:name=x,rungs=3,rungs=4", // duplicate parameter
-             "lock_ladder:name=x,base_contention=1.5", // family validation
-             "pipeline:name=x,stage_weights=1.0+oops", // bad weight entry
-             "graph_walk:name=x,tail_alpha=0",         // family validation
-         }) {
-        EXPECT_THROW((void)parse_scenario_definition(bad), std::invalid_argument)
-            << "\"" << bad << "\"";
-    }
 }
 
 // -- end to end --------------------------------------------------------------

@@ -5,12 +5,12 @@
 // characterizations in the process-wide experiment cache, and emits the
 // aggregate as a console table plus optional CSV / JSON files. Workloads
 // are resolved through the workload registry, so the sweep axis covers the
-// ten built-in SPLASH-2 profiles AND every registered scenario-family
-// instance (--list-benchmarks enumerates them).
+// ten built-in SPLASH-2 profiles AND the two instances of the lock_ladder
+// family (--list-benchmarks enumerates them).
 //
 // Examples:
 //   synts_runner --benchmarks=reported --stages=all --policies=all
-//   synts_runner --benchmarks=lock_ladder,graph_walk --stages=simple_alu
+//   synts_runner --benchmarks=lock_ladder,lock_ladder_heavy --stages=simple_alu
 //                --ladder=default --workers=4 --pareto-csv=fronts.csv
 //                --summary-csv=summary.csv --json=sweep.json
 //   (one line; wrapped here for width)
@@ -42,14 +42,6 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       registered workload), "splash2" (the built-in ten), or
                       "reported" (the paper's seven; default). --benchmark
                       is an alias; --list-benchmarks enumerates the names.
-  --define=SPEC       register a parametric scenario instance at runtime so
-                      it is sweepable without recompiling; repeatable.
-                      SPEC is family:name=NAME[,param=value]..., e.g.
-                      --define=lock_ladder:name=ll9,base_contention=0.9
-                      (families: lock_ladder, pipeline, graph_walk; pipeline
-                      stage_weights is '+'-separated: 1.0+0.5+0.25). Defines
-                      apply before --benchmarks is resolved, regardless of
-                      flag order.
   --stages=LIST       comma list of decode,simple_alu,complex_alu or "all"
                       (default: all)
   --policies=LIST     comma list of nominal,no_ts,per_core_ts,synts_offline,
@@ -81,7 +73,7 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       during the run and write Chrome trace-event JSON to
                       FILE (open in Perfetto or chrome://tracing)
   --list-benchmarks   print every registered workload name (one per line:
-                      the SPLASH-2 profiles, then the scenario-family
+                      the SPLASH-2 profiles, then the lock_ladder family's
                       instances) and exit
   --quiet             suppress the console table
   --help              this text
@@ -215,17 +207,15 @@ int main(int argc, char** argv)
     std::string pareto_csv_path;
     std::string summary_csv_path;
     std::string json_path;
-    // Benchmark resolution is deferred until after every --define has
-    // registered (flag order must not matter), so only the raw list text
-    // is captured in the flag loop.
+    // The flag loop captures only the raw list text; it is resolved after
+    // the loop, so --list-benchmarks lists even when the list is bad.
     std::string benchmarks_csv = "reported";
-    std::vector<std::string> defines;
     bool list_benchmarks = false;
     bool quiet = false;
     std::optional<runtime::cache_stats_format> cache_stats;
     std::optional<obs::metrics_format> metrics;
     std::string trace_path;
-    workload::workload_registry& registry = workload::workload_registry::global();
+    const workload::workload_registry& registry = workload::workload_registry::global();
 
     try {
         // Value flags accept --flag=VALUE and --flag VALUE; `take` consumes
@@ -248,10 +238,6 @@ int main(int argc, char** argv)
                 list_benchmarks = true;
             } else if (arg == "--quiet") {
                 quiet = true;
-            } else if (arg == "--define") {
-                defines.emplace_back(take(arg));
-            } else if (const auto v = flag_value(arg, "define")) {
-                defines.emplace_back(*v);
             } else if (arg == "--cache-stats") {
                 cache_stats = runtime::cache_stats_format::table;
             } else if (const auto v = flag_value(arg, "cache-stats")) {
@@ -315,11 +301,6 @@ int main(int argc, char** argv)
             } else {
                 throw std::invalid_argument("unknown flag: " + std::string(arg));
             }
-        }
-        // Register every --define, THEN resolve the benchmark list against
-        // the enlarged registry.
-        for (const std::string& define : defines) {
-            (void)registry.register_defined(define);
         }
         if (list_benchmarks) {
             for (const workload::workload_key& key : registry.keys()) {
