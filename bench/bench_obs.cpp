@@ -1,9 +1,9 @@
 // bench_obs -- the telemetry overhead gate.
 //
 // The obs contract is "zero overhead when disabled": an instrumented hot
-// path (always-on counter bump + enabled-gated scoped_timer + enabled-gated
-// trace_span with a lazily formatted name) must cost the same as the bare
-// body when telemetry is off. This bench measures a representative task
+// path (always-on counter bump + enabled-gated scoped_timer adding to a
+// `*_ns` counter + enabled-gated trace_span with a lazily formatted name)
+// must cost the same as the bare body when telemetry is off. This bench measures a representative task
 // body three ways -- bare, instrumented-disabled, instrumented-enabled --
 // interleaved round-robin (so thermal / frequency drift hits every variant
 // equally) and GATES disabled-over-bare at <= 2%: a regression exits
@@ -61,7 +61,7 @@ double bare_ns_per_iter(std::uint64_t& sink)
 }
 
 double instrumented_ns_per_iter(std::uint64_t& sink, obs::counter& events,
-                                obs::latency_histogram& latency,
+                                obs::counter& latency_ns,
                                 obs::trace_recorder& recorder)
 {
     const auto t0 = std::chrono::steady_clock::now();
@@ -69,7 +69,7 @@ double instrumented_ns_per_iter(std::uint64_t& sink, obs::counter& events,
     for (std::uint64_t i = 0; i < iterations; ++i) {
         const obs::trace_span span(recorder,
                                    [&] { return "obs.bench:" + std::to_string(i & 7); });
-        const obs::scoped_timer timer(latency);
+        const obs::scoped_timer timer(latency_ns);
         x = body(x);
         events.add(1);
     }
@@ -85,7 +85,7 @@ double instrumented_ns_per_iter(std::uint64_t& sink, obs::counter& events,
 int main()
 {
     obs::counter events;
-    obs::latency_histogram latency;
+    obs::counter latency_ns;
     obs::trace_recorder recorder;
     std::uint64_t sink = 0;
 
@@ -95,17 +95,17 @@ int main()
 
     // Warmup round (not recorded), then best-of over interleaved rounds.
     (void)bare_ns_per_iter(sink);
-    (void)instrumented_ns_per_iter(sink, events, latency, recorder);
+    (void)instrumented_ns_per_iter(sink, events, latency_ns, recorder);
     for (int round = 0; round < rounds; ++round) {
         obs::set_enabled(false);
         recorder.set_enabled(false);
         bare = std::min(bare, bare_ns_per_iter(sink));
-        disabled =
-            std::min(disabled, instrumented_ns_per_iter(sink, events, latency, recorder));
+        disabled = std::min(disabled,
+                            instrumented_ns_per_iter(sink, events, latency_ns, recorder));
         obs::set_enabled(true);
         recorder.set_enabled(true);
-        enabled =
-            std::min(enabled, instrumented_ns_per_iter(sink, events, latency, recorder));
+        enabled = std::min(enabled,
+                           instrumented_ns_per_iter(sink, events, latency_ns, recorder));
         std::fprintf(stderr, "round %d/%d: bare %.2f ns, disabled %.2f ns, "
                              "enabled %.2f ns\n",
                      round + 1, rounds, bare, disabled, enabled);

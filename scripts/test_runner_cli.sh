@@ -67,11 +67,13 @@ expect_usage_error trace_missing_value --trace
 # the idle-worker speculation flag (its name spliced from two halves so a
 # source search for it stays empty), the fleet-layer flags (sharding,
 # merge, store status/watch, the stall threshold, the metrics sampler), the
-# sweep-cell checkpoint flags and the runtime workload definition flag. The
-# OpenMetrics value of --metrics is a bad format.
+# sweep-cell checkpoint flags, the runtime workload definition flag and the
+# cache-tier report (--metrics prints the same counters). The OpenMetrics
+# value of --metrics is a bad format.
 ok=1
 for removed in "--spec""ulate" --shard=0/2 --merge --status --watch --stall-ms=5 \
-               --sample=10 --store --store=cells --resume --define=lock_ladder:name=x; do
+               --sample=10 --store --store=cells --resume --define=lock_ladder:name=x \
+               --cache-stats --cache-stats=json; do
     "$RUNNER" "$removed" >/dev/null 2>"$WORK/removed.err"
     rc=$?
     if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q "unknown flag: $removed"; then
@@ -107,14 +109,14 @@ fi
 
 # A lock_ladder sweep is worker-invariant: the same spec at one and at
 # four workers emits byte-identical JSON, keyed on a non-SPLASH workload
-# name, and --cache-stats carries exactly the two memory tiers.
+# name, and --metrics counts one miss and one compute on each memory tier.
 SERIAL="$WORK/serial.json"
 PARALLEL="$WORK/parallel.json"
 STATS="$WORK/stats.json"
 SCENARIO_SPEC="--benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline"
 if "$RUNNER" $SCENARIO_SPEC --workers=1 --quiet --json="$SERIAL" >/dev/null 2>&1 &&
    "$RUNNER" $SCENARIO_SPEC --workers=4 --quiet --json="$PARALLEL" \
-        --cache-stats=json >"$STATS" 2>&1; then
+        --metrics=json >"$STATS" 2>&1; then
     ok=1
     # The volatile `meta` line (timestamp, host) is excluded from the
     # byte-identity contract by design: it rides on its own line.
@@ -130,11 +132,17 @@ if "$RUNNER" $SCENARIO_SPEC --workers=1 --quiet --json="$SERIAL" >/dev/null 2>&1
         echo "FAIL scenario_sweep: JSON does not carry the workload name" >&2
         ok=0
     fi
-    if ! grep -Eqx '\{"cache": \{"program": \{"hits": 0, "misses": 1\}, "stage": \{"hits": 0, "misses": 1\}, "program_computes": 1\}\}' "$STATS"; then
-        echo "FAIL scenario_sweep: unexpected --cache-stats=json:" >&2
-        cat "$STATS" >&2
-        ok=0
-    fi
+    for expected in '"cache.tier2.hits": {"type": "counter", "value": 0}' \
+                    '"cache.tier2.misses": {"type": "counter", "value": 1}' \
+                    '"cache.tier1.hits": {"type": "counter", "value": 0}' \
+                    '"cache.tier1.misses": {"type": "counter", "value": 1}' \
+                    '"cache.tier2.computes": {"type": "counter", "value": 1}'; do
+        if ! grep -Fq "$expected" "$STATS"; then
+            echo "FAIL scenario_sweep: --metrics=json lacks $expected:" >&2
+            cat "$STATS" >&2
+            ok=0
+        fi
+    done
     if [ "$ok" -eq 1 ]; then echo "ok scenario_sweep_worker_invariant"; else failures=$((failures + 1)); fi
 else
     echo "FAIL scenario_sweep: runner exited non-zero" >&2
@@ -159,8 +167,8 @@ else
     failures=$((failures + 1))
 fi
 # --trace + --metrics on a tiny sweep: the trace file is Chrome trace-event
-# JSON with paired-up "X" spans, and the metrics JSON carries per-tier
-# latency percentiles.
+# JSON with paired-up "X" spans, and the metrics JSON carries the gated
+# nanosecond totals as counters that a timed run moved.
 TRACE="$WORK/trace.json"
 METRICS="$WORK/metrics.json"
 if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
@@ -176,11 +184,14 @@ if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
         head -n5 "$TRACE" >&2
         ok=0
     fi
-    if ! grep -q '"cache.tier2.compute_ns": {"type": "histogram"' "$METRICS"; then
-        echo "FAIL metrics: no tier2 compute latency histogram:" >&2
-        cat "$METRICS" >&2
-        ok=0
-    fi
+    for timer in cache.tier1.build_ns cache.tier2.compute_ns pool.task_ns \
+                 characterize.cell_ns; do
+        if ! grep -Eq "\"$timer\": \\{\"type\": \"counter\", \"value\": [1-9]" "$METRICS"; then
+            echo "FAIL metrics: no positive $timer counter:" >&2
+            cat "$METRICS" >&2
+            ok=0
+        fi
+    done
     if ! grep -q '"pool.tasks_executed"' "$METRICS"; then
         echo "FAIL metrics: no pool counters" >&2
         ok=0
@@ -197,17 +208,17 @@ GAUGES="$WORK/gauges.csv"
 if "$RUNNER" --benchmarks=lock_ladder,fmm --stages=all --policies=nominal \
         --workers=1 --quiet --metrics=csv >"$GAUGES" 2>&1; then
     ok=1
-    if ! grep -q '^cache\.tier2\.resident,gauge,0,' "$GAUGES"; then
+    if ! grep -q '^cache\.tier2\.resident,gauge,0$' "$GAUGES"; then
         echo "FAIL end_gauges: program tier not empty at the end:" >&2
         grep '^cache\.tier2\.' "$GAUGES" >&2
         ok=0
     fi
-    if ! grep -q '^sweep\.threads,gauge,2,' "$GAUGES"; then
+    if ! grep -q '^sweep\.threads,gauge,2$' "$GAUGES"; then
         echo "FAIL end_gauges: sweep.threads is not 2 at --workers=1:" >&2
         grep '^sweep\.threads' "$GAUGES" >&2
         ok=0
     fi
-    if ! grep -Eq '^process\.peak_rss_kb,gauge,[1-9][0-9]*,' "$GAUGES"; then
+    if ! grep -Eq '^process\.peak_rss_kb,gauge,[1-9][0-9]*$' "$GAUGES"; then
         echo "FAIL end_gauges: no positive process.peak_rss_kb" >&2
         ok=0
     fi

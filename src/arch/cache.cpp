@@ -84,7 +84,7 @@ void cache_sim::reset() noexcept
         entry = line{};
     }
     access_clock_ = 0;
-    stats_ = cache_stats{};
+    stats_ = cache_counts{};
 }
 
 } // namespace synts::arch

@@ -21,7 +21,7 @@ struct cache_config {
 };
 
 /// Hit/miss counters of a cache instance.
-struct cache_stats {
+struct cache_counts {
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
 
@@ -48,7 +48,7 @@ public:
     [[nodiscard]] bool would_hit(std::uint64_t address) const noexcept;
 
     /// Statistics so far.
-    [[nodiscard]] const cache_stats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const cache_counts& stats() const noexcept { return stats_; }
 
     /// Clears contents and statistics.
     void reset() noexcept;
@@ -67,7 +67,7 @@ private:
     std::vector<line> lines_; ///< sets * ways, row-major by set
     std::uint64_t set_count_ = 0;
     std::uint64_t access_clock_ = 0;
-    cache_stats stats_;
+    cache_counts stats_;
 };
 
 } // namespace synts::arch

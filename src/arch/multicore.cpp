@@ -33,7 +33,7 @@ std::vector<thread_profile> multicore_profiler::profile(const program_trace& pro
             p.base_cycles = stats.cycles;
             p.cpi_base = stats.cpi();
 
-            const auto& dc = core.dcache_stats();
+            const auto& dc = core.dcache_counts();
             const std::uint64_t accesses = dc.accesses - prior_dcache_accesses;
             const std::uint64_t misses = dc.misses - prior_dcache_misses;
             p.dcache_miss_rate =

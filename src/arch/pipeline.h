@@ -54,7 +54,7 @@ public:
     exec_stats execute(std::span<const micro_op> ops);
 
     /// Lifetime data-cache statistics.
-    [[nodiscard]] const cache_stats& dcache_stats() const noexcept
+    [[nodiscard]] const cache_counts& dcache_counts() const noexcept
     {
         return dcache_.stats();
     }

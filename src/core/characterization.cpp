@@ -38,7 +38,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& cells_counter = registry.counter_at("characterize.cells");
     obs::counter& vectors_counter = registry.counter_at("characterize.vectors");
-    obs::latency_histogram& cell_ns = registry.histogram_at("characterize.cell_ns");
+    obs::counter& cell_ns = registry.counter_at("characterize.cell_ns");
     const obs::trace_span span(obs::trace_recorder::global(), [stage] {
         return std::string("characterize.stage:") + circuit::pipe_stage_name(stage);
     });

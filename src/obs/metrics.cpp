@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 #include <thread>
@@ -47,9 +46,19 @@ const char* kind_token(metric_sample::kind k)
     switch (k) {
     case metric_sample::kind::counter: return "counter";
     case metric_sample::kind::gauge: return "gauge";
-    case metric_sample::kind::histogram: return "histogram";
     }
     return "unknown";
+}
+
+/// Streams a sample's value (a gauge's signed level, a counter's count),
+/// honouring any width already set on `out`.
+void put_value(std::ostream& out, const metric_sample& s)
+{
+    if (s.type == metric_sample::kind::gauge) {
+        out << s.level;
+    } else {
+        out << s.count;
+    }
 }
 
 } // namespace
@@ -81,44 +90,6 @@ std::size_t thread_stripe() noexcept
     return stripe;
 }
 
-std::uint64_t latency_histogram::percentile(double q) const noexcept
-{
-    const std::uint64_t n = total();
-    if (n == 0) {
-        return 0;
-    }
-    q = std::clamp(q, 0.0, 1.0);
-    std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
-    rank = std::clamp<std::uint64_t>(rank, 1, n);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-        cumulative += count_at(b);
-        if (cumulative >= rank) {
-            return bucket_lower_bound(b);
-        }
-    }
-    // Unreachable once cumulative == total(), but racing writers can make
-    // total() read ahead of the bucket sums; fall back to the max bucket.
-    for (std::size_t b = bucket_count; b-- > 0;) {
-        if (count_at(b) != 0) {
-            return bucket_lower_bound(b);
-        }
-    }
-    return 0;
-}
-
-void latency_histogram::reset() noexcept
-{
-    for (stripe& s : stripes_) {
-        for (std::atomic<std::uint64_t>& bucket : s.buckets) {
-            bucket.store(0, std::memory_order_relaxed);
-        }
-    }
-    for (padded_total& t : totals_) {
-        t.value.store(0, std::memory_order_relaxed);
-    }
-}
-
 counter& metrics_registry::counter_at(std::string_view name)
 {
     const util::mutex_lock lock(mutex_);
@@ -139,22 +110,11 @@ gauge& metrics_registry::gauge_at(std::string_view name)
     return *it->second;
 }
 
-latency_histogram& metrics_registry::histogram_at(std::string_view name)
-{
-    const util::mutex_lock lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(std::string(name), std::make_unique<latency_histogram>())
-                 .first;
-    }
-    return *it->second;
-}
-
 std::vector<metric_sample> metrics_registry::snapshot() const
 {
     const util::mutex_lock lock(mutex_);
     std::vector<metric_sample> samples;
-    samples.reserve(counters_.size() + gauges_.size() + histograms_.size());
+    samples.reserve(counters_.size() + gauges_.size());
     for (const auto& [name, c] : counters_) {
         metric_sample s;
         s.name = name;
@@ -169,18 +129,7 @@ std::vector<metric_sample> metrics_registry::snapshot() const
         s.level = g->value();
         samples.push_back(std::move(s));
     }
-    for (const auto& [name, h] : histograms_) {
-        metric_sample s;
-        s.name = name;
-        s.type = metric_sample::kind::histogram;
-        s.count = h->total();
-        s.p50 = h->percentile(0.50);
-        s.p95 = h->percentile(0.95);
-        s.p99 = h->percentile(0.99);
-        s.max = h->max_value();
-        samples.push_back(std::move(s));
-    }
-    // The three per-kind maps are each name-ordered; one merge keeps the
+    // The two per-kind maps are each name-ordered; one sort keeps the
     // overall snapshot name-ordered regardless of instrument kind.
     std::sort(samples.begin(), samples.end(),
               [](const metric_sample& a, const metric_sample& b) { return a.name < b.name; });
@@ -196,9 +145,6 @@ void metrics_registry::reset()
     for (auto& [name, g] : gauges_) {
         g->reset();
     }
-    for (auto& [name, h] : histograms_) {
-        h->reset();
-    }
 }
 
 metrics_registry& metrics_registry::global()
@@ -213,21 +159,10 @@ std::string render_metrics(const std::vector<metric_sample>& samples,
     std::ostringstream out;
     switch (format) {
     case metrics_format::csv: {
-        out << "name,type,value,count,p50_ns,p95_ns,p99_ns,max_ns\n";
+        out << "name,type,value\n";
         for (const metric_sample& s : samples) {
             out << s.name << ',' << kind_token(s.type) << ',';
-            if (s.type == metric_sample::kind::gauge) {
-                out << s.level;
-            } else {
-                out << s.count;
-            }
-            out << ',';
-            if (s.type == metric_sample::kind::histogram) {
-                out << s.count << ',' << s.p50 << ',' << s.p95 << ',' << s.p99 << ','
-                    << s.max;
-            } else {
-                out << ",,,,";
-            }
+            put_value(out, s);
             out << '\n';
         }
         break;
@@ -241,20 +176,8 @@ std::string render_metrics(const std::vector<metric_sample>& samples,
             }
             first = false;
             out << "  \"" << json_escape(s.name) << "\": {\"type\": \""
-                << kind_token(s.type) << "\", ";
-            switch (s.type) {
-            case metric_sample::kind::counter:
-                out << "\"value\": " << s.count;
-                break;
-            case metric_sample::kind::gauge:
-                out << "\"value\": " << s.level;
-                break;
-            case metric_sample::kind::histogram:
-                out << "\"count\": " << s.count << ", \"p50_ns\": " << s.p50
-                    << ", \"p95_ns\": " << s.p95 << ", \"p99_ns\": " << s.p99
-                    << ", \"max_ns\": " << s.max;
-                break;
-            }
+                << kind_token(s.type) << "\", \"value\": ";
+            put_value(out, s);
             out << "}";
         }
         out << "\n}\n";
@@ -267,23 +190,12 @@ std::string render_metrics(const std::vector<metric_sample>& samples,
         }
         out << std::left << std::setw(static_cast<int>(name_width)) << "name"
             << std::right << "  " << std::setw(10) << "type" << std::setw(14) << "value"
-            << std::setw(12) << "p50_ns" << std::setw(12) << "p95_ns" << std::setw(12)
-            << "p99_ns" << std::setw(12) << "max_ns" << '\n';
+            << '\n';
         for (const metric_sample& s : samples) {
             out << std::left << std::setw(static_cast<int>(name_width)) << s.name
-                << std::right << "  " << std::setw(10) << kind_token(s.type);
-            if (s.type == metric_sample::kind::gauge) {
-                out << std::setw(14) << s.level;
-            } else {
-                out << std::setw(14) << s.count;
-            }
-            if (s.type == metric_sample::kind::histogram) {
-                out << std::setw(12) << s.p50 << std::setw(12) << s.p95 << std::setw(12)
-                    << s.p99 << std::setw(12) << s.max;
-            } else {
-                out << std::setw(12) << '-' << std::setw(12) << '-' << std::setw(12)
-                    << '-' << std::setw(12) << '-';
-            }
+                << std::right << "  " << std::setw(10) << kind_token(s.type)
+                << std::setw(14);
+            put_value(out, s);
             out << '\n';
         }
         break;

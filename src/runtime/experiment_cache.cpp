@@ -13,18 +13,15 @@ util::parallel_for_fn pool_executor(thread_pool* pool)
 
 } // namespace
 
-experiment_cache::experiment_cache(std::size_t shard_count)
-    : stage_tier_(shard_count,
-                  &obs::metrics_registry::global().counter_at("cache.tier1.hits"),
+experiment_cache::experiment_cache()
+    : stage_tier_(&obs::metrics_registry::global().counter_at("cache.tier1.hits"),
                   &obs::metrics_registry::global().counter_at("cache.tier1.misses")),
-      program_tier_(shard_count,
-                    &obs::metrics_registry::global().counter_at("cache.tier2.hits"),
+      program_tier_(&obs::metrics_registry::global().counter_at("cache.tier2.hits"),
                     &obs::metrics_registry::global().counter_at("cache.tier2.misses")),
       obs_computes_(&obs::metrics_registry::global().counter_at("cache.tier2.computes")),
       obs_stage_build_ns_(
-          &obs::metrics_registry::global().histogram_at("cache.tier1.build_ns")),
-      obs_compute_ns_(
-          &obs::metrics_registry::global().histogram_at("cache.tier2.compute_ns"))
+          &obs::metrics_registry::global().counter_at("cache.tier1.build_ns")),
+      obs_compute_ns_(&obs::metrics_registry::global().counter_at("cache.tier2.compute_ns"))
 {
 }
 

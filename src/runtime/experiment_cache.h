@@ -46,10 +46,11 @@
 //
 // Both tiers use the same discipline:
 //
-//   * the key->entry map is sharded and mutex-striped, so lookups from many
-//     sweep workers don't serialize on one lock;
+//   * one mutex guards one key->entry map: a tier holds at most a few
+//     dozen keys, each looked up a handful of times per sweep, and the
+//     lock is held only for the map operation;
 //   * each entry is a shared_future: the first caller constructs *outside*
-//     the shard lock while later callers block on the future, so a popular
+//     the tier lock while later callers block on the future, so a popular
 //     key is constructed exactly once and never holds up unrelated keys.
 //     Construction happens on the calling thread (never deferred to a pool
 //     task), so waiting cannot deadlock a fully-busy pool. Pool-parallel
@@ -74,13 +75,11 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/experiment.h"
 #include "obs/metrics.h"
@@ -156,25 +155,19 @@ struct cache_traffic {
     std::atomic<std::uint64_t> program_computes{0};
 };
 
-/// One sharded, mutex-striped shared-future memo level. Key must provide
-/// digest() and operator==; Ptr is the shared_ptr the factory produces.
+/// One mutex-guarded shared-future memo level. Key must provide digest()
+/// and operator==; Ptr is the shared_ptr the factory produces.
 template <typename Key, typename Ptr>
 class memo_tier {
 public:
-    /// `shard_count` is rounded up to a power of two (the shard mask
-    /// requires it), minimum 1. `registry_hits`/`registry_misses`, when
-    /// given, are process-wide registry counters bumped alongside the
-    /// tier's own atomics (the instance counters stay authoritative for
-    /// hit_count()/miss_count(); the registry aggregates for --metrics).
-    explicit memo_tier(std::size_t shard_count, obs::counter* registry_hits = nullptr,
+    /// `registry_hits`/`registry_misses`, when given, are process-wide
+    /// registry counters bumped alongside the tier's own atomics (the
+    /// instance counters stay authoritative for hit_count()/miss_count();
+    /// the registry aggregates for --metrics).
+    explicit memo_tier(obs::counter* registry_hits = nullptr,
                        obs::counter* registry_misses = nullptr)
         : registry_hits_(registry_hits), registry_misses_(registry_misses)
     {
-        shard_count = std::bit_ceil(shard_count == 0 ? std::size_t{1} : shard_count);
-        shards_.reserve(shard_count);
-        for (std::size_t i = 0; i < shard_count; ++i) {
-            shards_.push_back(std::make_unique<shard>());
-        }
     }
 
     /// Returns the entry of `key`, invoking `factory()` on this thread if
@@ -187,18 +180,17 @@ public:
     [[nodiscard]] Ptr get_or_create(const Key& key, Factory&& factory,
                                     tier_traffic* sink = nullptr)
     {
-        shard& home = shard_for(key);
         std::promise<Ptr> construction;
         std::shared_future<Ptr> entry;
         bool owner = false;
         {
-            const util::mutex_lock lock(home.mutex);
-            auto it = home.entries.find(key);
-            if (it != home.entries.end()) {
+            const util::mutex_lock lock(mutex_);
+            auto it = entries_.find(key);
+            if (it != entries_.end()) {
                 entry = it->second;
             } else {
                 entry = construction.get_future().share();
-                home.entries.emplace(key, entry);
+                entries_.emplace(key, entry);
                 owner = true;
             }
         }
@@ -215,16 +207,16 @@ public:
         } catch (...) {
             construction.set_exception(std::current_exception());
             {
-                const util::mutex_lock lock(home.mutex);
-                home.entries.erase(key);
+                const util::mutex_lock lock(mutex_);
+                entries_.erase(key);
             }
             throw;
         }
         {
-            // Settled under the shard lock, so settled() -- which reads
+            // Settled under the tier lock, so settled() -- which reads
             // under the same lock -- orders against it: of two owners that
             // each settle and then check the other, at least one sees both.
-            const util::mutex_lock lock(home.mutex);
+            const util::mutex_lock lock(mutex_);
             construction.set_value(value);
         }
         return value;
@@ -234,10 +226,9 @@ public:
     /// with a value.
     [[nodiscard]] bool settled(const Key& key)
     {
-        shard& home = shard_for(key);
-        const util::mutex_lock lock(home.mutex);
-        const auto it = home.entries.find(key);
-        return it != home.entries.end() &&
+        const util::mutex_lock lock(mutex_);
+        const auto it = entries_.find(key);
+        return it != entries_.end() &&
                it->second.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
     }
 
@@ -245,9 +236,8 @@ public:
     /// on an in-flight construction are served normally.
     void erase(const Key& key)
     {
-        shard& home = shard_for(key);
-        const util::mutex_lock lock(home.mutex);
-        home.entries.erase(key);
+        const util::mutex_lock lock(mutex_);
+        entries_.erase(key);
     }
 
     [[nodiscard]] std::uint64_t hit_count() const noexcept
@@ -261,22 +251,14 @@ public:
 
     [[nodiscard]] std::size_t size() const
     {
-        std::size_t total = 0;
-        for (const auto& s : shards_) {
-            shard& home = *s;
-            const util::mutex_lock lock(home.mutex);
-            total += home.entries.size();
-        }
-        return total;
+        const util::mutex_lock lock(mutex_);
+        return entries_.size();
     }
 
     void clear()
     {
-        for (const auto& s : shards_) {
-            shard& home = *s;
-            const util::mutex_lock lock(home.mutex);
-            home.entries.clear();
-        }
+        const util::mutex_lock lock(mutex_);
+        entries_.clear();
     }
 
 private:
@@ -285,15 +267,6 @@ private:
         {
             return static_cast<std::size_t>(key.digest());
         }
-    };
-    struct shard {
-        /// Held only for map operations -- factories run outside, waiters
-        /// block on the shared_future, never on the shard. A leaf below
-        /// pool_queue (enqueue never runs under a shard lock).
-        util::annotated_mutex mutex{util::lock_rank::cache_shard,
-                                    "experiment_cache.shard"};
-        std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries
-            SYNTS_GUARDED_BY(mutex);
     };
 
     static void count(std::atomic<std::uint64_t>& own, obs::counter* registry,
@@ -308,14 +281,13 @@ private:
         }
     }
 
-    [[nodiscard]] shard& shard_for(const Key& key) noexcept
-    {
-        // Re-mix so shard choice and bucket choice use decorrelated bits.
-        return *shards_[util::hash_mix(key.digest(), shards_.size()) &
-                        (shards_.size() - 1)];
-    }
-
-    std::vector<std::unique_ptr<shard>> shards_;
+    /// Held only for map operations -- factories run outside, waiters
+    /// block on the shared_future, never on the tier. A leaf below
+    /// pool_queue (enqueue never runs under a tier lock).
+    mutable util::annotated_mutex mutex_{util::lock_rank::cache_shard,
+                                         "experiment_cache.tier"};
+    std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries_
+        SYNTS_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     obs::counter* registry_hits_;
@@ -328,9 +300,7 @@ public:
     using experiment_ptr = std::shared_ptr<const core::benchmark_experiment>;
     using program_ptr = std::shared_ptr<const core::program_artifacts>;
 
-    /// `shard_count` is rounded up to a power of two (default 16) and used
-    /// for both tiers.
-    explicit experiment_cache(std::size_t shard_count = 16);
+    experiment_cache();
 
     experiment_cache(const experiment_cache&) = delete;
     experiment_cache& operator=(const experiment_cache&) = delete;
@@ -408,10 +378,10 @@ private:
     // Registry instruments (cache.tier<N>.* taxonomy: tier1 = stage memo,
     // tier2 = program memo). The tiers' own counters feed hit/miss via
     // memo_tier's registry hooks; these cover the compute count and the
-    // gated latency histograms.
+    // gated nanosecond totals.
     obs::counter* obs_computes_;
-    obs::latency_histogram* obs_stage_build_ns_;
-    obs::latency_histogram* obs_compute_ns_;
+    obs::counter* obs_stage_build_ns_;
+    obs::counter* obs_compute_ns_;
 };
 
 } // namespace synts::runtime

@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/registry.h"
@@ -244,118 +243,6 @@ std::string render_sweep_table(const sweep_result& result)
     return rendered;
 }
 
-namespace {
-
-/// The two tier rows + the compute count both cache-stats sources render.
-struct cache_stats_view {
-    struct row {
-        const char* tier;
-        std::uint64_t hits;
-        std::uint64_t misses;
-    };
-    row rows[2];
-    std::uint64_t program_computes = 0;
-};
-
-/// One formatter for both sources, so the sink-sourced and
-/// registry-sourced variants can never drift apart in layout (the CLI
-/// contract tests pin this output byte for byte).
-std::string format_cache_stats(const cache_stats_view& view, cache_stats_format format)
-{
-    std::ostringstream out;
-    switch (format) {
-    case cache_stats_format::table: {
-        util::text_table table({"tier", "hits", "misses"});
-        for (const cache_stats_view::row& r : view.rows) {
-            table.begin_row();
-            table.cell(std::string(r.tier));
-            table.cell(static_cast<long long>(r.hits));
-            table.cell(static_cast<long long>(r.misses));
-        }
-        out << table.render();
-        out << "program computes (trace gen + profiler): "
-            << view.program_computes << "\n";
-        break;
-    }
-    case cache_stats_format::csv:
-        // Strictly (tier, hits, misses) rows; the compute count is not a
-        // tier and equals program.misses, so it is omitted rather than
-        // bent into the schema (table and JSON carry it explicitly).
-        out << "tier,hits,misses\n";
-        for (const cache_stats_view::row& r : view.rows) {
-            out << r.tier << ',' << r.hits << ',' << r.misses << '\n';
-        }
-        break;
-    case cache_stats_format::json:
-        out << "{\"cache\": {";
-        for (std::size_t i = 0; i < std::size(view.rows); ++i) {
-            out << (i ? ", " : "") << '"' << view.rows[i].tier << "\": {\"hits\": "
-                << view.rows[i].hits << ", \"misses\": " << view.rows[i].misses << '}';
-        }
-        out << ", \"program_computes\": " << view.program_computes << "}}\n";
-        break;
-    }
-    return out.str();
-}
-
-} // namespace
-
-std::string render_cache_stats(const sweep_result& result, cache_stats_format format)
-{
-    const cache_stats_view view{
-        {
-            {"program", result.program_cache_hits, result.program_cache_misses},
-            {"stage", result.cache_hits, result.cache_misses},
-        },
-        result.program_computes,
-    };
-    return format_cache_stats(view, format);
-}
-
-std::string render_cache_stats_from_metrics(cache_stats_format format)
-{
-    obs::metrics_registry& registry = obs::metrics_registry::global();
-    const auto count = [&registry](std::string_view name) {
-        return registry.counter_at(name).value();
-    };
-    // Row mapping onto the registry taxonomy: program = tier2 (program
-    // memo), stage = tier1 (stage memo).
-    const cache_stats_view view{
-        {
-            {"program", count("cache.tier2.hits"), count("cache.tier2.misses")},
-            {"stage", count("cache.tier1.hits"), count("cache.tier1.misses")},
-        },
-        count("cache.tier2.computes"),
-    };
-    return format_cache_stats(view, format);
-}
-
-std::optional<cache_stats_format> parse_cache_stats_format(std::string_view token)
-{
-    const std::string wanted = normalize(token);
-    if (wanted == "table") {
-        return cache_stats_format::table;
-    }
-    if (wanted == "csv") {
-        return cache_stats_format::csv;
-    }
-    if (wanted == "json") {
-        return cache_stats_format::json;
-    }
-    return std::nullopt;
-}
-
-std::optional<workload::benchmark_id> parse_benchmark(std::string_view token)
-{
-    const std::string wanted = normalize(token);
-    for (const workload::benchmark_id id : workload::all_benchmarks()) {
-        if (normalize(workload::benchmark_name(id)) == wanted) {
-            return id;
-        }
-    }
-    return std::nullopt;
-}
-
 std::optional<circuit::pipe_stage> parse_stage(std::string_view token)
 {
     const std::string wanted = normalize(token);
@@ -417,28 +304,6 @@ parse_workload_list(const workload::workload_registry& registry, std::string_vie
         keys.push_back(*key);
     }
     return keys;
-}
-
-std::vector<workload::benchmark_id> parse_benchmark_list(std::string_view csv)
-{
-    const std::string keyword = normalize(csv);
-    if (keyword == "all") {
-        const auto span = workload::all_benchmarks();
-        return {span.begin(), span.end()};
-    }
-    if (keyword == "reported") {
-        const auto span = workload::reported_benchmarks();
-        return {span.begin(), span.end()};
-    }
-    std::vector<workload::benchmark_id> ids;
-    for (const std::string_view token : split_csv(csv)) {
-        const auto id = parse_benchmark(token);
-        if (!id) {
-            throw std::invalid_argument("unknown benchmark: " + std::string(token));
-        }
-        ids.push_back(*id);
-    }
-    return ids;
 }
 
 std::vector<circuit::pipe_stage> parse_stage_list(std::string_view csv)

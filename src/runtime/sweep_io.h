@@ -2,7 +2,7 @@
 //
 // The synts_runner CLI and the ported benches share these: CSV (via
 // util/csv) for re-plotting, JSON for downstream tooling, text tables (via
-// util/table) for the console, and forgiving name->enum parsing (matching
+// util/table) for the console, and forgiving name parsing (matching
 // is case-insensitive and ignores '-'/'_', so "lu-contig", "LU_CONTIG" and
 // "Lu-Contig" all resolve).
 
@@ -52,7 +52,7 @@ struct sweep_json_meta {
 /// worker count -- emit byte-identical documents. With `meta`, ONE extra
 /// line (`"meta": {...}`) carries the volatile provenance stamp;
 /// byte-identity consumers strip that line.
-/// Volatile run stats live in render_cache_stats.
+/// Volatile run stats live in the metrics registry (--metrics).
 void write_sweep_json(const sweep_result& result, std::ostream& out,
                       const sweep_json_meta* meta = nullptr);
 
@@ -60,36 +60,11 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
 /// equal-weight operating point per policy.
 [[nodiscard]] std::string render_sweep_table(const sweep_result& result);
 
-/// Output shape for render_cache_stats.
-enum class cache_stats_format { table, csv, json };
-
-/// Hit/miss counts of both cache tiers attributable to `result` -- program
-/// artifacts and stage experiments -- plus the number of program-tier
-/// computes (trace generations + profiler runs), as a console table, CSV
-/// rows, or a JSON object (the runner's --cache-stats flag).
-[[nodiscard]] std::string render_cache_stats(const sweep_result& result,
-                                             cache_stats_format format);
-
-/// Registry-sourced twin of render_cache_stats: the same rows, same
-/// formats, byte-identical layout -- but read from the process-wide
-/// metrics registry (cache.tier<N>.*) instead of a sweep_result's
-/// attribution sink. This is what the runner's --cache-stats prints: the
-/// registry is the single source of truth for process-global counts, while
-/// the sink variant stays for callers attributing traffic to one sweep
-/// among several.
-[[nodiscard]] std::string render_cache_stats_from_metrics(cache_stats_format format);
-
-/// Parses "table" / "csv" / "json" (same forgiving matching as the enum
-/// parsers below); std::nullopt on an unknown token.
-[[nodiscard]] std::optional<cache_stats_format>
-parse_cache_stats_format(std::string_view token);
-
 /// Splits a comma-separated list into tokens (empty tokens preserved, so
 /// callers can reject "a,,b" or a trailing comma explicitly).
 [[nodiscard]] std::vector<std::string_view> split_csv(std::string_view csv);
 
 /// Name parsing. Each returns std::nullopt on an unknown token.
-[[nodiscard]] std::optional<workload::benchmark_id> parse_benchmark(std::string_view token);
 [[nodiscard]] std::optional<circuit::pipe_stage> parse_stage(std::string_view token);
 [[nodiscard]] std::optional<core::policy_kind> parse_policy(std::string_view token);
 
@@ -99,10 +74,9 @@ parse_cache_stats_format(std::string_view token);
 [[nodiscard]] std::optional<workload::workload_key>
 parse_workload(const workload::workload_registry& registry, std::string_view token);
 
-/// List parsing for CLI flags: comma-separated tokens, or the keywords
-/// "all" (every value) and -- for benchmarks -- "reported" (the paper's
-/// seven). Throws std::invalid_argument naming the offending token.
-[[nodiscard]] std::vector<workload::benchmark_id> parse_benchmark_list(std::string_view csv);
+/// List parsing for CLI flags: comma-separated tokens, or the keyword
+/// "all" (every value). Throws std::invalid_argument naming the offending
+/// token.
 [[nodiscard]] std::vector<circuit::pipe_stage> parse_stage_list(std::string_view csv);
 [[nodiscard]] std::vector<core::policy_kind> parse_policy_list(std::string_view csv);
 

@@ -23,7 +23,7 @@ thread_pool::thread_pool(std::size_t worker_count)
       obs_steals_(&obs::metrics_registry::global().counter_at("pool.steals")),
       obs_enqueued_(&obs::metrics_registry::global().counter_at("pool.tasks_enqueued")),
       obs_queue_depth_(&obs::metrics_registry::global().gauge_at("pool.queue_depth")),
-      obs_task_ns_(&obs::metrics_registry::global().histogram_at("pool.task_ns"))
+      obs_task_ns_(&obs::metrics_registry::global().counter_at("pool.task_ns"))
 {
     if (worker_count == 0) {
         worker_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -109,12 +109,13 @@ void thread_pool::enqueue(unique_task task)
 
 void thread_pool::execute_task(unique_task& task)
 {
-    {
-        const obs::scoped_timer timer(*obs_task_ns_);
-        task();
-    }
+    // Counted before the task runs: a submitted task makes its future
+    // ready from inside task(), so a caller that has seen every future
+    // ready must also see every count.
     executed_.fetch_add(1, std::memory_order_relaxed);
     obs_executed_->add(1);
+    const obs::scoped_timer timer(*obs_task_ns_);
+    task();
 }
 
 bool thread_pool::run_one_task()

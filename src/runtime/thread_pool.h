@@ -37,7 +37,6 @@
 namespace synts::obs {
 class counter;
 class gauge;
-class latency_histogram;
 } // namespace synts::obs
 
 namespace synts::runtime {
@@ -167,7 +166,9 @@ public:
         return steals_.load(std::memory_order_relaxed);
     }
 
-    /// Tasks fully executed since construction.
+    /// Tasks taken off a queue to run since construction. A task is
+    /// counted before it runs, so once a submitted task's future is ready
+    /// the count includes it.
     [[nodiscard]] std::uint64_t executed_count() const noexcept
     {
         return executed_.load(std::memory_order_relaxed);
@@ -181,8 +182,8 @@ private:
     };
 
     void enqueue(unique_task task);
-    /// Runs `task`, bumping the executed counters and -- only when
-    /// telemetry is enabled -- timing it into the pool.task_ns histogram.
+    /// Bumps the executed counters, then runs `task`, adding its
+    /// nanoseconds to the pool.task_ns total when telemetry is enabled.
     void execute_task(unique_task& task);
     void worker_loop(std::size_t index);
     /// Pops from own queue front, else steals from a victim's back.
@@ -215,7 +216,7 @@ private:
     obs::counter* obs_steals_;
     obs::counter* obs_enqueued_;
     obs::gauge* obs_queue_depth_;
-    obs::latency_histogram* obs_task_ns_;
+    obs::counter* obs_task_ns_;
 };
 
 /// Adapts `pool` to the layer-neutral util::parallel_for_fn hook the

@@ -75,7 +75,7 @@ private:
 };
 
 /// splitmix64-style avalanche: combines two 64-bit values into one with all
-/// input bits influencing all output bits (used for striping cache shards
+/// input bits influencing all output bits (used for striping counters
 /// and deriving per-task RNG seeds).
 [[nodiscard]] constexpr std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) noexcept
 {

@@ -18,8 +18,8 @@
 //     20 | pool_sleep        | thread_pool::sleep_mutex_        | pool_queue (enqueue's
 //        |                   |                                  | gate+push sequence)
 //     30 | pool_queue        | thread_pool::worker_queue::mutex | (leaf; never two at once)
-//     40 | cache_shard       | memo_tier::shard::mutex          | (leaf; factories run
-//        |                   |                                  | outside the shard lock)
+//     40 | cache_shard       | memo_tier::mutex_                | (leaf; factories run
+//        |                   |                                  | outside the tier lock)
 //     60 | workload_registry | workload_registry::mutex_        | (leaf; factories invoked
 //        |                   |                                  | outside the lock)
 //     80 | metrics_registry  | metrics_registry::mutex_         | (leaf; guards interning

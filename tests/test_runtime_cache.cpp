@@ -152,7 +152,7 @@ struct tiny_key {
 
 TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retries)
 {
-    runtime::memo_tier<tiny_key, std::shared_ptr<int>> tier(1);
+    runtime::memo_tier<tiny_key, std::shared_ptr<int>> tier;
     runtime::tier_traffic sink;
     std::promise<void> owner_inside;
     std::promise<void> owner_release;

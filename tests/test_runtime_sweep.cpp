@@ -244,6 +244,16 @@ TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
     runtime::sweep_spec spec_b = spec_a;
     spec_b.benchmarks = {key_b};
 
+    // The process-wide registry counters --metrics prints, read as deltas.
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    const char* const tier_counters[] = {"cache.tier2.hits", "cache.tier2.misses",
+                                         "cache.tier2.computes", "cache.tier1.hits",
+                                         "cache.tier1.misses"};
+    std::vector<std::uint64_t> before;
+    for (const char* name : tier_counters) {
+        before.push_back(registry.counter_at(name).value());
+    }
+
     runtime::sweep_result result_a;
     runtime::sweep_result result_b;
     std::thread other([&] { result_b = scheduler_b.run(spec_b); });
@@ -261,6 +271,14 @@ TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
     EXPECT_EQ(cache.program_miss_count(), 2u);
     EXPECT_EQ(cache.program_compute_count(), 2u);
     EXPECT_EQ(cache.miss_count(), 2u);
+    // So do the registry counters: no hits, and per sweep one miss on each
+    // tier and one compute.
+    const std::uint64_t expected_delta[] = {0, 2, 2, 0, 2};
+    for (std::size_t i = 0; i < std::size(tier_counters); ++i) {
+        EXPECT_EQ(registry.counter_at(tier_counters[i]).value() - before[i],
+                  expected_delta[i])
+            << tier_counters[i];
+    }
 
     // A re-run of sweep A against the warm cache reports pure hits -- and
     // zero computes, where the old differencing could even wrap negative
@@ -304,39 +322,6 @@ TEST(runtime_sweep, emitters_cover_every_cell)
     EXPECT_NE(json_text.find("per_core_ts"), std::string::npos);
 
     EXPECT_NE(runtime::render_sweep_table(result).find("Radix"), std::string::npos);
-
-    // The rows are the two memory tiers: program memo, then stage memo.
-    const std::string stats =
-        runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
-    EXPECT_EQ(stats.find("tier,hits,misses\nprogram,"), 0u);
-    EXPECT_NE(stats.find("\nstage,"), std::string::npos);
-    EXPECT_EQ(std::count(stats.begin(), stats.end(), '\n'), 3);
-}
-
-TEST(runtime_sweep, cache_stats_twins_render_identically)
-{
-    // The registry-sourced renderer (what the runner prints) and the
-    // sink-sourced one share a layout: on a fresh registry and a fresh
-    // cache, one sweep renders byte-identically through both, in every
-    // format.
-    obs::metrics_registry::global().reset();
-    runtime::thread_pool pool(2);
-    runtime::experiment_cache cache;
-    runtime::sweep_spec spec;
-    spec.benchmarks = {tiny_workload("tiny_cache_stats", 41)};
-    spec.stages = {circuit::pipe_stage::simple_alu, circuit::pipe_stage::decode};
-    spec.policies = {policy_kind::nominal};
-    const runtime::sweep_result result = runtime::sweep_scheduler(pool, cache).run(spec);
-
-    for (const runtime::cache_stats_format format :
-         {runtime::cache_stats_format::table, runtime::cache_stats_format::csv,
-          runtime::cache_stats_format::json}) {
-        EXPECT_EQ(runtime::render_cache_stats(result, format),
-                  runtime::render_cache_stats_from_metrics(format));
-    }
-    EXPECT_EQ(runtime::render_cache_stats(result, runtime::cache_stats_format::json),
-              "{\"cache\": {\"program\": {\"hits\": 1, \"misses\": 1}, "
-              "\"stage\": {\"hits\": 0, \"misses\": 2}, \"program_computes\": 1}}\n");
 }
 
 TEST(runtime_sweep, sweep_json_meta_rides_on_one_strippable_line)
@@ -377,20 +362,15 @@ TEST(runtime_sweep, sweep_json_meta_rides_on_one_strippable_line)
 
 TEST(runtime_sweep, name_parsers_are_forgiving)
 {
-    EXPECT_EQ(runtime::parse_benchmark("lu-contig"), workload::benchmark_id::lu_contig);
-    EXPECT_EQ(runtime::parse_benchmark("LU_CONTIG"), workload::benchmark_id::lu_contig);
-    EXPECT_EQ(runtime::parse_benchmark("nonesuch"), std::nullopt);
     EXPECT_EQ(runtime::parse_stage("SimpleALU"), circuit::pipe_stage::simple_alu);
     EXPECT_EQ(runtime::parse_stage("simple_alu"), circuit::pipe_stage::simple_alu);
     EXPECT_EQ(runtime::parse_policy("per-core-ts"), policy_kind::per_core_ts);
     EXPECT_EQ(runtime::parse_policy("Per-core TS"), policy_kind::per_core_ts);
     EXPECT_EQ(runtime::parse_policy("nonesuch"), std::nullopt);
-    EXPECT_EQ(runtime::parse_benchmark_list("reported").size(), 7u);
-    EXPECT_EQ(runtime::parse_benchmark_list("all").size(), workload::benchmark_count);
     EXPECT_EQ(runtime::parse_stage_list("all").size(), circuit::pipe_stage_count);
     EXPECT_EQ(runtime::parse_policy_list("all").size(), core::policy_count);
     EXPECT_EQ(runtime::parse_policy_list("nominal,no_ts").size(), 2u);
-    EXPECT_THROW((void)runtime::parse_benchmark_list("fmm,bogus"),
+    EXPECT_THROW((void)runtime::parse_policy_list("nominal,bogus"),
                  std::invalid_argument);
 }
 
@@ -399,6 +379,10 @@ TEST(runtime_sweep, workload_parsers_resolve_registry_names)
     const workload::workload_registry& registry = workload::workload_registry::global();
     EXPECT_EQ(runtime::parse_workload(registry, "radix")->name, "Radix");
     EXPECT_EQ(runtime::parse_workload(registry, "Lock-Ladder")->name, "lock_ladder");
+    const workload::workload_key lu_contig =
+        workload::builtin_key(workload::benchmark_id::lu_contig);
+    EXPECT_EQ(runtime::parse_workload(registry, "lu-contig"), lu_contig);
+    EXPECT_EQ(runtime::parse_workload(registry, "LU_CONTIG"), lu_contig);
     EXPECT_EQ(runtime::parse_workload(registry, "nonesuch"), std::nullopt);
     EXPECT_EQ(runtime::parse_workload_list(registry, "reported").size(), 7u);
     EXPECT_EQ(runtime::parse_workload_list(registry, "splash2").size(),
@@ -408,6 +392,8 @@ TEST(runtime_sweep, workload_parsers_resolve_registry_names)
     EXPECT_GE(runtime::parse_workload_list(registry, "all").size(),
               workload::benchmark_count + 2);
     EXPECT_THROW((void)runtime::parse_workload_list(registry, "fmm,bogus"),
+                 std::invalid_argument);
+    EXPECT_THROW((void)runtime::parse_workload_list(registry, "fmm,,radix"),
                  std::invalid_argument);
     // The resolved key is the registry identity, so sweeps over parsed
     // names and sweeps over constructed keys cache-share.

@@ -58,13 +58,11 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --summary-csv=PATH  write equal-weight operating points as CSV
   --json=PATH         write the full result (spec echo + cells; byte-stable
                       across cold/warm runs and worker counts)
-  --cache-stats[=FMT] print hit/miss counts of both cache tiers (program
-                      artifacts, stage experiments) plus the compute
-                      count, sourced from the process metrics registry;
-                      FMT: table (default), csv, json
   --metrics[=FMT]     after the run, print the whole metrics registry --
-                      pool.*, cache.tier<N>.*, sweep.* counters, gauges
-                      and latency histograms (p50/p95/p99), plus
+                      pool.*, cache.tier<N>.*, sweep.*, characterize.*
+                      counters (hit/miss counts of both cache tiers among
+                      them; *_ns names are nanosecond totals, timed only
+                      under --metrics/--trace) and gauges, plus
                       end-of-run gauges: process.peak_rss_kb,
                       cache.tier2.resident (program entries still held)
                       and sweep.threads (workers + 1); FMT: table
@@ -78,9 +76,8 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --quiet             suppress the console table
   --help              this text
 
-  Value flags accept both --flag=VALUE and --flag VALUE, except
-  --cache-stats and --metrics, whose bare spellings select their defaults
-  (use = to pass a value).
+  Value flags accept both --flag=VALUE and --flag VALUE, except --metrics,
+  whose bare spelling selects its default (use = to pass a value).
 )";
 
 std::optional<std::string_view> flag_value(std::string_view arg, std::string_view name)
@@ -212,7 +209,6 @@ int main(int argc, char** argv)
     std::string benchmarks_csv = "reported";
     bool list_benchmarks = false;
     bool quiet = false;
-    std::optional<runtime::cache_stats_format> cache_stats;
     std::optional<obs::metrics_format> metrics;
     std::string trace_path;
     const workload::workload_registry& registry = workload::workload_registry::global();
@@ -238,14 +234,6 @@ int main(int argc, char** argv)
                 list_benchmarks = true;
             } else if (arg == "--quiet") {
                 quiet = true;
-            } else if (arg == "--cache-stats") {
-                cache_stats = runtime::cache_stats_format::table;
-            } else if (const auto v = flag_value(arg, "cache-stats")) {
-                cache_stats = runtime::parse_cache_stats_format(*v);
-                if (!cache_stats) {
-                    throw std::invalid_argument("bad --cache-stats format: \"" +
-                                                std::string(*v) + "\"");
-                }
             } else if (arg == "--metrics") {
                 metrics = obs::metrics_format::table;
             } else if (const auto v = flag_value(arg, "metrics")) {
@@ -317,7 +305,7 @@ int main(int argc, char** argv)
     try {
         // Telemetry switches on BEFORE the pool and cache exist so their
         // instruments observe the whole run. Counters are always live; this
-        // flag arms the clock-reading paths (latency histograms, spans).
+        // flag arms the clock-reading paths (*_ns timers, spans).
         if (metrics.has_value() || !trace_path.empty()) {
             obs::set_enabled(true);
         }
@@ -344,13 +332,6 @@ int main(int argc, char** argv)
                         static_cast<unsigned long long>(result.program_cache_hits),
                         static_cast<unsigned long long>(result.program_cache_misses),
                         static_cast<unsigned long long>(pool.steal_count()));
-        }
-        if (cache_stats) {
-            // Registry-sourced: the process-wide counters are the single
-            // source of truth (byte-identical layout to the sink-sourced
-            // renderer, which remains for multi-sweep attribution).
-            std::fputs(runtime::render_cache_stats_from_metrics(*cache_stats).c_str(),
-                       stdout);
         }
         if (metrics.has_value()) {
             // End-of-run gauges: what the program tier and the process hold
