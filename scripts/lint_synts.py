@@ -7,9 +7,8 @@ be):
   raw-mutex       -- std::mutex / std::shared_mutex / std::lock_guard /
                      std::unique_lock / std::scoped_lock anywhere in src/
                      outside util/thread_safety.h. Raw primitives bypass
-                     both the Clang thread-safety annotations and the debug
-                     lock-rank detector; use util::annotated_mutex and the
-                     util::mutex_lock family.
+                     the Clang thread-safety annotations; use
+                     util::annotated_mutex and the util::mutex_lock family.
   raw-condvar     -- std::condition_variable (the std::mutex-only flavor) in
                      src/. annotated_mutex is not a std::mutex, so waits
                      must go through std::condition_variable_any +
@@ -66,11 +65,7 @@ def _in_src(path: str) -> bool:
 
 
 def _in_src_outside_thread_safety(path: str) -> bool:
-    return path.startswith("src/") and path not in (
-        "src/util/thread_safety.h",
-        "src/util/lock_rank.h",
-        "src/util/lock_rank.cpp",
-    )
+    return path.startswith("src/") and path != "src/util/thread_safety.h"
 
 
 def _in_external_parser(path: str) -> bool:

@@ -5,9 +5,7 @@
 # characterization phase-timing bench, whose own JSON (per-pipeline-phase
 # serial vs parallel timings plus the bit-identity verdict) is captured as
 # BENCH_characterization.json, then the telemetry overhead gate (disabled
-# instrumentation must cost <= 2% over bare) as BENCH_obs.json, then the
-# annotated-mutex overhead gate (release-build annotated lock <= 2% over
-# bare std::mutex) as BENCH_locks.json. Finally
+# instrumentation must cost <= 2% over bare) as BENCH_obs.json. Finally
 # every BENCH_*.json is stamped with a `meta` provenance block (UTC
 # timestamp, host, hardware threads, git describe).
 #
@@ -111,25 +109,6 @@ if [[ -x "${obs_bench}" ]]; then
     cat "${obs_out}"
 else
     echo "skip bench_obs: not built" >&2
-fi
-
-# -- annotated-mutex overhead gate -------------------------------------------
-# bench_locks emits its own JSON (bare std::mutex vs util::annotated_mutex
-# ns per lock/unlock + nested pair) on stdout and gates annotated-over-bare
-# at <= 2% in release builds (where the lock-rank checks are compiled out
-# and the wrapper must be free), exiting non-zero on a regression.
-locks_bench="${build_dir}/bench_locks"
-locks_out="BENCH_locks.json"
-if [[ -x "${locks_bench}" ]]; then
-    echo "== bench_locks" >&2
-    if ! "${locks_bench}" > "${locks_out}"; then
-        echo "FAIL bench_locks" >&2
-        failures=$((failures + 1))
-    fi
-    echo "wrote ${locks_out}" >&2
-    cat "${locks_out}"
-else
-    echo "skip bench_locks: not built" >&2
 fi
 
 # -- provenance stamping -----------------------------------------------------

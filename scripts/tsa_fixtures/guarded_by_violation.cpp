@@ -26,8 +26,7 @@ public:
     }
 
 private:
-    mutable synts::util::annotated_mutex mutex_{
-        synts::util::lock_rank::metrics_registry, "fixture.racy_counter"};
+    mutable synts::util::annotated_mutex mutex_;
     std::uint64_t value_ SYNTS_GUARDED_BY(mutex_) = 0;
 };
 

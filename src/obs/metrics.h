@@ -182,8 +182,7 @@ public:
 private:
     /// Guards interning only -- instrument IO is striped atomics on stable
     /// handles, never under this lock.
-    mutable util::annotated_mutex mutex_{util::lock_rank::metrics_registry,
-                                         "metrics_registry"};
+    mutable util::annotated_mutex mutex_;
     std::map<std::string, std::unique_ptr<counter>, std::less<>> counters_
         SYNTS_GUARDED_BY(mutex_);
     std::map<std::string, std::unique_ptr<gauge>, std::less<>> gauges_

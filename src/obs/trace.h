@@ -122,8 +122,7 @@ private:
 
     /// Leaf lock over the buffer LIST only (taken once per (thread,
     /// recorder) pair); event appends are lock-free per-thread.
-    mutable util::annotated_mutex buffers_mutex_{util::lock_rank::trace_buffers,
-                                                 "trace_recorder.buffers"};
+    mutable util::annotated_mutex buffers_mutex_;
     std::vector<std::unique_ptr<thread_buffer>> buffers_ SYNTS_GUARDED_BY(buffers_mutex_);
 };
 

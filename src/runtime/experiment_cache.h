@@ -282,10 +282,9 @@ private:
     }
 
     /// Held only for map operations -- factories run outside, waiters
-    /// block on the shared_future, never on the tier. A leaf below
-    /// pool_queue (enqueue never runs under a tier lock).
-    mutable util::annotated_mutex mutex_{util::lock_rank::cache_shard,
-                                         "experiment_cache.tier"};
+    /// block on the shared_future, never on the tier. A leaf: enqueue
+    /// never runs under a tier lock.
+    mutable util::annotated_mutex mutex_;
     std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries_
         SYNTS_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> hits_{0};

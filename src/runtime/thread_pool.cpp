@@ -88,9 +88,12 @@ void thread_pool::enqueue(unique_task task)
         //
         // Worker self-submissions stay exempt: the drain contract promises
         // that follow-ups submitted by in-flight tasks run before join.
-        // Lock order sleep_mutex_ -> queue mutex is acyclic: workers take
-        // the queue mutexes and sleep_mutex_ separately, never nested the
-        // other way.
+        //
+        // This is the only place in src/ that holds two mutexes at once:
+        // enqueue takes sleep_mutex_ and then a queue mutex, and no code
+        // takes them the other way (workers lock each one on its own).
+        // ThreadSanitizer's deadlock detector reports any run that takes
+        // the pair in both orders.
         const util::mutex_lock lock(sleep_mutex_);
         if (!from_worker && stopping_.load(std::memory_order_acquire)) {
             throw pool_stopped("thread_pool: submit after shutdown began");

@@ -176,8 +176,7 @@ public:
 
 private:
     struct worker_queue {
-        util::annotated_mutex mutex{util::lock_rank::pool_queue,
-                                    "thread_pool.worker_queue"};
+        util::annotated_mutex mutex;
         std::deque<unique_task> tasks SYNTS_GUARDED_BY(mutex);
     };
 
@@ -198,9 +197,7 @@ private:
     /// flags it orders are atomics); it exists so a worker's recheck-then-
     /// park and enqueue's publish-then-notify are mutually exclusive, and
     /// so the drain flag flips under the same lock enqueue checks it.
-    /// Ranked below pool_queue: enqueue pushes while holding the gate.
-    util::annotated_mutex sleep_mutex_{util::lock_rank::pool_sleep,
-                                       "thread_pool.sleep"};
+    util::annotated_mutex sleep_mutex_;
     std::condition_variable_any wake_;
     std::atomic<std::size_t> pending_{0};
     std::atomic<std::size_t> next_queue_{0};

@@ -124,8 +124,7 @@ private:
 
     /// A leaf lock held only for map access -- factories are copied out and
     /// invoked unlocked.
-    mutable util::annotated_mutex mutex_{util::lock_rank::workload_registry,
-                                         "workload_registry"};
+    mutable util::annotated_mutex mutex_;
     std::vector<entry> entries_ SYNTS_GUARDED_BY(mutex_);   ///< registration order
     std::unordered_map<std::string, std::size_t> by_name_
         SYNTS_GUARDED_BY(mutex_);                           ///< name -> entries_ index
