@@ -8,16 +8,15 @@
 // exponential worst case) is what makes the wider configurations tractable
 // online.
 //
-// Uses the runtime's lower-level API directly (thread_pool::submit +
+// Uses the runtime's lower-level API directly (thread_pool::parallel_for +
 // experiment_cache): each core count's experiment and policy runs are one
-// pool task (the configs differ per task, so the declarative sweep_spec
+// loop index (the configs differ per index, so the declarative sweep_spec
 // doesn't fit), results land in index-assigned slots, and the solver
 // latency is measured serially afterwards against the cached experiments so
-// the measurement never contends with the policy tasks.
+// the measurement never contends with the policy runs.
 
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "bench_common.h"
@@ -48,29 +47,20 @@ int main()
     runtime::thread_pool pool;
     runtime::experiment_cache& cache = runtime::experiment_cache::process_cache();
 
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(core_counts.size());
-    for (std::size_t i = 0; i < core_counts.size(); ++i) {
-        tasks.push_back(pool.submit([&, i] {
-            core::experiment_config cfg;
-            cfg.thread_count = core_counts[i];
-            const auto experiment = cache.get_or_create(
-                workload::benchmark_id::radix, circuit::pipe_stage::simple_alu, cfg);
-            const double theta = experiment->equal_weight_theta();
-            rows[i].theta = theta;
-            rows[i].nominal_edp =
-                experiment->run_policy(policy_kind::nominal, theta).sum.edp();
-            rows[i].synts_edp =
-                experiment->run_policy(policy_kind::synts_offline, theta).sum.edp();
-            rows[i].per_core_edp =
-                experiment->run_policy(policy_kind::per_core_ts, theta).sum.edp();
-            rows[i].no_ts_edp =
-                experiment->run_policy(policy_kind::no_ts, theta).sum.edp();
-        }));
-    }
-    for (auto& task : tasks) {
-        task.get();
-    }
+    pool.parallel_for(0, core_counts.size(), [&](std::size_t i) {
+        core::experiment_config cfg;
+        cfg.thread_count = core_counts[i];
+        const auto experiment = cache.get_or_create(
+            workload::benchmark_id::radix, circuit::pipe_stage::simple_alu, cfg);
+        const double theta = experiment->equal_weight_theta();
+        rows[i].theta = theta;
+        rows[i].nominal_edp = experiment->run_policy(policy_kind::nominal, theta).sum.edp();
+        rows[i].synts_edp =
+            experiment->run_policy(policy_kind::synts_offline, theta).sum.edp();
+        rows[i].per_core_edp =
+            experiment->run_policy(policy_kind::per_core_ts, theta).sum.edp();
+        rows[i].no_ts_edp = experiment->run_policy(policy_kind::no_ts, theta).sum.edp();
+    }, /*grain=*/1);
 
     util::text_table table({"cores", "SynTS EDP", "PerCore EDP", "NoTS EDP",
                             "gain vs PerCore (%)", "poly solve (us/interval)"});

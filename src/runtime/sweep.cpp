@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -88,88 +86,66 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec) const
     // aggregates process-wide for --metrics.
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& obs_cells_computed = registry.counter_at("sweep.cells_computed");
-    // The calling thread runs pair tasks while it waits, so the sweep runs
-    // on one thread more than the pool has workers.
+    // The calling thread claims pairs while it waits, so the sweep runs on
+    // one thread more than the pool has workers.
     registry.gauge_at("sweep.threads")
         .set(static_cast<std::int64_t>(pool_->worker_count() + 1));
     const obs::trace_span run_span(obs::trace_recorder::global(), "sweep.run");
 
     const auto t0 = std::chrono::steady_clock::now();
 
-    // One task per (benchmark, stage) pair: the pair's shared inputs
+    // One loop index per (benchmark, stage) pair: the pair's shared inputs
     // -- the characterization, theta_eq, and the Nominal baseline run --
     // are computed once and reused across its policy cells, instead of once
-    // per cell (per-cell tasks would re-derive theta_eq Q times and a
+    // per cell (per-cell work would re-derive theta_eq Q times and a
     // ladder's Nominal baseline Q more times). Policy cells within a pair
     // run sequentially; pairs run in parallel, which is where the work is.
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(pairs.size());
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-        tasks.push_back(pool_->submit(
-            [this, &spec, &result, &pairs, policy_count, &traffic,
-             &obs_cells_computed, p] {
-            if (policy_count == 0) {
-                return;
-            }
-            const auto& [workload, stage] = pairs[p];
-            const experiment_cache::experiment_ptr experiment =
-                cache_->get_or_create(workload, stage, spec.config, pool_, &traffic);
-            const double theta_eq = experiment->equal_weight_theta();
-            core::benchmark_experiment::policy_run nominal_baseline;
-            if (!spec.theta_multipliers.empty()) {
-                nominal_baseline =
-                    experiment->run_policy(core::policy_kind::nominal, theta_eq);
-            }
-
-            for (std::size_t q = 0; q < policy_count; ++q) {
-                const std::size_t index = p * policy_count + q;
-                sweep_cell& cell = result.cells[index];
-                cell.workload = workload;
-                cell.stage = stage;
-                cell.policy = spec.policies[q];
-                cell.task_seed = util::hash_mix(spec.config.seed, index);
-                cell.theta_eq = theta_eq;
-                obs_cells_computed.add(1);
-                const obs::trace_span cell_span(obs::trace_recorder::global(), [&] {
-                    std::string name = "sweep.cell:";
-                    name += workload.name;
-                    name += '/';
-                    name += circuit::pipe_stage_name(stage);
-                    name += '/';
-                    name += core::policy_name(cell.policy);
-                    return name;
-                });
-                core::policy_cell evaluated = core::evaluate_policy_cell(
-                    *experiment, cell.policy, spec.theta_multipliers, theta_eq,
-                    nominal_baseline);
-                cell.equal_weight = std::move(evaluated.equal_weight);
-                cell.pareto = std::move(evaluated.pareto);
-            }
-        }));
-    }
-
-    std::exception_ptr first_error;
-    for (std::future<void>& done : tasks) {
-        // Help while waiting (same discipline as parallel_for): run() may
-        // itself be called from inside a pool task, and on a small pool the
-        // cells would otherwise sit behind the blocked caller forever.
-        while (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-            if (!pool_->run_one_task()) {
-                (void)done.wait_for(std::chrono::milliseconds(1));
-            }
+    // Grain 1 makes every pair its own block, and blocks are claimed in
+    // index order. A cross product is workload-major, so a workload's
+    // stages run close together and the program tier frees its trace
+    // sooner; claiming stage-major would keep every trace alive at once.
+    // parallel_for rethrows the first failing pair's exception (in cell
+    // order) once every pair has settled.
+    const auto run_pair = [this, &spec, &result, &pairs, policy_count, &traffic,
+                           &obs_cells_computed](std::size_t p) {
+        if (policy_count == 0) {
+            return;
         }
-        try {
-            done.get();
-        } catch (...) {
-            // First error in cell order, rethrown after EVERY task settled.
-            if (!first_error) {
-                first_error = std::current_exception();
-            }
+        const auto& [workload, stage] = pairs[p];
+        const experiment_cache::experiment_ptr experiment =
+            cache_->get_or_create(workload, stage, spec.config, pool_, &traffic);
+        const double theta_eq = experiment->equal_weight_theta();
+        core::benchmark_experiment::policy_run nominal_baseline;
+        if (!spec.theta_multipliers.empty()) {
+            nominal_baseline = experiment->run_policy(core::policy_kind::nominal, theta_eq);
         }
-    }
-    if (first_error) {
-        std::rethrow_exception(first_error);
-    }
+
+        for (std::size_t q = 0; q < policy_count; ++q) {
+            const std::size_t index = p * policy_count + q;
+            sweep_cell& cell = result.cells[index];
+            cell.workload = workload;
+            cell.stage = stage;
+            cell.policy = spec.policies[q];
+            cell.task_seed = util::hash_mix(spec.config.seed, index);
+            cell.theta_eq = theta_eq;
+            obs_cells_computed.add(1);
+            const obs::trace_span cell_span(obs::trace_recorder::global(), [&] {
+                std::string name = "sweep.cell:";
+                name += workload.name;
+                name += '/';
+                name += circuit::pipe_stage_name(stage);
+                name += '/';
+                name += core::policy_name(cell.policy);
+                return name;
+            });
+            core::policy_cell evaluated = core::evaluate_policy_cell(
+                *experiment, cell.policy, spec.theta_multipliers, theta_eq,
+                nominal_baseline);
+            cell.equal_weight = std::move(evaluated.equal_weight);
+            cell.pareto = std::move(evaluated.pareto);
+        }
+    };
+    pool_->parallel_for(0, pairs.size(), run_pair, /*grain=*/1);
 
     const auto t1 = std::chrono::steady_clock::now();
     result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -3,18 +3,20 @@
 // A sweep_spec names WHAT to evaluate: a set of (benchmark, stage) pairs
 // (explicitly, or as a benchmarks x stages cross product), a set of
 // policies, and an optional theta-multiplier ladder. The sweep_scheduler
-// decides HOW: it expands the spec into one task per (benchmark, stage)
-// pair -- the pair's characterization, theta_eq and Nominal baseline are
-// computed once and shared across its policy cells -- runs the tasks on a
-// work-stealing thread_pool, memoizes the heavyweight characterizations in
-// an experiment_cache (each (benchmark, stage, config) is characterized
-// once no matter how many specs or figures consume it), and aggregates the
-// cells in a deterministic, schedule-independent order.
+// decides HOW: it runs one thread_pool::parallel_for index per (benchmark,
+// stage) pair -- the pair's characterization, theta_eq and Nominal
+// baseline are computed once and shared across its policy cells -- with
+// pairs claimed in index order (a cross product is workload-major, so a
+// workload's stages run close together), memoizes the heavyweight
+// characterizations in an experiment_cache (each (benchmark, stage,
+// config) is characterized once no matter how many specs or figures
+// consume it), and aggregates the cells in a deterministic,
+// schedule-independent order.
 //
 // Determinism contract: every cell's numbers are produced by the same
 // const code path the serial benches use (equal_weight_theta, then one
 // core::evaluate_policy_cell per cell, equal to run_policy plus
-// pareto_sweep on an identically-constructed benchmark_experiment), tasks
+// pareto_sweep on an identically-constructed benchmark_experiment), pairs
 // share no mutable state, and results land in pre-assigned slots -- so a
 // sweep's output is bit-identical across runs, worker counts, and the
 // serial path. Each cell also carries a `task_seed` stream tag derived from
@@ -115,7 +117,7 @@ struct sweep_result {
                                          core::policy_kind policy) const noexcept;
 };
 
-/// Expands sweep_specs into pool tasks and aggregates the results.
+/// Runs sweep_specs on a thread_pool and aggregates the results.
 class sweep_scheduler {
 public:
     /// Both the pool and the cache must outlive the scheduler.
@@ -124,8 +126,10 @@ public:
     {
     }
 
-    /// Runs every cell of `spec`; blocks until done. The first cell
-    /// exception (in cell order) is rethrown after all tasks settle.
+    /// Runs every cell of `spec`; blocks until done, running pairs on the
+    /// calling thread too, so it may be called from inside another
+    /// parallel_for body. The first cell exception (in cell order) is
+    /// rethrown after every pair settles.
     [[nodiscard]] sweep_result run(const sweep_spec& spec) const;
 
 private:

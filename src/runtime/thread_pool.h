@@ -1,18 +1,20 @@
 // thread_pool.h -- work-stealing thread pool for the experiment runtime.
 //
-// The sweep workload is a bag of coarse, independent, CPU-bound tasks
-// (characterize a benchmark, run a policy ladder), so the pool favors
-// simplicity over lock-free exotica: one deque per worker, owner pops LIFO
-// from the front, idle workers steal FIFO from the back of a victim chosen
-// round-robin. External submissions are striped across the queues.
-// `submit` returns a std::future carrying the task's value or exception;
-// `parallel_for` blocks, and while blocked executes its OWN blocks
-// (self-claiming from a shared counter, never unrelated pool tasks), so
-// nested parallelism cannot deadlock even on a single-worker pool and a
-// caller mid-construction of a cache entry never lifts a task that would
-// block on that same entry. The shape follows the worker loop of adevs'
-// SpecThread (see SNIPPETS.md): park on a condition variable, wake, drain,
-// repark.
+// The pool has one entry point, `parallel_for`: a sweep's (benchmark,
+// stage) pairs and the characterization pipeline's inner loops both fan
+// out through it. A loop's blocks are claimed from a shared counter in
+// index order (0, 1, 2, ...) by the calling thread and by any workers it
+// recruits; the caller claims and runs its OWN blocks while it waits,
+// never unrelated work, so nested parallelism cannot deadlock even on a
+// single-worker pool, and a caller mid-construction of a cache entry
+// never lifts work that would block on that same entry.
+//
+// Recruiting a worker queues a handle to the loop's shared control block:
+// one deque per worker, owner pops LIFO from the front, idle workers steal
+// FIFO from the back of a victim chosen round-robin. A worker that pops a
+// handle joins that loop's drain; a handle popped after its loop finished
+// claims nothing. The shape follows the worker loop of adevs' SpecThread
+// (see SNIPPETS.md): park on a condition variable, wake, drain, repark.
 
 #pragma once
 
@@ -22,13 +24,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
-#include <stdexcept>
 #include <thread>
-#include <tuple>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/parallel.h"
@@ -36,58 +33,9 @@
 
 namespace synts::obs {
 class counter;
-class gauge;
 } // namespace synts::obs
 
 namespace synts::runtime {
-
-/// Move-only type-erased nullary task. std::function requires copyable
-/// callables, which std::packaged_task is not; this is the minimal
-/// replacement (std::move_only_function is C++23).
-class unique_task {
-public:
-    unique_task() = default;
-
-    template <typename F>
-        requires(!std::is_same_v<std::decay_t<F>, unique_task>)
-    unique_task(F&& f) // NOLINT(google-explicit-constructor)
-        : impl_(std::make_unique<model<std::decay_t<F>>>(std::forward<F>(f)))
-    {
-    }
-
-    /// Runs the task. Requires a non-empty task.
-    void operator()() { impl_->call(); }
-
-    /// True when a callable is held.
-    [[nodiscard]] explicit operator bool() const noexcept { return impl_ != nullptr; }
-
-private:
-    struct callable_base {
-        virtual ~callable_base() = default;
-        virtual void call() = 0;
-    };
-    template <typename F>
-    struct model final : callable_base {
-        explicit model(F f) : fn(std::move(f)) {}
-        void call() override { fn(); }
-        F fn;
-    };
-    std::unique_ptr<callable_base> impl_;
-};
-
-/// Thrown by submit() from a NON-worker thread once the pool's destructor
-/// has begun draining. Before the shutdown gate this race was
-/// documented-unsafe (a task could be enqueued after the workers decided
-/// no work was pending and be stranded, or touch freed queues); now an
-/// external submission either lands before the drain flag -- and is then
-/// guaranteed to execute before join -- or is rejected with this
-/// exception, deterministically. parallel_for() never throws it: a racing
-/// caller just executes every block itself. Pinned by
-/// tests/test_runtime_pool.cpp.
-class pool_stopped : public std::runtime_error {
-public:
-    using std::runtime_error::runtime_error;
-};
 
 /// Work-stealing pool of `worker_count` threads.
 class thread_pool {
@@ -98,24 +46,9 @@ public:
     /// propagates (no std::terminate from unjoined std::threads).
     explicit thread_pool(std::size_t worker_count = 0);
 
-    /// Drains every queued task, then joins the workers.
-    ///
-    /// Shutdown contract (pinned by tests/test_runtime_pool.cpp, TSan-run
-    /// in CI):
-    ///   * every task queued before destruction begins is executed, and a
-    ///     task that submit()s a follow-up while the destructor drains is
-    ///     fine -- the follow-up lands on the submitting worker's own queue
-    ///     and workers only exit once no task is pending, so it too runs
-    ///     before join. Chains of such submissions all drain.
-    ///   * submitting from any NON-worker thread concurrently with (or
-    ///     after) destruction used to be documented-unsafe. It is now
-    ///     deterministic: enqueue() checks the drain flag under the same
-    ///     lock the destructor sets it, so a racing external submit either
-    ///     lands before the flag (and its task runs before join) or throws
-    ///     pool_stopped having enqueued nothing. Destroying the pool while
-    ///     an external submitter still holds a reference remains a
-    ///     lifetime bug -- the gate turns the outcome from UB into a
-    ///     thrown exception, it does not make the dangling use correct.
+    /// Stops and joins the workers; loop handles still queued are dropped.
+    /// That loses no work: every parallel_for caller drains its own
+    /// unclaimed blocks, so no loop depends on a queued handle running.
     ~thread_pool();
 
     thread_pool(const thread_pool&) = delete;
@@ -124,79 +57,60 @@ public:
     /// Number of worker threads.
     [[nodiscard]] std::size_t worker_count() const noexcept { return queues_.size(); }
 
-    /// Schedules `f(args...)`; the future carries the result or exception.
-    /// Throws pool_stopped once the destructor has begun draining.
-    template <typename F, typename... Args>
-    auto submit(F&& f, Args&&... args)
-        -> std::future<std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>...>>
-    {
-        using result_type = std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>...>;
-        std::packaged_task<result_type()> task(
-            [fn = std::forward<F>(f),
-             tup = std::make_tuple(std::forward<Args>(args)...)]() mutable {
-                return std::apply(std::move(fn), std::move(tup));
-            });
-        std::future<result_type> future = task.get_future();
-        enqueue(unique_task(std::move(task)));
-        return future;
-    }
-
     /// Runs `body(i)` for every i in [begin, end), in parallel, in blocks of
-    /// `grain` indices (0 = auto). Blocks until every index completed; the
-    /// calling thread claims and executes this loop's blocks while it waits
-    /// (never unrelated pool tasks -- see the .cpp for why that matters),
-    /// so completion never depends on a free worker. Rethrows the first
-    /// failing block's exception (by index order) after all blocks settle.
+    /// `grain` indices (0 = auto: count / (4 * workers), at least 1).
+    /// Blocks are claimed in index order. Blocks until every index
+    /// completed; the calling thread claims and executes this loop's blocks
+    /// while it waits, so completion never depends on a free worker.
+    /// Rethrows the first failing block's exception (by index order) after
+    /// all blocks settle.
     void parallel_for(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t)>& body,
                       std::size_t grain = 0);
 
-    /// Runs one queued task on the calling thread, if any is available.
-    /// Returns false when every queue is empty. This is the helping
-    /// primitive: anything blocked on a future of this pool should loop
-    /// run_one_task() instead of sleeping, so a caller inside a pool worker
-    /// can never starve the tasks it is waiting for (parallel_for and
-    /// sweep_scheduler::run both do).
-    bool run_one_task();
-
-    /// Tasks stolen from another worker's queue since construction
+    /// Loop handles stolen from another worker's queue since construction
     /// (observability for the scaling bench; not part of any contract).
     [[nodiscard]] std::uint64_t steal_count() const noexcept
     {
         return steals_.load(std::memory_order_relaxed);
     }
 
-    /// Tasks taken off a queue to run since construction. A task is
-    /// counted before it runs, so once a submitted task's future is ready
-    /// the count includes it.
+    /// Loop handles workers took off a queue to run since construction.
+    /// A handle may still be queued after its loop returned, so the count
+    /// can grow after parallel_for returns.
     [[nodiscard]] std::uint64_t executed_count() const noexcept
     {
         return executed_.load(std::memory_order_relaxed);
     }
 
 private:
+    /// One parallel_for's shared control block (defined in the .cpp).
+    struct loop_state;
+    using loop_handle = std::shared_ptr<loop_state>;
+
     struct worker_queue {
         util::annotated_mutex mutex;
-        std::deque<unique_task> tasks SYNTS_GUARDED_BY(mutex);
+        std::deque<loop_handle> loops SYNTS_GUARDED_BY(mutex);
     };
 
-    void enqueue(unique_task task);
-    /// Bumps the executed counters, then runs `task`, adding its
-    /// nanoseconds to the pool.task_ns total when telemetry is enabled.
-    void execute_task(unique_task& task);
+    /// Queues `loop` for a worker: on the calling worker's own queue, or
+    /// round-robin from outside the pool.
+    void enqueue(loop_handle loop);
+    /// Pops loop handles and joins each loop's drain (counted in
+    /// executed_count(), timed into pool.task_ns under telemetry) until the
+    /// pool stops.
     void worker_loop(std::size_t index);
     /// Pops from own queue front, else steals from a victim's back.
-    bool acquire_task(std::size_t index, unique_task& out);
-    /// Non-worker variant used by helping waiters: steal from anyone.
-    bool steal_any(unique_task& out);
+    bool acquire(std::size_t index, loop_handle& out);
+    /// Sets the stop flag, wakes every worker and joins them.
+    void stop_and_join();
 
     std::vector<std::unique_ptr<worker_queue>> queues_;
     std::vector<std::thread> workers_;
 
-    /// The sleep/shutdown gate. Guards no non-atomic data of its own (the
-    /// flags it orders are atomics); it exists so a worker's recheck-then-
-    /// park and enqueue's publish-then-notify are mutually exclusive, and
-    /// so the drain flag flips under the same lock enqueue checks it.
+    /// The sleep gate. Guards no non-atomic data of its own (the flags it
+    /// orders are atomics); it exists so a worker's recheck-then-park and
+    /// enqueue's publish-then-notify are mutually exclusive.
     util::annotated_mutex sleep_mutex_;
     std::condition_variable_any wake_;
     std::atomic<std::size_t> pending_{0};
@@ -211,8 +125,6 @@ private:
     // pool in the process for --metrics.
     obs::counter* obs_executed_;
     obs::counter* obs_steals_;
-    obs::counter* obs_enqueued_;
-    obs::gauge* obs_queue_depth_;
     obs::counter* obs_task_ns_;
 };
 
@@ -221,8 +133,9 @@ private:
 /// timing simulation) consumes. The returned function captures `pool` by
 /// reference and must not outlive it; because parallel_for is self-claiming
 /// (the caller completes the fan-out alone if no worker is free, and never
-/// executes unrelated pool tasks while blocked), the hook is safe to invoke
-/// from inside a pool task -- including mid-construction of a cache entry.
+/// executes unrelated work while blocked), the hook is safe to invoke from
+/// inside another loop's body -- including mid-construction of a cache
+/// entry.
 [[nodiscard]] util::parallel_for_fn make_parallel_for(thread_pool& pool);
 
 } // namespace synts::runtime

@@ -75,14 +75,21 @@ TEST(obs_trace, chunk_overflow_preserves_every_event_in_order)
     trace_recorder recorder;
     recorder.set_enabled(true);
     constexpr std::size_t count = 3000; // > 2 chunks of 1024
+    // Names are built by append: GCC 12 reports a false -Wrestrict on the
+    // inlined `"e" + std::to_string(i)`, which breaks -DSYNTS_WERROR=ON.
+    const auto name_of = [](std::size_t i) {
+        std::string name = "e";
+        name += std::to_string(i);
+        return name;
+    };
     for (std::size_t i = 0; i < count; ++i) {
-        recorder.instant_event("e" + std::to_string(i), i);
+        recorder.instant_event(name_of(i), i);
     }
     ASSERT_EQ(recorder.event_count(), count);
     const std::vector<trace_recorder::event> events = recorder.events();
     ASSERT_EQ(events.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(events[i].name, "e" + std::to_string(i));
+        EXPECT_EQ(events[i].name, name_of(i));
         EXPECT_EQ(events[i].ts_ns, i);
     }
 }

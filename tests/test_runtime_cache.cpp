@@ -113,17 +113,10 @@ TEST(runtime_cache, concurrent_get_or_create_constructs_once)
     experiment_cache cache;
     runtime::thread_pool pool(4);
     constexpr std::size_t callers = 8;
-    std::vector<std::future<experiment_cache::experiment_ptr>> futures;
-    futures.reserve(callers);
-    for (std::size_t i = 0; i < callers; ++i) {
-        futures.push_back(pool.submit(
-            [&cache] { return cache.get_or_create(kBenchmark, kStage); }));
-    }
-    std::vector<experiment_cache::experiment_ptr> served;
-    served.reserve(callers);
-    for (auto& f : futures) {
-        served.push_back(f.get());
-    }
+    std::vector<experiment_cache::experiment_ptr> served(callers);
+    pool.parallel_for(0, callers, [&](std::size_t i) {
+        served[i] = cache.get_or_create(kBenchmark, kStage);
+    }, 1);
     for (const auto& ptr : served) {
         EXPECT_EQ(ptr.get(), served.front().get());
     }

@@ -1,18 +1,17 @@
-// Tests for runtime/thread_pool: correctness under contention, exception
-// propagation through futures, parallel_for vs serial equivalence, and
-// help-while-waiting (no deadlock from nested parallelism, even on a
-// single-worker pool), and the shutdown gate (an external submit after
-// destruction began throws pool_stopped).
+// Tests for runtime/thread_pool: parallel_for is the pool's only entry
+// point. Covered: every index runs once under contention, results match a
+// serial run, body exceptions propagate (first failing block by index) and
+// leave the pool usable, nested loops neither deadlock on a single worker
+// nor go unhelped on a wide pool, and destroying a pool while straggler
+// loop handles may still be queued is clean (this suite runs under TSan in
+// CI and under ASan in the sanitizer build).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
-#include <memory>
-#include <numeric>
-#include <set>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -31,35 +30,23 @@ TEST(runtime_pool, worker_count_defaults_to_at_least_one)
     EXPECT_EQ(fixed.worker_count(), 3u);
 }
 
-TEST(runtime_pool, submit_returns_value_through_future)
-{
-    thread_pool pool(2);
-    auto future = pool.submit([](int a, int b) { return a + b; }, 20, 22);
-    EXPECT_EQ(future.get(), 42);
-}
-
 TEST(runtime_pool, many_tasks_all_execute_exactly_once)
 {
+    // Grain 1: 2000 one-index blocks claimed by the caller and 4 workers.
     thread_pool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    constexpr int n = 2000;
-    futures.reserve(n);
-    for (int i = 0; i < n; ++i) {
-        futures.push_back(pool.submit([&counter] {
-            counter.fetch_add(1, std::memory_order_relaxed);
-        }));
+    constexpr std::size_t n = 2000;
+    std::vector<std::atomic<int>> visits(n);
+    pool.parallel_for(0, n, [&visits](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+    }, 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
     }
-    for (auto& f : futures) {
-        f.get();
-    }
-    EXPECT_EQ(counter.load(), n);
-    EXPECT_GE(pool.executed_count(), static_cast<std::uint64_t>(n));
 }
 
 TEST(runtime_pool, results_deterministic_vs_serial_run)
 {
-    // Each task computes a pure function of its index into a pre-assigned
+    // Each index computes a pure function of itself into a pre-assigned
     // slot; the aggregate must equal the serial evaluation regardless of
     // scheduling order.
     constexpr std::size_t n = 500;
@@ -70,16 +57,9 @@ TEST(runtime_pool, results_deterministic_vs_serial_run)
 
     thread_pool pool(4);
     std::vector<double> parallel(n);
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        futures.push_back(pool.submit([&parallel, i] {
-            parallel[i] = std::sin(static_cast<double>(i)) * std::sqrt(i + 1.0);
-        }));
-    }
-    for (auto& f : futures) {
-        f.get();
-    }
+    pool.parallel_for(0, n, [&parallel](std::size_t i) {
+        parallel[i] = std::sin(static_cast<double>(i)) * std::sqrt(i + 1.0);
+    }, 1);
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(parallel[i], serial[i]) << "slot " << i;
     }
@@ -87,12 +67,19 @@ TEST(runtime_pool, results_deterministic_vs_serial_run)
 
 TEST(runtime_pool, exceptions_propagate_and_pool_survives)
 {
+    // A loop whose body throws is followed by a loop that completes on the
+    // same pool: the workers that ran the throwing blocks still serve.
     thread_pool pool(2);
-    auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW((void)bad.get(), std::runtime_error);
-    // The worker that ran the throwing task must still serve new work.
-    auto good = pool.submit([] { return 7; });
-    EXPECT_EQ(good.get(), 7);
+    EXPECT_THROW(pool.parallel_for(0, 64, [](std::size_t) {
+        throw std::runtime_error("boom");
+    }, 1), std::runtime_error);
+    std::vector<std::atomic<int>> visits(64);
+    pool.parallel_for(0, 64, [&visits](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+    }, 1);
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+    }
 }
 
 TEST(runtime_pool, parallel_for_covers_every_index_once)
@@ -137,123 +124,100 @@ TEST(runtime_pool, parallel_for_propagates_body_exception)
 
 TEST(runtime_pool, nested_parallel_for_does_not_deadlock_single_worker)
 {
-    // The inner parallel_for runs on the pool's only worker; the helping
-    // waiter must drain the inner blocks instead of parking forever.
+    // Both outer blocks may land on the pool's only worker and the caller;
+    // each then runs an inner loop whose blocks no free worker will help
+    // with, so every inner loop must be drained by its own caller.
     thread_pool pool(1);
     std::atomic<int> inner_total{0};
-    auto outer = pool.submit([&pool, &inner_total] {
+    pool.parallel_for(0, 2, [&pool, &inner_total](std::size_t) {
         pool.parallel_for(0, 16, [&inner_total](std::size_t) {
             inner_total.fetch_add(1, std::memory_order_relaxed);
         });
-    });
-    outer.get();
-    EXPECT_EQ(inner_total.load(), 16);
+    }, 1);
+    EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST(runtime_pool, submissions_from_tasks_are_stealable)
+TEST(runtime_pool, nested_parallel_for_is_helped_by_idle_workers)
 {
-    // Tasks submitted from inside a worker go to that worker's own queue;
-    // other workers must still be able to steal them.
+    // The outer loop's second block runs on a worker while the caller
+    // holds the first block until the inner loop is done. The inner loop's
+    // handles land on that worker's own queue, so the three idle workers
+    // can only help by stealing them.
     thread_pool pool(4);
-    std::atomic<int> total{0};
-    auto root = pool.submit([&pool, &total] {
-        std::vector<std::future<void>> children;
-        children.reserve(64);
-        for (int i = 0; i < 64; ++i) {
-            children.push_back(pool.submit([&total] {
-                total.fetch_add(1, std::memory_order_relaxed);
-            }));
-        }
-        for (auto& child : children) {
-            while (child.wait_for(std::chrono::milliseconds(1)) !=
-                   std::future_status::ready) {
+    const std::thread::id caller = std::this_thread::get_id();
+    constexpr std::size_t inner = 128;
+    std::vector<std::atomic<int>> visits(inner);
+    std::atomic<bool> inner_done{false};
+    std::atomic<std::uint64_t> steals_before{0};
+    pool.parallel_for(0, 2, [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+            const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (!inner_done.load(std::memory_order_acquire) &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
+            return;
         }
-    });
-    root.get();
-    EXPECT_EQ(total.load(), 64);
+        steals_before.store(pool.steal_count(), std::memory_order_relaxed);
+        pool.parallel_for(0, inner, [&visits](std::size_t i) {
+            visits[i].fetch_add(1, std::memory_order_relaxed);
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }, 1);
+        inner_done.store(true, std::memory_order_release);
+    }, 1);
+    ASSERT_TRUE(inner_done.load());
+    for (std::size_t i = 0; i < inner; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+    }
+    EXPECT_GT(pool.steal_count(), steals_before.load());
 }
 
-TEST(runtime_pool, destructor_drains_queued_tasks)
+TEST(runtime_pool, destruction_right_after_parallel_for_is_clean)
 {
-    std::atomic<int> done{0};
-    {
-        thread_pool pool(1);
-        for (int i = 0; i < 50; ++i) {
-            (void)pool.submit([&done] { done.fetch_add(1); });
+    // parallel_for returns once every block ran, possibly before every
+    // recruited handle was popped: the destructor then drops the
+    // stragglers. Repeated on fresh pools so some destructions race
+    // workers that are still waking for, or running, a finished loop.
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<int> done{0};
+        {
+            thread_pool pool(3);
+            pool.parallel_for(0, 8, [&done](std::size_t) {
+                done.fetch_add(1, std::memory_order_relaxed);
+            }, 1);
         }
-    } // ~thread_pool drains, then joins
-    EXPECT_EQ(done.load(), 50);
-}
-
-TEST(runtime_pool, tasks_submitted_during_destructor_drain_still_run)
-{
-    // Shutdown contract: a running task may submit() follow-ups while the
-    // destructor drains; they land on the submitting worker's own queue and
-    // workers only exit once nothing is pending, so every link of the chain
-    // executes before join. Regression-pins the drain ordering (this suite
-    // runs under TSan in CI, so it also pins the absence of a rebuilt
-    // submit/stop race).
-    std::atomic<int> chain{0};
-    {
-        thread_pool pool(2);
-        for (int i = 0; i < 8; ++i) {
-            (void)pool.submit([&pool, &chain] {
-                (void)pool.submit([&pool, &chain] {
-                    (void)pool.submit([&chain] { chain.fetch_add(1); });
-                    chain.fetch_add(1);
-                });
-                chain.fetch_add(1);
-            });
-        }
-    } // destructor begins while the chains are mid-flight
-    EXPECT_EQ(chain.load(), 3 * 8);
+        ASSERT_EQ(done.load(), 8) << "round " << round;
+    }
 }
 
 TEST(runtime_pool, destruction_with_mixed_pending_and_running_work_loses_nothing)
 {
-    // Queued-but-never-started tasks and in-flight tasks drain alike: the
-    // executed count at join time equals every submission ever made, so no
-    // pending task is destroyed unexecuted (futures would otherwise report
-    // broken_promise to their holders).
-    constexpr int n = 200;
+    // Several external threads run loops on one pool at once, so worker
+    // queues hold a mix of live and finished loops' handles; the pool is
+    // destroyed right after the last loop returns. Every index of every
+    // loop still ran exactly once.
+    constexpr int callers = 3;
+    constexpr int loops_per_caller = 20;
+    constexpr std::size_t n = 16;
     std::atomic<int> done{0};
-    std::uint64_t executed = 0;
     {
         thread_pool pool(3);
-        for (int i = 0; i < n; ++i) {
-            (void)pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+        std::vector<std::thread> threads;
+        threads.reserve(callers);
+        for (int c = 0; c < callers; ++c) {
+            threads.emplace_back([&pool, &done] {
+                for (int l = 0; l < loops_per_caller; ++l) {
+                    pool.parallel_for(0, n, [&done](std::size_t) {
+                        done.fetch_add(1, std::memory_order_relaxed);
+                    }, 1);
+                }
+            });
         }
-        // Destructor runs with most of the 200 still queued.
-    }
-    executed = done.load();
-    EXPECT_EQ(executed, static_cast<std::uint64_t>(n));
-}
-
-TEST(runtime_pool, external_submit_after_shutdown_throws_pool_stopped)
-{
-    // Destruction began + external submit == deterministic pool_stopped,
-    // never a silent drop or UB. A gated task holds the drain so the
-    // destructor is reliably mid-shutdown while we probe.
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    auto pool = std::make_unique<thread_pool>(1);
-    thread_pool* raw = pool.get();
-    (void)raw->submit([open] { open.get(); });
-
-    std::thread destroyer([p = std::move(pool)]() mutable { p.reset(); });
-    bool caught = false;
-    for (int i = 0; i < 10000 && !caught; ++i) {
-        try {
-            (void)raw->submit([] {});
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-        } catch (const synts::runtime::pool_stopped&) {
-            caught = true;
+        for (std::thread& thread : threads) {
+            thread.join();
         }
     }
-    gate.set_value();
-    destroyer.join();
-    EXPECT_TRUE(caught);
+    EXPECT_EQ(done.load(), callers * loops_per_caller * static_cast<int>(n));
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -156,9 +155,9 @@ TEST(runtime_sweep, task_seeds_are_deterministic_streams)
 
 TEST(runtime_sweep, nested_run_on_single_worker_pool_does_not_deadlock)
 {
-    // run() may be called from inside a pool task (composed sweeps); the
-    // helping wait must drain the cells even when the caller occupies the
-    // pool's only worker.
+    // run() may be called from inside a parallel_for body (composed
+    // sweeps); the nested loop's caller must drain the cells itself even
+    // when it occupies the pool's only worker.
     runtime::thread_pool pool(1);
     runtime::experiment_cache cache;
     runtime::sweep_spec spec = small_spec();
@@ -166,12 +165,11 @@ TEST(runtime_sweep, nested_run_on_single_worker_pool_does_not_deadlock)
     spec.policies = {policy_kind::nominal};
     spec.theta_multipliers.clear();
 
-    auto outer = pool.submit([&] {
-        const runtime::sweep_result nested =
-            runtime::sweep_scheduler(pool, cache).run(spec);
-        return nested.cells.size();
-    });
-    EXPECT_EQ(outer.get(), 1u);
+    std::vector<std::size_t> cell_counts(2);
+    pool.parallel_for(0, cell_counts.size(), [&](std::size_t i) {
+        cell_counts[i] = runtime::sweep_scheduler(pool, cache).run(spec).cells.size();
+    }, 1);
+    EXPECT_EQ(cell_counts, (std::vector<std::size_t>{1, 1}));
 }
 
 TEST(runtime_sweep, cell_errors_propagate)
@@ -200,24 +198,17 @@ TEST(runtime_sweep, shared_experiment_safe_for_concurrent_policy_runs)
         core::pareto_sweep(*experiment, policy_kind::synts_offline, ladder);
 
     runtime::thread_pool pool(4);
-    std::vector<std::future<void>> tasks;
-    for (int i = 0; i < 8; ++i) {
-        tasks.push_back(pool.submit([&] {
-            const auto run = experiment->run_policy(policy_kind::synts_online, theta);
-            ASSERT_EQ(run.sum.energy, expected.sum.energy);
-            ASSERT_EQ(run.sum.time_ps, expected.sum.time_ps);
-            const auto front =
-                core::pareto_sweep(*experiment, policy_kind::synts_offline, ladder);
-            ASSERT_EQ(front.size(), expected_front.size());
-            for (std::size_t p = 0; p < front.size(); ++p) {
-                ASSERT_EQ(front[p].energy, expected_front[p].energy);
-                ASSERT_EQ(front[p].time, expected_front[p].time);
-            }
-        }));
-    }
-    for (auto& task : tasks) {
-        task.get();
-    }
+    pool.parallel_for(0, 8, [&](std::size_t) {
+        const auto run = experiment->run_policy(policy_kind::synts_online, theta);
+        ASSERT_EQ(run.sum.energy, expected.sum.energy);
+        ASSERT_EQ(run.sum.time_ps, expected.sum.time_ps);
+        const auto front = core::pareto_sweep(*experiment, policy_kind::synts_offline, ladder);
+        ASSERT_EQ(front.size(), expected_front.size());
+        for (std::size_t p = 0; p < front.size(); ++p) {
+            ASSERT_EQ(front[p].energy, expected_front[p].energy);
+            ASSERT_EQ(front[p].time, expected_front[p].time);
+        }
+    }, 1);
 }
 
 TEST(runtime_sweep, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)

@@ -1,7 +1,8 @@
 // synts_runner -- batched sweep CLI over the experiment runtime.
 //
 // Expands a declarative sweep spec (workload set x stage set x theta
-// ladder x policy set) onto the work-stealing thread pool, memoizing
+// ladder x policy set) into one thread_pool::parallel_for over its
+// (workload, stage) pairs, claimed in index order, memoizing
 // characterizations in the process-wide experiment cache, and emits the
 // aggregate as a console table plus optional CSV / JSON files. Workloads
 // are resolved through the workload registry, so the sweep axis covers the
@@ -40,8 +41,8 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
 
   --benchmarks=LIST   comma list of registered workload names, "all" (every
                       registered workload), "splash2" (the built-in ten), or
-                      "reported" (the paper's seven; default). --benchmark
-                      is an alias; --list-benchmarks enumerates the names.
+                      "reported" (the paper's seven; default);
+                      --list-benchmarks enumerates the names.
   --stages=LIST       comma list of decode,simple_alu,complex_alu or "all"
                       (default: all)
   --policies=LIST     comma list of nominal,no_ts,per_core_ts,synts_offline,
@@ -51,7 +52,6 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --workers=N         thread-pool width, 1 <= N <= 1024 (default: hardware
                       concurrency); the calling thread also runs cells, so
                       a sweep runs on N + 1 threads
-  --jobs=N            alias for --workers (last one given wins)
   --cores=M           modeled CMP cores per experiment, M >= 1 (default: 4)
   --seed=N            workload seed (default: 42)
   --pareto-csv=PATH   write per-multiplier Pareto fronts as CSV
@@ -139,7 +139,7 @@ std::uint64_t parse_u64(std::string_view flag, std::string_view token)
 }
 
 /// Like parse_u64 but rejects 0 (worker pools and CMP core counts cannot
-/// be empty; 0 silently meaning "default" hid typos like --jobs 0).
+/// be empty; 0 silently meaning "default" hid typos like --workers 0).
 std::uint64_t parse_positive(std::string_view flag, std::string_view token)
 {
     const std::uint64_t value = parse_u64(flag, token);
@@ -149,12 +149,12 @@ std::uint64_t parse_positive(std::string_view flag, std::string_view token)
     return value;
 }
 
-/// Widest pool --workers/--jobs may ask for. Rejecting more at parse
+/// Widest pool --workers may ask for. Rejecting more at parse
 /// time keeps a typo like --workers=100000 from starting that many OS
 /// threads before anything fails.
 constexpr std::uint64_t max_workers = 1024;
 
-/// parse_positive for --workers/--jobs: also rejects N > max_workers.
+/// parse_positive for --workers: also rejects N > max_workers.
 std::size_t parse_workers(std::string_view flag, std::string_view token)
 {
     const std::uint64_t value = parse_positive(flag, token);
@@ -242,11 +242,9 @@ int main(int argc, char** argv)
                 trace_path = take(arg);
             } else if (const auto v = flag_value(arg, "trace")) {
                 trace_path = *v;
-            } else if (arg == "--benchmarks" || arg == "--benchmark") {
+            } else if (arg == "--benchmarks") {
                 benchmarks_csv = take(arg);
             } else if (const auto v = flag_value(arg, "benchmarks")) {
-                benchmarks_csv = *v;
-            } else if (const auto v = flag_value(arg, "benchmark")) {
                 benchmarks_csv = *v;
             } else if (arg == "--stages") {
                 spec.stages = runtime::parse_stage_list(take(arg));
@@ -260,12 +258,10 @@ int main(int argc, char** argv)
                 spec.theta_multipliers = parse_ladder(take(arg));
             } else if (const auto v = flag_value(arg, "ladder")) {
                 spec.theta_multipliers = parse_ladder(*v);
-            } else if (arg == "--workers" || arg == "--jobs") {
+            } else if (arg == "--workers") {
                 workers = parse_workers(arg, take(arg));
             } else if (const auto v = flag_value(arg, "workers")) {
                 workers = parse_workers("--workers", *v);
-            } else if (const auto v = flag_value(arg, "jobs")) {
-                workers = parse_workers("--jobs", *v);
             } else if (arg == "--cores") {
                 spec.config.thread_count = parse_positive(arg, take(arg));
             } else if (const auto v = flag_value(arg, "cores")) {
@@ -320,7 +316,7 @@ int main(int argc, char** argv)
 
         if (!quiet) {
             std::fputs(runtime::render_sweep_table(result).c_str(), stdout);
-            // The calling thread runs pair tasks while it waits, so the
+            // The calling thread claims pairs while it waits, so the
             // sweep runs on one thread more than the pool has workers.
             std::printf("%zu cells in %.2f s on %zu workers (%zu threads) "
                         "(stage cache: %llu hits, %llu misses; program cache: "
