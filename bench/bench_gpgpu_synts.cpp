@@ -43,8 +43,8 @@ int main()
 
         // Characterize each VALU against the ALU netlist. The operand
         // stream drives the batched 64-lane path (bit-identical to scalar
-        // stepping); one corner's lane delays land in the histogram as a
-        // single bulk insert.
+        // stepping above the delay floor, which the models carry); one
+        // corner's lane delays land in the histogram as a single bulk insert.
         const auto tables = circuit::make_corner_tables(stage.nl, lib, vm, corners);
         std::vector<core::empirical_error_model> models;
         const std::vector<double>& tnom = tables->nominal_period_ps;
@@ -67,7 +67,7 @@ int main()
                     hist[c].add(std::span<const double>(delays).subspan(c * lanes, lanes));
                 }
             }
-            models.emplace_back(std::move(hist), tnom, 1.0);
+            models.emplace_back(std::move(hist), tnom, 1.0, tables->delay_floor);
         }
 
         // SynTS vs Per-core over the 16 "threads" (equal work: SIMD

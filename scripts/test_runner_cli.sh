@@ -5,8 +5,9 @@
 # Pins the argument-parsing hardening (each bad invocation must produce a
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
 # default) and the registry surface: --list-benchmarks enumerates exactly
-# the ten SPLASH-2 profiles and the two lock_ladder instances, and a
-# lock_ladder sweep emits byte-identical JSON at one and at four workers.
+# the ten SPLASH-2 profiles and the two lock_ladder instances, a
+# lock_ladder sweep emits byte-identical JSON at one and at four workers,
+# and the canonical workloads prune the recorded number of lanes per stage.
 set -u
 
 RUNNER=${1:?usage: test_runner_cli.sh <synts_runner>}
@@ -227,6 +228,29 @@ else
     echo "FAIL end_gauges: runner exited non-zero" >&2
     failures=$((failures + 1))
 fi
+
+# The delay walk's floor on the canonical workloads (seed 42): each stage
+# drives the same vectors through step_batch, and circuit.pruned_lanes
+# counts those that toggle no deep gate -- most of Decode's, a handful of
+# ComplexALU's, none of SimpleALU's.
+for expected in decode:1353313 simple_alu:0 complex_alu:79; do
+    stage=${expected%%:*}
+    pruned=${expected#*:}
+    PRUNED="$WORK/pruned_$stage.csv"
+    if "$RUNNER" --benchmarks=reported --stages="$stage" --policies=nominal --seed=42 \
+            --workers=2 --quiet --metrics=csv >"$PRUNED" 2>&1; then
+        if grep -q "^circuit\.pruned_lanes,counter,$pruned\$" "$PRUNED"; then
+            echo "ok pruned_lanes_$stage"
+        else
+            echo "FAIL pruned_lanes_$stage: expected $pruned pruned lanes:" >&2
+            grep '^circuit\.pruned_lanes' "$PRUNED" >&2
+            failures=$((failures + 1))
+        fi
+    else
+        echo "FAIL pruned_lanes_$stage: runner exited non-zero" >&2
+        failures=$((failures + 1))
+    fi
+done
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures CLI contract failure(s)" >&2

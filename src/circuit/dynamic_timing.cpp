@@ -184,10 +184,13 @@ void step_batch_with(const delay_kernel& kernel, dynamic_timing_simulator& sim,
 
 std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
-                   std::span<const double> vdd_levels)
+                   std::span<const double> vdd_levels, double delay_floor)
 {
     if (vdd_levels.empty() || vdd_levels.size() > corner_block) {
         throw std::invalid_argument("make_corner_tables: need 1 to 8 corners");
+    }
+    if (!(delay_floor >= 0.0 && delay_floor <= 1.0)) {
+        throw std::invalid_argument("make_corner_tables: delay floor outside [0, 1]");
     }
     const static_timing_analyzer sta(nl);
     const std::vector<double> nominal = sta.nominal_gate_delays(lib);
@@ -198,14 +201,26 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
     tables->vdd.assign(vdd_levels.begin(), vdd_levels.end());
     tables->nominal_period_ps.reserve(corner_count);
     tables->gate_delay_ps.resize(gates.size() * corner_block); // padding stays 0.0
+    tables->delay_floor = delay_floor;
     std::vector<double> delays(gates.size());
+    std::vector<std::uint8_t> deep(gates.size(), 0);
     for (std::size_t c = 0; c < corner_count; ++c) {
         vm.scale_gate_delays(gates, nominal, delays, vdd_levels[c]);
-        tables->nominal_period_ps.push_back(sta.analyze(delays).critical_delay_ps);
+        const timing_report report = sta.analyze(delays);
+        tables->nominal_period_ps.push_back(report.critical_delay_ps);
+        // A gate is deep if its static arrival reaches the floor at any
+        // corner; the settle time step_batch would compute never exceeds it.
+        const double floor_ps = delay_floor * report.critical_delay_ps;
         // Transpose into the corner-minor layout: one gate's corners are
         // contiguous so the simulators' inner corner loops stream.
         for (std::size_t g = 0; g < gates.size(); ++g) {
             tables->gate_delay_ps[g * corner_block + c] = delays[g];
+            deep[g] |= report.arrival_ps[gates[g].output] >= floor_ps ? 1 : 0;
+        }
+    }
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        if (deep[g] != 0) {
+            tables->deep_nets.push_back(gates[g].output);
         }
     }
     return tables;
@@ -399,6 +414,18 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         toggles[p.out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[p.out]));
     }
 
+    // Bits at or above lane_count (shifted-in toggles, const1 words) belong
+    // to no vector and are masked off. keep holds the lanes that toggle a
+    // deep gate: only they can reach the delay floor, so only they are
+    // walked; every other lane's delay stays 0.0.
+    const std::uint64_t lane_mask =
+        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
+    std::uint64_t keep = 0;
+    for (const net_id n : tables_->deep_nets) {
+        keep |= toggles[n];
+    }
+    keep &= lane_mask;
+
     // Liveness, in reverse topological order: need[n] holds the lanes in
     // which some live gate (or a primary output) reads net n's settle
     // time, so a gate is live in the lanes where its output toggles and is
@@ -406,10 +433,7 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     // same scan pushes each live gate onto its lanes' lists back to front:
     // lane j's list ends at lane_gates_[(j + 1) * gate_count] and runs in
     // topological order. Dead gates are never visited; no output can see
-    // their settle times. Bits at or above lane_count (shifted-in toggles,
-    // const1 words) belong to no vector and are masked off.
-    const std::uint64_t lane_mask =
-        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
+    // their settle times. Neither are the gates of lanes outside keep.
     std::uint64_t* const need = need_words_.data();
     std::copy(output_need_.begin(), output_need_.end(), need);
     std::uint32_t* const lists = lane_gates_.data();
@@ -421,7 +445,7 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     for (std::size_t gi = gate_count; gi-- > 0;) {
         const detail::gate_pins& p = pins[gi];
         const std::uint64_t toggled = toggles[p.out] & lane_mask;
-        const std::uint64_t live = toggled & need[p.out];
+        const std::uint64_t live = toggled & need[p.out] & keep;
         toggled_pairs += static_cast<std::uint64_t>(std::popcount(toggled));
         // Unconditional: a dead gate ORs in 0, an unused pin ORs into the
         // padding slot's sink, and the push loop below runs zero times.
@@ -442,8 +466,11 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         obs::metrics_registry::global().counter_at("circuit.toggled_pairs");
     static obs::counter& live_counter =
         obs::metrics_registry::global().counter_at("circuit.live_pairs");
+    static obs::counter& pruned_counter =
+        obs::metrics_registry::global().counter_at("circuit.pruned_lanes");
     toggled_counter.add(toggled_pairs);
     live_counter.add(live_pairs);
+    pruned_counter.add(static_cast<std::uint64_t>(std::popcount(lane_mask & ~keep)));
 
     // Delay propagation per lane over its own list, one 8-corner row per gate.
     const detail::delay_pass pass{.pins = pins,

@@ -62,6 +62,30 @@
 // registry counters circuit.toggled_pairs and circuit.live_pairs count the
 // toggled and live (gate, lane) pairs, once per step_batch call.
 //
+// The delay floor. Consumers read a vector's delay only against r * t_nom
+// for r in the speculation range ([0.64, 1] in the paper grid), never far
+// below it. So step_batch computes an exact delay only for the vectors that
+// can reach exact_delay_floor * t_nom,c at some corner c: make_corner_tables
+// marks as *deep* every gate whose static arrival (the STA it already runs
+// per corner) reaches floor * t_nom,c at any corner, and after the
+// functional pass step_batch ORs the deep gates' toggle words into a lane
+// mask, keep, which it ANDs into every gate's live word. A lane that
+// toggles no deep gate pushes no gate, its walk visits nothing, and its
+// delay stays +0.0 at every corner. The contract: a vector's delay is
+// bit-identical to step()'s when it toggles a deep gate, and 0.0
+// otherwise -- and then its true delay is below floor * t_nom,c at every
+// corner. Proof: a gate's dynamic settle time is the max over its toggled
+// pins' settle times (primary inputs at 0.0) plus its delay; the STA's
+// arrival is the max over all its pins' arrivals plus the same double. By
+// induction in topological order the settle time is never later than the
+// arrival (max is exact, and a <= b gives fl(a + d) <= fl(b + d)), and a
+// vector's delay is the settle time of some toggled gate, or 0.0. The
+// functional state, the carried scalar state and the three ISA kernels do
+// not depend on the floor. make_corner_tables takes the floor as a
+// trailing argument; 0.0 makes every gate deep, so only lanes in which no
+// gate toggles (delay 0.0 either way) are skipped, and every delay equals
+// step()'s. circuit.pruned_lanes counts the skipped lanes per call.
+//
 // Timing data is laid out corner-minor ("SoA") in zero-padded rows of
 // exactly corner_block = 8 doubles: gate delays as [gate][corner] and
 // per-net settle times as [net][corner], so the paper's 7 corners are one
@@ -105,6 +129,13 @@ namespace synts::circuit {
 /// Doubles per timing row, and so the most corners a table can hold.
 inline constexpr std::size_t corner_block = 8;
 
+/// step_batch's default delay floor, as a fraction of t_nom: a vector that
+/// toggles no gate whose static arrival reaches exact_delay_floor * t_nom,c
+/// at some corner c gets delay 0.0 (its true delay is below that at every
+/// corner). It lies well below the paper's speculation range [0.64, 1] and
+/// below every floor (>= 0.40) a calibration of that range considers.
+inline constexpr double exact_delay_floor = 0.25;
+
 /// Allocator for the padded corner rows: every row starts on a 64-byte
 /// cache line, so one 8-corner row never straddles two.
 template <typename T>
@@ -146,6 +177,11 @@ struct timing_corner_tables {
     /// historical [corner][gate]) keeps one gate's corners contiguous --
     /// the inner loop of both stepping modes.
     corner_rows gate_delay_ps;
+    /// The floor the deep gates were chosen against, as a fraction of t_nom.
+    double delay_floor = 0.0;
+    /// Output nets of the deep gates, in gate order: those whose static
+    /// arrival reaches delay_floor * nominal_period_ps[c] at some corner c.
+    std::vector<net_id> deep_nets;
 
     /// Number of voltage corners (1 .. corner_block).
     [[nodiscard]] std::size_t corner_count() const noexcept { return vdd.size(); }
@@ -159,11 +195,14 @@ struct timing_corner_tables {
 };
 
 /// Runs the STA and builds the shared tables for every supply level in
-/// `vdd_levels` (throws std::invalid_argument unless it holds 1 to
-/// corner_block levels).
+/// `vdd_levels`, marking the gates deep against `delay_floor` (a fraction
+/// of t_nom in [0, 1]; 0.0 makes every gate deep, so step_batch matches
+/// step() on every vector). Throws std::invalid_argument unless
+/// `vdd_levels` holds 1 to corner_block levels and the floor is in range.
 [[nodiscard]] std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
-                   std::span<const double> vdd_levels);
+                   std::span<const double> vdd_levels,
+                   double delay_floor = exact_delay_floor);
 
 class dynamic_timing_simulator;
 
@@ -263,7 +302,9 @@ public:
     /// j at corner c (size corner_count * lane_count), so each corner's
     /// lane run is contiguous for bulk histogram insertion. The simulator
     /// ends in exactly the state `lane_count` scalar step() calls would
-    /// leave, and every delay is bit-identical to the scalar walk.
+    /// leave. A vector's delay is bit-identical to the scalar walk's when it
+    /// toggles a deep gate of the tables, and 0.0 otherwise (see the
+    /// delay floor above).
     void step_batch(std::span<const std::uint64_t> input_words, std::size_t lane_count,
                     std::span<double> out_delay_ps);
 

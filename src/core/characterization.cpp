@@ -18,7 +18,8 @@ empirical_error_model stage_characterization::make_error_model(std::size_t threa
                                                                std::size_t interval) const
 {
     const interval_characterization& data = threads.at(thread).at(interval);
-    return empirical_error_model(data.delay_histograms, tnom_ps, data.drive_fraction());
+    return empirical_error_model(data.delay_histograms, tnom_ps, data.drive_fraction(),
+                                 delay_floor);
 }
 
 characterizer::characterizer(const circuit::cell_library& lib,
@@ -57,6 +58,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     const std::shared_ptr<const circuit::timing_corner_tables> tables =
         circuit::make_corner_tables(stage_nl.nl, lib_, vm_, corners);
     result.tnom_ps = tables->nominal_period_ps;
+    result.delay_floor = tables->delay_floor;
 
     const arch::stage_tap tap(stage, stage_nl.layout);
     const std::size_t thread_count = program.trace.thread_count();

@@ -65,6 +65,11 @@ struct stage_characterization {
     std::vector<double> tnom_ps;
     /// Voltage of each corner.
     std::vector<double> corner_vdd;
+    /// The delay walk's floor (circuit::exact_delay_floor for the
+    /// characterizer): a vector recorded at 0.0 may truly settle anywhere
+    /// below delay_floor * tnom_ps[c], so the error models refuse queries
+    /// there.
+    double delay_floor = 0.0;
     /// [thread][interval].
     std::vector<std::vector<interval_characterization>> threads;
     // NOTE: the per-thread ARCHITECTURAL profiles are not part of the
@@ -72,7 +77,8 @@ struct stage_characterization {
     // program_artifacts the characterization was built from; consumers that
     // need N_i / CPI_base_i read benchmark_experiment::arch_profiles().
 
-    /// Builds the empirical error model of (thread, interval).
+    /// Builds the empirical error model of (thread, interval); it carries
+    /// delay_floor.
     [[nodiscard]] empirical_error_model make_error_model(std::size_t thread,
                                                          std::size_t interval) const;
 };

@@ -7,9 +7,19 @@
 
 namespace synts::core {
 
+namespace {
+
+/// The bin histogram::add puts `x` in.
+std::size_t bin_of(double x, double lo, double width, std::size_t bins)
+{
+    return x < lo ? 0 : std::min(static_cast<std::size_t>((x - lo) / width), bins - 1);
+}
+
+} // namespace
+
 empirical_error_model::empirical_error_model(
     const std::vector<util::histogram>& per_corner_delays, std::vector<double> tnom_ps,
-    double drive_fraction)
+    double drive_fraction, double delay_floor)
     : tnom_ps_(std::move(tnom_ps)), drive_fraction_(drive_fraction)
 {
     if (per_corner_delays.empty() || per_corner_delays.size() != tnom_ps_.size()) {
@@ -18,15 +28,28 @@ empirical_error_model::empirical_error_model(
     if (drive_fraction_ < 0.0 || drive_fraction_ > 1.0) {
         throw std::invalid_argument("empirical_error_model: drive_fraction out of range");
     }
+    if (!(delay_floor >= 0.0 && delay_floor < 1.0)) {
+        throw std::invalid_argument("empirical_error_model: delay floor outside [0, 1)");
+    }
     corners_.reserve(per_corner_delays.size());
-    for (const util::histogram& h : per_corner_delays) {
+    for (std::size_t c = 0; c < per_corner_delays.size(); ++c) {
+        const util::histogram& h = per_corner_delays[c];
         corner_table& table = corners_.emplace_back();
         table.lo = h.lo();
         table.hi = h.hi();
         table.width = h.bin_width();
+        // A pruned vector's delay is below delay_floor * tnom, the product
+        // the tables compared static arrivals against, so it was binned at
+        // or below that product's bin.
+        if (delay_floor > 0.0) {
+            table.first_exact_bin =
+                bin_of(delay_floor * tnom_ps_[c], table.lo, table.width, h.bin_count()) + 1;
+        }
+        // The histogram's total fits 32 bits, so every suffix does.
         table.at_or_above.assign(h.bin_count() + 1, 0);
         for (std::size_t b = h.bin_count(); b-- > 0;) {
-            table.at_or_above[b] = table.at_or_above[b + 1] + h.count_at(b);
+            table.at_or_above[b] =
+                table.at_or_above[b + 1] + static_cast<std::uint32_t>(h.count_at(b));
         }
     }
 }
@@ -39,20 +62,24 @@ double empirical_error_model::vector_error_probability(std::size_t voltage_index
     }
     const corner_table& table = corners_[voltage_index];
     const double x = tsr * tnom_ps_[voltage_index];
-    const std::uint64_t total = table.at_or_above.front();
+    if (x >= table.hi) {
+        return 0.0;
+    }
+    const std::size_t bins = table.at_or_above.size() - 1;
+    const std::size_t bin = bin_of(x, table.lo, table.width, bins);
+    if (bin < table.first_exact_bin) {
+        throw std::invalid_argument(
+            "empirical_error_model: tsr at or below the characterization's delay floor");
+    }
+    const std::uint32_t total = table.at_or_above.front();
     if (total == 0) {
         return 0.0;
     }
     if (x < table.lo) {
         return 1.0;
     }
-    if (x >= table.hi) {
-        return 0.0;
-    }
-    const std::size_t bins = table.at_or_above.size() - 1;
-    const auto bin = std::min(static_cast<std::size_t>((x - table.lo) / table.width), bins - 1);
-    const std::uint64_t above = table.at_or_above[bin + 1];
-    const std::uint64_t in_bin = table.at_or_above[bin] - above;
+    const std::uint32_t above = table.at_or_above[bin + 1];
+    const std::uint32_t in_bin = table.at_or_above[bin] - above;
     // Linear interpolation of the containing bin's mass.
     const double bin_upper = table.lo + table.width * static_cast<double>(bin) + table.width;
     const double partial = static_cast<double>(in_bin) * ((bin_upper - x) / table.width);

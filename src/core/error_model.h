@@ -37,20 +37,31 @@ public:
 /// the containing bin and the bin's own count are differences of two
 /// entries. The integer math is exact, so the result equals a bin-by-bin
 /// sum bit for bit (tests/test_core_error_model.cpp holds it to that loop).
+///
+/// A model built from a characterization whose delay walk recorded 0.0 for
+/// the vectors below a delay floor (circuit::exact_delay_floor) carries that
+/// floor and answers only where the histograms are exact: a query whose
+/// r * t_nom falls in the bin holding floor * t_nom, or lower -- so any tsr
+/// at or below the floor -- throws std::invalid_argument. Higher bins never
+/// held a pruned vector, so every answer there is the unpruned one.
 class empirical_error_model final : public error_curve {
 public:
     /// `per_corner_delays[j]` holds the delay distribution at voltage level
     /// j; `tnom_ps[j]` is the stage's nominal period there. `drive_fraction`
-    /// in [0, 1]. Throws std::invalid_argument on size mismatch.
+    /// in [0, 1]; `delay_floor` in [0, 1) is the fraction of t_nom below
+    /// which the histograms may hold pruned vectors (0.0: none). Throws
+    /// std::invalid_argument on size mismatch or an out-of-range argument.
     empirical_error_model(const std::vector<util::histogram>& per_corner_delays,
-                          std::vector<double> tnom_ps, double drive_fraction);
+                          std::vector<double> tnom_ps, double drive_fraction,
+                          double delay_floor = 0.0);
 
     [[nodiscard]] double error_probability(std::size_t voltage_index,
                                            double tsr) const override;
 
     /// Per-vector exceedance P(delay > tsr * tnom) at a corner (without the
     /// drive-fraction factor); within the containing bin, mass is
-    /// interpolated linearly.
+    /// interpolated linearly. Throws std::invalid_argument at or below the
+    /// floor.
     [[nodiscard]] double vector_error_probability(std::size_t voltage_index,
                                                   double tsr) const;
 
@@ -66,7 +77,10 @@ private:
         double lo = 0.0;
         double hi = 0.0;
         double width = 0.0;
-        std::vector<std::uint64_t> at_or_above; ///< size bins + 1, last entry 0
+        /// Lowest bin a query may land in: one past the bin holding
+        /// delay_floor * tnom, or 0 without a floor.
+        std::size_t first_exact_bin = 0;
+        std::vector<std::uint32_t> at_or_above; ///< size bins + 1, last entry 0
     };
 
     std::vector<corner_table> corners_;

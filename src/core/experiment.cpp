@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/hashing.h"
@@ -83,6 +84,7 @@ benchmark_experiment::benchmark_experiment(
     arch_profiles_ = artifacts->arch_profiles;
 
     space_ = config_space::paper_grid(characterization_.tnom_ps);
+    detail::check_tsr_grid(space_, characterization_.delay_floor);
 
     error_models_.reserve(thread_count());
     for (std::size_t t = 0; t < characterization_.threads.size(); ++t) {
@@ -282,6 +284,17 @@ std::vector<double> default_theta_multipliers()
         multipliers.push_back(std::pow(2.0, e));
     }
     return multipliers;
+}
+
+void detail::check_tsr_grid(const config_space& space, double delay_floor)
+{
+    // Levels ascend, so the first is the lowest.
+    if (space.tsr_levels().front() <= delay_floor) {
+        throw std::invalid_argument("benchmark_experiment: lowest TSR level " +
+                                    std::to_string(space.tsr_levels().front()) +
+                                    " is not above the delay floor " +
+                                    std::to_string(delay_floor));
+    }
 }
 
 } // namespace synts::core

@@ -250,4 +250,14 @@ evaluate_policy_cell(const benchmark_experiment& experiment, policy_kind kind,
 /// Default multiplier ladder for Pareto sweeps (log-spaced around 1).
 [[nodiscard]] std::vector<double> default_theta_multipliers();
 
+namespace detail {
+
+/// Throws std::invalid_argument unless every TSR level of `space` lies
+/// above `delay_floor`: the error models (and the online estimator's
+/// sampled levels) answer only above the characterization's delay floor.
+/// benchmark_experiment checks its grid with this once it is built.
+void check_tsr_grid(const config_space& space, double delay_floor);
+
+} // namespace detail
+
 } // namespace synts::core

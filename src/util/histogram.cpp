@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,8 +21,16 @@ histogram::histogram(double lo, double hi, std::size_t bin_count)
     counts_.assign(bin_count, 0);
 }
 
-void histogram::add(double value) noexcept
+void histogram::check_room(std::size_t more)
 {
+    if (more > std::numeric_limits<std::uint32_t>::max() - total_) {
+        throw std::length_error("histogram: more than 2^32 - 1 samples");
+    }
+}
+
+void histogram::add(double value)
+{
+    check_room(1);
     std::size_t index;
     if (value < lo_) {
         index = 0;
@@ -33,10 +42,11 @@ void histogram::add(double value) noexcept
     ++total_;
 }
 
-void histogram::add(std::span<const double> values) noexcept
+void histogram::add(std::span<const double> values)
 {
-    // One total_ update for the whole run; the bin loop touches only the
-    // counts array. bin-index math matches add(double) exactly.
+    // One total_ check and update for the whole run; the bin loop touches
+    // only the counts array. bin-index math matches add(double) exactly.
+    check_room(values.size());
     for (const double v : values) {
         std::size_t index;
         if (v < lo_) {
@@ -47,11 +57,12 @@ void histogram::add(std::span<const double> values) noexcept
         }
         ++counts_[index];
     }
-    total_ += values.size();
+    total_ += static_cast<std::uint32_t>(values.size());
 }
 
-void histogram::add(std::span<const float> values) noexcept
+void histogram::add(std::span<const float> values)
 {
+    check_room(values.size());
     for (const float v : values) {
         std::size_t index;
         const auto value = static_cast<double>(v);
@@ -63,10 +74,10 @@ void histogram::add(std::span<const float> values) noexcept
         }
         ++counts_[index];
     }
-    total_ += values.size();
+    total_ += static_cast<std::uint32_t>(values.size());
 }
 
-void histogram::add_all(std::span<const double> values) noexcept
+void histogram::add_all(std::span<const double> values)
 {
     add(values);
 }

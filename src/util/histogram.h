@@ -19,7 +19,10 @@
 namespace synts::util {
 
 /// Fixed-width binned histogram over [lo, hi). Out-of-range samples clamp to
-/// the first/last bin so no mass is silently dropped.
+/// the first/last bin so no mass is silently dropped. Bins are 32-bit: a
+/// histogram holds at most 2^32 - 1 samples, and an add that would pass
+/// that throws std::length_error (before counting any of its samples)
+/// rather than wrap a bin.
 class histogram {
 public:
     /// Creates a histogram with `bin_count` equal-width bins spanning
@@ -28,23 +31,23 @@ public:
     histogram(double lo, double hi, std::size_t bin_count);
 
     /// Adds one sample.
-    void add(double value) noexcept;
+    void add(double value);
 
     /// Adds every sample of a span in order. Equivalent to values.size()
     /// scalar add() calls (pinned by tests/test_util_histogram); the bulk
     /// entry point exists so hot paths hand over whole lane runs (e.g. one
     /// corner's 64 batched delays) in a single call that updates `total_`
     /// once and keeps the bin-index loop tight.
-    void add(std::span<const double> values) noexcept;
+    void add(std::span<const double> values);
 
     /// Bulk add over single-precision samples (the sampling traces store
     /// float delays). Each value is widened to double and binned exactly as
     /// add(double(value)) would.
-    void add(std::span<const float> values) noexcept;
+    void add(std::span<const float> values);
 
     /// Adds every sample of a span (alias of the bulk add overload, kept
     /// for existing call sites).
-    void add_all(std::span<const double> values) noexcept;
+    void add_all(std::span<const double> values);
 
     /// Number of bins.
     [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
@@ -73,11 +76,14 @@ public:
     [[nodiscard]] std::string ascii_render(std::size_t max_bar_width = 50) const;
 
 private:
+    /// Throws std::length_error unless `more` samples still fit.
+    void check_room(std::size_t more);
+
     double lo_;
     double hi_;
     double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
+    std::vector<std::uint32_t> counts_;
+    std::uint32_t total_ = 0;
 };
 
 /// Dense counts over {0, 1, ..., max_value}. Values above max_value clamp

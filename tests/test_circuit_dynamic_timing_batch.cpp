@@ -16,7 +16,10 @@
 // marked as an output, an output-driving 1-pin gate that feeds a 3-pin
 // gate). Plus state continuity across interleaved
 // scalar/batched stepping, argument validation (including the 8-corner
-// ceiling) and the padded row layout.
+// ceiling) and the padded row layout. These differentials build their
+// tables with no delay floor (every gate deep), so step_batch must match
+// step() on every vector; the *default_floor cases hold it to step() with
+// the floor applied from the scalar walk, and check the deep-gate marking.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +27,14 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "circuit/dynamic_timing.h"
 #include "circuit/netlist_builder.h"
+#include "circuit/sta.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -124,6 +129,11 @@ std::vector<double> corner_levels(std::size_t count)
 
 constexpr std::array<std::size_t, 4> corner_counts = {1, 3, 7, 8};
 
+/// A delay floor of 0.0 makes every gate deep: step_batch then matches
+/// step() on every vector, which is what the differential tests hold it to.
+/// The tests at exact_delay_floor say so by name.
+constexpr double no_floor = 0.0;
+
 /// The delay-kernel instantiations this CPU can run.
 std::vector<const detail::delay_kernel*> supported_kernels()
 {
@@ -167,20 +177,69 @@ std::vector<std::vector<double>> scalar_delays(dynamic_timing_simulator& sim,
     return expected;
 }
 
+/// The delay floor applied to the scalar walk: [vector][corner] delays,
+/// step()'s for a vector that toggles a deep gate of `tables` (found by
+/// diffing net_values() across the step) and 0.0 for any other, whose
+/// step() delay must lie below the floor at every corner. Adds the others
+/// to `pruned`.
+std::vector<std::vector<double>> floored_scalar_delays(
+    dynamic_timing_simulator& sim, const timing_corner_tables& tables,
+    const std::vector<std::vector<bool>>& vectors, std::uint64_t& pruned)
+{
+    const std::size_t inputs = vectors.empty() ? 0 : vectors.front().size();
+    std::vector<std::vector<double>> expected;
+    std::vector<double> delays(sim.corner_count());
+    const std::unique_ptr<bool[]> raw(new bool[inputs]);
+    std::vector<std::uint8_t> before(tables.deep_nets.size());
+    for (const auto& v : vectors) {
+        for (std::size_t i = 0; i < inputs; ++i) {
+            raw[i] = v[i];
+        }
+        for (std::size_t d = 0; d < before.size(); ++d) {
+            before[d] = sim.net_values()[tables.deep_nets[d]];
+        }
+        sim.step(std::span<const bool>(raw.get(), inputs), delays);
+        bool deep_toggled = false;
+        for (std::size_t d = 0; d < before.size(); ++d) {
+            deep_toggled |= sim.net_values()[tables.deep_nets[d]] != before[d];
+        }
+        if (!deep_toggled) {
+            for (std::size_t c = 0; c < delays.size(); ++c) {
+                EXPECT_LT(delays[c], tables.delay_floor * tables.nominal_period_ps[c])
+                    << "a vector that toggles no deep gate reaches the floor at corner " << c;
+                delays[c] = 0.0;
+            }
+            ++pruned;
+        }
+        expected.push_back(delays);
+    }
+    return expected;
+}
+
 /// Runs the full vector stream through a scalar sim and a batched sim
-/// (chunks of `chunk_lanes`, delays through `kernel`) and asserts every
-/// per-corner delay and the final net state are EXACTLY equal.
+/// (chunks of `chunk_lanes`, delays through `kernel`, tables at
+/// `delay_floor`) and asserts every per-corner delay and the final net
+/// state are EXACTLY equal -- to step()'s at no_floor, and to
+/// floored_scalar_delays above it, whose pruned-vector count must equal
+/// what circuit.pruned_lanes counted.
 void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
                                  const std::vector<std::vector<bool>>& vectors,
-                                 std::size_t chunk_lanes, const detail::delay_kernel& kernel)
+                                 std::size_t chunk_lanes, const detail::delay_kernel& kernel,
+                                 double delay_floor = no_floor)
 {
-    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, delay_floor);
     const std::size_t corner_count = tables->corner_count();
     const std::size_t inputs = nl.input_count();
+    const synts::obs::counter& pruned_lanes =
+        synts::obs::metrics_registry::global().counter_at("circuit.pruned_lanes");
+    const std::uint64_t pruned_before = pruned_lanes.value();
 
     dynamic_timing_simulator scalar_sim(nl, tables);
     dynamic_timing_simulator batch_sim(nl, tables);
-    const auto expected = scalar_delays(scalar_sim, vectors); // [vector][corner]
+    std::uint64_t pruned = 0;
+    const auto expected = delay_floor == no_floor
+                              ? scalar_delays(scalar_sim, vectors)
+                              : floored_scalar_delays(scalar_sim, *tables, vectors, pruned);
 
     // Batched walk in chunks of chunk_lanes (with an odd tail when
     // vectors.size() is not a multiple).
@@ -212,6 +271,9 @@ void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
     }
     for (std::size_t o = 0; o < nl.output_count(); ++o) {
         ASSERT_EQ(batch_sim.output_value(o), scalar_sim.output_value(o));
+    }
+    if (delay_floor != no_floor) {
+        EXPECT_EQ(pruned_lanes.value() - pruned_before, pruned);
     }
 }
 
@@ -260,7 +322,7 @@ TEST_P(dynamic_timing_batch, wide_and_narrow_batches_alternate_on_one_simulator)
             SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
                          std::to_string(corners));
             const corner_setup setup(corners);
-            const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+            const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
             dynamic_timing_simulator ref(nl, tables);
             const auto expected = scalar_delays(ref, vectors);
 
@@ -296,7 +358,7 @@ TEST_P(dynamic_timing_batch, interleaved_scalar_and_batched_stepping_agree)
     const corner_setup setup;
     const std::size_t inputs = 5 + rng.uniform_below(8);
     const netlist nl = make_batch_test_netlist(inputs, 120, rng);
-    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
     const std::size_t corner_count = tables->corner_count();
 
     const auto vectors = make_vectors(inputs, 100, rng);
@@ -350,7 +412,7 @@ TEST_P(dynamic_timing_batch, reset_restores_the_baseline_for_both_paths)
     const corner_setup setup;
     const std::size_t inputs = 6;
     const netlist nl = make_batch_test_netlist(inputs, 60, rng);
-    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
     const std::size_t corner_count = tables->corner_count();
     const auto vectors = make_vectors(inputs, 40, rng);
 
@@ -383,6 +445,29 @@ TEST_P(dynamic_timing_batch, reset_restores_the_baseline_for_both_paths)
         fresh.step(std::span<const bool>(raw.get(), inputs), b);
         for (std::size_t c = 0; c < corner_count; ++c) {
             ASSERT_EQ(a[c], b[c]);
+        }
+    }
+}
+
+TEST_P(dynamic_timing_batch, matches_floored_scalar_at_the_default_floor)
+{
+    // The production floor: every vector that toggles a deep gate gets
+    // step()'s delay bit for bit, every other one 0.0 (and its step() delay
+    // lies below exact_delay_floor * t_nom at every corner), across word
+    // edges, odd tails and every kernel.
+    xoshiro256 rng(GetParam() ^ 0xF100);
+    const std::size_t inputs = 4 + rng.uniform_below(12);
+    const netlist nl = make_batch_test_netlist(inputs, 20 + rng.uniform_below(200), rng);
+    const auto vectors = make_vectors(inputs, 150, rng);
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        for (const std::size_t corners : corner_counts) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            const corner_setup setup(corners);
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel,
+                                            exact_delay_floor);
+            }
         }
     }
 }
@@ -484,7 +569,7 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_and_counts_live_pairs)
     // a walk that folded it in would still pass.
     for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
         const corner_setup setup(corners);
-        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
         dynamic_timing_simulator sim(nl, tables);
         for (const auto& delays : scalar_delays(sim, vectors)) {
             for (std::size_t c = 0; c < corners; ++c) {
@@ -531,6 +616,76 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
             for (const std::size_t chunk : {std::size_t{7}, std::size_t{63}, std::size_t{64}}) {
                 expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel);
             }
+        }
+    }
+}
+
+TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_the_default_floor)
+{
+    // The masked netlist's t_nom is its deep chain (x1 x2 y1..y6 and2), so
+    // at exact_delay_floor only gates two or more levels deep are deep: a
+    // vector that toggles only q, o1, p or the like is pruned. The random
+    // streams of masked_netlist_matches_scalar_on_random_streams prune some
+    // vectors and keep others.
+    xoshiro256 rng(97);
+    std::vector<std::vector<bool>> vectors = make_vectors(6, 200, rng);
+    for (auto& v : vectors) {
+        v[4] = false; // z
+        v[5] = false; // s
+    }
+    const netlist nl = make_masked_netlist();
+    const synts::obs::counter& pruned =
+        synts::obs::metrics_registry::global().counter_at("circuit.pruned_lanes");
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        SCOPED_TRACE(std::string("kernel ") + kernel->name);
+        const corner_setup setup(7);
+        for (const std::size_t chunk : {std::size_t{7}, std::size_t{64}}) {
+            const std::uint64_t before = pruned.value();
+            expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel, exact_delay_floor);
+            EXPECT_GT(pruned.value() - before, 0u) << chunk;
+            EXPECT_LT(pruned.value() - before, vectors.size()) << chunk;
+        }
+    }
+}
+
+TEST(dynamic_timing_batch, corner_tables_mark_deep_gates_against_the_floor)
+{
+    // deep_nets are exactly the outputs of the gates whose STA arrival
+    // reaches floor * t_nom at some corner, from independent per-corner STA
+    // runs; floor 0.0 makes every gate deep.
+    xoshiro256 rng(17);
+    const corner_setup setup;
+    const netlist nl = make_batch_test_netlist(6, 120, rng);
+    const auto gates = nl.gates();
+    const static_timing_analyzer sta(nl);
+    const std::vector<double> nominal = sta.nominal_gate_delays(setup.lib);
+    for (const double floor : {no_floor, exact_delay_floor, 0.6}) {
+        const auto tables =
+            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor);
+        EXPECT_EQ(tables->delay_floor, floor);
+        std::vector<bool> deep(gates.size(), false);
+        std::vector<double> delays(gates.size());
+        for (std::size_t c = 0; c < setup.corners.size(); ++c) {
+            setup.vm.scale_gate_delays(gates, nominal, delays, setup.corners[c]);
+            const timing_report report = sta.analyze(delays);
+            for (std::size_t g = 0; g < gates.size(); ++g) {
+                if (report.arrival_ps[gates[g].output] >= floor * report.critical_delay_ps) {
+                    deep[g] = true;
+                }
+            }
+        }
+        std::vector<net_id> expected;
+        for (std::size_t g = 0; g < gates.size(); ++g) {
+            if (deep[g]) {
+                expected.push_back(gates[g].output);
+            }
+        }
+        EXPECT_EQ(tables->deep_nets, expected) << floor;
+        if (floor == no_floor) {
+            EXPECT_EQ(tables->deep_nets.size(), gates.size());
+        } else {
+            EXPECT_LT(tables->deep_nets.size(), gates.size()) << floor;
+            EXPECT_GT(tables->deep_nets.size(), 0u) << floor;
         }
     }
 }
@@ -609,7 +764,7 @@ TEST(dynamic_timing_batch, rejects_bad_arguments)
     xoshiro256 rng(7);
     const corner_setup setup;
     const netlist nl = make_batch_test_netlist(4, 30, rng);
-    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
     dynamic_timing_simulator sim(nl, tables);
     const std::size_t corner_count = tables->corner_count();
 
@@ -639,6 +794,12 @@ TEST(dynamic_timing_batch, rejects_bad_arguments)
                  std::invalid_argument);
     EXPECT_THROW((void)make_corner_tables(nl, setup.lib, setup.vm, std::span<const double>{}),
                  std::invalid_argument);
+    // The floor is a fraction of t_nom in [0, 1].
+    for (const double floor : {-0.01, 1.01, std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW((void)make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor),
+                     std::invalid_argument)
+            << floor;
+    }
     auto oversized = std::make_shared<timing_corner_tables>(*tables);
     oversized->vdd = nine;
     EXPECT_THROW(dynamic_timing_simulator(nl, oversized), std::invalid_argument);
@@ -655,11 +816,11 @@ TEST(dynamic_timing_batch, corner_tables_transpose_is_consistent)
     // contiguously in a zero-padded row of corner_block doubles and agree
     // with the independently built single-corner tables (same arithmetic,
     // different layout).
-    const auto joint = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    const auto joint = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
     ASSERT_EQ(joint->corner_count(), setup.corners.size());
     for (std::size_t c = 0; c < setup.corners.size(); ++c) {
         const double level[1] = {setup.corners[c]};
-        const auto single = make_corner_tables(nl, setup.lib, setup.vm, level);
+        const auto single = make_corner_tables(nl, setup.lib, setup.vm, level, no_floor);
         ASSERT_EQ(single->nominal_period_ps[0], joint->nominal_period_ps[c]);
         for (std::size_t g = 0; g < nl.gates().size(); ++g) {
             const auto id = static_cast<gate_id>(g);
@@ -677,7 +838,7 @@ TEST(dynamic_timing_batch, row_stride_pads_to_whole_blocks)
     const netlist nl = make_batch_test_netlist(5, 40, rng);
     for (const std::size_t corners : corner_counts) {
         const corner_setup setup(corners);
-        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
         ASSERT_EQ(tables->corner_count(), corners);
         ASSERT_EQ(tables->gate_delay_ps.size(), nl.gates().size() * corner_block) << corners;
         for (std::size_t g = 0; g < nl.gates().size(); ++g) {

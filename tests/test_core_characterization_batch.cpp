@@ -4,12 +4,20 @@
 // reference_characterizer.h, over every real pipe stage, serial and
 // pool-parallel, across chunk-sizing worker hints. Identity is exact --
 // EXPECT_EQ on floats/doubles and histogram bin counts -- because the
-// batch contract is bit-identity, not tolerance.
+// batch contract is bit-identity, not tolerance. Both walks apply the
+// delay floor (circuit::exact_delay_floor), each from its own pass; a
+// soundness test holds the floor to step() on a canonical Decode interval,
+// and the error models built from a floored characterization refuse
+// queries at or below the floor.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/characterization.h"
 #include "core/program_artifacts.h"
@@ -31,6 +39,7 @@ void expect_same_characterization(const core::stage_characterization& a,
     EXPECT_EQ(a.stage, b.stage);
     EXPECT_EQ(a.tnom_ps, b.tnom_ps);
     EXPECT_EQ(a.corner_vdd, b.corner_vdd);
+    EXPECT_EQ(a.delay_floor, b.delay_floor);
     ASSERT_EQ(a.threads.size(), b.threads.size());
     for (std::size_t t = 0; t < a.threads.size(); ++t) {
         ASSERT_EQ(a.threads[t].size(), b.threads[t].size());
@@ -125,6 +134,74 @@ TEST(characterization_batch, worker_hints_never_change_the_result)
         const auto hinted =
             chars.characterize(shared_artifacts(), kStage, parallel, hint);
         expect_same_characterization(reference, hinted);
+    }
+}
+
+TEST(characterization_batch, pruned_vectors_settle_below_the_floor_at_every_corner)
+{
+    // One canonical interval (Radix, seed 42, 4 threads: thread 0, interval
+    // 0) through step() on tables at the production floor: every vector that
+    // toggles no deep gate -- the ones step_batch records at 0.0 -- has a
+    // sensitized delay below exact_delay_floor * t_nom at all 7 corners.
+    // Most of Decode's vectors are such vectors.
+    const auto lib = circuit::cell_library::standard_22nm();
+    const circuit::voltage_model vm(0.04);
+    const core::program_artifacts program =
+        core::program_characterizer{}.characterize(kBenchmark, 4, kSeed);
+    const circuit::stage_netlist stage_nl = circuit::build_stage(circuit::pipe_stage::decode);
+    const auto tables = circuit::make_corner_tables(stage_nl.nl, lib, vm,
+                                                    circuit::paper_voltage_levels());
+    ASSERT_EQ(tables->delay_floor, circuit::exact_delay_floor);
+    ASSERT_EQ(tables->corner_count(), 7u);
+    const arch::stage_tap tap(circuit::pipe_stage::decode, stage_nl.layout);
+
+    circuit::dynamic_timing_simulator sim(stage_nl.nl, tables);
+    const auto bits_storage = std::make_unique<bool[]>(tap.width());
+    const std::span<bool> bits(bits_storage.get(), tap.width());
+    std::vector<double> delays(tables->corner_count());
+    std::vector<std::uint8_t> deep_before(tables->deep_nets.size());
+    std::size_t vectors = 0;
+    std::size_t pruned = 0;
+    for (const arch::micro_op& op : program.trace.threads[0].interval(0)) {
+        if (!tap.extract(op, bits)) {
+            continue;
+        }
+        for (std::size_t d = 0; d < deep_before.size(); ++d) {
+            deep_before[d] = sim.net_values()[tables->deep_nets[d]];
+        }
+        sim.step(bits, delays);
+        ++vectors;
+        if (test::toggled_deep_gate(sim, *tables, deep_before)) {
+            continue;
+        }
+        ++pruned;
+        for (std::size_t c = 0; c < delays.size(); ++c) {
+            ASSERT_LT(delays[c], circuit::exact_delay_floor * tables->nominal_period_ps[c])
+                << "vector " << vectors - 1 << " corner " << c;
+        }
+    }
+    ASSERT_GT(vectors, 1000u);
+    EXPECT_GT(pruned, vectors / 2) << pruned << " of " << vectors;
+}
+
+TEST(characterization_batch, floored_error_models_refuse_queries_at_the_floor)
+{
+    // The characterizer carries its floor into the stage product and every
+    // model built from it: queries from the speculation range answer, a
+    // query at or below the floor throws.
+    const auto lib = circuit::cell_library::standard_22nm();
+    const circuit::voltage_model vm(0.04);
+    const auto stage = core::characterizer(lib, vm, {}).characterize(
+        shared_artifacts(), circuit::pipe_stage::decode);
+    EXPECT_EQ(stage.delay_floor, circuit::exact_delay_floor);
+    const core::empirical_error_model model = stage.make_error_model(0, 0);
+    for (std::size_t v = 0; v < model.corner_count(); ++v) {
+        EXPECT_NO_THROW((void)model.error_probability(v, 0.64));
+        EXPECT_NO_THROW((void)model.error_probability(v, 1.0));
+        EXPECT_THROW((void)model.error_probability(v, circuit::exact_delay_floor),
+                     std::invalid_argument);
+        EXPECT_THROW((void)model.error_probability(v, 0.1), std::invalid_argument);
+        EXPECT_THROW((void)model.error_probability(v, -1.0), std::invalid_argument);
     }
 }
 

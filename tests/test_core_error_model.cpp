@@ -190,6 +190,49 @@ TEST(empirical_model, empty_and_single_bin_histograms)
     }
 }
 
+TEST(empirical_model, delay_floor_refuses_low_queries_and_is_exact_above)
+{
+    // A floored characterization records every vector below floor * tnom at
+    // 0.0. The model built from it with that floor throws for any query
+    // that could see the moved mass (tsr at or below the floor, or in the
+    // floor's bin) and answers every other query exactly as the model of
+    // the unpruned delays does.
+    constexpr double tnom = 100.0;
+    constexpr double floor = 0.25;
+    histogram full(0.0, 105.0, 128);
+    histogram pruned(0.0, 105.0, 128);
+    synts::util::xoshiro256 rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        const double d = rng.uniform(0.0, 100.0);
+        full.add(d);
+        pruned.add(d < floor * tnom ? 0.0 : d);
+    }
+    const empirical_error_model exact({full}, {tnom}, 0.5);
+    const empirical_error_model floored({pruned}, {tnom}, 0.5, floor);
+    const double bin_tsr = full.bin_width() / tnom;
+    std::size_t answered = 0;
+    for (int step = -10; step <= 1100; ++step) {
+        const double tsr = step / 1000.0;
+        if (tsr <= floor) {
+            EXPECT_THROW((void)floored.error_probability(0, tsr), std::invalid_argument)
+                << tsr;
+            continue;
+        }
+        if (tsr < floor + bin_tsr) {
+            continue; // in the floor's bin or just past it: may throw
+        }
+        ASSERT_NO_THROW((void)floored.error_probability(0, tsr)) << tsr;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(floored.error_probability(0, tsr)),
+                  std::bit_cast<std::uint64_t>(exact.error_probability(0, tsr)))
+            << tsr;
+        ++answered;
+    }
+    EXPECT_GT(answered, 700u);
+    // The floor is a fraction of tnom in [0, 1).
+    EXPECT_THROW(empirical_error_model({full}, {tnom}, 0.5, -0.1), std::invalid_argument);
+    EXPECT_THROW(empirical_error_model({full}, {tnom}, 0.5, 1.0), std::invalid_argument);
+}
+
 TEST(synthetic_curve, zero_above_onset)
 {
     const synthetic_error_curve curve(0.9, 0.6, 0.1, 2.0);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,26 @@ std::vector<digest_perturbation> digest_perturbations()
         {"voltage_class_spread",
          [](experiment_config& c) { c.voltage_class_spread = 0.0; }, false},
     };
+}
+
+TEST(experiment_tsr_grid, must_lie_above_the_delay_floor)
+{
+    // The experiment's error models and the online estimator's sampled
+    // levels answer only above the characterization's delay floor, so
+    // benchmark_experiment rejects a grid that reaches down to it.
+    const std::vector<double> tnom(circuit::paper_voltage_levels().size(), 100.0);
+    const core::config_space paper = core::config_space::paper_grid(tnom);
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, 0.0));
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, circuit::exact_delay_floor));
+    EXPECT_THROW(core::detail::check_tsr_grid(paper, 0.64), std::invalid_argument);
+    EXPECT_THROW(core::detail::check_tsr_grid(paper, 0.9), std::invalid_argument);
+    const core::config_space deep(
+        std::vector<double>(circuit::paper_voltage_levels().begin(),
+                            circuit::paper_voltage_levels().end()),
+        {0.2, 0.6, 1.0}, tnom);
+    EXPECT_THROW(core::detail::check_tsr_grid(deep, circuit::exact_delay_floor),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(deep, 0.0));
 }
 
 TEST(experiment_config_digest, is_stable_for_equal_configs)

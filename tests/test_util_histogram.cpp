@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
+#include <cstddef>
+#include <span>
+#include <stdexcept>
+
 #include "core/error_model.h"
 #include "util/histogram.h"
 #include "util/rng.h"
@@ -223,6 +229,29 @@ TEST(histogram, add_all_delegates_to_bulk_add)
     for (std::size_t i = 0; i < a.bin_count(); ++i) {
         EXPECT_EQ(a.count_at(i), b.count_at(i));
     }
+}
+
+TEST(histogram, add_past_32_bit_total_throws_and_counts_nothing)
+{
+    // Bins are 32-bit, so a histogram holds at most 2^32 - 1 samples. The
+    // bulk adds check the total once, before binning: a span of 2^32
+    // samples throws without reading one. The span views a read-only
+    // mapping that reserves address space only (never touched).
+    constexpr std::size_t too_many = std::size_t{1} << 32;
+    const std::size_t bytes = too_many * sizeof(float);
+    void* const mapping = ::mmap(nullptr, bytes, PROT_READ,
+                                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mapping == MAP_FAILED) {
+        GTEST_SKIP() << "cannot reserve 16 GiB of address space";
+    }
+    histogram h(0.0, 1.0, 4);
+    h.add(0.5);
+    const std::span<const float> huge(static_cast<const float*>(mapping), too_many);
+    EXPECT_THROW(h.add(huge), std::length_error);
+    EXPECT_THROW(h.add(huge.first(too_many - 1)), std::length_error); // 1 + (2^32 - 1)
+    EXPECT_EQ(h.total(), 1u);
+    EXPECT_EQ(h.count_at(2), 1u);
+    ::munmap(mapping, bytes);
 }
 
 TEST(integer_histogram, mean_of_known_data)
