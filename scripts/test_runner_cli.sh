@@ -229,28 +229,51 @@ else
     failures=$((failures + 1))
 fi
 
-# The delay walk's floor on the canonical workloads (seed 42): each stage
-# drives the same vectors through step_batch, and circuit.pruned_lanes
-# counts those that toggle no deep gate -- most of Decode's, a handful of
-# ComplexALU's, none of SimpleALU's.
-for expected in decode:1353313 simple_alu:0 complex_alu:79; do
+# The delay walk's static timing cone on the canonical workloads (seed 42):
+# each stage drives the same vectors through step_batch whatever the worker
+# count (a batch never spans an interval), circuit.live_pairs counts the
+# (cone gate, lane) pairs the walk visits and circuit.pruned_lanes the lanes
+# whose walk list is empty -- most of Decode's, a handful of ComplexALU's,
+# none of SimpleALU's. A change that widens the cone fails here, not only
+# runs slower.
+for expected in decode:1353313:5273651 simple_alu:0:22086572 complex_alu:94:18438930; do
     stage=${expected%%:*}
-    pruned=${expected#*:}
+    counts=${expected#*:}
+    pruned=${counts%%:*}
+    live=${counts#*:}
     PRUNED="$WORK/pruned_$stage.csv"
     if "$RUNNER" --benchmarks=reported --stages="$stage" --policies=nominal --seed=42 \
             --workers=2 --quiet --metrics=csv >"$PRUNED" 2>&1; then
-        if grep -q "^circuit\.pruned_lanes,counter,$pruned\$" "$PRUNED"; then
-            echo "ok pruned_lanes_$stage"
+        if grep -q "^circuit\.pruned_lanes,counter,$pruned\$" "$PRUNED" &&
+                grep -q "^circuit\.live_pairs,counter,$live\$" "$PRUNED"; then
+            echo "ok cone_pairs_$stage"
         else
-            echo "FAIL pruned_lanes_$stage: expected $pruned pruned lanes:" >&2
-            grep '^circuit\.pruned_lanes' "$PRUNED" >&2
+            echo "FAIL cone_pairs_$stage: expected $pruned pruned lanes, $live live pairs:" >&2
+            grep -E '^circuit\.(pruned_lanes|live_pairs)' "$PRUNED" >&2
             failures=$((failures + 1))
         fi
     else
-        echo "FAIL pruned_lanes_$stage: runner exited non-zero" >&2
+        echo "FAIL cone_pairs_$stage: runner exited non-zero" >&2
         failures=$((failures + 1))
     fi
 done
+
+# The canonical sweep's live pairs: the three stages' sum, at any worker count.
+LIVE="$WORK/live_canonical.csv"
+if "$RUNNER" --benchmarks=reported --ladder=default --seed=42 --workers=3 --quiet \
+        --metrics=csv >"$LIVE" 2>&1; then
+    if grep -q '^circuit\.live_pairs,counter,45799153$' "$LIVE" &&
+            grep -q '^circuit\.toggled_pairs,counter,271343205$' "$LIVE"; then
+        echo "ok canonical_live_pairs"
+    else
+        echo "FAIL canonical_live_pairs: expected 45799153 live of 271343205 toggled pairs:" >&2
+        grep -E '^circuit\.(live|toggled)_pairs' "$LIVE" >&2
+        failures=$((failures + 1))
+    fi
+else
+    echo "FAIL canonical_live_pairs: runner exited non-zero" >&2
+    failures=$((failures + 1))
+fi
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures CLI contract failure(s)" >&2

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -13,20 +14,36 @@ namespace synts::circuit {
 
 namespace detail {
 
-/// What one step_batch delay pass reads and writes. Every timing row is
-/// one corner_block of doubles.
-struct delay_pass {
+/// What one step_batch call reads and writes. Every timing row is one
+/// corner_block of doubles.
+struct batch_pass {
+    // The functional pass, over every gate.
+    const gate* gates;                   ///< per gate, its cell kind
     const gate_pins* pins;               ///< per gate, three input pins and the output
-    const double* gate_delays;           ///< [gate * corner_block + corner]
-    const std::uint64_t* toggles;        ///< per net plus the padding slot, toggle masks
-    double* toggle_ps;                   ///< [net * corner_block + corner]
-    std::size_t zero_row;                ///< toggle_ps row that is always 0.0
-    const std::uint32_t* lane_gates;     ///< lane j's live gates end at (j + 1) * gate_count
-    std::uint32_t* const* lane_firsts;   ///< per lane, its first live gate
     std::size_t gate_count;
+    const std::uint64_t* input_words;    ///< per primary input, one bit per lane
+    std::size_t input_count;
+    const std::uint8_t* carried;         ///< per net, lane 0's predecessor value
+    std::uint64_t* words;                ///< per net plus the padding slot, lane values
+    std::uint64_t* toggles;              ///< per net plus the padding slot, toggle masks
+    // The cone scan and the walk, over the cone only.
+    const gate_pins* cone_pins;          ///< per cone gate, short pins padded
+    const double* cone_delays;           ///< [cone gate * corner_block + corner]
+    std::size_t cone_count;
+    const net_id* deep_outputs;          ///< where need is seeded with every lane
+    std::size_t deep_output_count;
+    std::uint64_t* need;                 ///< per net plus the padding slot
+    std::size_t net_count;
+    std::uint32_t* lane_gates;           ///< lane j's live cone gates end at (j + 1) * cone_count
+    double* toggle_ps;                   ///< [net * corner_block + corner]
     std::size_t lane_count;
     std::size_t corner_count;            ///< at most corner_block
+    const double* floor_ps;              ///< per corner, delays below it record +0.0
     double* out_delay_ps;                ///< [corner * lane_count + lane]
+    // What the call counted.
+    std::uint64_t toggled_pairs;
+    std::uint64_t live_pairs;
+    std::uint64_t pruned_lanes;
 };
 
 } // namespace detail
@@ -44,54 +61,122 @@ typedef double vec32 __attribute__((vector_size(32), may_alias));
 typedef double vec64 __attribute__((vector_size(64), may_alias));
 #endif
 
-/// Max-plus delay propagation over each lane's live gates, the whole
-/// 8-corner row in registers of type V (W doubles each, 8/W registers).
-/// The row stride is the constant corner_block, so each row address is a
-/// shift and an add. Always inlined, so each wrapper below compiles it for
-/// its own target ISA and no vector value crosses a call boundary.
-///
-/// Lanes share toggle_ps sequentially exactly like consecutive scalar
-/// steps share it: a lane only reads settle times its own pass wrote
-/// (a read is guarded by the lane's toggle bit, and a toggled net read by
-/// a live gate is itself driven by a live gate), so no per-lane copy is
-/// needed.
+/// One step_batch call: the word-parallel functional pass over every gate,
+/// the liveness scan over the cone, and max-plus delay propagation over
+/// each lane's live cone gates, the whole 8-corner row in registers of
+/// type V (W doubles each, 8/W registers). The row stride is the constant
+/// corner_block, so each row address is a shift and an add. Always
+/// inlined, so each wrapper below compiles all three passes for its own
+/// target ISA (std::popcount becomes popcnt where the target has it) and
+/// no vector value crosses a call boundary.
 template <typename V>
-[[gnu::always_inline]] inline void propagate_delays(const detail::delay_pass& pass)
+[[gnu::always_inline]] inline void run_batch(detail::batch_pass& pass)
 {
     constexpr std::size_t width = sizeof(V) / sizeof(double);
     constexpr std::size_t regs = corner_block / width;
     // The pass's fields in locals: read through the reference, GCC must
     // reload every field after each store into the may_alias rows.
     const detail::gate_pins* const pins = pass.pins;
-    const V* const gate_delays = reinterpret_cast<const V*>(pass.gate_delays);
-    const std::uint64_t* const toggles = pass.toggles;
+    const std::uint8_t* const carried = pass.carried;
+    std::uint64_t* const words = pass.words;
+    std::uint64_t* const toggles = pass.toggles;
+    const detail::gate_pins* const cone_pins = pass.cone_pins;
+    const V* const cone_delays = reinterpret_cast<const V*>(pass.cone_delays);
+    const std::size_t cone_count = pass.cone_count;
+    std::uint64_t* const need = pass.need;
+    std::uint32_t* const lists = pass.lane_gates;
     V* const toggle_ps = reinterpret_cast<V*>(pass.toggle_ps);
-    const std::size_t zero_row = pass.zero_row;
+    const std::size_t zero_row = pass.net_count;
     const std::size_t lane_count = pass.lane_count;
     const std::size_t corner_count = pass.corner_count;
+    const double* const floor_ps = pass.floor_ps;
     double* const out_delay_ps = pass.out_delay_ps;
 
+    // Functional pass, word-parallel: lane j of a net's word is its settled
+    // value under input vector j. The toggle mask compares each lane with
+    // its predecessor; lane 0's predecessor is the carried scalar state,
+    // which after reset() is the raw all-zero baseline -- the exact
+    // comparison sequence of lane_count scalar step() calls. Bits at or
+    // above lane_count (shifted-in toggles, const1 words) belong to no
+    // vector and are masked off wherever a lane is counted or walked.
+    const std::uint64_t lane_mask =
+        lane_count == dynamic_timing_simulator::max_batch_lanes ? ~0ull
+                                                                : (1ull << lane_count) - 1;
+    for (std::size_t i = 0; i < pass.input_count; ++i) {
+        const std::uint64_t w = pass.input_words[i];
+        words[i] = w;
+        toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(carried[i]));
+    }
+    std::uint64_t toggled_pairs = 0;
+    for (std::size_t gi = 0; gi < pass.gate_count; ++gi) {
+        const detail::gate_pins& p = pins[gi];
+        const std::uint64_t w = evaluate_cell_word(pass.gates[gi].kind, words[p.in[0]],
+                                                   words[p.in[1]], words[p.in[2]]);
+        const std::uint64_t t = w ^ ((w << 1) | static_cast<std::uint64_t>(carried[p.out]));
+        words[p.out] = w;
+        toggles[p.out] = t;
+        toggled_pairs += static_cast<std::uint64_t>(std::popcount(t & lane_mask));
+    }
+
+    // Liveness over the cone, in reverse topological order: need[n] holds
+    // the lanes in which some live cone gate (or a deep output) reads net
+    // n's settle time, so a cone gate is live in the lanes where its output
+    // toggles and is needed. A live gate makes its long pins needed in the
+    // same lanes; its short pins point at the padding slot, whose need is a
+    // write-only sink. The same scan pushes each live gate onto its lanes'
+    // lists back to front: lane j's list ends at lists[(j + 1) *
+    // cone_count] and runs in topological order.
+    std::fill(need, need + pass.net_count + 1, 0);
+    for (std::size_t d = 0; d < pass.deep_output_count; ++d) {
+        need[pass.deep_outputs[d]] = ~0ull;
+    }
+    std::array<std::uint32_t*, dynamic_timing_simulator::max_batch_lanes> lane_firsts{};
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+        lane_firsts[lane] = lists + (lane + 1) * cone_count;
+    }
+    for (std::size_t k = cone_count; k-- > 0;) {
+        const detail::gate_pins& p = cone_pins[k];
+        const std::uint64_t live = toggles[p.out] & need[p.out] & lane_mask;
+        // Unconditional: a dead gate ORs in 0, and the push loop below
+        // runs zero times.
+        need[p.in[0]] |= live;
+        need[p.in[1]] |= live;
+        need[p.in[2]] |= live;
+        for (std::uint64_t lanes = live; lanes != 0; lanes &= lanes - 1) {
+            *--lane_firsts[std::countr_zero(lanes)] = static_cast<std::uint32_t>(k);
+        }
+    }
+
+    // Delay propagation per lane over its own list. Lanes share toggle_ps
+    // sequentially exactly like consecutive scalar steps share it: a lane
+    // only reads settle times its own walk wrote (a read is guarded by the
+    // lane's toggle bit, and a toggled net read through a live gate's pin
+    // record is driven by a live gate or is a primary input, whose row
+    // stays 0.0), so no per-lane copy is needed.
+    std::uint64_t live_pairs = 0;
+    std::uint64_t pruned_lanes = 0;
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
         const std::uint64_t lane_bit = 1ull << lane;
-        const std::uint32_t* const first = pass.lane_firsts[lane];
-        const std::uint32_t* const last = pass.lane_gates + (lane + 1) * pass.gate_count;
+        const std::uint32_t* const first = lane_firsts[lane];
+        const std::uint32_t* const last = lists + (lane + 1) * cone_count;
+        live_pairs += static_cast<std::uint64_t>(last - first);
+        pruned_lanes += first == last ? 1 : 0;
         // Running max over every live gate the lane visits. A live gate
-        // either drives a primary output or has a live reader that reads
-        // its toggled row and settles no earlier (delays are >= 0), so this
-        // max is the max over the toggled primary outputs; max is exact,
-        // so any visit order gives the scalar walk's bits.
+        // either drives a deep output or has a live reader that reads its
+        // toggled row and settles no earlier (delays are >= 0), so this max
+        // is the max over the toggled deep outputs; max is exact, so any
+        // visit order gives the same bits.
         V worst[regs] = {};
         for (const std::uint32_t* it = first; it != last; ++it) {
-            const std::uint32_t gi = *it;
-            const detail::gate_pins& p = pins[gi];
+            const std::uint32_t k = *it;
+            const detail::gate_pins& p = cone_pins[k];
             // Every gate has three pins; a pin reads its settle-time row
-            // only if it toggled in this lane, else the all-zero row (an
-            // unused pin's padding slot never toggles). So no branch
-            // depends on the pin count or on the data. Per corner this is
-            // max(a, b, c) + delay: max is exact and order-free on these
-            // finite non-negative times and max(x, +0.0) is x, so the
-            // scalar walk's max over its changed pins gives the same bits.
-            // `a < b ? b : a` is std::max(a, b) lane for lane.
+            // only if it toggled in this lane, else the all-zero row (the
+            // padding slot never toggles). So no branch depends on the pin
+            // count or on the data. Per corner this is max(a, b, c) +
+            // delay: max is exact and order-free on these finite
+            // non-negative times and max(x, +0.0) is x. `a < b ? b : a` is
+            // std::max(a, b) lane for lane.
             const V* in_rows[3];
             for (std::size_t i = 0; i < 3; ++i) {
                 const std::size_t row =
@@ -99,7 +184,7 @@ template <typename V>
                 in_rows[i] = toggle_ps + row * regs;
             }
             V* const out_toggle = toggle_ps + std::size_t{p.out} * regs;
-            const V* const delays = gate_delays + std::size_t{gi} * regs;
+            const V* const delays = cone_delays + std::size_t{k} * regs;
             for (std::size_t r = 0; r < regs; ++r) {
                 const V a = in_rows[0][r];
                 const V b = in_rows[1][r];
@@ -111,28 +196,34 @@ template <typename V>
                 worst[r] = worst[r] < latest ? latest : worst[r];
             }
         }
+        // Below the floor the walk may have dropped short pins, so the
+        // value is only a lower bound there: record +0.0.
         for (std::size_t c = 0; c < corner_count; ++c) {
-            out_delay_ps[c * lane_count + lane] = worst[c / width][c % width];
+            const double delay = worst[c / width][c % width];
+            out_delay_ps[c * lane_count + lane] = delay < floor_ps[c] ? 0.0 : delay;
         }
     }
+    pass.toggled_pairs = toggled_pairs;
+    pass.live_pairs = live_pairs;
+    pass.pruned_lanes = pruned_lanes;
 }
 
 // The instantiations, one per target ISA. The 16-byte one needs nothing
 // beyond the x86-64 baseline (SSE2) and is the only one elsewhere.
-void propagate_delays_vec16(const detail::delay_pass& pass)
+void run_batch_vec16(detail::batch_pass& pass)
 {
-    propagate_delays<vec16>(pass);
+    run_batch<vec16>(pass);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-[[gnu::target("avx2")]] void propagate_delays_avx2(const detail::delay_pass& pass)
+[[gnu::target("avx2")]] void run_batch_avx2(detail::batch_pass& pass)
 {
-    propagate_delays<vec32>(pass);
+    run_batch<vec32>(pass);
 }
 
-[[gnu::target("avx512f")]] void propagate_delays_avx512f(const detail::delay_pass& pass)
+[[gnu::target("avx512f")]] void run_batch_avx512f(detail::batch_pass& pass)
 {
-    propagate_delays<vec64>(pass);
+    run_batch<vec64>(pass);
 }
 #endif
 
@@ -144,13 +235,13 @@ std::span<const delay_kernel> delay_kernels() noexcept
 {
 #if defined(__x86_64__) || defined(__i386__)
     static const std::array<delay_kernel, 3> kernels = {{
-        {"sse2", 2, true, propagate_delays_vec16},
-        {"avx2", 4, __builtin_cpu_supports("avx2") != 0, propagate_delays_avx2},
-        {"avx512f", 8, __builtin_cpu_supports("avx512f") != 0, propagate_delays_avx512f},
+        {"sse2", 2, true, run_batch_vec16},
+        {"avx2", 4, __builtin_cpu_supports("avx2") != 0, run_batch_avx2},
+        {"avx512f", 8, __builtin_cpu_supports("avx512f") != 0, run_batch_avx512f},
     }};
 #else
     static const std::array<delay_kernel, 1> kernels = {{
-        {"generic", 2, true, propagate_delays_vec16},
+        {"generic", 2, true, run_batch_vec16},
     }};
 #endif
     return kernels;
@@ -196,6 +287,11 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
     const std::vector<double> nominal = sta.nominal_gate_delays(lib);
     const auto gates = nl.gates();
     const std::size_t corner_count = vdd_levels.size();
+    const std::size_t input_count = nl.input_count();
+    // Relative slack on the cone's threshold: it only enlarges the cone,
+    // and covers the rounding gap between a left-folded dynamic path sum
+    // and the static through-path sum (a few ulps on a few dozen terms).
+    constexpr double cone_margin = 1e-9;
 
     auto tables = std::make_shared<timing_corner_tables>();
     tables->vdd.assign(vdd_levels.begin(), vdd_levels.end());
@@ -203,25 +299,72 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
     tables->gate_delay_ps.resize(gates.size() * corner_block); // padding stays 0.0
     tables->delay_floor = delay_floor;
     std::vector<double> delays(gates.size());
-    std::vector<std::uint8_t> deep(gates.size(), 0);
+    // tail[n]: the longest static path from net n to a primary output,
+    // -infinity where none exists.
+    std::vector<double> tail(nl.net_count());
+    std::vector<std::uint8_t> deep(nl.net_count(), 0);   // per net, a deep output
+    std::vector<std::uint8_t> long_pin(gates.size() * 3, 0);
     for (std::size_t c = 0; c < corner_count; ++c) {
         vm.scale_gate_delays(gates, nominal, delays, vdd_levels[c]);
         const timing_report report = sta.analyze(delays);
         tables->nominal_period_ps.push_back(report.critical_delay_ps);
-        // A gate is deep if its static arrival reaches the floor at any
-        // corner; the settle time step_batch would compute never exceeds it.
-        const double floor_ps = delay_floor * report.critical_delay_ps;
         // Transpose into the corner-minor layout: one gate's corners are
         // contiguous so the simulators' inner corner loops stream.
         for (std::size_t g = 0; g < gates.size(); ++g) {
             tables->gate_delay_ps[g * corner_block + c] = delays[g];
-            deep[g] |= report.arrival_ps[gates[g].output] >= floor_ps ? 1 : 0;
+        }
+        // The cone at this corner: deep outputs by arrival, long pins by
+        // their longest static through-path; a gate with no path to an
+        // output has tail -infinity and so no long pin.
+        const double threshold = delay_floor * report.critical_delay_ps * (1.0 - cone_margin);
+        std::fill(tail.begin(), tail.end(), -std::numeric_limits<double>::infinity());
+        for (const net_id out : nl.output_nets()) {
+            tail[out] = 0.0;
+            deep[out] |= report.arrival_ps[out] >= threshold ? 1 : 0;
+        }
+        for (std::size_t g = gates.size(); g-- > 0;) {
+            const gate& gt = gates[g];
+            const double through = delays[g] + tail[gt.output];
+            for (std::size_t i = 0; i < gt.input_count; ++i) {
+                const net_id in = gt.inputs[i];
+                tail[in] = std::max(tail[in], through);
+                long_pin[g * 3 + i] |= report.arrival_ps[in] + through >= threshold ? 1 : 0;
+            }
         }
     }
-    for (std::size_t g = 0; g < gates.size(); ++g) {
-        if (deep[g] != 0) {
-            tables->deep_nets.push_back(gates[g].output);
+
+    // The cone: every gate reachable backward from a deep output through
+    // long pins, found in reverse topological order.
+    std::vector<std::uint8_t> in_cone(gates.size(), 0);
+    for (const net_id out : nl.output_nets()) {
+        // A net marked as two outputs is listed once.
+        if (deep[out] != 0 && out >= input_count && in_cone[nl.driver_of(out)] == 0) {
+            tables->deep_outputs.push_back(out);
+            in_cone[nl.driver_of(out)] = 1;
         }
+    }
+    for (std::size_t g = gates.size(); g-- > 0;) {
+        for (std::size_t i = 0; in_cone[g] != 0 && i < gates[g].input_count; ++i) {
+            const net_id in = gates[g].inputs[i];
+            if (long_pin[g * 3 + i] != 0 && in >= input_count) {
+                in_cone[nl.driver_of(in)] = 1;
+            }
+        }
+    }
+    const auto pad = static_cast<net_id>(nl.net_count());
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        if (in_cone[g] == 0) {
+            continue;
+        }
+        detail::gate_pins& p = tables->cone_pins.emplace_back();
+        for (std::size_t i = 0; i < 3; ++i) {
+            p.in[i] = i < gates[g].input_count && long_pin[g * 3 + i] != 0 ? gates[g].inputs[i]
+                                                                            : pad;
+        }
+        p.out = gates[g].output;
+        const auto row =
+            tables->gate_delay_ps.begin() + static_cast<std::ptrdiff_t>(g * corner_block);
+        tables->cone_delay_ps.insert(tables->cone_delay_ps.end(), row, row + corner_block);
     }
     return tables;
 }
@@ -370,6 +513,7 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     }
     const auto gates = nl_.gates();
     const std::size_t gate_count = gates.size();
+    const std::size_t cone_count = tables_->cone_pins.size();
     // Net net_count is the padding slot every unused pin points at: its
     // value and toggle words stay 0, and its need word is a write-only sink.
     const auto pad = static_cast<net_id>(net_count);
@@ -377,8 +521,7 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         value_words_.assign(net_count + 1, 0);
         toggle_words_.assign(net_count + 1, 0);
         need_words_.assign(net_count + 1, 0);
-        output_need_.assign(net_count + 1, 0);
-        lane_gates_.resize(max_batch_lanes * gate_count);
+        lane_gates_.resize(max_batch_lanes * cone_count);
         gate_pins_.resize(gate_count);
         for (std::size_t gi = 0; gi < gate_count; ++gi) {
             const gate& g = gates[gi];
@@ -388,79 +531,39 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
             }
             p.out = g.output;
         }
-        for (const net_id out : nl_.output_nets()) {
-            output_need_[out] = ~0ull;
-        }
     }
-    const detail::gate_pins* const pins = gate_pins_.data();
-
-    // Functional pass, word-parallel: lane j of a net's word is its settled
-    // value under input vector j. The toggle mask compares each lane with
-    // its predecessor; lane 0's predecessor is the carried scalar state
-    // (values_), which after reset() is the raw all-zero baseline -- the
-    // exact comparison sequence of lane_count scalar step() calls.
-    std::uint64_t* const words = value_words_.data();
-    std::uint64_t* const toggles = toggle_words_.data();
-    for (std::size_t i = 0; i < input_count; ++i) {
-        const std::uint64_t w = input_words[i];
-        words[i] = w;
-        toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[i]));
-    }
-    for (std::size_t gi = 0; gi < gate_count; ++gi) {
-        const detail::gate_pins& p = pins[gi];
-        const std::uint64_t w =
-            evaluate_cell_word(gates[gi].kind, words[p.in[0]], words[p.in[1]], words[p.in[2]]);
-        words[p.out] = w;
-        toggles[p.out] = w ^ ((w << 1) | static_cast<std::uint64_t>(values_[p.out]));
+    // The same product the contract (and its test oracles) compare with.
+    std::array<double, corner_block> floor_ps{};
+    for (std::size_t c = 0; c < corner_count; ++c) {
+        floor_ps[c] = tables_->delay_floor * tables_->nominal_period_ps[c];
     }
 
-    // Bits at or above lane_count (shifted-in toggles, const1 words) belong
-    // to no vector and are masked off. keep holds the lanes that toggle a
-    // deep gate: only they can reach the delay floor, so only they are
-    // walked; every other lane's delay stays 0.0.
-    const std::uint64_t lane_mask =
-        lane_count == max_batch_lanes ? ~0ull : (1ull << lane_count) - 1;
-    std::uint64_t keep = 0;
-    for (const net_id n : tables_->deep_nets) {
-        keep |= toggles[n];
-    }
-    keep &= lane_mask;
+    detail::batch_pass pass{.gates = gates.data(),
+                            .pins = gate_pins_.data(),
+                            .gate_count = gate_count,
+                            .input_words = input_words.data(),
+                            .input_count = input_count,
+                            .carried = values_.data(),
+                            .words = value_words_.data(),
+                            .toggles = toggle_words_.data(),
+                            .cone_pins = tables_->cone_pins.data(),
+                            .cone_delays = tables_->cone_delay_ps.data(),
+                            .cone_count = cone_count,
+                            .deep_outputs = tables_->deep_outputs.data(),
+                            .deep_output_count = tables_->deep_outputs.size(),
+                            .need = need_words_.data(),
+                            .net_count = net_count,
+                            .lane_gates = lane_gates_.data(),
+                            .toggle_ps = toggle_ps_.data(),
+                            .lane_count = lane_count,
+                            .corner_count = corner_count,
+                            .floor_ps = floor_ps.data(),
+                            .out_delay_ps = out_delay_ps.data(),
+                            .toggled_pairs = 0,
+                            .live_pairs = 0,
+                            .pruned_lanes = 0};
+    kernel.run(pass);
 
-    // Liveness, in reverse topological order: need[n] holds the lanes in
-    // which some live gate (or a primary output) reads net n's settle
-    // time, so a gate is live in the lanes where its output toggles and is
-    // needed. A live gate makes its inputs needed in the same lanes. The
-    // same scan pushes each live gate onto its lanes' lists back to front:
-    // lane j's list ends at lane_gates_[(j + 1) * gate_count] and runs in
-    // topological order. Dead gates are never visited; no output can see
-    // their settle times. Neither are the gates of lanes outside keep.
-    std::uint64_t* const need = need_words_.data();
-    std::copy(output_need_.begin(), output_need_.end(), need);
-    std::uint32_t* const lists = lane_gates_.data();
-    std::array<std::uint32_t*, max_batch_lanes> lane_firsts{};
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        lane_firsts[lane] = lists + (lane + 1) * gate_count;
-    }
-    std::uint64_t toggled_pairs = 0;
-    for (std::size_t gi = gate_count; gi-- > 0;) {
-        const detail::gate_pins& p = pins[gi];
-        const std::uint64_t toggled = toggles[p.out] & lane_mask;
-        const std::uint64_t live = toggled & need[p.out] & keep;
-        toggled_pairs += static_cast<std::uint64_t>(std::popcount(toggled));
-        // Unconditional: a dead gate ORs in 0, an unused pin ORs into the
-        // padding slot's sink, and the push loop below runs zero times.
-        need[p.in[0]] |= live;
-        need[p.in[1]] |= live;
-        need[p.in[2]] |= live;
-        for (std::uint64_t lanes = live; lanes != 0; lanes &= lanes - 1) {
-            *--lane_firsts[std::countr_zero(lanes)] = static_cast<std::uint32_t>(gi);
-        }
-    }
-    std::uint64_t live_pairs = 0;
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        live_pairs += static_cast<std::uint64_t>(lists + (lane + 1) * gate_count -
-                                                 lane_firsts[lane]);
-    }
     // Once per call: the dead share is 1 - live / toggled.
     static obs::counter& toggled_counter =
         obs::metrics_registry::global().counter_at("circuit.toggled_pairs");
@@ -468,27 +571,15 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         obs::metrics_registry::global().counter_at("circuit.live_pairs");
     static obs::counter& pruned_counter =
         obs::metrics_registry::global().counter_at("circuit.pruned_lanes");
-    toggled_counter.add(toggled_pairs);
-    live_counter.add(live_pairs);
-    pruned_counter.add(static_cast<std::uint64_t>(std::popcount(lane_mask & ~keep)));
-
-    // Delay propagation per lane over its own list, one 8-corner row per gate.
-    const detail::delay_pass pass{.pins = pins,
-                                  .gate_delays = tables_->gate_delay_ps.data(),
-                                  .toggles = toggles,
-                                  .toggle_ps = toggle_ps_.data(),
-                                  .zero_row = net_count,
-                                  .lane_gates = lists,
-                                  .lane_firsts = lane_firsts.data(),
-                                  .gate_count = gate_count,
-                                  .lane_count = lane_count,
-                                  .corner_count = corner_count,
-                                  .out_delay_ps = out_delay_ps.data()};
-    kernel.run(pass);
+    toggled_counter.add(pass.toggled_pairs);
+    live_counter.add(pass.live_pairs);
+    pruned_counter.add(pass.pruned_lanes);
 
     // Land the carried scalar state on the last lane, so scalar and batched
     // stepping interleave freely.
     const std::size_t last = lane_count - 1;
+    const std::uint64_t* const words = value_words_.data();
+    const std::uint64_t* const toggles = toggle_words_.data();
     for (std::size_t n = 0; n < net_count; ++n) {
         values_[n] = static_cast<std::uint8_t>((words[n] >> last) & 1);
         changed_[n] = static_cast<std::uint8_t>((toggles[n] >> last) & 1);

@@ -23,23 +23,26 @@
 //                     settle-time row is the always-zero row. So none of
 //                     the three passes below branches on a gate's pin
 //                     count. A forward scan runs the functional pass
-//                     word-parallel (one inline evaluate_cell_word per
-//                     gate covers all lanes; a padded pin feeds the 0
-//                     word, which no cell reads) and derives each output's
-//                     toggle word. A backward scan, in reverse topological
-//                     order, then finds each gate's live lanes: those
-//                     where its output toggles and some live reader (or a
+//                     word-parallel over every gate (one inline
+//                     evaluate_cell_word per gate covers all lanes; a
+//                     padded pin feeds the 0 word, which no cell reads)
+//                     and derives each output's toggle word. A backward
+//                     scan over the static timing cone only (see the delay
+//                     floor below), in reverse topological order, then
+//                     finds each cone gate's live lanes: those where its
+//                     output toggles and some live reader (or a deep
 //                     primary output) needs its settle time --
 //                       live = toggles[out] & need[out] & lane_mask,
 //                       need[in0] |= live, need[in1] |= live,
 //                       need[in2] |= live (unconditionally: a dead gate
-//                       ORs 0, a padded pin ORs into a write-only sink),
-//                     with need seeded per batch to all lanes at the
-//                     primary-output nets. The same scan pushes each live
-//                     gate onto its lanes' lists back to front, so lane
-//                     j's list ends at (j + 1) * gate_count and runs in
-//                     topological order. Delay propagation walks each
-//                     lane's own list, never visiting a dead or untoggled
+//                       ORs 0, a padded or short pin ORs into a
+//                       write-only sink),
+//                     with need seeded per batch to all lanes at the deep
+//                     outputs. The same scan pushes each live gate onto
+//                     its lanes' lists back to front, so lane j's list
+//                     ends at (j + 1) * cone size and runs in topological
+//                     order. Delay propagation walks each lane's own list,
+//                     never visiting a dead, untoggled or out-of-cone
 //                     gate. Each of the three pins reads its settle-time
 //                     row if it toggled in that lane, else the zero row;
 //                     the gate's time is max(a, b, c) + delay, and it is
@@ -50,41 +53,55 @@
 // is exact and order-free on these finite, non-negative times, so the
 // order the pins are read in cannot change a bit, and max(x, +0.0) == x,
 // so a padded or untoggled pin that reads the zero row changes nothing.
-// The fold over all live gates equals the scalar walk's max over the
-// toggled primary outputs: a live gate either drives a primary output or
-// has a live reader that reads its toggled row, and that reader settles no
-// earlier (delays are >= 0 and a + d >= a for d >= 0), so no live gate
-// exceeds the latest live output driver -- which is live whenever it
-// toggles. Pruning is bit-identical too: a lane reads an input's settle
-// time only from a live toggled gate, which makes the input's driver live
-// in that lane, so the row was written earlier in the same walk. step() is
+// A lane reads an input's settle time only from a live gate through a
+// toggled pin of the cone record, which makes the input's driver live in
+// that lane, so the row was written earlier in the same walk. step() is
 // neither padded nor pruned, so it stays an independent oracle. The
 // registry counters circuit.toggled_pairs and circuit.live_pairs count the
-// toggled and live (gate, lane) pairs, once per step_batch call.
+// toggled (any gate) and live (cone gate) pairs, and circuit.pruned_lanes
+// the lanes whose walk list is empty, once per step_batch call.
 //
-// The delay floor. Consumers read a vector's delay only against r * t_nom
-// for r in the speculation range ([0.64, 1] in the paper grid), never far
-// below it. So step_batch computes an exact delay only for the vectors that
-// can reach exact_delay_floor * t_nom,c at some corner c: make_corner_tables
-// marks as *deep* every gate whose static arrival (the STA it already runs
-// per corner) reaches floor * t_nom,c at any corner, and after the
-// functional pass step_batch ORs the deep gates' toggle words into a lane
-// mask, keep, which it ANDs into every gate's live word. A lane that
-// toggles no deep gate pushes no gate, its walk visits nothing, and its
-// delay stays +0.0 at every corner. The contract: a vector's delay is
-// bit-identical to step()'s when it toggles a deep gate, and 0.0
-// otherwise -- and then its true delay is below floor * t_nom,c at every
-// corner. Proof: a gate's dynamic settle time is the max over its toggled
-// pins' settle times (primary inputs at 0.0) plus its delay; the STA's
-// arrival is the max over all its pins' arrivals plus the same double. By
-// induction in topological order the settle time is never later than the
-// arrival (max is exact, and a <= b gives fl(a + d) <= fl(b + d)), and a
-// vector's delay is the settle time of some toggled gate, or 0.0. The
+// The delay floor and the static timing cone. Consumers read a vector's
+// delay only against r * t_nom for r in the speculation range ([0.64, 1]
+// in the paper grid), never far below it. So step_batch computes a delay
+// exactly only where it reaches exact_delay_floor * t_nom,c, and walks
+// only the gates on a static path long enough to get there.
+// make_corner_tables, in the loop that runs one STA per corner, marks
+//   * the deep outputs: primary outputs whose arrival reaches
+//     floor * t_nom,c at some corner c;
+//   * the long pins: gate input pins for which arrival(driver) + d_gate +
+//     the longest static path from the gate to an output reaches
+//     floor * t_nom,c at some corner,
+// both compared against floor * t_nom,c * (1 - 1e-9). The margin only
+// enlarges the cone, so it can cost speed but never exactness; it covers
+// the rounding gap between the left-folded dynamic path sum and the
+// static through-path sum. The cone is the set of gates reachable
+// backward from the deep outputs through long pins, in topological order,
+// with its delay rows compacted into cone order and a pin record in
+// which short pins point at the padding slot. step_batch seeds need only
+// at the deep outputs, scans and walks only the cone, and clamps each
+// corner's delay: below floor * t_nom,c it records +0.0.
+//
+// The contract, per corner c: every delay equals step()'s when that is
+// >= floor * t_nom,c, and is +0.0 otherwise. Proof sketch: a gate's
+// dynamic settle time is the max over its toggled pins' settle times
+// (primary inputs at 0.0) plus its delay, and the walk's value is the
+// same max over its toggled long pins only, so by induction in
+// topological order every computed value is <= the true one (max is
+// exact, and a <= b gives fl(a + d) <= fl(b + d)); the clamp then sends
+// every delay below the floor to +0.0. A delay D >= floor * t_nom,c is
+// attained along a dynamic path of toggled gates, each taking its
+// settle time from the next pin back. The static arrival bounds each
+// settle time from above and every gate delay is >= 0, so each edge of
+// that path has a static through-path at least as long as D (up to the
+// margin): every edge is long, the path ends at a deep output, and every
+// gate on it is in the cone and live in the lane. Along it the walk's
+// value equals the true one, so the lane's fold returns D exactly. The
 // functional state, the carried scalar state and the three ISA kernels do
 // not depend on the floor. make_corner_tables takes the floor as a
-// trailing argument; 0.0 makes every gate deep, so only lanes in which no
-// gate toggles (delay 0.0 either way) are skipped, and every delay equals
-// step()'s. circuit.pruned_lanes counts the skipped lanes per call.
+// trailing argument; 0.0 makes every output deep and every pin that
+// feeds an output's cone long, and clamps nothing, so every delay equals
+// step()'s.
 //
 // Timing data is laid out corner-minor ("SoA") in zero-padded rows of
 // exactly corner_block = 8 doubles: gate delays as [gate][corner] and
@@ -94,11 +111,14 @@
 // make_corner_tables (and the simulator) reject more than 8 corners: the
 // fixed stride turns every row address in the kernel into a shift.
 //
-// step_batch's max-plus kernel is one template over a GCC vector type of
-// 2, 4 or 8 doubles: the 8-corner row is 8/W registers. It is compiled
-// three times -- SSE2 (the x86-64 baseline), AVX2 and AVX-512F -- and the
-// widest one the CPU supports is chosen once per process (non-x86 builds
-// compile only the 16-byte one). Plain 8-wide corner loops over padded
+// step_batch's body -- the functional pass, the cone scan and the
+// max-plus walk -- is one template over a GCC vector type of 2, 4 or 8
+// doubles: the 8-corner row is 8/W registers. It is compiled three times
+// -- SSE2 (the x86-64 baseline), AVX2 and AVX-512F -- and the widest one
+// the CPU supports is chosen once per process (non-x86 builds compile
+// only the 16-byte one). The AVX2 and AVX-512F targets imply POPCNT, so
+// the per-gate toggle counts compile to the popcnt instruction there
+// rather than a libgcc call. Plain 8-wide corner loops over padded
 // rows are not enough: GCC does not vectorize them (they measured no
 // faster than the unpadded 7-wide loops), so the kernel spells the vector
 // width out. The kernel only takes maxes and adds, and per corner there is
@@ -107,8 +127,9 @@
 // tests/test_circuit_dynamic_timing_batch for each supported
 // instantiation at 1, 3, 7 and 8 corners, on a hand-built netlist whose
 // masked toggles the pruning skips -- including a dead subtree that
-// settles after every output -- and on one that exercises every kind of
-// pin padding).
+// settles after every output -- on one that exercises every kind of pin
+// padding, and on cone netlists with a short side input, a through-path
+// exactly at the floor and a masked deep gate).
 
 #pragma once
 
@@ -129,11 +150,10 @@ namespace synts::circuit {
 /// Doubles per timing row, and so the most corners a table can hold.
 inline constexpr std::size_t corner_block = 8;
 
-/// step_batch's default delay floor, as a fraction of t_nom: a vector that
-/// toggles no gate whose static arrival reaches exact_delay_floor * t_nom,c
-/// at some corner c gets delay 0.0 (its true delay is below that at every
-/// corner). It lies well below the paper's speculation range [0.64, 1] and
-/// below every floor (>= 0.40) a calibration of that range considers.
+/// step_batch's default delay floor, as a fraction of t_nom: a delay below
+/// exact_delay_floor * t_nom,c at corner c is recorded as +0.0, every other
+/// one exactly. It lies well below the paper's speculation range [0.64, 1]
+/// and below every floor (>= 0.40) a calibration of that range considers.
 inline constexpr double exact_delay_floor = 0.25;
 
 /// Allocator for the padded corner rows: every row starts on a 64-byte
@@ -163,6 +183,19 @@ struct cache_aligned_allocator {
 /// Zero-padded, cache-line-aligned [row][corner] storage.
 using corner_rows = std::vector<double, cache_aligned_allocator<double>>;
 
+namespace detail {
+
+/// step_batch's fixed pin record of one gate: three input nets and the
+/// output net. Pins past the gate's input_count (and, in the cone's
+/// records, short pins) point at the padding slot net_count, whose value
+/// and toggle words are always 0.
+struct gate_pins {
+    std::array<net_id, 3> in;
+    net_id out;
+};
+
+} // namespace detail
+
 /// Precomputed per-corner timing of one netlist: supply, STA critical-path
 /// delay (the nominal period), and per-gate delays. Building the tables
 /// runs the static timing analysis once per corner -- the expensive part of
@@ -177,11 +210,19 @@ struct timing_corner_tables {
     /// historical [corner][gate]) keeps one gate's corners contiguous --
     /// the inner loop of both stepping modes.
     corner_rows gate_delay_ps;
-    /// The floor the deep gates were chosen against, as a fraction of t_nom.
+    /// The floor the timing cone was chosen against, as a fraction of t_nom.
     double delay_floor = 0.0;
-    /// Output nets of the deep gates, in gate order: those whose static
-    /// arrival reaches delay_floor * nominal_period_ps[c] at some corner c.
-    std::vector<net_id> deep_nets;
+    /// The deep outputs: gate-driven primary-output nets (once each, in
+    /// output order) whose static arrival reaches delay_floor *
+    /// nominal_period_ps[c] at some corner c.
+    std::vector<net_id> deep_outputs;
+    /// The static timing cone, one record per cone gate in topological
+    /// order: the gate's pins, a short pin pointing at the padding slot
+    /// net_count, and its output net.
+    std::vector<detail::gate_pins> cone_pins;
+    /// The cone gates' delay rows in cone order: [cone gate * corner_block
+    /// + corner], padding columns zero.
+    corner_rows cone_delay_ps;
 
     /// Number of voltage corners (1 .. corner_block).
     [[nodiscard]] std::size_t corner_count() const noexcept { return vdd.size(); }
@@ -195,10 +236,11 @@ struct timing_corner_tables {
 };
 
 /// Runs the STA and builds the shared tables for every supply level in
-/// `vdd_levels`, marking the gates deep against `delay_floor` (a fraction
-/// of t_nom in [0, 1]; 0.0 makes every gate deep, so step_batch matches
-/// step() on every vector). Throws std::invalid_argument unless
-/// `vdd_levels` holds 1 to corner_block levels and the floor is in range.
+/// `vdd_levels`, with the static timing cone of `delay_floor` (a fraction
+/// of t_nom in [0, 1]; 0.0 puts every gate that reaches an output in the
+/// cone, so step_batch matches step() on every vector). Throws
+/// std::invalid_argument unless `vdd_levels` holds 1 to corner_block
+/// levels and the floor is in range.
 [[nodiscard]] std::shared_ptr<const timing_corner_tables>
 make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_model& vm,
                    std::span<const double> vdd_levels,
@@ -208,23 +250,15 @@ class dynamic_timing_simulator;
 
 namespace detail {
 
-/// step_batch's fixed pin record of one gate: three input nets and the
-/// output net. Pins past the gate's input_count point at the padding slot
-/// net_count, whose value and toggle words are always 0.
-struct gate_pins {
-    std::array<net_id, 3> in;
-    net_id out;
-};
-
-/// What one step_batch delay pass reads and writes (dynamic_timing.cpp).
-struct delay_pass;
+/// What one step_batch call reads and writes (dynamic_timing.cpp).
+struct batch_pass;
 
 /// One compiled instantiation of step_batch's delay kernel.
 struct delay_kernel {
     const char* name;             ///< "sse2", "avx2", "avx512f" or "generic"
     std::size_t width;            ///< doubles per vector register: 2, 4 or 8
     bool supported;               ///< this CPU can run it
-    void (*run)(const delay_pass&);
+    void (*run)(batch_pass&);
 };
 
 /// Every instantiation this build compiled, narrowest first.
@@ -302,9 +336,9 @@ public:
     /// j at corner c (size corner_count * lane_count), so each corner's
     /// lane run is contiguous for bulk histogram insertion. The simulator
     /// ends in exactly the state `lane_count` scalar step() calls would
-    /// leave. A vector's delay is bit-identical to the scalar walk's when it
-    /// toggles a deep gate of the tables, and 0.0 otherwise (see the
-    /// delay floor above).
+    /// leave. Per corner c, a vector's delay is bit-identical to the scalar
+    /// walk's when that is >= delay_floor * t_nom,c of the tables, and +0.0
+    /// otherwise (see the delay floor above).
     void step_batch(std::span<const std::uint64_t> input_words, std::size_t lane_count,
                     std::span<double> out_delay_ps);
 
@@ -341,9 +375,9 @@ private:
     std::vector<std::uint64_t> value_words_;  ///< per net, lane values
     std::vector<std::uint64_t> toggle_words_; ///< per net, lane toggle masks
     std::vector<std::uint64_t> need_words_;   ///< per net, lanes a live reader needs
-    std::vector<std::uint64_t> output_need_;  ///< per net, all lanes at primary outputs
-    /// Per-lane live-gate lists: lane j's gates (topological order) end at
-    /// lane_gates_[(j + 1) * gate_count]; sized once, max_batch_lanes wide.
+    /// Per-lane live-gate lists of cone indices: lane j's gates
+    /// (topological order) end at lane_gates_[(j + 1) * cone size]; sized
+    /// once, max_batch_lanes wide.
     std::vector<std::uint32_t> lane_gates_;
     std::vector<detail::gate_pins> gate_pins_; ///< per gate, padded to three pins
 };

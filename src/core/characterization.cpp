@@ -143,6 +143,11 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     obs::counter& warmups_counter = registry.counter_at("characterize.warmup_steps");
 
     util::for_each_index(parallel, chunks.size(), [&](std::size_t ci) {
+        // One span per chunk, so a trace shows which worker ran it; the
+        // name is built only while tracing.
+        const obs::trace_span chunk_span(obs::trace_recorder::global(), [stage] {
+            return std::string("characterize.chunk:") + circuit::pipe_stage_name(stage);
+        });
         chunks_counter.add(1);
         const chunk& ch = chunks[ci];
         const arch::thread_trace& trace = program.trace.threads[ch.thread];

@@ -38,9 +38,9 @@ empirical_error_model::empirical_error_model(
         table.lo = h.lo();
         table.hi = h.hi();
         table.width = h.bin_width();
-        // A pruned vector's delay is below delay_floor * tnom, the product
-        // the tables compared static arrivals against, so it was binned at
-        // or below that product's bin.
+        // A delay recorded as 0.0 was below delay_floor * tnom, the product
+        // step_batch clamps against, so it belongs at or below that
+        // product's bin.
         if (delay_floor > 0.0) {
             table.first_exact_bin =
                 bin_of(delay_floor * tnom_ps_[c], table.lo, table.width, h.bin_count()) + 1;

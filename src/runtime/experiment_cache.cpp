@@ -1,5 +1,9 @@
 #include "runtime/experiment_cache.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "obs/trace.h"
 
 namespace synts::runtime {
@@ -57,6 +61,11 @@ experiment_cache::get_or_create(const workload::workload_key& workload,
         }
         if (all_settled) {
             program_tier_.erase({workload, config.workload_digest()});
+            // Hand the freed trace pages back to the OS (see the file
+            // comment).
+#if defined(__GLIBC__)
+            malloc_trim(0);
+#endif
         }
     }
     return experiment;

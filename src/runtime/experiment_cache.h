@@ -26,7 +26,10 @@
 // caller holding the program_ptr keeps it alive; a later stage build of a
 // config with the same workload digest regenerates it (one more compute).
 // The canonical sweep therefore still generates each trace once (7
-// program misses, 14 hits) but ends with no trace resident.
+// program misses, 14 hits) but ends with no trace resident. On glibc the
+// erase is followed by malloc_trim(0): the per-thread arenas would keep
+// the freed trace pages, so the most traces ever live at once -- which
+// depends on how fast the stages characterize -- would stay resident.
 //
 // What one stage entry retains, per (thread, interval) at the default
 // config (7 corners x 512 bins), with the canonical sweep's totals over its

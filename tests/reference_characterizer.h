@@ -4,13 +4,12 @@
 // state, then steps its vectors one at a time through the scalar step().
 // This is the walk the characterizer ran before it became chunked and
 // 64-lane batched; differential tests hold characterizer::characterize to
-// it bit for bit. It applies the delay floor from its own scalar walk: a
-// vector whose step() toggled no deep gate of the tables (found by diffing
-// net_values() across the step) is recorded at 0.0 at every corner.
+// it bit for bit. It applies the delay floor to its own scalar walk: per
+// corner c, a delay below delay_floor * t_nom,c of the tables is recorded
+// as +0.0, every other one as step() computed it.
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -43,23 +42,9 @@ inline std::size_t reference_warmup_op(const arch::thread_trace& trace,
     return no_warmup_op;
 }
 
-/// Whether the last step() toggled a deep gate of `tables`, given the deep
-/// nets' values before it.
-inline bool toggled_deep_gate(const circuit::dynamic_timing_simulator& sim,
-                              const circuit::timing_corner_tables& tables,
-                              const std::vector<std::uint8_t>& before)
-{
-    for (std::size_t d = 0; d < before.size(); ++d) {
-        if (sim.net_values()[tables.deep_nets[d]] != before[d]) {
-            return true;
-        }
-    }
-    return false;
-}
-
 /// One cell: a fresh simulator, the warm-up replay (delays discarded), then
-/// the interval's driving vectors through step(), each recorded at 0.0 when
-/// it toggled no deep gate.
+/// the interval's driving vectors through step(), each corner's delay
+/// recorded at +0.0 when it lies below the floor.
 inline core::interval_characterization reference_characterize_interval(
     const circuit::stage_netlist& stage_nl, const arch::stage_tap& tap,
     const std::shared_ptr<const circuit::timing_corner_tables>& tables,
@@ -72,7 +57,6 @@ inline core::interval_characterization reference_characterize_interval(
     const std::span<bool> bits(bits_storage.get(), tap.width());
     const std::span<const bool> inputs(bits_storage.get(), tap.width());
     std::vector<double> corner_delays(corner_count);
-    std::vector<std::uint8_t> deep_before(tables->deep_nets.size());
 
     const std::size_t warmup_op = reference_warmup_op(trace, tap, k);
     if (warmup_op != no_warmup_op) {
@@ -96,12 +80,11 @@ inline core::interval_characterization reference_characterize_interval(
         if (!tap.extract(ops[n], bits)) {
             continue;
         }
-        for (std::size_t d = 0; d < deep_before.size(); ++d) {
-            deep_before[d] = sim.net_values()[tables->deep_nets[d]];
-        }
         sim.step(inputs, corner_delays);
-        if (!toggled_deep_gate(sim, *tables, deep_before)) {
-            std::fill(corner_delays.begin(), corner_delays.end(), 0.0);
+        for (std::size_t c = 0; c < corner_count; ++c) {
+            if (corner_delays[c] < tables->delay_floor * tables->nominal_period_ps[c]) {
+                corner_delays[c] = 0.0;
+            }
         }
         ++data.vector_count;
         for (std::size_t c = 0; c < corner_count; ++c) {

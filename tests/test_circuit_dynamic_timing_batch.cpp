@@ -17,14 +17,20 @@
 // gate). Plus state continuity across interleaved
 // scalar/batched stepping, argument validation (including the 8-corner
 // ceiling) and the padded row layout. These differentials build their
-// tables with no delay floor (every gate deep), so step_batch must match
-// step() on every vector; the *default_floor cases hold it to step() with
-// the floor applied from the scalar walk, and check the deep-gate marking.
+// tables with no delay floor (every output deep, every pin on a path to an
+// output long), so step_batch must match step() on every vector; the
+// *default_floor cases hold it to step() with the floor applied per corner
+// to the scalar walk. The static timing cone is checked against an
+// independent per-corner STA, and hand-built netlists pin a short side
+// input that the cone cuts, a through-path exactly at the floor (the
+// cone's rounding margin) and a toggled deep chain masked before every
+// output.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
@@ -129,9 +135,10 @@ std::vector<double> corner_levels(std::size_t count)
 
 constexpr std::array<std::size_t, 4> corner_counts = {1, 3, 7, 8};
 
-/// A delay floor of 0.0 makes every gate deep: step_batch then matches
-/// step() on every vector, which is what the differential tests hold it to.
-/// The tests at exact_delay_floor say so by name.
+/// A delay floor of 0.0 puts every gate that reaches an output in the cone
+/// and clamps nothing: step_batch then matches step() on every vector,
+/// which is what the differential tests hold it to. The tests at
+/// exact_delay_floor say so by name.
 constexpr double no_floor = 0.0;
 
 /// The delay-kernel instantiations this CPU can run.
@@ -178,10 +185,11 @@ std::vector<std::vector<double>> scalar_delays(dynamic_timing_simulator& sim,
 }
 
 /// The delay floor applied to the scalar walk: [vector][corner] delays,
-/// step()'s for a vector that toggles a deep gate of `tables` (found by
-/// diffing net_values() across the step) and 0.0 for any other, whose
-/// step() delay must lie below the floor at every corner. Adds the others
-/// to `pruned`.
+/// per corner c step()'s delay when it is >= tables.delay_floor *
+/// t_nom,c and +0.0 otherwise. Adds to `pruned` the vectors that toggle
+/// no deep output of `tables` (found by diffing net_values() across the
+/// step): step_batch's walk list is empty exactly for them, and their
+/// step() delay must lie below the floor at every corner.
 std::vector<std::vector<double>> floored_scalar_delays(
     dynamic_timing_simulator& sim, const timing_corner_tables& tables,
     const std::vector<std::vector<bool>>& vectors, std::uint64_t& pruned)
@@ -190,27 +198,30 @@ std::vector<std::vector<double>> floored_scalar_delays(
     std::vector<std::vector<double>> expected;
     std::vector<double> delays(sim.corner_count());
     const std::unique_ptr<bool[]> raw(new bool[inputs]);
-    std::vector<std::uint8_t> before(tables.deep_nets.size());
+    std::vector<std::uint8_t> before(tables.deep_outputs.size());
     for (const auto& v : vectors) {
         for (std::size_t i = 0; i < inputs; ++i) {
             raw[i] = v[i];
         }
         for (std::size_t d = 0; d < before.size(); ++d) {
-            before[d] = sim.net_values()[tables.deep_nets[d]];
+            before[d] = sim.net_values()[tables.deep_outputs[d]];
         }
         sim.step(std::span<const bool>(raw.get(), inputs), delays);
         bool deep_toggled = false;
         for (std::size_t d = 0; d < before.size(); ++d) {
-            deep_toggled |= sim.net_values()[tables.deep_nets[d]] != before[d];
+            deep_toggled |= sim.net_values()[tables.deep_outputs[d]] != before[d];
         }
-        if (!deep_toggled) {
-            for (std::size_t c = 0; c < delays.size(); ++c) {
-                EXPECT_LT(delays[c], tables.delay_floor * tables.nominal_period_ps[c])
-                    << "a vector that toggles no deep gate reaches the floor at corner " << c;
+        for (std::size_t c = 0; c < delays.size(); ++c) {
+            const double floor_ps = tables.delay_floor * tables.nominal_period_ps[c];
+            if (!deep_toggled) {
+                EXPECT_LT(delays[c], floor_ps)
+                    << "a vector that toggles no deep output reaches the floor at corner " << c;
+            }
+            if (delays[c] < floor_ps) {
                 delays[c] = 0.0;
             }
-            ++pruned;
         }
+        pruned += deep_toggled ? 0 : 1;
         expected.push_back(delays);
     }
     return expected;
@@ -221,7 +232,7 @@ std::vector<std::vector<double>> floored_scalar_delays(
 /// `delay_floor`) and asserts every per-corner delay and the final net
 /// state are EXACTLY equal -- to step()'s at no_floor, and to
 /// floored_scalar_delays above it, whose pruned-vector count must equal
-/// what circuit.pruned_lanes counted.
+/// what circuit.pruned_lanes counted (the lanes whose walk list is empty).
 void expect_batch_matches_scalar(const netlist& nl, const corner_setup& setup,
                                  const std::vector<std::vector<bool>>& vectors,
                                  std::size_t chunk_lanes, const detail::delay_kernel& kernel,
@@ -451,10 +462,10 @@ TEST_P(dynamic_timing_batch, reset_restores_the_baseline_for_both_paths)
 
 TEST_P(dynamic_timing_batch, matches_floored_scalar_at_the_default_floor)
 {
-    // The production floor: every vector that toggles a deep gate gets
-    // step()'s delay bit for bit, every other one 0.0 (and its step() delay
-    // lies below exact_delay_floor * t_nom at every corner), across word
-    // edges, odd tails and every kernel.
+    // The production floor: per corner, every delay at or above
+    // exact_delay_floor * t_nom is step()'s bit for bit and every other one
+    // +0.0; a lane is pruned exactly when its vector toggles no deep output.
+    // Across word edges, odd tails and every kernel.
     xoshiro256 rng(GetParam() ^ 0xF100);
     const std::size_t inputs = 4 + rng.uniform_below(12);
     const netlist nl = make_batch_test_netlist(inputs, 20 + rng.uniform_below(200), rng);
@@ -623,10 +634,11 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
 TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_the_default_floor)
 {
     // The masked netlist's t_nom is its deep chain (x1 x2 y1..y6 and2), so
-    // at exact_delay_floor only gates two or more levels deep are deep: a
-    // vector that toggles only q, o1, p or the like is pruned. The random
-    // streams of masked_netlist_matches_scalar_on_random_streams prune some
-    // vectors and keep others.
+    // at exact_delay_floor the one-gate output o1 is not deep: a vector
+    // that toggles no deep output (only o1 or the masked chains, say) is
+    // pruned. The random streams of
+    // masked_netlist_matches_scalar_on_random_streams prune some vectors
+    // and keep others.
     xoshiro256 rng(97);
     std::vector<std::vector<bool>> vectors = make_vectors(6, 200, rng);
     for (auto& v : vectors) {
@@ -648,44 +660,388 @@ TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_the_default_
     }
 }
 
-TEST(dynamic_timing_batch, corner_tables_mark_deep_gates_against_the_floor)
+/// The static timing cone of `floor` from independent per-corner STA runs:
+/// each gate's longest path to an output by memoized recursion over its
+/// readers, long pins by the definition (with the tables' 1e-9 margin), and
+/// the cone by a depth-first search from the deep outputs.
+struct reference_cone {
+    std::vector<net_id> deep_outputs;
+    std::vector<detail::gate_pins> pins;
+    std::vector<gate_id> gates;
+};
+
+reference_cone make_reference_cone(const netlist& nl, const corner_setup& setup, double floor)
 {
-    // deep_nets are exactly the outputs of the gates whose STA arrival
-    // reaches floor * t_nom at some corner, from independent per-corner STA
-    // runs; floor 0.0 makes every gate deep.
-    xoshiro256 rng(17);
-    const corner_setup setup;
-    const netlist nl = make_batch_test_netlist(6, 120, rng);
     const auto gates = nl.gates();
     const static_timing_analyzer sta(nl);
     const std::vector<double> nominal = sta.nominal_gate_delays(setup.lib);
-    for (const double floor : {no_floor, exact_delay_floor, 0.6}) {
-        const auto tables =
-            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor);
-        EXPECT_EQ(tables->delay_floor, floor);
-        std::vector<bool> deep(gates.size(), false);
-        std::vector<double> delays(gates.size());
-        for (std::size_t c = 0; c < setup.corners.size(); ++c) {
-            setup.vm.scale_gate_delays(gates, nominal, delays, setup.corners[c]);
-            const timing_report report = sta.analyze(delays);
-            for (std::size_t g = 0; g < gates.size(); ++g) {
-                if (report.arrival_ps[gates[g].output] >= floor * report.critical_delay_ps) {
-                    deep[g] = true;
-                }
-            }
+    std::vector<std::vector<gate_id>> readers(nl.net_count());
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        for (std::size_t i = 0; i < gates[g].input_count; ++i) {
+            readers[gates[g].inputs[i]].push_back(static_cast<gate_id>(g));
         }
-        std::vector<net_id> expected;
+    }
+    std::vector<bool> is_output(nl.net_count(), false);
+    for (const net_id out : nl.output_nets()) {
+        is_output[out] = true;
+    }
+    std::vector<bool> deep(nl.net_count(), false);
+    std::vector<std::array<bool, 3>> long_pin(gates.size(), {false, false, false});
+    std::vector<double> delays(gates.size());
+    for (std::size_t c = 0; c < setup.corners.size(); ++c) {
+        setup.vm.scale_gate_delays(gates, nominal, delays, setup.corners[c]);
+        const timing_report report = sta.analyze(delays);
+        const double threshold = floor * report.critical_delay_ps * (1.0 - 1e-9);
+        std::vector<double> memo(nl.net_count(), std::numeric_limits<double>::quiet_NaN());
+        const auto longest = [&](auto&& self, net_id n) -> double {
+            if (!std::isnan(memo[n])) {
+                return memo[n];
+            }
+            double best = is_output[n] ? 0.0 : -std::numeric_limits<double>::infinity();
+            for (const gate_id r : readers[n]) {
+                best = std::max(best, delays[r] + self(self, gates[r].output));
+            }
+            return memo[n] = best;
+        };
+        for (const net_id out : nl.output_nets()) {
+            deep[out] = deep[out] || report.arrival_ps[out] >= threshold;
+        }
         for (std::size_t g = 0; g < gates.size(); ++g) {
-            if (deep[g]) {
-                expected.push_back(gates[g].output);
+            const double through = delays[g] + longest(longest, gates[g].output);
+            for (std::size_t i = 0; i < gates[g].input_count; ++i) {
+                long_pin[g][i] =
+                    long_pin[g][i] || report.arrival_ps[gates[g].inputs[i]] + through >= threshold;
             }
         }
-        EXPECT_EQ(tables->deep_nets, expected) << floor;
-        if (floor == no_floor) {
-            EXPECT_EQ(tables->deep_nets.size(), gates.size());
-        } else {
-            EXPECT_LT(tables->deep_nets.size(), gates.size()) << floor;
-            EXPECT_GT(tables->deep_nets.size(), 0u) << floor;
+    }
+    reference_cone cone;
+    std::vector<bool> in_cone(gates.size(), false);
+    std::vector<gate_id> stack;
+    for (const net_id out : nl.output_nets()) {
+        if (deep[out] && out >= nl.input_count() && !in_cone[nl.driver_of(out)]) {
+            cone.deep_outputs.push_back(out);
+            in_cone[nl.driver_of(out)] = true;
+            stack.push_back(nl.driver_of(out));
+        }
+    }
+    while (!stack.empty()) {
+        const gate_id g = stack.back();
+        stack.pop_back();
+        for (std::size_t i = 0; i < gates[g].input_count; ++i) {
+            const net_id in = gates[g].inputs[i];
+            if (long_pin[g][i] && in >= nl.input_count() && !in_cone[nl.driver_of(in)]) {
+                in_cone[nl.driver_of(in)] = true;
+                stack.push_back(nl.driver_of(in));
+            }
+        }
+    }
+    const auto pad = static_cast<net_id>(nl.net_count());
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        if (in_cone[g]) {
+            detail::gate_pins p{{pad, pad, pad}, gates[g].output};
+            for (std::size_t i = 0; i < gates[g].input_count; ++i) {
+                p.in[i] = long_pin[g][i] ? gates[g].inputs[i] : pad;
+            }
+            cone.pins.push_back(p);
+            cone.gates.push_back(static_cast<gate_id>(g));
+        }
+    }
+    return cone;
+}
+
+/// The tables' cone equals the reference cone, record for record, and its
+/// delay rows are the cone gates' rows.
+void expect_cone_matches_reference(const netlist& nl, const corner_setup& setup, double floor)
+{
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor);
+    const reference_cone expected = make_reference_cone(nl, setup, floor);
+    EXPECT_EQ(tables->delay_floor, floor);
+    EXPECT_EQ(tables->deep_outputs, expected.deep_outputs) << floor;
+    ASSERT_EQ(tables->cone_pins.size(), expected.pins.size()) << floor;
+    ASSERT_EQ(tables->cone_delay_ps.size(), expected.pins.size() * corner_block) << floor;
+    for (std::size_t k = 0; k < expected.pins.size(); ++k) {
+        EXPECT_EQ(tables->cone_pins[k].in, expected.pins[k].in) << "cone gate " << k;
+        EXPECT_EQ(tables->cone_pins[k].out, expected.pins[k].out) << "cone gate " << k;
+        for (std::size_t c = 0; c < corner_block; ++c) {
+            EXPECT_EQ(tables->cone_delay_ps[k * corner_block + c],
+                      tables->gate_delay_ps[expected.gates[k] * corner_block + c])
+                << "cone gate " << k << " corner " << c;
+        }
+    }
+}
+
+TEST(dynamic_timing_batch, corner_tables_mark_deep_gates_against_the_floor)
+{
+    // The deep outputs and the cone's pin records are exactly what
+    // independent per-corner STA runs give at each floor; a higher floor
+    // never widens the cone, and the default floor cuts part of it.
+    xoshiro256 rng(17);
+    const corner_setup setup;
+    const netlist nl = make_batch_test_netlist(6, 120, rng);
+    std::vector<std::size_t> cone_sizes;
+    for (const double floor : {no_floor, exact_delay_floor, 0.6}) {
+        expect_cone_matches_reference(nl, setup, floor);
+        cone_sizes.push_back(
+            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor)->cone_pins.size());
+        EXPECT_GT(cone_sizes.back(), 0u) << floor;
+    }
+    EXPECT_LT(cone_sizes[1], cone_sizes[0]);
+    EXPECT_LE(cone_sizes[2], cone_sizes[1]);
+    for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
+        xoshiro256 more(seed);
+        const netlist random = make_batch_test_netlist(8, 150, more);
+        for (const double floor : {no_floor, exact_delay_floor, 0.6, 1.0}) {
+            expect_cone_matches_reference(random, setup, floor);
+        }
+    }
+}
+
+TEST(dynamic_timing_batch, cone_at_floor_zero_holds_every_gate_that_reaches_an_output)
+{
+    // At floor 0.0 every output is deep and every pin on a path to an
+    // output is long, so the cone is exactly the gates that reach an
+    // output, each with its own pins, and step_batch matches step() (the
+    // live-pair pins of the masked and padding netlists do not move).
+    for (const std::uint64_t seed : {101ull, 202ull, 303ull, 404ull}) {
+        xoshiro256 rng(seed);
+        const netlist nl = make_batch_test_netlist(6, 120, rng);
+        const auto gates = nl.gates();
+        std::vector<bool> reaches(nl.net_count(), false);
+        for (const net_id out : nl.output_nets()) {
+            reaches[out] = true;
+        }
+        for (std::size_t g = gates.size(); g-- > 0;) {
+            for (std::size_t i = 0; reaches[gates[g].output] && i < gates[g].input_count; ++i) {
+                reaches[gates[g].inputs[i]] = true;
+            }
+        }
+        const corner_setup setup;
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
+        const auto pad = static_cast<net_id>(nl.net_count());
+        std::size_t k = 0;
+        for (std::size_t g = 0; g < gates.size(); ++g) {
+            if (!reaches[gates[g].output]) {
+                continue;
+            }
+            ASSERT_LT(k, tables->cone_pins.size()) << seed;
+            for (std::size_t i = 0; i < 3; ++i) {
+                EXPECT_EQ(tables->cone_pins[k].in[i],
+                          i < gates[g].input_count ? gates[g].inputs[i] : pad)
+                    << "gate " << g << " pin " << i;
+            }
+            EXPECT_EQ(tables->cone_pins[k].out, gates[g].output);
+            ++k;
+        }
+        EXPECT_EQ(k, tables->cone_pins.size()) << seed;
+        EXPECT_LT(k, gates.size()) << "seed " << seed << " has no gate off every output path";
+    }
+}
+
+/// `length` bufs in a chain from `from`; returns the last net.
+net_id add_buf_chain(netlist& nl, net_id from, std::size_t length)
+{
+    for (std::size_t i = 0; i < length; ++i) {
+        from = nl.add_gate1(cell_kind::buf, from);
+    }
+    return from;
+}
+
+/// A shallow side input joining a long chain, with inputs a and b:
+///
+///   y12 = buf^12(a); s = inv(b); o = and2(y12, s)   -- out "o"
+///
+/// o is the critical path; s reaches it in two gates, far below a quarter
+/// of t_nom, so at exact_delay_floor the and2's pin from s is short and s
+/// leaves the cone.
+netlist make_side_input_netlist()
+{
+    netlist nl("side_input");
+    const net_id a = nl.add_input("a");
+    const net_id b = nl.add_input("b");
+    const net_id y = add_buf_chain(nl, a, 12);
+    const net_id s = nl.add_gate1(cell_kind::inv, b);
+    nl.mark_output("o", nl.add_gate2(cell_kind::and2, y, s));
+    nl.validate();
+    return nl;
+}
+
+TEST(dynamic_timing_batch, short_side_input_is_cut_at_the_default_floor)
+{
+    const netlist nl = make_side_input_netlist();
+    const auto gates = nl.gates();
+    const net_id o = nl.output_net(0);
+    const net_id s = gates[nl.driver_of(o)].inputs[1];
+    const auto pad = static_cast<net_id>(nl.net_count());
+    xoshiro256 rng(41);
+    const auto vectors = make_vectors(nl.input_count(), 200, rng);
+    for (const std::size_t corners : corner_counts) {
+        const corner_setup setup(corners);
+        const auto tables =
+            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, exact_delay_floor);
+        // The twelve bufs and the and2, whose pin from s points at the pad.
+        ASSERT_EQ(tables->cone_pins.size(), 13u) << corners;
+        const detail::gate_pins& last = tables->cone_pins.back();
+        EXPECT_EQ(last.out, o);
+        EXPECT_EQ(last.in[0], gates[nl.driver_of(o)].inputs[0]);
+        EXPECT_EQ(last.in[1], pad);
+        EXPECT_EQ(last.in[2], pad);
+        for (const detail::gate_pins& p : tables->cone_pins) {
+            EXPECT_NE(p.out, s);
+        }
+        // At floor 0.0 the pin is long again.
+        const auto full = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, no_floor);
+        ASSERT_EQ(full->cone_pins.size(), 14u);
+        EXPECT_EQ(full->cone_pins.back().in[1], s);
+        for (const detail::delay_kernel* kernel : supported_kernels()) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel,
+                                            exact_delay_floor);
+            }
+        }
+    }
+}
+
+/// One input a through `kinds.size()` one-pin gates to the output "o".
+netlist make_chain_netlist(std::span<const cell_kind> kinds)
+{
+    netlist nl("chain");
+    net_id net = nl.add_input("a");
+    for (const cell_kind kind : kinds) {
+        net = nl.add_gate1(kind, net);
+    }
+    nl.mark_output("o", net);
+    nl.validate();
+    return nl;
+}
+
+TEST(dynamic_timing_batch, through_path_exactly_at_the_floor_stays_long)
+{
+    // At floor 1.0 every pin of a single chain lands exactly on t_nom in
+    // exact arithmetic. In floating point the static through-path of pin k
+    // sums arrival(k) (left fold) + the rest of the chain (right fold),
+    // which can round one ulp below t_nom, the left fold step() computes.
+    // Find a chain and a corner where it does: without the cone's margin
+    // that pin would be cut, the walk would come out below t_nom and the
+    // delay would be clamped to +0.0 instead of t_nom. One corner, since a
+    // pin is long if it is long at any corner.
+    const corner_setup setup(1);
+    std::vector<cell_kind> kinds;
+    bool rounds_below = false;
+    for (std::size_t n = 2; n <= 64 && !rounds_below; ++n) {
+        kinds.push_back(n % 3 == 0 ? cell_kind::inv : cell_kind::buf);
+        const netlist nl = make_chain_netlist(kinds);
+        const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, 1.0);
+        double arrival = 0.0;
+        for (std::size_t k = 0; k < kinds.size(); ++k) {
+            double tail = 0.0;
+            for (std::size_t j = kinds.size(); j-- > k;) {
+                tail = tables->gate_delays(static_cast<gate_id>(j))[0] + tail;
+            }
+            rounds_below |= arrival + tail < tables->nominal_period_ps[0];
+            arrival = arrival + tables->gate_delays(static_cast<gate_id>(k))[0];
+        }
+    }
+    ASSERT_TRUE(rounds_below) << "no chain rounds a through-path below t_nom";
+
+    const netlist nl = make_chain_netlist(kinds);
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners, 1.0);
+    ASSERT_EQ(tables->cone_pins.size(), kinds.size());
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        EXPECT_EQ(tables->cone_pins[k].in[0], nl.gates()[k].inputs[0]) << "gate " << k;
+    }
+    // After the first vector settles the chain from the all-zero baseline,
+    // every toggle of a runs the whole chain: a delay of exactly t_nom.
+    const std::vector<std::vector<bool>> vectors = {{false}, {true}, {true}, {false}};
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        SCOPED_TRACE(std::string("kernel ") + kernel->name);
+        expect_batch_matches_scalar(nl, setup, vectors, 4, *kernel, 1.0);
+        dynamic_timing_simulator sim(nl, tables);
+        std::vector<double> delays(tables->corner_count() * vectors.size());
+        detail::step_batch_with(*kernel, sim, pack_lanes(vectors, 0, 4, 1), 4, delays);
+        for (std::size_t c = 0; c < tables->corner_count(); ++c) {
+            EXPECT_EQ(delays[c * 4 + 1], tables->nominal_period_ps[c]) << c;
+            EXPECT_EQ(delays[c * 4 + 2], 0.0) << c;
+            EXPECT_EQ(delays[c * 4 + 3], tables->nominal_period_ps[c]) << c;
+        }
+    }
+}
+
+/// A deep chain masked before its output, next to a shorter deep output,
+/// with inputs a, b, z (z held at 0 by the test's vectors):
+///
+///   y12 = buf^12(a); masked = and2(y12, z)   -- out "masked"
+///   w6 = inv^6(b)                            -- out "side"
+///
+/// The y chain is in the cone (masked reaches t_nom) and toggles with a,
+/// but the and2 holds 0, so no output sees it; it settles after side.
+netlist make_masked_deep_netlist()
+{
+    netlist nl("masked_deep");
+    const net_id a = nl.add_input("a");
+    const net_id b = nl.add_input("b");
+    const net_id z = nl.add_input("z");
+    nl.mark_output("masked", nl.add_gate2(cell_kind::and2, add_buf_chain(nl, a, 12), z));
+    net_id w = b;
+    for (int i = 0; i < 6; ++i) {
+        w = nl.add_gate1(cell_kind::inv, w);
+    }
+    nl.mark_output("side", w);
+    nl.validate();
+    return nl;
+}
+
+TEST(dynamic_timing_batch, masked_deep_gate_does_not_leak_into_the_lane_delay)
+{
+    // From the all-zero reset state, with z = 0:
+    //   v0 a=1 b=0: the y chain and w1, w3, w5 toggle;
+    //               masked and side hold                 toggled 15, live 0
+    //   v1 a=0 b=1: the y chain and w1..w6 toggle       toggled 18, live 6
+    //   v2 a=1 b=1: the y chain                          toggled 12, live 0
+    //   v3 a=0 b=0: the y chain and w1..w6               toggled 18, live 6
+    // v0 and v2 are pruned lanes; v1 and v3 record side's settle time
+    // exactly, not the later y12.
+    const std::vector<std::vector<bool>> vectors = {
+        {true, false, false}, {false, true, false}, {true, true, false}, {false, false, false}};
+    const netlist nl = make_masked_deep_netlist();
+    const net_id y12 = nl.gates()[nl.driver_of(nl.output_net(0))].inputs[0];
+    auto& registry = synts::obs::metrics_registry::global();
+    const synts::obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
+    const synts::obs::counter& live = registry.counter_at("circuit.live_pairs");
+    const synts::obs::counter& pruned = registry.counter_at("circuit.pruned_lanes");
+    for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
+        const corner_setup setup(corners);
+        const auto tables =
+            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, exact_delay_floor);
+        ASSERT_EQ(tables->deep_outputs.size(), 2u);
+        ASSERT_EQ(tables->cone_pins.size(), nl.gates().size());
+        // The y chain settles after side, so a leak would show.
+        dynamic_timing_simulator sim(nl, tables);
+        const auto expected = scalar_delays(sim, vectors);
+        double y12_ps = 0.0;
+        for (std::size_t c = 0; c < corners; ++c) {
+            y12_ps = 0.0;
+            for (net_id n = y12; n >= nl.input_count(); n = nl.gates()[nl.driver_of(n)].inputs[0]) {
+                y12_ps += tables->gate_delays(nl.driver_of(n))[c];
+            }
+            ASSERT_GT(expected[1][c], 0.0);
+            ASSERT_LT(expected[1][c], y12_ps) << c;
+            ASSERT_EQ(expected[0][c], 0.0);
+        }
+        for (const detail::delay_kernel* kernel : supported_kernels()) {
+            SCOPED_TRACE(std::string("kernel ") + kernel->name + " corners " +
+                         std::to_string(corners));
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{4}}) {
+                const std::uint64_t toggled_before = toggled.value();
+                const std::uint64_t live_before = live.value();
+                const std::uint64_t pruned_before = pruned.value();
+                expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel,
+                                            exact_delay_floor);
+                EXPECT_EQ(toggled.value() - toggled_before, 63u) << chunk;
+                EXPECT_EQ(live.value() - live_before, 12u) << chunk;
+                EXPECT_EQ(pruned.value() - pruned_before, 2u) << chunk;
+            }
         }
     }
 }

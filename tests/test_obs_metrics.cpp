@@ -140,7 +140,8 @@ TEST(obs_metrics, scoped_timer_records_nothing_when_disabled)
 // -- characterization instrumentation ----------------------------------------
 // The characterizer registers characterize.cells / characterize.vectors
 // counters and a gated characterize.cell_ns nanosecond total in the global
-// registry, and wraps each stage pass in a characterize.stage:<name> span.
+// registry, and wraps each stage pass in a characterize.stage:<name> span
+// and each chunk task in a characterize.chunk:<name> span.
 // These tests run a tiny hand-built trace through the pipeline and assert
 // the instrument deltas exactly.
 
@@ -277,6 +278,13 @@ TEST(obs_metrics, characterization_emits_stage_span)
     const bool was_enabled = recorder.enabled();
     recorder.set_enabled(true);
     const std::size_t events_before = recorder.event_count();
+    const obs::counter& chunks =
+        obs::metrics_registry::global().counter_at("characterize.chunks");
+    std::size_t chunk_spans_before = 0;
+    for (const auto& event : recorder.events()) {
+        chunk_spans_before += event.name == "characterize.chunk:ComplexALU" ? 1 : 0;
+    }
+    const std::uint64_t chunks_before = chunks.value();
 
     const auto artifacts =
         core::program_characterizer{}.characterize_trace(charz::tiny_trace());
@@ -287,11 +295,16 @@ TEST(obs_metrics, characterization_emits_stage_span)
     recorder.set_enabled(was_enabled);
 
     bool found = false;
+    std::size_t chunk_spans = 0;
     for (const auto& event : recorder.events()) {
         found = found || event.name == "characterize.stage:ComplexALU";
+        chunk_spans += event.name == "characterize.chunk:ComplexALU" ? 1 : 0;
     }
     EXPECT_TRUE(found) << "no characterize.stage span recorded (events before: "
                        << events_before << ")";
+    // One characterize.chunk span per chunk task.
+    EXPECT_GT(chunks.value(), chunks_before);
+    EXPECT_EQ(chunk_spans - chunk_spans_before, chunks.value() - chunks_before);
 }
 
 } // namespace
