@@ -1,97 +1,48 @@
 #!/usr/bin/env bash
-# Runs the runtime micro benches and dumps wall-clock timings to
-# BENCH_runtime.json (schema: {"generated_unix": N, "hardware_threads": N,
-# "benches": [{"name", "seconds", "exit_code"}...]}), then runs the
-# characterization phase-timing bench, whose own JSON (per-pipeline-phase
-# serial vs parallel timings plus the bit-identity verdict) is captured as
-# BENCH_characterization.json, then the telemetry overhead gate (disabled
-# instrumentation must cost <= 2% over bare) as BENCH_obs.json. Finally
-# every BENCH_*.json is stamped with a `meta` provenance block (UTC
-# timestamp, host, hardware threads, git describe).
+# Runs the repo's benches that are not perfbench workloads or figure lines:
+#   1. every built bench_micro_* (Google Benchmark; skipped when it is not
+#      installed), failing the run on any non-zero exit;
+#   2. the telemetry overhead gate bench_obs (disabled instrumentation must
+#      cost <= 2% over bare), whose own JSON is captured as BENCH_obs.json.
+# BENCH_obs.json is then stamped with a `meta` provenance block (UTC
+# timestamp, host, hardware threads, git describe), and one line carrying
+# it is appended to the local ledger BENCH_HISTORY.jsonl.
+#
+# End-to-end and per-layer timings live in perfbench (python3
+# perfbench/run.py); bit-identity is pinned by ctest.
 #
 # Usage: scripts/run_benches.sh [build-dir] (default: build)
 
 set -u
 
 build_dir="${1:-build}"
-out="BENCH_runtime.json"
 
-# Recompute provenance at INVOCATION time and export it for every child:
-# benches that stamp their own meta (via collect_sweep_json_meta) read
-# SYNTS_GIT_DESCRIBE from the environment, and a stale exported value from
-# an earlier shell once shipped BENCH_obs.json claiming a commit several
-# PRs behind HEAD. Empty (not a git checkout) simply omits the field.
-SYNTS_GIT_DESCRIBE="$(git describe --always --dirty 2> /dev/null || true)"
-export SYNTS_GIT_DESCRIBE
+# Provenance is computed at INVOCATION time, never inherited: a stale
+# exported value from an earlier shell once shipped BENCH_obs.json claiming
+# a commit several PRs behind HEAD. Empty (not a git checkout) simply omits
+# the field.
+git_describe="$(git describe --always --dirty 2> /dev/null || true)"
 
 if [[ ! -d "${build_dir}" ]]; then
     echo "run_benches.sh: build dir '${build_dir}' not found (run cmake first)" >&2
     exit 1
 fi
 
-# The micro + runtime benches: small enough for CI, and together they cover
-# the solver hot path, the estimator, the circuit simulator, and the new
-# parallel sweep runtime.
-benches=(
-    bench_runtime_scaling
-    bench_micro_solver
-    bench_micro_estimator
-    bench_micro_circuit
-)
-
-now_s() { date +%s.%N; }
-
-json_rows=""
 failures=0
-for bench in "${benches[@]}"; do
-    exe="${build_dir}/${bench}"
-    if [[ ! -x "${exe}" ]]; then
-        echo "skip ${bench}: not built" >&2
-        continue
-    fi
+
+# -- micro benches -----------------------------------------------------------
+# Only the exit code is checked here; their timings are read by hand.
+for exe in "${build_dir}"/bench_micro_*; do
+    [[ -x "${exe}" ]] || continue
+    bench="$(basename "${exe}")"
     echo "== ${bench}" >&2
-    t0=$(now_s)
     "${exe}" > /dev/null 2>&1
     code=$?
-    t1=$(now_s)
-    seconds=$(awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%.3f", b - a }')
     if [[ "${code}" -ne 0 ]]; then
         echo "FAIL ${bench}: exit ${code}" >&2
         failures=$((failures + 1))
     fi
-    [[ -n "${json_rows}" ]] && json_rows+=","
-    json_rows+=$'\n    '"{\"name\": \"${bench}\", \"seconds\": ${seconds}, \"exit_code\": ${code}}"
 done
-
-cat > "${out}" <<EOF
-{
-  "generated_unix": $(date +%s),
-  "hardware_threads": $(nproc),
-  "benches": [${json_rows}
-  ]
-}
-EOF
-
-echo "wrote ${out}" >&2
-cat "${out}"
-
-# -- characterization phase timings ------------------------------------------
-# bench_characterization emits its own JSON (phase-by-phase serial vs
-# parallel timings) on stdout and checks parallel/serial bit-identity
-# itself, exiting non-zero on divergence.
-char_bench="${build_dir}/bench_characterization"
-char_out="BENCH_characterization.json"
-if [[ -x "${char_bench}" ]]; then
-    echo "== bench_characterization" >&2
-    if ! "${char_bench}" > "${char_out}"; then
-        echo "FAIL bench_characterization" >&2
-        failures=$((failures + 1))
-    fi
-    echo "wrote ${char_out}" >&2
-    cat "${char_out}"
-else
-    echo "skip bench_characterization: not built" >&2
-fi
 
 # -- telemetry overhead gate -------------------------------------------------
 # bench_obs emits its own JSON (bare vs instrumented-disabled vs
@@ -99,33 +50,27 @@ fi
 # <= 2%, exiting non-zero on a regression.
 obs_bench="${build_dir}/bench_obs"
 obs_out="BENCH_obs.json"
-if [[ -x "${obs_bench}" ]]; then
-    echo "== bench_obs" >&2
-    if ! "${obs_bench}" > "${obs_out}"; then
-        echo "FAIL bench_obs" >&2
-        failures=$((failures + 1))
-    fi
-    echo "wrote ${obs_out}" >&2
-    cat "${obs_out}"
-else
-    echo "skip bench_obs: not built" >&2
+if [[ ! -x "${obs_bench}" ]]; then
+    echo "FAIL bench_obs: not built" >&2
+    exit 1
 fi
+echo "== bench_obs" >&2
+if ! "${obs_bench}" > "${obs_out}"; then
+    echo "FAIL bench_obs" >&2
+    failures=$((failures + 1))
+fi
+echo "wrote ${obs_out}" >&2
+cat "${obs_out}"
 
 # -- provenance stamping -----------------------------------------------------
-# Every BENCH_*.json gets a `meta` block (schema_version, UTC timestamp,
-# host, hardware threads, git describe) so archived artifacts are
-# self-describing. Python is the only JSON rewriter the image guarantees;
-# stamping is best-effort and never fails the run.
+# The artifact gets a `meta` block (schema_version, UTC timestamp, host,
+# hardware threads, git describe) so archived copies are self-describing.
+# Python is the only JSON rewriter the image guarantees; stamping is
+# best-effort and never fails the run.
 if command -v python3 > /dev/null 2>&1; then
-    meta_generated="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    meta_host="$(hostname)"
-    meta_threads="$(nproc)"
-    meta_describe="${SYNTS_GIT_DESCRIBE}"
-    for artifact in BENCH_*.json; do
-        [[ -f "${artifact}" ]] || continue
-        python3 - "${artifact}" "${meta_generated}" "${meta_host}" \
-            "${meta_threads}" "${meta_describe}" <<'PYEOF' || \
-            echo "warn: could not stamp ${artifact}" >&2
+    python3 - "${obs_out}" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(hostname)" \
+        "$(nproc)" "${git_describe}" <<'PYEOF' || \
+        echo "warn: could not stamp ${obs_out}" >&2
 import json
 import sys
 
@@ -145,21 +90,20 @@ with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 PYEOF
-    done
-    echo "stamped meta into BENCH_*.json" >&2
+    echo "stamped meta into ${obs_out}" >&2
 else
     echo "skip meta stamping: python3 not found" >&2
 fi
 
 # -- perf-regression ledger --------------------------------------------------
 # One JSONL line per invocation, appended to BENCH_HISTORY.jsonl: the run's
-# provenance plus every BENCH_*.json document inline. Append-only and
-# one-line-per-run on purpose -- `jq`-able, diffable, and a later
+# provenance plus the artifact inline, keyed by its name ("obs").
+# Append-only and one-line-per-run on purpose -- `jq`-able, diffable, and
 # `bench_diff` can be pointed at any two extracted lines to compare
 # arbitrary commits. Best-effort like the stamping: never fails the run.
 if command -v python3 > /dev/null 2>&1; then
-    python3 - "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "${SYNTS_GIT_DESCRIBE}" \
-        "$(hostname)" BENCH_*.json <<'PYEOF' || \
+    python3 - "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "${git_describe}" \
+        "$(hostname)" "${obs_out}" <<'PYEOF' || \
         echo "warn: could not append BENCH_HISTORY.jsonl" >&2
 import json
 import sys
@@ -180,6 +124,6 @@ else
     echo "skip BENCH_HISTORY.jsonl: python3 not found" >&2
 fi
 
-# A failing bench (e.g. bench_runtime_scaling's bit-identity check) must
-# fail the CI step, not just be recorded in the artifact.
+# A failing bench must fail the CI step, not just be recorded in the
+# artifact.
 exit $((failures > 0 ? 1 : 0))

@@ -54,6 +54,10 @@ expect_usage_error workers_negative --workers=-1
 # any thread starts.
 expect_usage_error workers_huge --workers=100000
 expect_usage_error workers_over_max --workers=1025
+# Core counts above the 256 ceiling are rejected while parsing, before a
+# trace of ~2.2 MB per modeled core is allocated.
+expect_usage_error cores_over_max --cores=257
+expect_usage_error cores_huge --cores=100000
 expect_usage_error seed_negative --seed=-1
 expect_usage_error cores_whitespace --cores=' 2'
 # A value flag at the end of the line must not read past argv.

@@ -36,9 +36,18 @@ make_program_artifacts(const workload::workload_key& workload,
                        const experiment_config& config,
                        const util::parallel_for_fn& parallel)
 {
-    const program_characterizer characterizer(config.characterization.core);
-    return std::make_shared<const program_artifacts>(characterizer.characterize(
-        workload, config.thread_count, config.seed, parallel));
+    const workload::benchmark_profile profile =
+        workload::workload_registry::global().make_profile(workload, config.thread_count);
+
+    auto artifacts = std::make_shared<program_artifacts>();
+    artifacts->workload = workload;
+    artifacts->thread_count = config.thread_count;
+    artifacts->seed = config.seed;
+    artifacts->workload_digest = config.workload_digest();
+    artifacts->trace = workload::generate_program_trace(profile, config.seed, parallel);
+    artifacts->arch_profiles = arch::multicore_profiler(config.characterization.core)
+                                   .profile(artifacts->trace, parallel);
+    return artifacts;
 }
 
 namespace {

@@ -200,7 +200,11 @@ private:
 /// Builds the stage-independent program artifacts of (workload, config):
 /// phase one of the staged pipeline. Only config.thread_count, config.seed
 /// and config.characterization.core participate (== workload_digest());
-/// the workload key selects WHICH registered program is generated.
+/// the workload key selects WHICH registered program is generated, through
+/// workload_registry::global() (an unregistered key throws
+/// std::out_of_range). Generates the trace, then profiles it with
+/// arch::multicore_profiler; `parallel` fans per-thread work out without
+/// changing the result.
 [[nodiscard]] std::shared_ptr<const program_artifacts>
 make_program_artifacts(const workload::workload_key& workload,
                        const experiment_config& config = {},

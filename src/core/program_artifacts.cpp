@@ -37,38 +37,4 @@ void program_artifacts::validate() const
     }
 }
 
-program_characterizer::program_characterizer(arch::core_config core) : core_(core) {}
-
-program_artifacts program_characterizer::characterize(
-    const workload::workload_key& key, std::size_t thread_count, std::uint64_t seed,
-    const util::parallel_for_fn& parallel) const
-{
-    const workload::benchmark_profile profile =
-        workload::workload_registry::global().make_profile(key, thread_count);
-
-    program_artifacts artifacts;
-    artifacts.workload = key;
-    artifacts.thread_count = thread_count;
-    artifacts.seed = seed;
-    artifacts.workload_digest = core::workload_digest(thread_count, seed, core_);
-    artifacts.trace = workload::generate_program_trace(profile, seed, parallel);
-
-    arch::multicore_profiler profiler(core_);
-    artifacts.arch_profiles = profiler.profile(artifacts.trace, parallel);
-    return artifacts;
-}
-
-program_artifacts
-program_characterizer::characterize_trace(arch::program_trace trace,
-                                          const util::parallel_for_fn& parallel) const
-{
-    program_artifacts artifacts;
-    artifacts.thread_count = trace.thread_count();
-    artifacts.trace = std::move(trace);
-
-    arch::multicore_profiler profiler(core_);
-    artifacts.arch_profiles = profiler.profile(artifacts.trace, parallel);
-    return artifacts;
-}
-
 } // namespace synts::core

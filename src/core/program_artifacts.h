@@ -24,14 +24,13 @@
 
 #include "arch/multicore.h"
 #include "arch/trace.h"
-#include "util/parallel.h"
 #include "workload/registry.h"
 
 namespace synts::core {
 
 /// Digest over exactly the knobs that determine program artifacts: thread
 /// count, seed, and every core-model field. The single source of truth --
-/// experiment_config::workload_digest() and program_characterizer both
+/// experiment_config::workload_digest() and make_program_artifacts both
 /// delegate here, so producer stamps and consumer checks can never drift.
 [[nodiscard]] std::uint64_t workload_digest(std::size_t thread_count, std::uint64_t seed,
                                             const arch::core_config& core) noexcept;
@@ -47,11 +46,10 @@ struct program_artifacts {
     std::size_t thread_count = 0;
     std::uint64_t seed = 0;
     /// workload_digest(thread_count, seed, core) of the producing run; 0
-    /// when the artifacts were built from an external trace
-    /// (program_characterizer::characterize_trace) whose provenance is
-    /// unknown. benchmark_experiment refuses artifacts whose digest
-    /// disagrees with its config, so a core-model or seed mismatch cannot
-    /// silently attribute results to the wrong workload.
+    /// when the artifacts were built from an external trace whose
+    /// provenance is unknown. benchmark_experiment refuses artifacts whose
+    /// digest disagrees with its config, so a core-model or seed mismatch
+    /// cannot silently attribute results to the wrong workload.
     std::uint64_t workload_digest = 0;
     arch::program_trace trace;
     /// [thread][interval], aligned with `trace`.
@@ -67,36 +65,6 @@ struct program_artifacts {
     /// (same thread count, same interval count per thread). Throws
     /// std::logic_error on violation.
     void validate() const;
-};
-
-/// Produces program_artifacts: workload generation plus architectural
-/// profiling. This is the first pipeline phase; characterizer consumes its
-/// output for the per-stage second phase.
-class program_characterizer {
-public:
-    /// The core model used for profiling (N_i, CPI_base_i).
-    explicit program_characterizer(arch::core_config core = {});
-
-    /// Generates the workload's trace for `thread_count` threads at `seed`
-    /// and profiles it. The profile is resolved through
-    /// workload_registry::global() -- an unregistered key throws
-    /// std::out_of_range. Deterministic in (workload, thread_count, seed,
-    /// core config); `parallel` fans per-thread work out without changing
-    /// the result. benchmark_id call sites convert implicitly (the built-in
-    /// ten are always registered).
-    [[nodiscard]] program_artifacts characterize(const workload::workload_key& workload,
-                                                 std::size_t thread_count,
-                                                 std::uint64_t seed,
-                                                 const util::parallel_for_fn& parallel = {}) const;
-
-    /// Profiles an externally generated trace; the benchmark and seed
-    /// provenance fields are left at their defaults.
-    [[nodiscard]] program_artifacts
-    characterize_trace(arch::program_trace trace,
-                       const util::parallel_for_fn& parallel = {}) const;
-
-private:
-    arch::core_config core_;
 };
 
 } // namespace synts::core

@@ -41,8 +41,8 @@ struct sweep_json_meta {
 };
 
 /// Stamps now/hostname/hardware_concurrency; git_describe comes from the
-/// SYNTS_GIT_DESCRIBE environment variable when set (the scripts export
-/// `git describe` there -- the library itself never shells out).
+/// SYNTS_GIT_DESCRIBE environment variable when set (the caller puts
+/// `git describe` or a run label there -- the library never shells out).
 [[nodiscard]] sweep_json_meta collect_sweep_json_meta();
 
 /// The whole result (spec echo incl. the config and spec digests, cells,

@@ -1,16 +1,20 @@
-// helpers.h -- shared test utilities: functional netlist evaluation.
+// helpers.h -- shared test utilities: functional netlist evaluation and
+// program artifacts profiled from a hand-built trace.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "arch/multicore.h"
 #include "circuit/cell_library.h"
 #include "circuit/dynamic_timing.h"
 #include "circuit/netlist.h"
 #include "circuit/voltage_model.h"
+#include "core/program_artifacts.h"
 
 namespace synts::test {
 
@@ -80,5 +84,18 @@ private:
     const circuit::netlist& nl_;
     std::unique_ptr<bool[]> bits_;
 };
+
+/// Program artifacts for an externally generated trace: the trace plus its
+/// arch::multicore_profiler profiles. The workload, seed and
+/// workload_digest stay at their defaults (digest 0: provenance unknown).
+inline core::program_artifacts characterize_trace(arch::program_trace trace,
+                                                  const arch::core_config& core = {})
+{
+    core::program_artifacts artifacts;
+    artifacts.thread_count = trace.thread_count();
+    artifacts.trace = std::move(trace);
+    artifacts.arch_profiles = arch::multicore_profiler(core).profile(artifacts.trace);
+    return artifacts;
+}
 
 } // namespace synts::test

@@ -1,17 +1,18 @@
 // Differential tests pinning the batched characterization hot path
 // (chunked interval grain + 64-lane step_batch + bulk histogram insert)
 // bit-identical to the scalar per-cell reference walk of
-// reference_characterizer.h, over every real pipe stage, serial and
-// pool-parallel, across chunk-sizing worker hints. Identity is exact --
-// EXPECT_EQ on floats/doubles and histogram bin counts -- because the
-// batch contract is bit-identity, not tolerance. Both walks apply the
-// delay floor (circuit::exact_delay_floor), each from its own pass; a
-// soundness test holds the floor to step() on a canonical Decode interval,
-// and the error models built from a floored characterization refuse
-// queries at or below the floor.
+// reference_characterizer.h, over every real pipe stage driven by Radix and
+// by lock_ladder, serial and pool-parallel, across chunk-sizing worker
+// hints. Identity is exact -- EXPECT_EQ on floats/doubles and histogram
+// bin counts -- because the batch contract is bit-identity, not
+// tolerance. Both walks apply the delay floor (circuit::exact_delay_floor),
+// each from its own pass; a soundness test holds the floor to step() on a
+// canonical Decode interval, and the error models built from a floored
+// characterization refuse queries at or below the floor.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -21,8 +22,9 @@
 
 #include "circuit/sta.h"
 #include "core/characterization.h"
-#include "core/program_artifacts.h"
+#include "core/experiment.h"
 #include "runtime/thread_pool.h"
+#include "workload/registry.h"
 
 #include "reference_characterizer.h"
 
@@ -112,15 +114,62 @@ void expect_same_characterization(const core::stage_characterization& a,
     }
 }
 
-const core::program_artifacts& shared_artifacts()
+/// `workload`'s program artifacts at kThreads cores and kSeed.
+std::shared_ptr<const core::program_artifacts>
+make_artifacts(const workload::workload_key& workload)
 {
-    static const core::program_artifacts artifacts =
-        core::program_characterizer{}.characterize(kBenchmark, kThreads, kSeed);
-    return artifacts;
+    core::experiment_config config;
+    config.thread_count = kThreads;
+    config.seed = kSeed;
+    return core::make_program_artifacts(workload, config);
 }
 
-class characterization_batch
-    : public ::testing::TestWithParam<circuit::pipe_stage> {};
+const core::program_artifacts& shared_artifacts()
+{
+    static const auto artifacts = make_artifacts(kBenchmark);
+    return *artifacts;
+}
+
+/// lock_ladder's convoy structure puts many non-driving ops between ALU
+/// vectors: sparse driving patterns, next to Radix's dense ones.
+const core::program_artifacts& lock_ladder_artifacts()
+{
+    static const auto artifacts =
+        make_artifacts(workload::workload_registry::global().key("lock_ladder"));
+    return *artifacts;
+}
+
+constexpr std::array kStages{circuit::pipe_stage::decode, circuit::pipe_stage::simple_alu,
+                             circuit::pipe_stage::complex_alu};
+
+/// One differential case: each real pipe stage driven by Radix, then by
+/// lock_ladder. One byte wide, like the pipe_stage it extends, so the
+/// Radix cases keep their test names.
+enum class batch_case : std::uint8_t {
+    decode,
+    simple_alu,
+    complex_alu,
+    lock_ladder_decode,
+    lock_ladder_simple_alu,
+    lock_ladder_complex_alu,
+};
+
+circuit::pipe_stage stage_of(batch_case c)
+{
+    return kStages[static_cast<std::size_t>(c) % kStages.size()];
+}
+
+bool on_lock_ladder(batch_case c)
+{
+    return static_cast<std::size_t>(c) >= kStages.size();
+}
+
+const core::program_artifacts& artifacts_of(batch_case c)
+{
+    return on_lock_ladder(c) ? lock_ladder_artifacts() : shared_artifacts();
+}
+
+class characterization_batch : public ::testing::TestWithParam<batch_case> {};
 
 TEST_P(characterization_batch, batched_serial_matches_scalar_reference)
 {
@@ -129,9 +178,10 @@ TEST_P(characterization_batch, batched_serial_matches_scalar_reference)
 
     const core::characterizer batched_chars(lib, vm, {});
 
-    const auto scalar = test::reference_characterize(lib, vm, {}, shared_artifacts(),
-                                                     GetParam());
-    const auto batched = batched_chars.characterize(shared_artifacts(), GetParam());
+    const core::program_artifacts& artifacts = artifacts_of(GetParam());
+    const circuit::pipe_stage stage = stage_of(GetParam());
+    const auto scalar = test::reference_characterize(lib, vm, {}, artifacts, stage);
+    const auto batched = batched_chars.characterize(artifacts, stage);
     expect_same_characterization(scalar, batched);
 }
 
@@ -142,22 +192,26 @@ TEST_P(characterization_batch, batched_parallel_matches_scalar_reference)
 
     const core::characterizer batched_chars(lib, vm, {});
 
-    const auto scalar = test::reference_characterize(lib, vm, {}, shared_artifacts(),
-                                                     GetParam());
+    const core::program_artifacts& artifacts = artifacts_of(GetParam());
+    const circuit::pipe_stage stage = stage_of(GetParam());
+    const auto scalar = test::reference_characterize(lib, vm, {}, artifacts, stage);
 
     runtime::thread_pool pool(3);
     const auto parallel = batched_chars.characterize(
-        shared_artifacts(), GetParam(), runtime::make_parallel_for(pool),
-        pool.worker_count());
+        artifacts, stage, runtime::make_parallel_for(pool), pool.worker_count());
     expect_same_characterization(scalar, parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(stages, characterization_batch,
-                         ::testing::Values(circuit::pipe_stage::decode,
-                                           circuit::pipe_stage::simple_alu,
-                                           circuit::pipe_stage::complex_alu),
+                         ::testing::Values(batch_case::decode, batch_case::simple_alu,
+                                           batch_case::complex_alu,
+                                           batch_case::lock_ladder_decode,
+                                           batch_case::lock_ladder_simple_alu,
+                                           batch_case::lock_ladder_complex_alu),
                          [](const auto& info) {
-                             return std::string(circuit::pipe_stage_name(info.param));
+                             return std::string(circuit::pipe_stage_name(
+                                        stage_of(info.param))) +
+                                    (on_lock_ladder(info.param) ? "_lock_ladder" : "");
                          });
 
 TEST(characterization_batch, worker_hints_never_change_the_result)
@@ -192,8 +246,10 @@ TEST(characterization_batch, pruned_vectors_settle_below_the_floor_at_every_corn
     // 7 corners. Most of Decode's vectors are such vectors.
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
-    const core::program_artifacts program =
-        core::program_characterizer{}.characterize(kBenchmark, 4, kSeed);
+    core::experiment_config config;
+    config.thread_count = 4;
+    config.seed = kSeed;
+    const auto program = core::make_program_artifacts(kBenchmark, config);
     const circuit::stage_netlist stage_nl = circuit::build_stage(circuit::pipe_stage::decode);
     const auto tables = circuit::make_corner_tables(stage_nl.nl, lib, vm,
                                                     circuit::paper_voltage_levels());
@@ -210,7 +266,7 @@ TEST(characterization_batch, pruned_vectors_settle_below_the_floor_at_every_corn
     std::vector<std::uint8_t> deep_before(deep_nets.size());
     std::size_t vectors = 0;
     std::size_t pruned = 0;
-    for (const arch::micro_op& op : program.trace.threads[0].interval(0)) {
+    for (const arch::micro_op& op : program->trace.threads[0].interval(0)) {
         if (!tap.extract(op, bits)) {
             continue;
         }

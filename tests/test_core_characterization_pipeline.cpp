@@ -1,5 +1,5 @@
-// Tests for the staged characterization pipeline: program_characterizer
-// artifacts, the artifact-consuming characterizer overload, and the
+// Tests for the staged characterization pipeline: make_program_artifacts,
+// the artifact-consuming characterizer overload, and the
 // bit-identity of every parallel phase (trace generation, architectural
 // profiling, per-(thread, interval) timing simulation) against the serial
 // path. The identity checks are exact -- EXPECT_EQ on doubles/floats -- by
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "core/characterization.h"
@@ -14,6 +15,8 @@
 #include "core/program_artifacts.h"
 #include "runtime/thread_pool.h"
 #include "workload/splash2.h"
+
+#include "helpers.h"
 
 namespace {
 
@@ -73,6 +76,18 @@ void expect_same_characterization(const core::stage_characterization& a,
     }
 }
 
+/// Radix's program artifacts at kThreads cores and kSeed, built once.
+const core::program_artifacts& radix_artifacts()
+{
+    static const auto artifacts = [] {
+        core::experiment_config config;
+        config.thread_count = kThreads;
+        config.seed = kSeed;
+        return core::make_program_artifacts(kBenchmark, config);
+    }();
+    return *artifacts;
+}
+
 /// capacity() == size() == vector_count for both sampling vectors of every
 /// interval: the pre-pass count sizes them exactly.
 void expect_exact_sampling_buffers(const core::stage_characterization& result)
@@ -87,11 +102,9 @@ void expect_exact_sampling_buffers(const core::stage_characterization& result)
     }
 }
 
-TEST(characterization_pipeline, program_characterizer_produces_valid_artifacts)
+TEST(characterization_pipeline, make_program_artifacts_produces_valid_artifacts)
 {
-    const core::program_characterizer characterizer;
-    const core::program_artifacts artifacts =
-        characterizer.characterize(kBenchmark, kThreads, kSeed);
+    const core::program_artifacts& artifacts = radix_artifacts();
     EXPECT_NO_THROW(artifacts.validate());
     EXPECT_EQ(artifacts.workload, workload::workload_key(kBenchmark));
     EXPECT_EQ(artifacts.thread_count, kThreads);
@@ -148,9 +161,7 @@ TEST(characterization_pipeline, profiler_parallel_is_bit_identical)
 
 TEST(characterization_pipeline, artifact_overload_matches_legacy_trace_overload)
 {
-    const core::program_characterizer program_chars;
-    const core::program_artifacts artifacts =
-        program_chars.characterize(kBenchmark, kThreads, kSeed);
+    const core::program_artifacts& artifacts = radix_artifacts();
 
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
@@ -160,15 +171,13 @@ TEST(characterization_pipeline, artifact_overload_matches_legacy_trace_overload)
     // rebuilt artifacts. It must match the stored artifacts exactly.
     const core::stage_characterization staged = chars.characterize(artifacts, kStage);
     const core::stage_characterization reprofiled =
-        chars.characterize(program_chars.characterize_trace(artifacts.trace), kStage);
+        chars.characterize(test::characterize_trace(artifacts.trace), kStage);
     expect_same_characterization(staged, reprofiled);
 }
 
 TEST(characterization_pipeline, parallel_characterization_is_bit_identical)
 {
-    const core::program_characterizer program_chars;
-    const core::program_artifacts artifacts =
-        program_chars.characterize(kBenchmark, kThreads, kSeed);
+    const core::program_artifacts& artifacts = radix_artifacts();
 
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
@@ -184,9 +193,7 @@ TEST(characterization_pipeline, parallel_characterization_is_bit_identical)
 
 TEST(characterization_pipeline, sampling_vectors_are_exact_size)
 {
-    const core::program_characterizer program_chars;
-    const core::program_artifacts artifacts =
-        program_chars.characterize(kBenchmark, kThreads, kSeed);
+    const core::program_artifacts& artifacts = radix_artifacts();
 
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);

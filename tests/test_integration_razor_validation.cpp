@@ -9,6 +9,8 @@
 #include "energy/energy_model.h"
 #include "workload/splash2.h"
 
+#include "helpers.h"
+
 namespace {
 
 using namespace synts;
@@ -28,10 +30,9 @@ protected:
         const auto program = workload::generate_program_trace(profile, 19);
         // The architectural profiles live with the artifacts, not the
         // per-stage characterization; keep both for the SPI identity test.
-        const core::program_characterizer profiler(cfg.core);
         // gtest static-fixture idiom; TearDownTestSuite deletes both.
         artifacts = new core::program_artifacts( // synts-lint: allow(naked-new)
-            profiler.characterize_trace(program));
+            test::characterize_trace(program, cfg.core));
         characterization = new core::stage_characterization( // synts-lint: allow(naked-new)
             chars.characterize(*artifacts, circuit::pipe_stage::simple_alu));
     }

@@ -18,6 +18,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
+#include "helpers.h"
+
 namespace {
 
 using namespace synts;
@@ -178,8 +180,7 @@ TEST(obs_metrics, characterization_bumps_cell_and_vector_counters)
     const std::uint64_t cells_before = cells.value();
     const std::uint64_t vectors_before = vectors.value();
 
-    const auto artifacts =
-        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto artifacts = test::characterize_trace(charz::tiny_trace());
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
     const core::characterizer chars(lib, vm, {});
@@ -203,8 +204,7 @@ TEST(obs_metrics, characterization_counts_toggled_and_live_pairs)
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& toggled = registry.counter_at("circuit.toggled_pairs");
     obs::counter& live = registry.counter_at("circuit.live_pairs");
-    const auto artifacts =
-        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto artifacts = test::characterize_trace(charz::tiny_trace());
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
 
@@ -223,8 +223,7 @@ TEST(obs_metrics, characterization_counts_chunks_and_warmup_steps)
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& chunks = registry.counter_at("characterize.chunks");
     obs::counter& warmups = registry.counter_at("characterize.warmup_steps");
-    const auto artifacts =
-        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto artifacts = test::characterize_trace(charz::tiny_trace());
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
     const core::characterizer chars(lib, vm, {});
@@ -252,8 +251,7 @@ TEST(obs_metrics, characterization_cell_ns_gated_on_enabled)
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& cell_ns = registry.counter_at("characterize.cell_ns");
 
-    const auto artifacts =
-        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto artifacts = test::characterize_trace(charz::tiny_trace());
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
     const core::characterizer chars(lib, vm, {});
@@ -286,8 +284,7 @@ TEST(obs_metrics, characterization_emits_stage_span)
     }
     const std::uint64_t chunks_before = chunks.value();
 
-    const auto artifacts =
-        core::program_characterizer{}.characterize_trace(charz::tiny_trace());
+    const auto artifacts = test::characterize_trace(charz::tiny_trace());
     const auto lib = circuit::cell_library::standard_22nm();
     const circuit::voltage_model vm(0.04);
     (void)core::characterizer(lib, vm, {})

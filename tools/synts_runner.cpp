@@ -52,7 +52,8 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
   --workers=N         thread-pool width, 1 <= N <= 1024 (default: hardware
                       concurrency); the calling thread also runs cells, so
                       a sweep runs on N + 1 threads
-  --cores=M           modeled CMP cores per experiment, M >= 1 (default: 4)
+  --cores=M           modeled CMP cores per experiment, 1 <= M <= 256
+                      (default: 4)
   --seed=N            workload seed (default: 42)
   --pareto-csv=PATH   write per-multiplier Pareto fronts as CSV
   --summary-csv=PATH  write equal-weight operating points as CSV
@@ -154,13 +155,17 @@ std::uint64_t parse_positive(std::string_view flag, std::string_view token)
 /// threads before anything fails.
 constexpr std::uint64_t max_workers = 1024;
 
-/// parse_positive for --workers: also rejects N > max_workers.
-std::size_t parse_workers(std::string_view flag, std::string_view token)
+/// Most CMP cores --cores may model. Each modeled core adds ~2.2 MB of
+/// peak RSS, so --cores=100000 would ask for ~220 GB before anything
+/// fails; the paper models 4 cores and bench_scale_cores at most 16.
+constexpr std::uint64_t max_cores = 256;
+
+/// parse_positive that also rejects values above `max`.
+std::size_t parse_at_most(std::string_view flag, std::string_view token, std::uint64_t max)
 {
     const std::uint64_t value = parse_positive(flag, token);
-    if (value > max_workers) {
-        throw std::invalid_argument(std::string(flag) + " must be <= " +
-                                    std::to_string(max_workers));
+    if (value > max) {
+        throw std::invalid_argument(std::string(flag) + " must be <= " + std::to_string(max));
     }
     return static_cast<std::size_t>(value);
 }
@@ -259,13 +264,13 @@ int main(int argc, char** argv)
             } else if (const auto v = flag_value(arg, "ladder")) {
                 spec.theta_multipliers = parse_ladder(*v);
             } else if (arg == "--workers") {
-                workers = parse_workers(arg, take(arg));
+                workers = parse_at_most(arg, take(arg), max_workers);
             } else if (const auto v = flag_value(arg, "workers")) {
-                workers = parse_workers("--workers", *v);
+                workers = parse_at_most("--workers", *v, max_workers);
             } else if (arg == "--cores") {
-                spec.config.thread_count = parse_positive(arg, take(arg));
+                spec.config.thread_count = parse_at_most(arg, take(arg), max_cores);
             } else if (const auto v = flag_value(arg, "cores")) {
-                spec.config.thread_count = parse_positive("--cores", *v);
+                spec.config.thread_count = parse_at_most("--cores", *v, max_cores);
             } else if (arg == "--seed") {
                 spec.config.seed = parse_u64(arg, take(arg));
             } else if (const auto v = flag_value(arg, "seed")) {
