@@ -237,10 +237,10 @@ fi
 # each stage drives the same vectors through step_batch whatever the worker
 # count (a batch never spans an interval), circuit.live_pairs counts the
 # (cone gate, lane) pairs the walk visits and circuit.pruned_lanes the lanes
-# whose walk list is empty -- most of Decode's, a handful of ComplexALU's,
-# none of SimpleALU's. A change that widens the cone fails here, not only
+# whose walk list is empty -- most of Decode's, some of ComplexALU's, a
+# handful of SimpleALU's. A change that widens the cone fails here, not only
 # runs slower.
-for expected in decode:1353313:5273651 simple_alu:0:22086572 complex_alu:94:18438930; do
+for expected in decode:1353313:4783110 simple_alu:55:9919706 complex_alu:8310:2332576; do
     stage=${expected%%:*}
     counts=${expected#*:}
     pruned=${counts%%:*}
@@ -266,11 +266,11 @@ done
 LIVE="$WORK/live_canonical.csv"
 if "$RUNNER" --benchmarks=reported --ladder=default --seed=42 --workers=3 --quiet \
         --metrics=csv >"$LIVE" 2>&1; then
-    if grep -q '^circuit\.live_pairs,counter,45799153$' "$LIVE" &&
+    if grep -q '^circuit\.live_pairs,counter,17035392$' "$LIVE" &&
             grep -q '^circuit\.toggled_pairs,counter,271343205$' "$LIVE"; then
         echo "ok canonical_live_pairs"
     else
-        echo "FAIL canonical_live_pairs: expected 45799153 live of 271343205 toggled pairs:" >&2
+        echo "FAIL canonical_live_pairs: expected 17035392 live of 271343205 toggled pairs:" >&2
         grep -E '^circuit\.(live|toggled)_pairs' "$LIVE" >&2
         failures=$((failures + 1))
     fi

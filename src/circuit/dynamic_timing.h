@@ -63,9 +63,10 @@
 //
 // The delay floor and the static timing cone. Consumers read a vector's
 // delay only against r * t_nom for r in the speculation range ([0.64, 1]
-// in the paper grid), never far below it. So step_batch computes a delay
-// exactly only where it reaches exact_delay_floor * t_nom,c, and walks
-// only the gates on a static path long enough to get there.
+// in the paper grid), never below it. So step_batch computes a delay
+// exactly only where it reaches exact_delay_floor * t_nom,c (0.63, just
+// below the grid), and walks only the gates on a static path long enough
+// to get there.
 // make_corner_tables, in the loop that runs one STA per corner, marks
 //   * the deep outputs: primary outputs whose arrival reaches
 //     floor * t_nom,c at some corner c;
@@ -152,9 +153,11 @@ inline constexpr std::size_t corner_block = 8;
 
 /// step_batch's default delay floor, as a fraction of t_nom: a delay below
 /// exact_delay_floor * t_nom,c at corner c is recorded as +0.0, every other
-/// one exactly. It lies well below the paper's speculation range [0.64, 1]
-/// and below every floor (>= 0.40) a calibration of that range considers.
-inline constexpr double exact_delay_floor = 0.25;
+/// one exactly. It lies just below the paper's speculation range [0.64, 1]
+/// (config_space::default_tsr_levels), the lowest TSR production code
+/// queries; a grid that reaches it is rejected when an experiment is built
+/// (core::detail::check_tsr_grid).
+inline constexpr double exact_delay_floor = 0.63;
 
 /// Allocator for the padded corner rows: every row starts on a 64-byte
 /// cache line, so one 8-corner row never straddles two.

@@ -54,6 +54,18 @@ empirical_error_model::empirical_error_model(
     }
 }
 
+bool empirical_error_model::answers(std::size_t voltage_index, double tsr) const
+{
+    if (voltage_index >= corners_.size()) {
+        throw std::out_of_range("empirical_error_model: voltage index");
+    }
+    const corner_table& table = corners_[voltage_index];
+    const double x = tsr * tnom_ps_[voltage_index];
+    return x >= table.hi ||
+           bin_of(x, table.lo, table.width, table.at_or_above.size() - 1) >=
+               table.first_exact_bin;
+}
+
 double empirical_error_model::vector_error_probability(std::size_t voltage_index,
                                                        double tsr) const
 {
@@ -67,6 +79,7 @@ double empirical_error_model::vector_error_probability(std::size_t voltage_index
     }
     const std::size_t bins = table.at_or_above.size() - 1;
     const std::size_t bin = bin_of(x, table.lo, table.width, bins);
+    // The rule answers() states, on the bin already computed.
     if (bin < table.first_exact_bin) {
         throw std::invalid_argument(
             "empirical_error_model: tsr at or below the characterization's delay floor");

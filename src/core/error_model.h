@@ -60,10 +60,15 @@ public:
 
     /// Per-vector exceedance P(delay > tsr * tnom) at a corner (without the
     /// drive-fraction factor); within the containing bin, mass is
-    /// interpolated linearly. Throws std::invalid_argument at or below the
-    /// floor.
+    /// interpolated linearly. Throws std::invalid_argument unless
+    /// answers(voltage_index, tsr).
     [[nodiscard]] double vector_error_probability(std::size_t voltage_index,
                                                   double tsr) const;
+
+    /// Whether a query at (voltage_index, tsr) lies above the floor's bin,
+    /// where every answer is the unpruned one; false for any tsr at or
+    /// below the floor. Throws std::out_of_range for a bad corner index.
+    [[nodiscard]] bool answers(std::size_t voltage_index, double tsr) const;
 
     /// Fraction of instructions exercising the stage.
     [[nodiscard]] double drive_fraction() const noexcept { return drive_fraction_; }

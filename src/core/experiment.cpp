@@ -93,7 +93,6 @@ benchmark_experiment::benchmark_experiment(
     arch_profiles_ = artifacts->arch_profiles;
 
     space_ = config_space::paper_grid(characterization_.tnom_ps);
-    detail::check_tsr_grid(space_, characterization_.delay_floor);
 
     error_models_.reserve(thread_count());
     for (std::size_t t = 0; t < characterization_.threads.size(); ++t) {
@@ -101,6 +100,7 @@ benchmark_experiment::benchmark_experiment(
         per_interval.reserve(characterization_.threads[t].size());
         for (std::size_t k = 0; k < characterization_.threads[t].size(); ++k) {
             per_interval.push_back(characterization_.make_error_model(t, k));
+            detail::check_tsr_grid(space_, per_interval.back());
         }
         error_models_.push_back(std::move(per_interval));
     }
@@ -295,14 +295,17 @@ std::vector<double> default_theta_multipliers()
     return multipliers;
 }
 
-void detail::check_tsr_grid(const config_space& space, double delay_floor)
+void detail::check_tsr_grid(const config_space& space, const empirical_error_model& model)
 {
-    // Levels ascend, so the first is the lowest.
-    if (space.tsr_levels().front() <= delay_floor) {
-        throw std::invalid_argument("benchmark_experiment: lowest TSR level " +
-                                    std::to_string(space.tsr_levels().front()) +
-                                    " is not above the delay floor " +
-                                    std::to_string(delay_floor));
+    for (std::size_t c = 0; c < model.corner_count(); ++c) {
+        for (const double r : space.tsr_levels()) {
+            if (!model.answers(c, r)) {
+                throw std::invalid_argument(
+                    "benchmark_experiment: TSR level " + std::to_string(r) +
+                    " at corner " + std::to_string(c) +
+                    " falls at or below the delay floor's histogram bin");
+            }
+        }
     }
 }
 

@@ -256,11 +256,13 @@ evaluate_policy_cell(const benchmark_experiment& experiment, policy_kind kind,
 
 namespace detail {
 
-/// Throws std::invalid_argument unless every TSR level of `space` lies
-/// above `delay_floor`: the error models (and the online estimator's
-/// sampled levels) answer only above the characterization's delay floor.
-/// benchmark_experiment checks its grid with this once it is built.
-void check_tsr_grid(const config_space& space, double delay_floor);
+/// Throws std::invalid_argument unless `model` answers every TSR level of
+/// `space` at every corner: an error model refuses a query in the
+/// histogram bin that holds its characterization's delay floor, or lower,
+/// so a grid must clear the floor's bin, not only the floor (the online
+/// estimator's sampled levels then lie above the floor too).
+/// benchmark_experiment checks each error model with this as it builds it.
+void check_tsr_grid(const config_space& space, const empirical_error_model& model);
 
 } // namespace detail
 

@@ -5,15 +5,6 @@
 
 namespace synts::util {
 
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept
 {
     state += 0x9E3779B97F4A7C15ull;
@@ -33,60 +24,6 @@ xoshiro256::xoshiro256(std::uint64_t seed) noexcept
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
         state_[0] = 0x9E3779B97F4A7C15ull;
     }
-}
-
-xoshiro256::result_type xoshiro256::operator()() noexcept
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double xoshiro256::uniform() noexcept
-{
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double xoshiro256::uniform(double lo, double hi) noexcept
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t xoshiro256::uniform_below(std::uint64_t n) noexcept
-{
-    // Lemire-style rejection to remove modulo bias.
-    const std::uint64_t threshold = (0 - n) % n;
-    for (;;) {
-        const std::uint64_t r = (*this)();
-        if (r >= threshold) {
-            return r % n;
-        }
-    }
-}
-
-std::int64_t xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) noexcept
-{
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniform_below(span));
-}
-
-bool xoshiro256::bernoulli(double p) noexcept
-{
-    if (p <= 0.0) {
-        return false;
-    }
-    if (p >= 1.0) {
-        return true;
-    }
-    return uniform() < p;
 }
 
 double xoshiro256::normal() noexcept
@@ -131,31 +68,6 @@ std::uint64_t xoshiro256::geometric(double p) noexcept
         u = uniform();
     }
     return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
-std::size_t xoshiro256::discrete(std::span<const double> weights) noexcept
-{
-    double total = 0.0;
-    for (const double w : weights) {
-        if (w > 0.0) {
-            total += w;
-        }
-    }
-    double pick = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-        if (pick < w) {
-            return i;
-        }
-        pick -= w;
-    }
-    // Floating point slack: return the last positive-weight index.
-    for (std::size_t i = weights.size(); i-- > 0;) {
-        if (weights[i] > 0.0) {
-            return i;
-        }
-    }
-    return 0;
 }
 
 xoshiro256 xoshiro256::split(std::uint64_t stream_tag) noexcept

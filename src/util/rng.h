@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -40,6 +41,10 @@ public:
     {
         return std::numeric_limits<result_type>::max();
     }
+
+    // The draws the workload generator makes per micro-op (operator(),
+    // uniform, uniform_below, bernoulli, discrete) are defined inline below
+    // the class, so its loops call no library function per draw.
 
     /// Next raw 64-bit draw.
     result_type operator()() noexcept;
@@ -89,6 +94,85 @@ private:
     double spare_normal_ = 0.0;
     bool has_spare_normal_ = false;
 };
+
+inline xoshiro256::result_type xoshiro256::operator()() noexcept
+{
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+
+    return result;
+}
+
+inline double xoshiro256::uniform() noexcept
+{
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline double xoshiro256::uniform(double lo, double hi) noexcept
+{
+    return lo + (hi - lo) * uniform();
+}
+
+inline std::uint64_t xoshiro256::uniform_below(std::uint64_t n) noexcept
+{
+    // Lemire-style rejection to remove modulo bias.
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+        const std::uint64_t r = (*this)();
+        if (r >= threshold) {
+            return r % n;
+        }
+    }
+}
+
+inline std::int64_t xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) noexcept
+{
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(uniform_below(span));
+}
+
+inline bool xoshiro256::bernoulli(double p) noexcept
+{
+    if (p <= 0.0) {
+        return false;
+    }
+    if (p >= 1.0) {
+        return true;
+    }
+    return uniform() < p;
+}
+
+inline std::size_t xoshiro256::discrete(std::span<const double> weights) noexcept
+{
+    double total = 0.0;
+    for (const double w : weights) {
+        if (w > 0.0) {
+            total += w;
+        }
+    }
+    double pick = uniform() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        const double w = weights[i] > 0.0 ? weights[i] : 0.0;
+        if (pick < w) {
+            return i;
+        }
+        pick -= w;
+    }
+    // Floating point slack: return the last positive-weight index.
+    for (std::size_t i = weights.size(); i-- > 0;) {
+        if (weights[i] > 0.0) {
+            return i;
+        }
+    }
+    return 0;
+}
 
 /// Fills `out` with a random permutation of [0, out.size()) (Fisher-Yates).
 void random_permutation(xoshiro256& rng, std::span<std::size_t> out) noexcept;

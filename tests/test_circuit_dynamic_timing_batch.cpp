@@ -19,8 +19,8 @@
 // ceiling) and the padded row layout. These differentials build their
 // tables with no delay floor (every output deep, every pin on a path to an
 // output long), so step_batch must match step() on every vector; the
-// *default_floor cases hold it to step() with the floor applied per corner
-// to the scalar walk. The static timing cone is checked against an
+// *_floor cases hold it to step() with the floor applied per corner to
+// the scalar walk. The static timing cone is checked against an
 // independent per-corner STA, and hand-built netlists pin a short side
 // input that the cone cuts, a through-path exactly at the floor (the
 // cone's rounding margin) and a toggled deep chain masked before every
@@ -140,6 +140,11 @@ constexpr std::array<std::size_t, 4> corner_counts = {1, 3, 7, 8};
 /// which is what the differential tests hold it to. The tests at
 /// exact_delay_floor say so by name.
 constexpr double no_floor = 0.0;
+
+/// A quarter of t_nom: the floor the hand-built masked netlists' depths are
+/// chosen around. Their cases pass it explicitly, so they test the same cut
+/// whatever exact_delay_floor is.
+constexpr double quarter_floor = 0.25;
 
 /// The delay-kernel instantiations this CPU can run.
 std::vector<const detail::delay_kernel*> supported_kernels()
@@ -631,10 +636,10 @@ TEST(dynamic_timing_batch, masked_netlist_matches_scalar_on_random_streams)
     }
 }
 
-TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_the_default_floor)
+TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_a_quarter_floor)
 {
     // The masked netlist's t_nom is its deep chain (x1 x2 y1..y6 and2), so
-    // at exact_delay_floor the one-gate output o1 is not deep: a vector
+    // at quarter_floor the one-gate output o1 is not deep: a vector
     // that toggles no deep output (only o1 or the masked chains, say) is
     // pruned. The random streams of
     // masked_netlist_matches_scalar_on_random_streams prune some vectors
@@ -653,7 +658,7 @@ TEST(dynamic_timing_batch, masked_netlist_prunes_shallow_vectors_at_the_default_
         const corner_setup setup(7);
         for (const std::size_t chunk : {std::size_t{7}, std::size_t{64}}) {
             const std::uint64_t before = pruned.value();
-            expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel, exact_delay_floor);
+            expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel, quarter_floor);
             EXPECT_GT(pruned.value() - before, 0u) << chunk;
             EXPECT_LT(pruned.value() - before, vectors.size()) << chunk;
         }
@@ -774,23 +779,28 @@ TEST(dynamic_timing_batch, corner_tables_mark_deep_gates_against_the_floor)
 {
     // The deep outputs and the cone's pin records are exactly what
     // independent per-corner STA runs give at each floor; a higher floor
-    // never widens the cone, and the default floor cuts part of it.
+    // never widens the cone, and a quarter floor already cuts part of it.
+    constexpr std::array<double, 5> ascending_floors = {no_floor, quarter_floor, 0.6,
+                                                        exact_delay_floor, 1.0};
+    static_assert(0.6 < exact_delay_floor && exact_delay_floor < 1.0);
     xoshiro256 rng(17);
     const corner_setup setup;
     const netlist nl = make_batch_test_netlist(6, 120, rng);
     std::vector<std::size_t> cone_sizes;
-    for (const double floor : {no_floor, exact_delay_floor, 0.6}) {
+    for (const double floor : ascending_floors) {
         expect_cone_matches_reference(nl, setup, floor);
         cone_sizes.push_back(
             make_corner_tables(nl, setup.lib, setup.vm, setup.corners, floor)->cone_pins.size());
         EXPECT_GT(cone_sizes.back(), 0u) << floor;
     }
     EXPECT_LT(cone_sizes[1], cone_sizes[0]);
-    EXPECT_LE(cone_sizes[2], cone_sizes[1]);
+    for (std::size_t k = 1; k < cone_sizes.size(); ++k) {
+        EXPECT_LE(cone_sizes[k], cone_sizes[k - 1]) << ascending_floors[k];
+    }
     for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
         xoshiro256 more(seed);
         const netlist random = make_batch_test_netlist(8, 150, more);
-        for (const double floor : {no_floor, exact_delay_floor, 0.6, 1.0}) {
+        for (const double floor : ascending_floors) {
             expect_cone_matches_reference(random, setup, floor);
         }
     }
@@ -850,8 +860,8 @@ net_id add_buf_chain(netlist& nl, net_id from, std::size_t length)
 ///
 ///   y12 = buf^12(a); s = inv(b); o = and2(y12, s)   -- out "o"
 ///
-/// o is the critical path; s reaches it in two gates, far below a quarter
-/// of t_nom, so at exact_delay_floor the and2's pin from s is short and s
+/// o is the critical path; s reaches it in two gates, far below
+/// exact_delay_floor * t_nom, so the and2's pin from s is short and s
 /// leaves the cone.
 netlist make_side_input_netlist()
 {
@@ -1013,7 +1023,7 @@ TEST(dynamic_timing_batch, masked_deep_gate_does_not_leak_into_the_lane_delay)
     for (const std::size_t corners : {std::size_t{7}, std::size_t{8}}) {
         const corner_setup setup(corners);
         const auto tables =
-            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, exact_delay_floor);
+            make_corner_tables(nl, setup.lib, setup.vm, setup.corners, quarter_floor);
         ASSERT_EQ(tables->deep_outputs.size(), 2u);
         ASSERT_EQ(tables->cone_pins.size(), nl.gates().size());
         // The y chain settles after side, so a leak would show.
@@ -1037,7 +1047,7 @@ TEST(dynamic_timing_batch, masked_deep_gate_does_not_leak_into_the_lane_delay)
                 const std::uint64_t live_before = live.value();
                 const std::uint64_t pruned_before = pruned.value();
                 expect_batch_matches_scalar(nl, setup, vectors, chunk, *kernel,
-                                            exact_delay_floor);
+                                            quarter_floor);
                 EXPECT_EQ(toggled.value() - toggled_before, 63u) << chunk;
                 EXPECT_EQ(live.value() - live_before, 12u) << chunk;
                 EXPECT_EQ(pruned.value() - pruned_before, 2u) << chunk;

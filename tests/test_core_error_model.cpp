@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/error_model.h"
@@ -231,6 +232,33 @@ TEST(empirical_model, delay_floor_refuses_low_queries_and_is_exact_above)
     // The floor is a fraction of tnom in [0, 1).
     EXPECT_THROW(empirical_error_model({full}, {tnom}, 0.5, -0.1), std::invalid_argument);
     EXPECT_THROW(empirical_error_model({full}, {tnom}, 0.5, 1.0), std::invalid_argument);
+}
+
+TEST(empirical_model, answers_exactly_where_lookups_do_not_throw)
+{
+    // answers() is the rule vector_error_probability throws by, so a grid
+    // check that asks it refuses exactly what a lookup would, bin for bin.
+    constexpr double tnom = 100.0;
+    for (const std::size_t bins : {std::size_t{32}, std::size_t{128}, std::size_t{512}}) {
+        const histogram h(0.0, 105.0, bins);
+        const empirical_error_model model({h}, {tnom}, 1.0, 0.63);
+        std::size_t refused = 0;
+        for (int step = -10; step <= 1200; ++step) {
+            const double tsr = step / 1000.0;
+            bool threw = false;
+            try {
+                (void)model.vector_error_probability(0, tsr);
+            } catch (const std::invalid_argument&) {
+                threw = true;
+            }
+            EXPECT_EQ(model.answers(0, tsr), !threw) << bins << " bins, tsr " << tsr;
+            refused += threw ? 1 : 0;
+        }
+        EXPECT_GT(refused, 640u) << bins; // every tsr <= 0.63, and more
+    }
+    const empirical_error_model model({histogram(0.0, 105.0, 32)}, {tnom}, 1.0, 0.63);
+    EXPECT_FALSE(model.answers(0, 0.64)); // 0.63 and 0.64 share bin 19 of 32
+    EXPECT_THROW((void)model.answers(1, 0.9), std::out_of_range);
 }
 
 TEST(synthetic_curve, zero_above_onset)

@@ -190,24 +190,81 @@ std::vector<digest_perturbation> digest_perturbations()
     };
 }
 
+/// An error model over empty histograms shaped as the characterizer shapes
+/// them, [0, headroom * tnom) with `bins` bins per corner: what it refuses
+/// depends only on that shape and the floor, not on the counts.
+core::empirical_error_model grid_probe_model(const std::vector<double>& tnom,
+                                             std::size_t bins, double delay_floor)
+{
+    const core::characterization_config shape;
+    std::vector<util::histogram> hists;
+    for (const double t : tnom) {
+        hists.emplace_back(0.0, t * shape.histogram_headroom, bins);
+    }
+    return core::empirical_error_model(hists, tnom, 1.0, delay_floor);
+}
+
 TEST(experiment_tsr_grid, must_lie_above_the_delay_floor)
 {
     // The experiment's error models and the online estimator's sampled
     // levels answer only above the characterization's delay floor, so
     // benchmark_experiment rejects a grid that reaches down to it.
     const std::vector<double> tnom(circuit::paper_voltage_levels().size(), 100.0);
+    const std::size_t bins = core::characterization_config{}.histogram_bins;
     const core::config_space paper = core::config_space::paper_grid(tnom);
-    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, 0.0));
-    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, circuit::exact_delay_floor));
-    EXPECT_THROW(core::detail::check_tsr_grid(paper, 0.64), std::invalid_argument);
-    EXPECT_THROW(core::detail::check_tsr_grid(paper, 0.9), std::invalid_argument);
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, grid_probe_model(tnom, bins, 0.0)));
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(
+        paper, grid_probe_model(tnom, bins, circuit::exact_delay_floor)));
+    EXPECT_THROW(core::detail::check_tsr_grid(paper, grid_probe_model(tnom, bins, 0.64)),
+                 std::invalid_argument);
+    EXPECT_THROW(core::detail::check_tsr_grid(paper, grid_probe_model(tnom, bins, 0.9)),
+                 std::invalid_argument);
     const core::config_space deep(
         std::vector<double>(circuit::paper_voltage_levels().begin(),
                             circuit::paper_voltage_levels().end()),
         {0.2, 0.6, 1.0}, tnom);
-    EXPECT_THROW(core::detail::check_tsr_grid(deep, circuit::exact_delay_floor),
+    EXPECT_THROW(core::detail::check_tsr_grid(
+                     deep, grid_probe_model(tnom, bins, circuit::exact_delay_floor)),
                  std::invalid_argument);
-    EXPECT_NO_THROW(core::detail::check_tsr_grid(deep, 0.0));
+    EXPECT_THROW(core::detail::check_tsr_grid(deep, grid_probe_model(tnom, bins, 0.25)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(deep, grid_probe_model(tnom, bins, 0.0)));
+}
+
+TEST(experiment_tsr_grid, default_floor_lies_below_the_paper_grid)
+{
+    EXPECT_LT(circuit::exact_delay_floor, core::config_space::default_tsr_levels().front());
+}
+
+TEST(experiment_tsr_grid, must_clear_the_floor_bin_at_every_corner)
+{
+    // The default 512 bins put 0.63 * tnom and 0.64 * tnom in different
+    // bins, so the paper grid passes. At 32 bins (width 1.05 / 32 of tnom)
+    // both land in bin 19: the grid lies above the floor, but its lowest
+    // level lies in the floor's bin, which the error model refuses.
+    const std::vector<double> tnom = {100.0, 110.0, 125.0, 140.0, 160.0, 185.0, 215.0};
+    const core::config_space paper = core::config_space::paper_grid(tnom);
+    const auto fine = grid_probe_model(tnom, 512, circuit::exact_delay_floor);
+    const auto coarse = grid_probe_model(tnom, 32, circuit::exact_delay_floor);
+    EXPECT_NO_THROW(core::detail::check_tsr_grid(paper, fine));
+    EXPECT_THROW(core::detail::check_tsr_grid(paper, coarse), std::invalid_argument);
+    for (std::size_t c = 0; c < tnom.size(); ++c) {
+        const double lowest = paper.tsr_levels().front();
+        EXPECT_NO_THROW((void)fine.vector_error_probability(c, lowest)) << c;
+        EXPECT_THROW((void)coarse.vector_error_probability(c, lowest), std::invalid_argument)
+            << c;
+    }
+}
+
+TEST(experiment_tsr_grid, coarse_histograms_fail_when_the_experiment_is_built)
+{
+    // End to end: a config whose histograms put the grid's lowest level in
+    // the floor's bin fails at construction, not at its first query.
+    experiment_config cfg;
+    cfg.characterization.histogram_bins = 32;
+    EXPECT_THROW(benchmark_experiment(workload::benchmark_id::radix,
+                                      circuit::pipe_stage::decode, cfg),
+                 std::invalid_argument);
 }
 
 TEST(experiment_config_digest, is_stable_for_equal_configs)

@@ -63,7 +63,10 @@ TEST_F(radix_simple_alu, error_curves_monotone_and_zero_at_nominal)
     for (std::size_t t = 0; t < 4; ++t) {
         const auto& model = experiment->error_model(t, 0);
         double previous = 1.0;
-        for (double r = 0.60; r <= 1.0; r += 0.02) {
+        // From the grid's lowest level: the models refuse anything at or
+        // below the characterization's delay floor.
+        for (double r = core::config_space::default_tsr_levels().front(); r <= 1.0;
+             r += 0.02) {
             const double e = model.error_probability(0, r);
             ASSERT_LE(e, previous + 1e-12);
             previous = e;
