@@ -1,12 +1,10 @@
 // Fixture: idiomatic SynTS code -- annotated locking, snapshot-based
-// stats, checked decode arithmetic -- produces zero findings. Rule names
+// stats, owned allocation -- produces zero findings. Rule names
 // in comments (raw-mutex, counter-diff, system-call) must not fire either.
 // pseudo-path: src/runtime/fixture.cpp
 // (no expected findings)
 
-#include <cstddef>
 #include <memory>
-#include <vector>
 
 struct annotated_mutex_like {
     void lock() {}
@@ -26,14 +24,6 @@ struct snapshot {
 unsigned long fine_stats(const snapshot& before, const snapshot& after)
 {
     return after.hits - before.hits;
-}
-
-bool fine_decode(const std::vector<unsigned char>& payload, std::size_t need)
-{
-    if (payload.size() < need) {
-        return false;
-    }
-    return true;
 }
 
 std::unique_ptr<int> fine_alloc()

@@ -18,12 +18,6 @@ be):
                      counters move concurrently between the two reads;
                      snapshot once instead (the PR-6 telemetry registry
                      exists for exactly this).
-  unchecked-size  -- `text.size() - N` arithmetic in src/util/json.cpp, the
-                     one parser of files written outside the program
-                     (bench_diff ledgers). size() is unsigned; a short input
-                     wraps to a huge length instead of failing the bounds
-                     check. Compare `size() < N` first, or restructure to
-                     addition.
   system-call     -- system( anywhere. The runner composes shell-visible
                      strings from user-controlled sweep specs; spawning a
                      shell on them is an injection waiting to happen.
@@ -68,10 +62,6 @@ def _in_src_outside_thread_safety(path: str) -> bool:
     return path.startswith("src/") and path != "src/util/thread_safety.h"
 
 
-def _in_external_parser(path: str) -> bool:
-    return path == "src/util/json.cpp"
-
-
 def _anywhere(_path: str) -> bool:
     return True
 
@@ -104,13 +94,6 @@ RULES = [
         "differencing live counter reads races concurrent movement; "
         "snapshot once via the obs registry instead",
         _in_src,
-    ),
-    (
-        "unchecked-size",
-        re.compile(r"\.size\(\)\s*-"),
-        "unsigned size() subtraction wraps on short input; compare "
-        "`size() < N` before subtracting",
-        _in_external_parser,
     ),
     (
         "system-call",

@@ -156,11 +156,12 @@ fi
 
 # The summary line names the thread count next to the time: the calling
 # thread runs cells too, so one worker means two threads. Its prefix is what
-# perfbench parses.
+# perfbench parses; the time has exactly three decimals (milliseconds), so
+# a throughput read from it is not quantized to ~5% steps.
 SUMMARY="$WORK/summary.txt"
 if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal \
         --workers=1 >"$SUMMARY" 2>&1; then
-    if grep -Eq '^1 cells in [0-9.]+ s on 1 workers \(2 threads\) ' "$SUMMARY"; then
+    if grep -Eq '^1 cells in [0-9]+\.[0-9]{3} s on 1 workers \(2 threads\) ' "$SUMMARY"; then
         echo "ok summary_threads"
     else
         echo "FAIL summary_threads: unexpected summary line:" >&2

@@ -15,10 +15,9 @@
 //     safe from any thread, TSan-clean. Handles returned by the registry
 //     are stable for the registry's lifetime, so instrumented code resolves
 //     the name ONCE (at construction) and pays only the atomic op per event;
-//   * counters and gauges are always on: they mirror bookkeeping the
-//     runtime already paid for (the cache's hit/miss atomics, the pool's
-//     steal count), so gating them would buy nothing and would desync the
-//     registry from the legacy accessors that tests pin;
+//   * counters and gauges are always on: one relaxed add per cache lookup
+//     or pool steal costs nothing worth gating, and an ungated count is
+//     the same whether or not --metrics was asked for;
 //   * anything that needs a CLOCK READ (timers, spans) is gated behind the
 //     process-wide `enabled()` flag: a single relaxed atomic bool load on a
 //     branch-predictable fast path. A timer is a plain counter named

@@ -83,7 +83,6 @@ experiment_cache::get_or_create_program(const workload::workload_key& workload,
     return program_tier_.get_or_create(
         key,
         [&]() -> program_ptr {
-            program_computes_.fetch_add(1, std::memory_order_relaxed);
             if (traffic != nullptr) {
                 traffic->program_computes.fetch_add(1, std::memory_order_relaxed);
             }

@@ -34,18 +34,20 @@
 // What one stage entry retains, per (thread, interval) at the default
 // config (7 corners x 512 bins), with the canonical sweep's totals over its
 // 21 experiments x 12 (thread, interval) cells (seed 42):
-//   * delay histograms: 7 x 512 x 8 B = 28 KB (7.2 MB in all);
-//   * error-model suffix counts: 7 x 513 x 8 B = 28 KB (7.2 MB);
+//   * delay histograms: 7 x 512 x 4 B (32-bit bins) = 14 KB (3.6 MB in
+//     all);
+//   * error-model suffix counts: 7 x 513 x 4 B (32-bit) = 14 KB (3.6 MB);
 //   * the sampling trace: 8 B per driving vector (float delay + uint32
 //     index), sized exactly by the characterizer (17.1 MB);
 //   * the architectural profiles: 40 B, copied (10 KB).
-// That is ~1.5 MB per experiment, 32 MB for the sweep; the 48 MB of
+// That is ~1.2 MB per experiment, 24 MB for the sweep; the 48 MB of
 // micro-ops it generated (1.5 M x 32 B) are not among it.
 //
 // Both tiers live in memory only; nothing survives the process. The
-// program tier is the cheap phase (trace generation + profiling is under a
-// tenth of a serial canonical pass), and the largest sweep the runner
-// offers recomputes every cell in ~1.3 s on a 4-vCPU VM.
+// program tier is the smaller phase (trace generation + profiling is about
+// a quarter of a serial canonical pass: 18% + 5% of it, with the delay
+// walk at 49%), and the largest sweep the runner offers recomputes every
+// cell in under half a second on a 4-vCPU VM.
 //
 // Both tiers use the same discipline:
 //
@@ -163,10 +165,9 @@ struct cache_traffic {
 template <typename Key, typename Ptr>
 class memo_tier {
 public:
-    /// `registry_hits`/`registry_misses`, when given, are process-wide
-    /// registry counters bumped alongside the tier's own atomics (the
-    /// instance counters stay authoritative for hit_count()/miss_count();
-    /// the registry aggregates for --metrics).
+    /// `registry_hits`/`registry_misses`, when given, are the process-wide
+    /// registry counters every lookup is counted in (read back through
+    /// --metrics); a caller's own sink is the per-call view.
     explicit memo_tier(obs::counter* registry_hits = nullptr,
                        obs::counter* registry_misses = nullptr)
         : registry_hits_(registry_hits), registry_misses_(registry_misses)
@@ -178,7 +179,7 @@ public:
     /// key; a factory exception is rethrown to every waiter and the entry
     /// dropped so a later call can retry. Every call records exactly one
     /// hit or one miss; `sink`, when given, receives it in addition to the
-    /// tier's global counters (see cache_traffic).
+    /// registry counters (see cache_traffic).
     template <typename Factory>
     [[nodiscard]] Ptr get_or_create(const Key& key, Factory&& factory,
                                     tier_traffic* sink = nullptr)
@@ -199,11 +200,11 @@ public:
         }
 
         if (!owner) {
-            count(hits_, registry_hits_, sink != nullptr ? &sink->hits : nullptr);
+            count(registry_hits_, sink != nullptr ? &sink->hits : nullptr);
             return entry.get(); // blocks while the owner constructs
         }
 
-        count(misses_, registry_misses_, sink != nullptr ? &sink->misses : nullptr);
+        count(registry_misses_, sink != nullptr ? &sink->misses : nullptr);
         Ptr value;
         try {
             value = factory();
@@ -243,15 +244,6 @@ public:
         entries_.erase(key);
     }
 
-    [[nodiscard]] std::uint64_t hit_count() const noexcept
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t miss_count() const noexcept
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
-
     [[nodiscard]] std::size_t size() const
     {
         const util::mutex_lock lock(mutex_);
@@ -272,10 +264,8 @@ private:
         }
     };
 
-    static void count(std::atomic<std::uint64_t>& own, obs::counter* registry,
-                      std::atomic<std::uint64_t>* sink) noexcept
+    static void count(obs::counter* registry, std::atomic<std::uint64_t>* sink) noexcept
     {
-        own.fetch_add(1, std::memory_order_relaxed);
         if (registry != nullptr) {
             registry->add(1);
         }
@@ -290,8 +280,6 @@ private:
     mutable util::annotated_mutex mutex_;
     std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries_
         SYNTS_GUARDED_BY(mutex_);
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
     obs::counter* registry_hits_;
     obs::counter* registry_misses_;
 };
@@ -332,32 +320,6 @@ public:
                           thread_pool* pool = nullptr,
                           cache_traffic* traffic = nullptr);
 
-    /// Stage-tier calls served without construction.
-    [[nodiscard]] std::uint64_t hit_count() const noexcept { return stage_tier_.hit_count(); }
-    /// Stage-tier calls that had to construct.
-    [[nodiscard]] std::uint64_t miss_count() const noexcept
-    {
-        return stage_tier_.miss_count();
-    }
-    /// Program-tier calls served without construction.
-    [[nodiscard]] std::uint64_t program_hit_count() const noexcept
-    {
-        return program_tier_.hit_count();
-    }
-    /// Program-tier calls that had to construct.
-    [[nodiscard]] std::uint64_t program_miss_count() const noexcept
-    {
-        return program_tier_.miss_count();
-    }
-    /// Times the pipeline's first phase ran (trace generation + profiler);
-    /// every program-tier miss computes, so this equals
-    /// program_miss_count(). Counted at the compute site, like the
-    /// per-caller cache_traffic::program_computes.
-    [[nodiscard]] std::uint64_t program_compute_count() const noexcept
-    {
-        return program_computes_.load(std::memory_order_relaxed);
-    }
-
     /// Stage-tier entries currently resident (settled or under
     /// construction).
     [[nodiscard]] std::size_t size() const { return stage_tier_.size(); }
@@ -375,12 +337,11 @@ public:
 private:
     memo_tier<experiment_key, experiment_ptr> stage_tier_;
     memo_tier<program_key, program_ptr> program_tier_;
-    std::atomic<std::uint64_t> program_computes_{0};
 
     // Registry instruments (cache.tier<N>.* taxonomy: tier1 = stage memo,
-    // tier2 = program memo). The tiers' own counters feed hit/miss via
-    // memo_tier's registry hooks; these cover the compute count and the
-    // gated nanosecond totals.
+    // tier2 = program memo). Hits and misses are counted by memo_tier's
+    // registry hooks; these cover the compute count and the gated
+    // nanosecond totals.
     obs::counter* obs_computes_;
     obs::counter* obs_stage_build_ns_;
     obs::counter* obs_compute_ns_;

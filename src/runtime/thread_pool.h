@@ -69,7 +69,8 @@ public:
                       std::size_t grain = 0);
 
     /// Loop handles stolen from another worker's queue since construction
-    /// (observability for the scaling bench; not part of any contract).
+    /// (read by perfbench's runtime.pool.steals and the runner's summary
+    /// line; not part of any contract).
     [[nodiscard]] std::uint64_t steal_count() const noexcept
     {
         return steals_.load(std::memory_order_relaxed);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace synts::util {
@@ -77,11 +76,6 @@ void histogram::add(std::span<const float> values)
     total_ += static_cast<std::uint32_t>(values.size());
 }
 
-void histogram::add_all(std::span<const double> values)
-{
-    add(values);
-}
-
 double histogram::bin_lower(std::size_t i) const noexcept
 {
     return lo_ + width_ * static_cast<double>(i);
@@ -123,25 +117,6 @@ std::vector<double> histogram::normalized() const
     return mass;
 }
 
-std::string histogram::ascii_render(std::size_t max_bar_width) const
-{
-    std::ostringstream out;
-    std::uint64_t peak = 1;
-    for (const std::uint64_t c : counts_) {
-        peak = std::max(peak, c);
-    }
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const auto bar = static_cast<std::size_t>(
-            static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-            static_cast<double>(max_bar_width));
-        out << "[";
-        out.precision(4);
-        out << bin_lower(i) << ", " << bin_lower(i) + width_ << ") ";
-        out << std::string(bar, '#') << " " << counts_[i] << "\n";
-    }
-    return out.str();
-}
-
 integer_histogram::integer_histogram(std::size_t max_value)
     : counts_(max_value + 1, 0)
 {
@@ -181,22 +156,6 @@ std::vector<double> integer_histogram::normalized() const
         mass[i] = static_cast<double>(counts_[i]) / static_cast<double>(total_);
     }
     return mass;
-}
-
-std::string integer_histogram::ascii_render(std::size_t max_bar_width) const
-{
-    std::ostringstream out;
-    std::uint64_t peak = 1;
-    for (const std::uint64_t c : counts_) {
-        peak = std::max(peak, c);
-    }
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const auto bar = static_cast<std::size_t>(
-            static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-            static_cast<double>(max_bar_width));
-        out << i << ": " << std::string(bar, '#') << " " << counts_[i] << "\n";
-    }
-    return out.str();
 }
 
 } // namespace synts::util

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace synts::util {
@@ -45,10 +44,6 @@ public:
     /// add(double(value)) would.
     void add(std::span<const float> values);
 
-    /// Adds every sample of a span (alias of the bulk add overload, kept
-    /// for existing call sites).
-    void add_all(std::span<const double> values);
-
     /// Number of bins.
     [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
     /// Count in bin `i`.
@@ -71,9 +66,6 @@ public:
 
     /// Bin masses normalized to sum to 1 (empty histogram -> all zeros).
     [[nodiscard]] std::vector<double> normalized() const;
-
-    /// Multi-line ASCII bar rendering (for bench/report output).
-    [[nodiscard]] std::string ascii_render(std::size_t max_bar_width = 50) const;
 
 private:
     /// Throws std::length_error unless `more` samples still fit.
@@ -107,9 +99,6 @@ public:
 
     /// Bucket masses normalized to sum to 1.
     [[nodiscard]] std::vector<double> normalized() const;
-
-    /// Multi-line ASCII bar rendering.
-    [[nodiscard]] std::string ascii_render(std::size_t max_bar_width = 50) const;
 
 private:
     std::vector<std::uint64_t> counts_;

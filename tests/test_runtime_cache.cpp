@@ -1,4 +1,5 @@
-// Tests for runtime/experiment_cache: hit/miss accounting, identity of the
+// Tests for runtime/experiment_cache: hit/miss accounting (read from the
+// caller's cache_traffic / tier_traffic sink), identity of the
 // served instance, bit-identical results from cached vs freshly built
 // experiments, config-digest keying, single construction under concurrent
 // access, and the constructor-failure retry path (through the cache and
@@ -28,26 +29,29 @@ constexpr auto kStage = circuit::pipe_stage::simple_alu;
 TEST(runtime_cache, miss_then_hits_serve_the_same_instance)
 {
     experiment_cache cache;
-    const auto first = cache.get_or_create(kBenchmark, kStage);
-    const auto second = cache.get_or_create(kBenchmark, kStage);
+    runtime::cache_traffic traffic;
+    const auto first = cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
+    const auto second = cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
     EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(cache.miss_count(), 1u);
-    EXPECT_EQ(cache.hit_count(), 1u);
+    EXPECT_EQ(traffic.stage.misses.load(), 1u);
+    EXPECT_EQ(traffic.stage.hits.load(), 1u);
     EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(runtime_cache, distinct_keys_get_distinct_entries)
 {
     experiment_cache cache;
-    const auto a = cache.get_or_create(kBenchmark, kStage);
-    const auto b = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    runtime::cache_traffic traffic;
+    const auto a = cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
+    const auto b =
+        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr, &traffic);
     core::experiment_config reseeded;
     reseeded.seed = 43;
-    const auto c = cache.get_or_create(kBenchmark, kStage, reseeded);
+    const auto c = cache.get_or_create(kBenchmark, kStage, reseeded, nullptr, &traffic);
     EXPECT_NE(a.get(), b.get());
     EXPECT_NE(a.get(), c.get());
-    EXPECT_EQ(cache.miss_count(), 3u);
-    EXPECT_EQ(cache.hit_count(), 0u);
+    EXPECT_EQ(traffic.stage.misses.load(), 3u);
+    EXPECT_EQ(traffic.stage.hits.load(), 0u);
     EXPECT_EQ(cache.size(), 3u);
 }
 
@@ -111,30 +115,32 @@ TEST(runtime_cache, cached_experiment_matches_fresh_construction_bit_for_bit)
 TEST(runtime_cache, concurrent_get_or_create_constructs_once)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     runtime::thread_pool pool(4);
     constexpr std::size_t callers = 8;
     std::vector<experiment_cache::experiment_ptr> served(callers);
     pool.parallel_for(0, callers, [&](std::size_t i) {
-        served[i] = cache.get_or_create(kBenchmark, kStage);
+        served[i] = cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
     }, 1);
     for (const auto& ptr : served) {
         EXPECT_EQ(ptr.get(), served.front().get());
     }
-    EXPECT_EQ(cache.miss_count(), 1u);
-    EXPECT_EQ(cache.hit_count(), callers - 1);
+    EXPECT_EQ(traffic.stage.misses.load(), 1u);
+    EXPECT_EQ(traffic.stage.hits.load(), callers - 1);
 }
 
 TEST(runtime_cache, constructor_failure_is_rethrown_and_retryable)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     core::experiment_config broken;
     broken.thread_count = 0; // make_profile rejects this
-    EXPECT_THROW((void)cache.get_or_create(kBenchmark, kStage, broken),
+    EXPECT_THROW((void)cache.get_or_create(kBenchmark, kStage, broken, nullptr, &traffic),
                  std::invalid_argument);
     EXPECT_EQ(cache.size(), 0u); // failed entry dropped
-    EXPECT_THROW((void)cache.get_or_create(kBenchmark, kStage, broken),
+    EXPECT_THROW((void)cache.get_or_create(kBenchmark, kStage, broken, nullptr, &traffic),
                  std::invalid_argument);
-    EXPECT_EQ(cache.miss_count(), 2u); // both calls attempted construction
+    EXPECT_EQ(traffic.stage.misses.load(), 2u); // both calls attempted construction
 }
 
 struct tiny_key {
@@ -180,7 +186,7 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
     }
     // A waiter records its hit before blocking on the entry, so once every
     // hit is in, every waiter is parked on the owner's construction.
-    while (tier.hit_count() < static_cast<std::uint64_t>(waiter_count)) {
+    while (sink.hits.load() < static_cast<std::uint64_t>(waiter_count)) {
         std::this_thread::yield();
     }
     owner_release.set_value();
@@ -206,8 +212,6 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
 
     // Exactly one hit or one miss per call: the failing owner and the retry
     // missed, every waiter hit.
-    EXPECT_EQ(tier.hit_count(), static_cast<std::uint64_t>(waiter_count));
-    EXPECT_EQ(tier.miss_count(), 2u);
     EXPECT_EQ(sink.hits.load(), static_cast<std::uint64_t>(waiter_count));
     EXPECT_EQ(sink.misses.load(), 2u);
 }
@@ -215,12 +219,13 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
 TEST(runtime_cache, clear_forgets_entries)
 {
     experiment_cache cache;
-    (void)cache.get_or_create(kBenchmark, kStage);
+    runtime::cache_traffic traffic;
+    (void)cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
     EXPECT_EQ(cache.size(), 1u);
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    (void)cache.get_or_create(kBenchmark, kStage);
-    EXPECT_EQ(cache.miss_count(), 2u);
+    (void)cache.get_or_create(kBenchmark, kStage, {}, nullptr, &traffic);
+    EXPECT_EQ(traffic.stage.misses.load(), 2u);
 }
 
 TEST(runtime_cache, process_cache_is_a_singleton)

@@ -3,7 +3,8 @@
 // architectural profiler run exactly once), keying on workload_digest()
 // only, the entry's lifetime (released once all three stages settle),
 // pool-parallel construction bit-identity, and the contract that a
-// characterization failure leaves no entry behind on either tier.
+// characterization failure leaves no entry behind on either tier. Hits,
+// misses and computes are read from the caller's cache_traffic sink.
 
 #include <gtest/gtest.h>
 
@@ -25,19 +26,20 @@ constexpr auto kBenchmark = workload::benchmark_id::radix;
 TEST(runtime_program_cache, three_stages_share_one_program_artifact)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     const auto decode =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
-    const auto simple =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-    const auto complex_alu =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::complex_alu);
+        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr, &traffic);
+    const auto simple = cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu, {},
+                                            nullptr, &traffic);
+    const auto complex_alu = cache.get_or_create(kBenchmark, circuit::pipe_stage::complex_alu,
+                                                 {}, nullptr, &traffic);
 
     // The acceptance pin: characterizing all three pipe stages generated the
     // trace and ran the architectural profiler exactly once.
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 2u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
-    EXPECT_EQ(cache.miss_count(), 3u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 2u);
+    EXPECT_EQ(traffic.program_computes.load(), 1u);
+    EXPECT_EQ(traffic.stage.misses.load(), 3u);
     // ...and once the third stage settled, the trace was let go.
     EXPECT_EQ(cache.program_size(), 0u);
 
@@ -55,6 +57,7 @@ TEST(runtime_program_cache, three_stages_share_one_program_artifact)
 TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     const core::experiment_config base;
 
     core::experiment_config evaluation_only = base;
@@ -63,24 +66,26 @@ TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
     ASSERT_NE(evaluation_only.digest(), base.digest());
     ASSERT_EQ(evaluation_only.workload_digest(), base.workload_digest());
 
-    const auto a = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, base);
-    const auto b =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, evaluation_only);
+    const auto a =
+        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, base, nullptr, &traffic);
+    const auto b = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
+                                       evaluation_only, nullptr, &traffic);
 
     // Distinct experiments (different stage-tier keys), one shared artifact.
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(a->arch_profiles(), b->arch_profiles());
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 1u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 1u);
+    EXPECT_EQ(traffic.program_computes.load(), 1u);
 
     // A workload knob, by contrast, forces fresh artifacts.
     core::experiment_config reseeded = base;
     reseeded.seed = 43;
     ASSERT_NE(reseeded.workload_digest(), base.workload_digest());
-    const auto c = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, reseeded);
-    EXPECT_EQ(cache.program_miss_count(), 2u);
-    EXPECT_EQ(cache.program_compute_count(), 2u);
+    const auto c = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, reseeded,
+                                       nullptr, &traffic);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
+    EXPECT_EQ(traffic.program_computes.load(), 2u);
     EXPECT_EQ(c->arch_profiles(),
               core::make_program_artifacts(kBenchmark, reseeded)->arch_profiles);
     // One stage per config: both entries stay resident.
@@ -90,41 +95,46 @@ TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
 TEST(runtime_program_cache, get_or_create_program_is_directly_usable)
 {
     experiment_cache cache;
-    const auto artifacts = cache.get_or_create_program(kBenchmark);
+    runtime::cache_traffic traffic;
+    const auto artifacts = cache.get_or_create_program(kBenchmark, {}, nullptr, &traffic);
     ASSERT_NE(artifacts, nullptr);
     EXPECT_NO_THROW(artifacts->validate());
     EXPECT_EQ(artifacts->workload, workload::workload_key(kBenchmark));
-    EXPECT_EQ(cache.program_miss_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
 
     // The stage tier reuses a pre-seeded program entry.
-    const auto experiment =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
+    const auto experiment = cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu,
+                                                {}, nullptr, &traffic);
     EXPECT_EQ(experiment->arch_profiles(), artifacts->arch_profiles);
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 1u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 1u);
+    EXPECT_EQ(traffic.program_computes.load(), 1u);
 }
 
 TEST(runtime_program_cache, entry_stays_until_all_three_stages_settle)
 {
     experiment_cache cache;
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    runtime::cache_traffic traffic;
+    const auto get = [&](circuit::pipe_stage stage, const core::experiment_config& config) {
+        (void)cache.get_or_create(kBenchmark, stage, config, nullptr, &traffic);
+    };
+    get(circuit::pipe_stage::decode, {});
     EXPECT_EQ(cache.program_size(), 1u);
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::complex_alu);
+    get(circuit::pipe_stage::complex_alu, {});
     EXPECT_EQ(cache.program_size(), 1u);
     // A stage-tier hit builds nothing and releases nothing.
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    get(circuit::pipe_stage::decode, {});
     EXPECT_EQ(cache.program_size(), 1u);
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
+    get(circuit::pipe_stage::simple_alu, {});
     EXPECT_EQ(cache.program_size(), 0u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
+    EXPECT_EQ(traffic.program_computes.load(), 1u);
     EXPECT_EQ(cache.size(), 3u);
 
     // A config sharing the workload digest regenerates the released trace.
     core::experiment_config evaluation_only;
     evaluation_only.params.leakage_power = 1e-6;
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, evaluation_only);
-    EXPECT_EQ(cache.program_compute_count(), 2u);
+    get(circuit::pipe_stage::decode, evaluation_only);
+    EXPECT_EQ(traffic.program_computes.load(), 2u);
     EXPECT_EQ(cache.program_size(), 1u);
 }
 
@@ -162,7 +172,6 @@ TEST(runtime_program_cache, pooled_sweep_ends_with_no_program_resident)
     EXPECT_EQ(result.program_computes, 2u);
     EXPECT_EQ(result.program_cache_misses, 2u);
     EXPECT_EQ(result.program_cache_hits, 4u);
-    EXPECT_EQ(cache.program_compute_count(), 2u);
     EXPECT_EQ(cache.program_size(), 0u);
     EXPECT_EQ(cache.size(), 6u);
 }
@@ -210,20 +219,21 @@ TEST(runtime_program_cache, pool_parallel_construction_is_bit_identical)
 TEST(runtime_program_cache, characterization_failure_drops_entries_on_both_tiers)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     core::experiment_config broken;
     broken.thread_count = 0; // make_profile rejects this during phase one
-    EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
-                                           broken),
+    EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, broken,
+                                           nullptr, &traffic),
                  std::invalid_argument);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
 
     // Retry attempts construction again on both tiers (no poisoned entry).
-    EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
-                                           broken),
+    EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, broken,
+                                           nullptr, &traffic),
                  std::invalid_argument);
-    EXPECT_EQ(cache.miss_count(), 2u);
-    EXPECT_EQ(cache.program_miss_count(), 2u);
+    EXPECT_EQ(traffic.stage.misses.load(), 2u);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
 }
@@ -255,14 +265,15 @@ TEST(runtime_program_cache, scheduler_sweep_shares_artifacts_without_deadlock)
 TEST(runtime_program_cache, clear_forgets_both_tiers)
 {
     experiment_cache cache;
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    runtime::cache_traffic traffic;
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr, &traffic);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.program_size(), 1u);
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
-    EXPECT_EQ(cache.program_miss_count(), 2u);
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr, &traffic);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
 }
 
 } // namespace

@@ -126,14 +126,6 @@ TEST(histogram, empty_histogram_behaviors)
     }
 }
 
-TEST(histogram, ascii_render_nonempty)
-{
-    histogram h(0.0, 1.0, 4);
-    h.add(0.1);
-    const std::string render = h.ascii_render();
-    EXPECT_NE(render.find('#'), std::string::npos);
-}
-
 TEST(integer_histogram, counts_and_clamps)
 {
     integer_histogram h(4);
@@ -216,18 +208,6 @@ TEST(histogram, bulk_add_float_matches_widened_scalar_adds)
     EXPECT_EQ(bulk.total(), scalar.total());
     for (std::size_t i = 0; i < scalar.bin_count(); ++i) {
         EXPECT_EQ(bulk.count_at(i), scalar.count_at(i)) << "bin " << i;
-    }
-}
-
-TEST(histogram, add_all_delegates_to_bulk_add)
-{
-    const std::vector<double> values = {0.5, 1.5, 2.5};
-    histogram a(0.0, 4.0, 4);
-    a.add_all(std::span<const double>(values));
-    histogram b(0.0, 4.0, 4);
-    b.add(std::span<const double>(values));
-    for (std::size_t i = 0; i < a.bin_count(); ++i) {
-        EXPECT_EQ(a.count_at(i), b.count_at(i));
     }
 }
 

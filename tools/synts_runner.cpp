@@ -323,7 +323,9 @@ int main(int argc, char** argv)
             std::fputs(runtime::render_sweep_table(result).c_str(), stdout);
             // The calling thread claims pairs while it waits, so the
             // sweep runs on one thread more than the pool has workers.
-            std::printf("%zu cells in %.2f s on %zu workers (%zu threads) "
+            // Milliseconds: a sweep of ~0.2 s printed to 10 ms would
+            // quantize any throughput read from this line to ~5% steps.
+            std::printf("%zu cells in %.3f s on %zu workers (%zu threads) "
                         "(stage cache: %llu hits, %llu misses; program cache: "
                         "%llu hits, %llu misses; %llu steals)\n",
                         result.cells.size(), result.wall_seconds, pool.worker_count(),
