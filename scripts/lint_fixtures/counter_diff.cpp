@@ -3,13 +3,13 @@
 // pseudo-path: src/runtime/fixture.cpp
 // expect: counter-diff x1
 
-struct cache_like {
-    unsigned long hit_count() const { return 0; }
+struct pool_like {
+    unsigned long steal_count() const { return 0; }
 };
 
-unsigned long stat_delta(const cache_like& c, unsigned long before)
+unsigned long stat_delta(const pool_like& p, unsigned long before)
 {
-    return c.hit_count() - before;
+    return p.steal_count() - before;
 }
 
 unsigned long fine(unsigned long after, unsigned long before)

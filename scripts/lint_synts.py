@@ -14,7 +14,8 @@ be):
                      must go through std::condition_variable_any +
                      util::cv_mutex_lock.
   counter-diff    -- differencing two reads of a live global counter
-                     (hit_count() - ..., misses() - ...) in stat code. Live
+                     (the pool's steal_count() - ..., executed_count() -
+                     ...) in stat code. Live
                      counters move concurrently between the two reads;
                      snapshot once instead (the PR-6 telemetry registry
                      exists for exactly this).
@@ -88,8 +89,7 @@ RULES = [
     (
         "counter-diff",
         re.compile(
-            r"\b(hit_count|miss_count|hits|misses|launched|cancelled|"
-            r"executed_count|steal_count|tick_count|drop_count)\(\)\s*-"
+            r"\b(executed_count|steal_count)\(\)\s*-"
         ),
         "differencing live counter reads races concurrent movement; "
         "snapshot once via the obs registry instead",

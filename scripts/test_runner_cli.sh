@@ -264,14 +264,16 @@ for expected in decode:1353313:4783110 simple_alu:55:9919706 complex_alu:8310:23
 done
 
 # The canonical sweep's live pairs: the three stages' sum, at any worker count.
+# The toggled pairs count (gate, lane) pairs over the cone's functional
+# fan-in only, the gates step_batch evaluates.
 LIVE="$WORK/live_canonical.csv"
 if "$RUNNER" --benchmarks=reported --ladder=default --seed=42 --workers=3 --quiet \
         --metrics=csv >"$LIVE" 2>&1; then
     if grep -q '^circuit\.live_pairs,counter,17035392$' "$LIVE" &&
-            grep -q '^circuit\.toggled_pairs,counter,271343205$' "$LIVE"; then
+            grep -q '^circuit\.toggled_pairs,counter,156492337$' "$LIVE"; then
         echo "ok canonical_live_pairs"
     else
-        echo "FAIL canonical_live_pairs: expected 17035392 live of 271343205 toggled pairs:" >&2
+        echo "FAIL canonical_live_pairs: expected 17035392 live of 156492337 toggled pairs:" >&2
         grep -E '^circuit\.(live|toggled)_pairs' "$LIVE" >&2
         failures=$((failures + 1))
     fi

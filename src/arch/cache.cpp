@@ -1,5 +1,6 @@
 #include "arch/cache.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace synts::arch {
@@ -30,6 +31,9 @@ cache_sim::cache_sim(const cache_config& config)
     if (!is_power_of_two(set_count_)) {
         throw std::invalid_argument("cache_sim: set count must be a power of two");
     }
+    // Both are powers of two, so the address split is two shifts.
+    line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+    set_shift_ = static_cast<unsigned>(std::countr_zero(set_count_));
     lines_.assign(lines_total, line{});
 }
 
@@ -38,9 +42,9 @@ std::uint32_t cache_sim::access(std::uint64_t address) noexcept
     ++stats_.accesses;
     ++access_clock_;
 
-    const std::uint64_t line_addr = address / config_.line_bytes;
+    const std::uint64_t line_addr = address >> line_shift_;
     const std::uint64_t set = line_addr & (set_count_ - 1);
-    const std::uint64_t tag = line_addr / set_count_;
+    const std::uint64_t tag = line_addr >> set_shift_;
     line* const set_base = &lines_[set * config_.ways];
 
     line* victim = set_base;
@@ -66,9 +70,9 @@ std::uint32_t cache_sim::access(std::uint64_t address) noexcept
 
 bool cache_sim::would_hit(std::uint64_t address) const noexcept
 {
-    const std::uint64_t line_addr = address / config_.line_bytes;
+    const std::uint64_t line_addr = address >> line_shift_;
     const std::uint64_t set = line_addr & (set_count_ - 1);
-    const std::uint64_t tag = line_addr / set_count_;
+    const std::uint64_t tag = line_addr >> set_shift_;
     const line* const set_base = &lines_[set * config_.ways];
     for (std::uint32_t w = 0; w < config_.ways; ++w) {
         if (set_base[w].valid && set_base[w].tag == tag) {

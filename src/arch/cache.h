@@ -66,6 +66,8 @@ private:
     cache_config config_;
     std::vector<line> lines_; ///< sets * ways, row-major by set
     std::uint64_t set_count_ = 0;
+    unsigned line_shift_ = 0; ///< log2(line_bytes)
+    unsigned set_shift_ = 0;  ///< log2(set_count_)
     std::uint64_t access_clock_ = 0;
     cache_counts stats_;
 };

@@ -27,7 +27,32 @@ public:
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
 
     /// True when `op` exercises the stage.
-    [[nodiscard]] bool drives_stage(const micro_op& op) const noexcept;
+    [[nodiscard]] bool drives_stage(const micro_op& op) const noexcept
+    {
+        return stage_drives(stage_, op.cls);
+    }
+
+    /// True when every op exercises `stage`: every instruction passes
+    /// through Decode.
+    [[nodiscard]] static constexpr bool drives_every_op(circuit::pipe_stage stage) noexcept
+    {
+        return stage == circuit::pipe_stage::decode;
+    }
+
+    /// True when an op of class `cls` exercises `stage`.
+    [[nodiscard]] static constexpr bool stage_drives(circuit::pipe_stage stage,
+                                                     op_class cls) noexcept
+    {
+        switch (stage) {
+        case circuit::pipe_stage::decode:
+            return drives_every_op(stage);
+        case circuit::pipe_stage::simple_alu:
+            return uses_simple_alu(cls);
+        case circuit::pipe_stage::complex_alu:
+            return uses_complex_alu(cls);
+        }
+        return false;
+    }
 
     /// Fills `bits` (size width()) with the stage input vector for `op`.
     /// Returns false (leaving `bits` untouched) when the op does not drive
@@ -45,8 +70,10 @@ public:
     /// lane_words[i] is input bit i of the j-th driving vector, in op
     /// order. Each driving op's input bits are packed into one 64-bit row
     /// per lane (a second row holds bits 64..127, e.g. SimpleALU's select
-    /// field), and a 64x64 bit-matrix transpose per row turns the rows
-    /// into lane words; bits of unused lanes are 0. Non-driving ops are
+    /// field), and a bit-matrix transpose per row turns the rows into lane
+    /// words -- 64x64, or 64x32 for a row of at most 32 bits (Decode's and
+    /// ComplexALU's), and a row of a few bits is gathered bit by bit;
+    /// bits of unused lanes are 0. Non-driving ops are
     /// skipped. lane_words (size width()) is fully rewritten;
     /// lane_op_index[j] (capacity >= 64) receives the index *within `ops`*
     /// of lane j's op. Scanning stops when 64 lanes are packed or `ops` is

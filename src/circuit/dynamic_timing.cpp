@@ -17,13 +17,13 @@ namespace detail {
 /// What one step_batch call reads and writes. Every timing row is one
 /// corner_block of doubles.
 struct batch_pass {
-    // The functional pass, over every gate.
-    const gate* gates;                   ///< per gate, its cell kind
-    const gate_pins* pins;               ///< per gate, three input pins and the output
-    std::size_t gate_count;
+    // The functional pass, over the cone's fan-in only.
+    const cell_kind* fanin_kinds;        ///< per fan-in gate, its cell kind
+    const gate_pins* fanin_pins;         ///< per fan-in gate, three input pins and the output
+    std::size_t fanin_count;
     const std::uint64_t* input_words;    ///< per primary input, one bit per lane
     std::size_t input_count;
-    const std::uint8_t* carried;         ///< per net, lane 0's predecessor value
+    std::size_t prev_last;               ///< the lane of `words` that holds the carried state
     std::uint64_t* words;                ///< per net plus the padding slot, lane values
     std::uint64_t* toggles;              ///< per net plus the padding slot, toggle masks
     // The cone scan and the walk, over the cone only.
@@ -61,9 +61,9 @@ typedef double vec32 __attribute__((vector_size(32), may_alias));
 typedef double vec64 __attribute__((vector_size(64), may_alias));
 #endif
 
-/// One step_batch call: the word-parallel functional pass over every gate,
-/// the liveness scan over the cone, and max-plus delay propagation over
-/// each lane's live cone gates, the whole 8-corner row in registers of
+/// One step_batch call: the word-parallel functional pass over the cone's
+/// fan-in, the liveness scan over the cone, and max-plus delay propagation
+/// over each lane's live cone gates, the whole 8-corner row in registers of
 /// type V (W doubles each, 8/W registers). The row stride is the constant
 /// corner_block, so each row address is a shift and an add. Always
 /// inlined, so each wrapper below compiles all three passes for its own
@@ -76,8 +76,9 @@ template <typename V>
     constexpr std::size_t regs = corner_block / width;
     // The pass's fields in locals: read through the reference, GCC must
     // reload every field after each store into the may_alias rows.
-    const detail::gate_pins* const pins = pass.pins;
-    const std::uint8_t* const carried = pass.carried;
+    const cell_kind* const kinds = pass.fanin_kinds;
+    const detail::gate_pins* const pins = pass.fanin_pins;
+    const std::size_t prev_last = pass.prev_last;
     std::uint64_t* const words = pass.words;
     std::uint64_t* const toggles = pass.toggles;
     const detail::gate_pins* const cone_pins = pass.cone_pins;
@@ -92,27 +93,28 @@ template <typename V>
     const double* const floor_ps = pass.floor_ps;
     double* const out_delay_ps = pass.out_delay_ps;
 
-    // Functional pass, word-parallel: lane j of a net's word is its settled
-    // value under input vector j. The toggle mask compares each lane with
-    // its predecessor; lane 0's predecessor is the carried scalar state,
-    // which after reset() is the raw all-zero baseline -- the exact
-    // comparison sequence of lane_count scalar step() calls. Bits at or
-    // above lane_count (shifted-in toggles, const1 words) belong to no
+    // Functional pass, word-parallel over the fan-in: lane j of a net's
+    // word is its settled value under input vector j. The toggle mask
+    // compares each lane with its predecessor; lane 0's predecessor is lane
+    // prev_last of the net's previous word, read before the word is
+    // overwritten -- after reset() the all-zero baseline, so this is the
+    // exact comparison sequence of lane_count scalar step() calls. Bits at
+    // or above lane_count (shifted-in toggles, const1 words) belong to no
     // vector and are masked off wherever a lane is counted or walked.
     const std::uint64_t lane_mask =
         lane_count == dynamic_timing_simulator::max_batch_lanes ? ~0ull
                                                                 : (1ull << lane_count) - 1;
     for (std::size_t i = 0; i < pass.input_count; ++i) {
         const std::uint64_t w = pass.input_words[i];
+        toggles[i] = w ^ ((w << 1) | ((words[i] >> prev_last) & 1));
         words[i] = w;
-        toggles[i] = w ^ ((w << 1) | static_cast<std::uint64_t>(carried[i]));
     }
     std::uint64_t toggled_pairs = 0;
-    for (std::size_t gi = 0; gi < pass.gate_count; ++gi) {
+    for (std::size_t gi = 0; gi < pass.fanin_count; ++gi) {
         const detail::gate_pins& p = pins[gi];
-        const std::uint64_t w = evaluate_cell_word(pass.gates[gi].kind, words[p.in[0]],
-                                                   words[p.in[1]], words[p.in[2]]);
-        const std::uint64_t t = w ^ ((w << 1) | static_cast<std::uint64_t>(carried[p.out]));
+        const std::uint64_t w =
+            evaluate_cell_word(kinds[gi], words[p.in[0]], words[p.in[1]], words[p.in[2]]);
+        const std::uint64_t t = w ^ ((w << 1) | ((words[p.out] >> prev_last) & 1));
         words[p.out] = w;
         toggles[p.out] = t;
         toggled_pairs += static_cast<std::uint64_t>(std::popcount(t & lane_mask));
@@ -125,7 +127,8 @@ template <typename V>
     // same lanes; its short pins point at the padding slot, whose need is a
     // write-only sink. The same scan pushes each live gate onto its lanes'
     // lists back to front: lane j's list ends at lists[(j + 1) *
-    // cone_count] and runs in topological order.
+    // cone_count] and runs in topological order. A gate live in no lane is
+    // skipped.
     std::fill(need, need + pass.net_count + 1, 0);
     for (std::size_t d = 0; d < pass.deep_output_count; ++d) {
         need[pass.deep_outputs[d]] = ~0ull;
@@ -134,11 +137,14 @@ template <typename V>
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
         lane_firsts[lane] = lists + (lane + 1) * cone_count;
     }
+    std::uint64_t walked = 0; // the lanes with a non-empty list
     for (std::size_t k = cone_count; k-- > 0;) {
         const detail::gate_pins& p = cone_pins[k];
         const std::uint64_t live = toggles[p.out] & need[p.out] & lane_mask;
-        // Unconditional: a dead gate ORs in 0, and the push loop below
-        // runs zero times.
+        if (live == 0) {
+            continue;
+        }
+        walked |= live;
         need[p.in[0]] |= live;
         need[p.in[1]] |= live;
         need[p.in[2]] |= live;
@@ -147,20 +153,21 @@ template <typename V>
         }
     }
 
-    // Delay propagation per lane over its own list. Lanes share toggle_ps
+    // Delay propagation per walked lane over its own list; every other
+    // lane's delay is the +0.0 of the fill. Lanes share toggle_ps
     // sequentially exactly like consecutive scalar steps share it: a lane
     // only reads settle times its own walk wrote (a read is guarded by the
     // lane's toggle bit, and a toggled net read through a live gate's pin
     // record is driven by a live gate or is a primary input, whose row
     // stays 0.0), so no per-lane copy is needed.
+    std::fill(out_delay_ps, out_delay_ps + corner_count * lane_count, 0.0);
     std::uint64_t live_pairs = 0;
-    std::uint64_t pruned_lanes = 0;
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+    for (std::uint64_t lanes = walked; lanes != 0; lanes &= lanes - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(lanes));
         const std::uint64_t lane_bit = 1ull << lane;
         const std::uint32_t* const first = lane_firsts[lane];
         const std::uint32_t* const last = lists + (lane + 1) * cone_count;
         live_pairs += static_cast<std::uint64_t>(last - first);
-        pruned_lanes += first == last ? 1 : 0;
         // Running max over every live gate the lane visits. A live gate
         // either drives a deep output or has a live reader that reads its
         // toggled row and settles no earlier (delays are >= 0), so this max
@@ -205,7 +212,7 @@ template <typename V>
     }
     pass.toggled_pairs = toggled_pairs;
     pass.live_pairs = live_pairs;
-    pass.pruned_lanes = pruned_lanes;
+    pass.pruned_lanes = lane_count - static_cast<std::size_t>(std::popcount(walked));
 }
 
 // The instantiations, one per target ISA. The 16-byte one needs nothing
@@ -353,8 +360,27 @@ make_corner_tables(const netlist& nl, const cell_library& lib, const voltage_mod
             }
         }
     }
+    // The functional fan-in: the cone and, through every pin, the drivers
+    // of its gates' values.
+    std::vector<std::uint8_t> in_fanin(in_cone);
+    for (std::size_t g = gates.size(); g-- > 0;) {
+        for (std::size_t i = 0; in_fanin[g] != 0 && i < gates[g].input_count; ++i) {
+            if (gates[g].inputs[i] >= input_count) {
+                in_fanin[nl.driver_of(gates[g].inputs[i])] = 1;
+            }
+        }
+    }
     const auto pad = static_cast<net_id>(nl.net_count());
     for (std::size_t g = 0; g < gates.size(); ++g) {
+        if (in_fanin[g] == 0) {
+            continue;
+        }
+        detail::gate_pins& f = tables->fanin_pins.emplace_back();
+        for (std::size_t i = 0; i < 3; ++i) {
+            f.in[i] = i < gates[g].input_count ? gates[g].inputs[i] : pad;
+        }
+        f.out = gates[g].output;
+        tables->fanin_kinds.push_back(gates[g].kind);
         if (in_cone[g] == 0) {
             continue;
         }
@@ -399,13 +425,36 @@ dynamic_timing_simulator::dynamic_timing_simulator(
 void dynamic_timing_simulator::reset()
 {
     std::fill(values_.begin(), values_.end(), 0);
-    std::fill(changed_.begin(), changed_.end(), 0);
-    // toggle_ps_ is deliberately left as-is: every read of a net's settle
-    // time is guarded by that net's toggle flag, and toggle flags plus
-    // toggled nets' settle times are rewritten within each step before any
-    // read. Primary-input slots are only ever zero (inputs switch at the
-    // clock edge, time 0), so stale data is unreachable -- re-clearing the
-    // corner x net doubles here was pure construction/reset waste.
+    std::fill(value_words_.begin(), value_words_.end(), 0);
+    prev_last_ = 0;
+    values_stale_ = false;
+    words_stale_ = false;
+    // changed_ and toggle_ps_ are deliberately left as-is: step() rewrites
+    // every changed_ flag before it reads it, and every read of a net's
+    // settle time is guarded by that net's toggle flag, rewritten within
+    // each step before any read. Primary-input slots are only ever zero
+    // (inputs switch at the clock edge, time 0), so stale data is
+    // unreachable -- re-clearing the corner x net doubles here was pure
+    // construction/reset waste.
+}
+
+void dynamic_timing_simulator::rebuild_values() noexcept
+{
+    // The netlist is combinational, so every net's value is a function of
+    // the latest inputs: lane prev_last_ of the input words.
+    const std::size_t input_count = nl_.input_count();
+    for (std::size_t i = 0; i < input_count; ++i) {
+        values_[i] = static_cast<std::uint8_t>((value_words_[i] >> prev_last_) & 1);
+    }
+    for (const gate& g : nl_.gates()) {
+        std::uint64_t in[3] = {0, 0, 0};
+        for (std::size_t i = 0; i < g.input_count; ++i) {
+            in[i] = values_[g.inputs[i]];
+        }
+        values_[g.output] =
+            static_cast<std::uint8_t>(evaluate_cell_word(g.kind, in[0], in[1], in[2]) & 1);
+    }
+    values_stale_ = false;
 }
 
 double dynamic_timing_simulator::step(std::span<const bool> inputs,
@@ -420,6 +469,10 @@ double dynamic_timing_simulator::step(std::span<const bool> inputs,
         throw std::invalid_argument("dynamic_timing_simulator: corner buffer mismatch");
     }
 
+    if (values_stale_) {
+        rebuild_values();
+    }
+    words_stale_ = true;
     // Primary inputs switch at the launching clock edge (time 0). Their
     // toggle_ps_ slots stay 0.0 forever (never written otherwise), so no
     // per-corner store is needed here.
@@ -513,26 +566,23 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     if (out_delay_ps.size() != corner_count * lane_count) {
         throw std::invalid_argument("dynamic_timing_simulator: batch delay buffer mismatch");
     }
-    const auto gates = nl_.gates();
-    const std::size_t gate_count = gates.size();
     const std::size_t cone_count = tables_->cone_pins.size();
-    // Net net_count is the padding slot every unused pin points at: its
-    // value and toggle words stay 0, and its need word is a write-only sink.
-    const auto pad = static_cast<net_id>(net_count);
     if (value_words_.size() != net_count + 1) {
+        // Net net_count is the padding slot every unused pin points at: its
+        // value and toggle words stay 0, and its need word is a write-only
+        // sink.
         value_words_.assign(net_count + 1, 0);
         toggle_words_.assign(net_count + 1, 0);
         need_words_.assign(net_count + 1, 0);
         lane_gates_.resize(max_batch_lanes * cone_count);
-        gate_pins_.resize(gate_count);
-        for (std::size_t gi = 0; gi < gate_count; ++gi) {
-            const gate& g = gates[gi];
-            detail::gate_pins& p = gate_pins_[gi];
-            for (std::size_t i = 0; i < 3; ++i) {
-                p.in[i] = i < g.input_count ? g.inputs[i] : pad;
-            }
-            p.out = g.output;
-        }
+        words_stale_ = true;
+    }
+    if (words_stale_) {
+        // step() (or construction) left the state in values_: lane 0 of
+        // the words carries it into this batch.
+        std::copy(values_.begin(), values_.end(), value_words_.begin());
+        prev_last_ = 0;
+        words_stale_ = false;
     }
     // The same product the contract (and its test oracles) compare with.
     std::array<double, corner_block> floor_ps{};
@@ -540,12 +590,12 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
         floor_ps[c] = tables_->delay_floor * tables_->nominal_period_ps[c];
     }
 
-    detail::batch_pass pass{.gates = gates.data(),
-                            .pins = gate_pins_.data(),
-                            .gate_count = gate_count,
+    detail::batch_pass pass{.fanin_kinds = tables_->fanin_kinds.data(),
+                            .fanin_pins = tables_->fanin_pins.data(),
+                            .fanin_count = tables_->fanin_pins.size(),
                             .input_words = input_words.data(),
                             .input_count = input_count,
-                            .carried = values_.data(),
+                            .prev_last = prev_last_,
                             .words = value_words_.data(),
                             .toggles = toggle_words_.data(),
                             .cone_pins = tables_->cone_pins.data(),
@@ -577,20 +627,23 @@ void dynamic_timing_simulator::step_batch(const detail::delay_kernel& kernel,
     live_counter.add(pass.live_pairs);
     pruned_counter.add(pass.pruned_lanes);
 
-    // Land the carried scalar state on the last lane, so scalar and batched
-    // stepping interleave freely.
-    const std::size_t last = lane_count - 1;
-    const std::uint64_t* const words = value_words_.data();
-    const std::uint64_t* const toggles = toggle_words_.data();
-    for (std::size_t n = 0; n < net_count; ++n) {
-        values_[n] = static_cast<std::uint8_t>((words[n] >> last) & 1);
-        changed_[n] = static_cast<std::uint8_t>((toggles[n] >> last) & 1);
-    }
+    // The state now lives in the words' last lane; values_ is rebuilt from
+    // it only when a caller reads it (see rebuild_values()).
+    prev_last_ = lane_count - 1;
+    values_stale_ = true;
 }
 
-bool dynamic_timing_simulator::output_value(std::size_t i) const noexcept
+bool dynamic_timing_simulator::output_value(std::size_t i) noexcept
 {
-    return values_[nl_.output_net(i)] != 0;
+    return net_values()[nl_.output_net(i)] != 0;
+}
+
+std::span<const std::uint8_t> dynamic_timing_simulator::net_values() noexcept
+{
+    if (values_stale_) {
+        rebuild_values();
+    }
+    return values_;
 }
 
 } // namespace synts::circuit

@@ -23,31 +23,44 @@
 //                     settle-time row is the always-zero row. So none of
 //                     the three passes below branches on a gate's pin
 //                     count. A forward scan runs the functional pass
-//                     word-parallel over every gate (one inline
-//                     evaluate_cell_word per gate covers all lanes; a
-//                     padded pin feeds the 0 word, which no cell reads)
-//                     and derives each output's toggle word. A backward
-//                     scan over the static timing cone only (see the delay
-//                     floor below), in reverse topological order, then
-//                     finds each cone gate's live lanes: those where its
-//                     output toggles and some live reader (or a deep
-//                     primary output) needs its settle time --
+//                     word-parallel over the cone's functional fan-in
+//                     only -- the gates whose values the cone scan and
+//                     the walk read, directly or through other gates --
+//                     (one inline evaluate_cell_word per gate covers all
+//                     lanes; a padded pin feeds the 0 word, which no cell
+//                     reads) and derives each output's toggle word. A
+//                     backward scan over the static timing cone only (see
+//                     the delay floor below), in reverse topological
+//                     order, then finds each cone gate's live lanes: those
+//                     where its output toggles and some live reader (or a
+//                     deep primary output) needs its settle time --
 //                       live = toggles[out] & need[out] & lane_mask,
 //                       need[in0] |= live, need[in1] |= live,
-//                       need[in2] |= live (unconditionally: a dead gate
-//                       ORs 0, a padded or short pin ORs into a
-//                       write-only sink),
+//                       need[in2] |= live (a padded or short pin ORs into
+//                       a write-only sink; a gate live in no lane is
+//                       skipped),
 //                     with need seeded per batch to all lanes at the deep
 //                     outputs. The same scan pushes each live gate onto
 //                     its lanes' lists back to front, so lane j's list
 //                     ends at (j + 1) * cone size and runs in topological
-//                     order. Delay propagation walks each lane's own list,
-//                     never visiting a dead, untoggled or out-of-cone
-//                     gate. Each of the three pins reads its settle-time
-//                     row if it toggled in that lane, else the zero row;
-//                     the gate's time is max(a, b, c) + delay, and it is
-//                     folded into the lane's delay as
+//                     order. Delay propagation walks the lists of the
+//                     lanes some gate is live in (every other lane records
+//                     +0.0), never visiting a dead, untoggled or
+//                     out-of-cone gate. Each of the three pins reads its
+//                     settle-time row if it toggled in that lane, else the
+//                     zero row; the gate's time is max(a, b, c) + delay,
+//                     and it is folded into the lane's delay as
 //                     worst = max(worst, latest) for every live gate.
+//
+// The state between steps. step_batch leaves it in the words: lane 0 of
+// the next batch compares with lane `last` of each fan-in net's and
+// primary input's previous word, read before the word is overwritten, so
+// no per-net scalar state is unpacked after a batch. The scalar state
+// (net_values(), output_value(), and the state the next step() compares
+// with) is rebuilt on demand: the netlist is combinational, so one scalar
+// pass over the gates on the last lane's inputs recomputes every net. A
+// step() hands its state back to the next batch as lane 0 of the words,
+// and reset() zeroes both.
 //
 // Both the padding and the fold are exact, not approximately equal: max
 // is exact and order-free on these finite, non-negative times, so the
@@ -58,8 +71,9 @@
 // that lane, so the row was written earlier in the same walk. step() is
 // neither padded nor pruned, so it stays an independent oracle. The
 // registry counters circuit.toggled_pairs and circuit.live_pairs count the
-// toggled (any gate) and live (cone gate) pairs, and circuit.pruned_lanes
-// the lanes whose walk list is empty, once per step_batch call.
+// toggled (fan-in gate) and live (cone gate) pairs, and
+// circuit.pruned_lanes the lanes whose walk list is empty, once per
+// step_batch call.
 //
 // The delay floor and the static timing cone. Consumers read a vector's
 // delay only against r * t_nom for r in the speculation range ([0.64, 1]
@@ -98,8 +112,9 @@
 // margin): every edge is long, the path ends at a deep output, and every
 // gate on it is in the cone and live in the lane. Along it the walk's
 // value equals the true one, so the lane's fold returns D exactly. The
-// functional state, the carried scalar state and the three ISA kernels do
-// not depend on the floor. make_corner_tables takes the floor as a
+// functional values of the fan-in, the carried state and the three ISA
+// kernels do not depend on the floor (the floor picks which gates are
+// evaluated per batch, not their values). make_corner_tables takes the floor as a
 // trailing argument; 0.0 makes every output deep and every pin that
 // feeds an output's cone long, and clamps nothing, so every delay equals
 // step()'s.
@@ -226,6 +241,13 @@ struct timing_corner_tables {
     /// The cone gates' delay rows in cone order: [cone gate * corner_block
     /// + corner], padding columns zero.
     corner_rows cone_delay_ps;
+    /// The cone's functional fan-in: the cone gates and every gate whose
+    /// value reaches one of them through any pin, in topological order. One
+    /// record per fan-in gate, pins past its input count pointing at the
+    /// padding slot, and its cell kind alongside. step_batch's functional
+    /// pass evaluates exactly these gates.
+    std::vector<detail::gate_pins> fanin_pins;
+    std::vector<cell_kind> fanin_kinds;
 
     /// Number of voltage corners (1 .. corner_block).
     [[nodiscard]] std::size_t corner_count() const noexcept { return vdd.size(); }
@@ -320,10 +342,11 @@ public:
     /// Clears all state to the all-zero vector. The first step after a
     /// reset measures the transition from that baseline. Construction
     /// leaves the simulator in exactly this state; reset() exists for
-    /// reuse and owns the baseline contract (values and toggle flags zero;
-    /// the per-net settle-time scratch is intentionally NOT re-cleared --
-    /// stale entries are unreachable because every read is guarded by a
-    /// toggle flag set in the same step).
+    /// reuse and owns the baseline contract (scalar values and lane words
+    /// zero; the toggle flags and the per-net settle-time scratch are
+    /// intentionally NOT re-cleared -- stale entries are unreachable
+    /// because every read is guarded by a toggle flag set in the same
+    /// step).
     void reset();
 
     /// Applies the next input vector (size must equal input_count of the
@@ -345,14 +368,14 @@ public:
     void step_batch(std::span<const std::uint64_t> input_words, std::size_t lane_count,
                     std::span<double> out_delay_ps);
 
-    /// Functional value of primary output `i` after the latest step.
-    [[nodiscard]] bool output_value(std::size_t i) const noexcept;
+    /// Functional value of primary output `i` after the latest step. Not
+    /// const: after step_batch it rebuilds the scalar state (one pass over
+    /// the gates), so like step() it needs exclusive access.
+    [[nodiscard]] bool output_value(std::size_t i) noexcept;
 
-    /// Functional values of all nets (for debugging/tests).
-    [[nodiscard]] std::span<const std::uint8_t> net_values() const noexcept
-    {
-        return values_;
-    }
+    /// Functional values of all nets (for debugging/tests); rebuilds the
+    /// scalar state like output_value().
+    [[nodiscard]] std::span<const std::uint8_t> net_values() noexcept;
 
 private:
     friend void detail::step_batch_with(const detail::delay_kernel&, dynamic_timing_simulator&,
@@ -363,10 +386,23 @@ private:
                     std::span<const std::uint64_t> input_words, std::size_t lane_count,
                     std::span<double> out_delay_ps);
 
+    /// Recomputes values_ from the latest inputs (lane prev_last_ of
+    /// their words) after step_batch left the state in the words.
+    void rebuild_values() noexcept;
+
     const netlist& nl_;
     std::shared_ptr<const timing_corner_tables> tables_;
-    std::vector<std::uint8_t> values_;  ///< per net, current value
-    std::vector<std::uint8_t> changed_; ///< per net, toggled in current step
+    /// Per net, current value; stale while values_stale_.
+    std::vector<std::uint8_t> values_;
+    std::vector<std::uint8_t> changed_; ///< per net, step()'s scratch toggle flags
+    /// step_batch ran since values_ was last current.
+    bool values_stale_ = false;
+    /// step() ran since the words were last current (or they are not yet
+    /// allocated): the next step_batch carries values_ in as lane 0.
+    bool words_stale_ = false;
+    /// The lane of value_words_ that holds the current state of the fan-in
+    /// nets and primary inputs.
+    std::size_t prev_last_ = 0;
     /// [net * corner_block + corner], plus an always-zero row at net_count;
     /// padding columns stay 0.0
     corner_rows toggle_ps_;
@@ -375,14 +411,13 @@ private:
     /// scalar-only simulators never pay for it. The per-net words have one
     /// extra slot at net_count, the padding pin: value and toggle stay 0
     /// there, need is a write-only sink.
-    std::vector<std::uint64_t> value_words_;  ///< per net, lane values
+    std::vector<std::uint64_t> value_words_;  ///< per net, lane values (fan-in nets only)
     std::vector<std::uint64_t> toggle_words_; ///< per net, lane toggle masks
     std::vector<std::uint64_t> need_words_;   ///< per net, lanes a live reader needs
     /// Per-lane live-gate lists of cone indices: lane j's gates
     /// (topological order) end at lane_gates_[(j + 1) * cone size]; sized
     /// once, max_batch_lanes wide.
     std::vector<std::uint32_t> lane_gates_;
-    std::vector<detail::gate_pins> gate_pins_; ///< per gate, padded to three pins
 };
 
 } // namespace synts::circuit

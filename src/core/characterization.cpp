@@ -76,22 +76,33 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     // there is little simulation work to amortize it. drives_stage alone
     // decides -- no bit extraction on this scan. The same scan counts each
     // interval's driving ops, which sizes its sampling vectors exactly.
+    // Where every op drives the stage (Decode), the counts are the interval
+    // lengths and no scan runs.
     std::vector<std::vector<std::size_t>> warmup_ops(
         thread_count, std::vector<std::size_t>(interval_count, no_warmup_op));
     std::vector<std::vector<std::size_t>> driving_counts(
         thread_count, std::vector<std::size_t>(interval_count, 0));
+    const bool every_op_drives = arch::stage_tap::drives_every_op(stage);
     util::for_each_index(parallel, thread_count, [&](std::size_t t) {
         const arch::thread_trace& trace = program.trace.threads[t];
         std::size_t last_driving = no_warmup_op;
         for (std::size_t k = 0; k < interval_count; ++k) {
             warmup_ops[t][k] = last_driving;
             const std::size_t begin = k == 0 ? 0 : trace.barrier_points[k - 1];
-            for (std::size_t n = begin; n < trace.barrier_points[k]; ++n) {
-                if (tap.drives_stage(trace.ops[n])) {
-                    last_driving = n;
-                    ++driving_counts[t][k];
+            const std::size_t end = trace.barrier_points[k];
+            std::size_t count = 0;
+            if (every_op_drives) {
+                count = end - begin;
+                last_driving = end > begin ? end - 1 : last_driving;
+            } else {
+                for (std::size_t n = begin; n < end; ++n) {
+                    if (tap.drives_stage(trace.ops[n])) {
+                        last_driving = n;
+                        ++count;
+                    }
                 }
             }
+            driving_counts[t][k] = count;
         }
     });
 
@@ -208,11 +219,15 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
                         data.delay_histograms[c].add(delays.subspan(c * lanes, lanes));
                     }
                     if (config_.keep_sampling_trace) {
+                        // Corner 0's delays, appended in bulk.
+                        const std::size_t base = data.sampling_delays_ps.size();
+                        data.sampling_delays_ps.resize(base + lanes);
+                        data.sampling_instr_index.resize(base + lanes);
+                        float* const sampled = data.sampling_delays_ps.data() + base;
+                        std::uint32_t* const index = data.sampling_instr_index.data() + base;
                         for (std::size_t j = 0; j < lanes; ++j) {
-                            data.sampling_delays_ps.push_back(
-                                static_cast<float>(lane_delays[j]));
-                            data.sampling_instr_index.push_back(
-                                static_cast<std::uint32_t>(offset + lane_op_index[j]));
+                            sampled[j] = static_cast<float>(lane_delays[j]);
+                            index[j] = static_cast<std::uint32_t>(offset + lane_op_index[j]);
                         }
                     }
                 }

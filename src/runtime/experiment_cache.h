@@ -55,14 +55,26 @@
 //     dozen keys, each looked up a handful of times per sweep, and the
 //     lock is held only for the map operation;
 //   * each entry is a shared_future: the first caller constructs *outside*
-//     the tier lock while later callers block on the future, so a popular
-//     key is constructed exactly once and never holds up unrelated keys.
+//     the tier lock while later callers wait, so a popular key is
+//     constructed exactly once and never holds up unrelated keys.
 //     Construction happens on the calling thread (never deferred to a pool
 //     task), so waiting cannot deadlock a fully-busy pool. Pool-parallel
 //     construction preserves this: parallel_for is self-claiming (the
 //     constructing thread completes the fan-out alone if no worker is
 //     free, and never executes a foreign task that could block on the very
 //     entry it is mid-constructing);
+//   * an entry in flight also carries a thread_pool::join_point. The
+//     owner publishes there each loop its construction starts (program
+//     tier: trace generation and profiling, one block per program thread;
+//     stage tier: the characterization's pre-pass and chunks) and
+//     withdraws it when the loop returns; a caller that finds the key in
+//     flight runs the published loop's unclaimed blocks instead of
+//     sleeping, and sleeps only while nothing is published, until the
+//     entry settles (span cache.join:<workload>, counters
+//     cache.tier<N>.join_blocks). Those blocks never touch the cache, so a
+//     helper cannot end up waiting on an entry it is constructing. In a
+//     sweep only the program tier has waiters: stage keys are unique per
+//     sweep pair;
 //   * a constructor exception is rethrown to every waiter and the entry is
 //     dropped so a later call can retry. A workload-level failure therefore
 //     leaves BOTH tiers empty (the stage factory invokes the program tier,
@@ -84,10 +96,13 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/experiment.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "util/hashing.h"
 
@@ -168,46 +183,68 @@ public:
     /// `registry_hits`/`registry_misses`, when given, are the process-wide
     /// registry counters every lookup is counted in (read back through
     /// --metrics); a caller's own sink is the per-call view.
+    /// `registry_join_blocks`, when given, counts the loop blocks that
+    /// waiters run at in-flight entries' join points.
     explicit memo_tier(obs::counter* registry_hits = nullptr,
-                       obs::counter* registry_misses = nullptr)
-        : registry_hits_(registry_hits), registry_misses_(registry_misses)
+                       obs::counter* registry_misses = nullptr,
+                       obs::counter* registry_join_blocks = nullptr)
+        : registry_hits_(registry_hits), registry_misses_(registry_misses),
+          registry_join_blocks_(registry_join_blocks)
     {
     }
 
-    /// Returns the entry of `key`, invoking `factory()` on this thread if
-    /// absent. Blocks when another thread is mid-construction of the same
-    /// key; a factory exception is rethrown to every waiter and the entry
-    /// dropped so a later call can retry. Every call records exactly one
-    /// hit or one miss; `sink`, when given, receives it in addition to the
-    /// registry counters (see cache_traffic).
+    /// Returns the entry of `key`, invoking `factory(join)` on this thread
+    /// if absent; `join` is the in-flight entry's join point, where the
+    /// factory publishes the loops it starts. A caller that finds the key
+    /// mid-construction helps at that join point -- it runs the published
+    /// loops' unclaimed blocks and sleeps while none is published -- until
+    /// the entry settles. A factory exception is rethrown to every waiter
+    /// and the entry dropped so a later call can retry. Every call records
+    /// exactly one hit or one miss; `sink`, when given, receives it in
+    /// addition to the registry counters (see cache_traffic). A helping
+    /// caller's trace span is named "cache.join:<label>".
     template <typename Factory>
     [[nodiscard]] Ptr get_or_create(const Key& key, Factory&& factory,
-                                    tier_traffic* sink = nullptr)
+                                    tier_traffic* sink = nullptr,
+                                    std::string_view label = {})
     {
         std::promise<Ptr> construction;
-        std::shared_future<Ptr> entry;
+        entry found;
         bool owner = false;
         {
             const util::mutex_lock lock(mutex_);
             auto it = entries_.find(key);
             if (it != entries_.end()) {
-                entry = it->second;
+                found = it->second;
             } else {
-                entry = construction.get_future().share();
-                entries_.emplace(key, entry);
+                found.value = construction.get_future().share();
+                found.join = std::make_shared<thread_pool::join_point>();
+                entries_.emplace(key, found);
                 owner = true;
             }
         }
 
         if (!owner) {
             count(registry_hits_, sink != nullptr ? &sink->hits : nullptr);
-            return entry.get(); // blocks while the owner constructs
+            if (found.join) {
+                // In flight when found: run its loops until it settles.
+                const obs::trace_span span(obs::trace_recorder::global(), [&] {
+                    return "cache.join:" + std::string(label);
+                });
+                const std::size_t blocks = found.join->help();
+                if (registry_join_blocks_ != nullptr) {
+                    registry_join_blocks_->add(blocks);
+                }
+            }
+            return found.value.get(); // ready: help() returns on settle
         }
 
         count(registry_misses_, sink != nullptr ? &sink->misses : nullptr);
+        // Helpers leave help() once the entry settles, however it settles.
+        const settle_on_exit settle{*found.join};
         Ptr value;
         try {
-            value = factory();
+            value = factory(found.join.get());
         } catch (...) {
             construction.set_exception(std::current_exception());
             {
@@ -220,8 +257,14 @@ public:
             // Settled under the tier lock, so settled() -- which reads
             // under the same lock -- orders against it: of two owners that
             // each settle and then check the other, at least one sees both.
+            // A later caller finds no join point, so a hit on a settled
+            // entry never takes the join point's lock.
             const util::mutex_lock lock(mutex_);
             construction.set_value(value);
+            const auto it = entries_.find(key);
+            if (it != entries_.end() && it->second.join == found.join) {
+                it->second.join.reset();
+            }
         }
         return value;
     }
@@ -233,7 +276,8 @@ public:
         const util::mutex_lock lock(mutex_);
         const auto it = entries_.find(key);
         return it != entries_.end() &&
-               it->second.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+               it->second.value.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
     }
 
     /// Drops `key`'s entry, if any. Holders of its value keep it; waiters
@@ -257,6 +301,17 @@ public:
     }
 
 private:
+    /// A key's value and, while it is constructed, its join point.
+    struct entry {
+        std::shared_future<Ptr> value;
+        std::shared_ptr<thread_pool::join_point> join;
+    };
+
+    struct settle_on_exit {
+        thread_pool::join_point& join;
+        ~settle_on_exit() { join.settle(); }
+    };
+
     struct key_hash {
         std::size_t operator()(const Key& key) const noexcept
         {
@@ -275,13 +330,13 @@ private:
     }
 
     /// Held only for map operations -- factories run outside, waiters
-    /// block on the shared_future, never on the tier. A leaf: enqueue
+    /// help at the entry's join point, never on the tier. A leaf: enqueue
     /// never runs under a tier lock.
     mutable util::annotated_mutex mutex_;
-    std::unordered_map<Key, std::shared_future<Ptr>, key_hash> entries_
-        SYNTS_GUARDED_BY(mutex_);
+    std::unordered_map<Key, entry, key_hash> entries_ SYNTS_GUARDED_BY(mutex_);
     obs::counter* registry_hits_;
     obs::counter* registry_misses_;
+    obs::counter* registry_join_blocks_;
 };
 
 /// The two-tier experiment memo (see file comment).

@@ -28,15 +28,16 @@ struct thread_pool::loop_state {
     std::atomic<std::size_t> remaining{0};
     std::vector<std::exception_ptr> errors; ///< [block]
 
-    /// Claims blocks in index order until none is left. Once every block
-    /// is claimed this touches only the counter, so a handle run after its
-    /// loop returned (the shared_ptr keeps the state alive) is harmless.
-    void drain()
+    /// Claims blocks in index order until none is left and returns how
+    /// many it ran. Once every block is claimed this touches only the
+    /// counter, so a handle run after its loop returned (the shared_ptr
+    /// keeps the state alive) is harmless.
+    std::size_t drain()
     {
-        for (;;) {
+        for (std::size_t ran = 0;; ++ran) {
             const std::size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
             if (block >= block_count) {
-                return;
+                return ran;
             }
             const std::size_t block_begin = begin + block * grain;
             const std::size_t block_end = std::min(end, block_begin + grain);
@@ -175,9 +176,53 @@ void thread_pool::worker_loop(std::size_t index)
     }
 }
 
+std::size_t thread_pool::join_point::help()
+{
+    for (std::size_t ran = 0;;) {
+        loop_handle loop;
+        {
+            util::cv_mutex_lock lock(mutex_);
+            while (!settled_ &&
+                   (!published_ || published_->next_block.load(std::memory_order_relaxed) >=
+                                       published_->block_count)) {
+                wake_.wait(lock);
+            }
+            if (settled_) {
+                return ran;
+            }
+            loop = published_;
+        }
+        ran += loop->drain();
+    }
+}
+
+void thread_pool::join_point::settle()
+{
+    {
+        const util::mutex_lock lock(mutex_);
+        settled_ = true;
+    }
+    wake_.notify_all();
+}
+
+void thread_pool::join_point::publish(loop_handle loop)
+{
+    {
+        const util::mutex_lock lock(mutex_);
+        published_ = std::move(loop);
+    }
+    wake_.notify_all();
+}
+
+void thread_pool::join_point::withdraw()
+{
+    const util::mutex_lock lock(mutex_);
+    published_.reset();
+}
+
 void thread_pool::parallel_for(std::size_t begin, std::size_t end,
                                const std::function<void(std::size_t)>& body,
-                               std::size_t grain)
+                               std::size_t grain, join_point* join)
 {
     if (begin >= end) {
         return;
@@ -215,11 +260,17 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t p = 0; p < participants; ++p) {
         enqueue(loop);
     }
+    if (join != nullptr) {
+        join->publish(loop);
+    }
 
     loop->drain();
     for (std::size_t r = loop->remaining.load(std::memory_order_acquire); r != 0;
          r = loop->remaining.load(std::memory_order_acquire)) {
         loop->remaining.wait(r, std::memory_order_acquire);
+    }
+    if (join != nullptr) {
+        join->withdraw();
     }
 
     // First failing block by index order.
@@ -230,10 +281,10 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end,
     }
 }
 
-util::parallel_for_fn make_parallel_for(thread_pool& pool)
+util::parallel_for_fn make_parallel_for(thread_pool& pool, thread_pool::join_point* join)
 {
-    return [&pool](std::size_t count, const std::function<void(std::size_t)>& body) {
-        pool.parallel_for(0, count, body);
+    return [&pool, join](std::size_t count, const std::function<void(std::size_t)>& body) {
+        pool.parallel_for(0, count, body, 0, join);
     };
 }
 

@@ -15,6 +15,15 @@
 // handle joins that loop's drain; a handle popped after its loop finished
 // claims nothing. The shape follows the worker loop of adevs' SpecThread
 // (see SNIPPETS.md): park on a condition variable, wake, drain, repark.
+//
+// A join_point lets threads that wait for one computation's result run
+// that computation's blocks. The computing thread passes it to each
+// parallel_for it starts; the loop is published there while it runs and
+// withdrawn when it returns. A waiter calls help(), which drains whatever
+// is published and sleeps only while nothing unclaimed is, until the
+// computing thread calls settle(). The waiter thus runs only blocks of
+// the computation it waits on, never unrelated work; the experiment
+// cache's in-flight entries are its one user (runtime/experiment_cache.h).
 
 #pragma once
 
@@ -54,6 +63,8 @@ public:
     thread_pool(const thread_pool&) = delete;
     thread_pool& operator=(const thread_pool&) = delete;
 
+    class join_point;
+
     /// Number of worker threads.
     [[nodiscard]] std::size_t worker_count() const noexcept { return queues_.size(); }
 
@@ -63,10 +74,12 @@ public:
     /// completed; the calling thread claims and executes this loop's blocks
     /// while it waits, so completion never depends on a free worker.
     /// Rethrows the first failing block's exception (by index order) after
-    /// all blocks settle.
+    /// all blocks settle. `join`, when given, publishes the loop there
+    /// while it runs, so the threads helping at that join point claim its
+    /// blocks too (see the file comment).
     void parallel_for(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t)>& body,
-                      std::size_t grain = 0);
+                      std::size_t grain = 0, join_point* join = nullptr);
 
     /// Loop handles stolen from another worker's queue since construction
     /// (read by perfbench's runtime.pool.steals and the runner's summary
@@ -129,6 +142,32 @@ private:
     obs::counter* obs_task_ns_;
 };
 
+/// Where the loops of one computation meet the threads waiting for its
+/// result (see the file comment). One loop is published at a time: the
+/// computing thread starts its loops one after another.
+class thread_pool::join_point {
+public:
+    /// Runs the unclaimed blocks of whatever loop is published, sleeping
+    /// while there is none, until settle(). Returns the number of blocks
+    /// this call ran.
+    std::size_t help();
+
+    /// Ends every help() call, now and later: the result is ready (or its
+    /// computation failed).
+    void settle();
+
+private:
+    friend class thread_pool;
+
+    void publish(loop_handle loop);
+    void withdraw();
+
+    util::annotated_mutex mutex_;
+    std::condition_variable_any wake_;
+    loop_handle published_ SYNTS_GUARDED_BY(mutex_);
+    bool settled_ SYNTS_GUARDED_BY(mutex_) = false;
+};
+
 /// Adapts `pool` to the layer-neutral util::parallel_for_fn hook the
 /// characterization pipeline (workload generation, profiling, per-interval
 /// timing simulation) consumes. The returned function captures `pool` by
@@ -136,7 +175,8 @@ private:
 /// (the caller completes the fan-out alone if no worker is free, and never
 /// executes unrelated work while blocked), the hook is safe to invoke from
 /// inside another loop's body -- including mid-construction of a cache
-/// entry.
-[[nodiscard]] util::parallel_for_fn make_parallel_for(thread_pool& pool);
+/// entry. Every loop it starts is published at `join`, when given.
+[[nodiscard]] util::parallel_for_fn make_parallel_for(thread_pool& pool,
+                                                      thread_pool::join_point* join = nullptr);
 
 } // namespace synts::runtime

@@ -44,18 +44,20 @@ void histogram::add(double value)
 void histogram::add(std::span<const double> values)
 {
     // One total_ check and update for the whole run; the bin loop touches
-    // only the counts array. bin-index math matches add(double) exactly.
+    // only the counts array. bin-index math matches add(double) exactly: a
+    // value <= lo lands in bin 0 either way, so those are only counted
+    // (the delay floor records most lanes as +0.0) and added to bin 0 once.
     check_room(values.size());
+    std::uint32_t at_floor = 0;
     for (const double v : values) {
-        std::size_t index;
-        if (v < lo_) {
-            index = 0;
-        } else {
-            const auto raw = static_cast<std::size_t>((v - lo_) / width_);
-            index = std::min(raw, counts_.size() - 1);
+        if (v <= lo_) {
+            ++at_floor;
+            continue;
         }
-        ++counts_[index];
+        const auto raw = static_cast<std::size_t>((v - lo_) / width_);
+        ++counts_[std::min(raw, counts_.size() - 1)];
     }
+    counts_[0] += at_floor;
     total_ += static_cast<std::uint32_t>(values.size());
 }
 

@@ -81,6 +81,10 @@ public:
     /// Requires at least one strictly positive weight.
     [[nodiscard]] std::size_t discrete(std::span<const double> weights) noexcept;
 
+    /// discrete(weights) with the weight total precomputed as
+    /// discrete_total(weights): the same draw and the same index.
+    [[nodiscard]] std::size_t discrete(std::span<const double> weights, double total) noexcept;
+
     /// Creates an independent generator for a named substream, so parallel
     /// entities (threads, lanes, benchmarks) can be given decorrelated but
     /// reproducible randomness derived from one experiment seed.
@@ -149,7 +153,9 @@ inline bool xoshiro256::bernoulli(double p) noexcept
     return uniform() < p;
 }
 
-inline std::size_t xoshiro256::discrete(std::span<const double> weights) noexcept
+/// The sum of the strictly positive weights, in index order: what
+/// xoshiro256::discrete scales its draw by.
+[[nodiscard]] inline double discrete_total(std::span<const double> weights) noexcept
 {
     double total = 0.0;
     for (const double w : weights) {
@@ -157,6 +163,17 @@ inline std::size_t xoshiro256::discrete(std::span<const double> weights) noexcep
             total += w;
         }
     }
+    return total;
+}
+
+inline std::size_t xoshiro256::discrete(std::span<const double> weights) noexcept
+{
+    return discrete(weights, discrete_total(weights));
+}
+
+inline std::size_t xoshiro256::discrete(std::span<const double> weights,
+                                        double total) noexcept
+{
     double pick = uniform() * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         const double w = weights[i] > 0.0 ? weights[i] : 0.0;
@@ -173,6 +190,30 @@ inline std::size_t xoshiro256::discrete(std::span<const double> weights) noexcep
     }
     return 0;
 }
+
+/// xoshiro256::uniform_below(n) for one fixed n, with its rejection
+/// threshold computed once: the same draws and the same results, one
+/// integer division per draw instead of two.
+class bounded_draw {
+public:
+    /// Requires n > 0.
+    explicit bounded_draw(std::uint64_t n) noexcept : n_(n), threshold_((0 - n) % n) {}
+
+    /// rng.uniform_below(n), draw for draw.
+    [[nodiscard]] std::uint64_t operator()(xoshiro256& rng) const noexcept
+    {
+        for (;;) {
+            const std::uint64_t r = rng();
+            if (r >= threshold_) {
+                return r % n_;
+            }
+        }
+    }
+
+private:
+    std::uint64_t n_;
+    std::uint64_t threshold_;
+};
 
 /// Fills `out` with a random permutation of [0, out.size()) (Fisher-Yates).
 void random_permutation(xoshiro256& rng, std::span<std::size_t> out) noexcept;

@@ -306,14 +306,18 @@ namespace {
 class thread_stream {
 public:
     thread_stream(const thread_character& character, std::uint64_t seed)
-        : character_(character), rng_(seed)
+        : character_(character), rng_(seed), mix_total_(util::discrete_total(character.mix)),
+          opcode_draw_(character.opcode_variety), address_draw_(character.working_set_bytes),
+          carry_len_draw_(inclusive_span(character.carry_len_min, character.carry_len_max)),
+          mul_bits_draw_(inclusive_span(character.mul_magnitude_min_bits,
+                                        character.mul_magnitude_max_bits))
     {
         // The static opcode working set of the thread.
         opcodes_.reserve(character.opcode_variety);
         for (std::uint32_t i = 0; i < character.opcode_variety; ++i) {
             opcodes_.push_back(static_cast<std::uint32_t>(rng_.uniform_below(64)));
         }
-        sequential_cursor_ = rng_.uniform_below(character.working_set_bytes);
+        sequential_cursor_ = address_draw_(rng_);
     }
 
     /// Per-interval drift: barrier phases differ in how aggressively they
@@ -329,7 +333,7 @@ public:
     [[nodiscard]] arch::micro_op next()
     {
         arch::micro_op op;
-        op.cls = static_cast<op_class>(rng_.discrete(character_.mix));
+        op.cls = static_cast<op_class>(rng_.discrete(character_.mix, mix_total_));
 
         // A pending sensitizer claims the next op that exercises its stage:
         // the quiescent -> boundary-pattern pair must be consecutive in the
@@ -385,7 +389,7 @@ public:
 private:
     [[nodiscard]] std::uint32_t make_encoding(op_class cls)
     {
-        const std::uint32_t opcode = opcodes_[rng_.uniform_below(opcodes_.size())];
+        const std::uint32_t opcode = opcodes_[opcode_draw_(rng_)];
         std::uint32_t rs = static_cast<std::uint32_t>(rng_.uniform_below(32));
         std::uint32_t rt = static_cast<std::uint32_t>(rng_.uniform_below(32));
         if (rng_.bernoulli(character_.register_collision_fraction)) {
@@ -416,8 +420,8 @@ private:
             op.operand_a = 0;
             op.operand_b = 0;
             pending_carry_sensitizer_ = true;
-            pending_carry_len_ = static_cast<std::uint32_t>(
-                rng_.uniform_int(character_.carry_len_min, character_.carry_len_max));
+            pending_carry_len_ =
+                static_cast<std::uint32_t>(character_.carry_len_min + carry_len_draw_(rng_));
         } else {
             op.operand_a = rng_();
             op.operand_b = rng_();
@@ -432,21 +436,15 @@ private:
             // Start a multiplier-array event: (2^ka - 1) x 2^(kb-1) now,
             // then the next multiply increments the multiplier's LSB, so
             // the fresh bottom row's carry traverses ka columns and kb rows.
-            pending_mul_bits_a_ = static_cast<std::uint32_t>(
-                rng_.uniform_int(character_.mul_magnitude_min_bits,
-                                 character_.mul_magnitude_max_bits));
-            pending_mul_bits_b_ = static_cast<std::uint32_t>(
-                rng_.uniform_int(character_.mul_magnitude_min_bits,
-                                 character_.mul_magnitude_max_bits));
+            pending_mul_bits_a_ = mul_bits();
+            pending_mul_bits_b_ = mul_bits();
             op.operand_a = (1ull << pending_mul_bits_a_) - 1;
             op.operand_b = 1ull << (pending_mul_bits_b_ - 1);
             pending_mul_sensitizer_ = true;
             return;
         }
         const auto magnitude = [this]() {
-            const std::uint32_t bits = static_cast<std::uint32_t>(
-                rng_.uniform_int(character_.mul_magnitude_min_bits,
-                                 character_.mul_magnitude_max_bits));
+            const std::uint32_t bits = mul_bits();
             const std::uint64_t cap = bits >= 64 ? ~0ull : (1ull << bits);
             return rng_.uniform_below(cap > 1 ? cap : 2);
         };
@@ -459,7 +457,7 @@ private:
         if (rng_.bernoulli(character_.sequential_access_fraction)) {
             sequential_cursor_ = (sequential_cursor_ + 8) % character_.working_set_bytes;
         } else {
-            sequential_cursor_ = rng_.uniform_below(character_.working_set_bytes) & ~7ull;
+            sequential_cursor_ = address_draw_(rng_) & ~7ull;
         }
         return 0x10000000ull + sequential_cursor_;
     }
@@ -476,8 +474,28 @@ private:
         return taken;
     }
 
+    /// uniform_int(lo, hi)'s bound for uniform_below.
+    static std::uint64_t inclusive_span(std::uint32_t lo, std::uint32_t hi) noexcept
+    {
+        return static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) - lo) + 1;
+    }
+
+    /// rng_.uniform_int(mul_magnitude_min_bits, mul_magnitude_max_bits).
+    [[nodiscard]] std::uint32_t mul_bits()
+    {
+        return static_cast<std::uint32_t>(character_.mul_magnitude_min_bits +
+                                          mul_bits_draw_(rng_));
+    }
+
     thread_character character_;
     util::xoshiro256 rng_;
+    // The stream's fixed-bound draws, precomputed (same draws as
+    // rng_.discrete / uniform_below / uniform_int).
+    double mix_total_;
+    util::bounded_draw opcode_draw_;
+    util::bounded_draw address_draw_;
+    util::bounded_draw carry_len_draw_;
+    util::bounded_draw mul_bits_draw_;
     std::vector<std::uint32_t> opcodes_;
     std::uint64_t sequential_cursor_ = 0;
     double interval_carry_scale_ = 1.0;
@@ -498,6 +516,15 @@ arch::program_trace generate_program_trace(const benchmark_profile& profile,
     if (profile.threads.size() != profile.thread_count ||
         profile.work_imbalance.size() != profile.thread_count) {
         throw std::invalid_argument("generate_program_trace: profile arrays inconsistent");
+    }
+    for (const thread_character& character : profile.threads) {
+        if (character.opcode_variety == 0 || character.working_set_bytes == 0 ||
+            character.carry_len_min > character.carry_len_max ||
+            character.mul_magnitude_min_bits > character.mul_magnitude_max_bits) {
+            throw std::invalid_argument(
+                "generate_program_trace: a thread character needs opcode_variety >= 1, "
+                "working_set_bytes >= 1 and ordered carry and multiplier ranges");
+        }
     }
 
     // split() advances the root engine, so the per-thread stream seeds are

@@ -53,7 +53,7 @@ public:
 
     /// Reads `width` primary outputs starting at `first` as an LSB-first
     /// integer.
-    [[nodiscard]] std::uint64_t read_outputs(std::size_t first, std::size_t width) const
+    [[nodiscard]] std::uint64_t read_outputs(std::size_t first, std::size_t width)
     {
         std::uint64_t value = 0;
         for (std::size_t i = 0; i < width; ++i) {
@@ -65,7 +65,7 @@ public:
     }
 
     /// Single output bit.
-    [[nodiscard]] bool read_output(std::size_t index) const
+    [[nodiscard]] bool read_output(std::size_t index)
     {
         return sim_.output_value(index);
     }

@@ -24,7 +24,10 @@
 // independent per-corner STA, and hand-built netlists pin a short side
 // input that the cone cuts, a through-path exactly at the floor (the
 // cone's rounding margin) and a toggled deep chain masked before every
-// output.
+// output. On a netlist whose cone's functional fan-in leaves gates out,
+// the scalar state step_batch no longer unpacks (net_values(),
+// output_value(), the next step()) and reset() match the scalar walk on
+// every net.
 
 #include <gtest/gtest.h>
 
@@ -1230,6 +1233,114 @@ TEST(dynamic_timing_batch, step_batch_runs_the_widest_supported_kernel)
                   .gauge_at("circuit.delay_kernel_width")
                   .value(),
               static_cast<std::int64_t>(active.width));
+}
+
+/// One deep output and gates outside its cone's fan-in, with inputs a, b:
+///
+///   c1 = buf(a); ...; c16 = buf(c15)         -- out "deep"
+///   side = and2(c3, b)                       -- out "side": reads the chain
+///   lone = inv(b)                            -- out "lone"
+///   both = xor2(side, lone)                  -- out "both"
+///
+/// At exact_delay_floor only "deep" reaches the floor, so the fan-in is
+/// the chain alone and side, lone and both are evaluated only when the
+/// scalar state is rebuilt.
+netlist make_side_netlist()
+{
+    netlist nl("side");
+    const net_id a = nl.add_input("a");
+    const net_id b = nl.add_input("b");
+    net_id chain = a;
+    net_id third = a;
+    for (int i = 0; i < 16; ++i) {
+        chain = nl.add_gate1(cell_kind::buf, chain);
+        third = i == 2 ? chain : third;
+    }
+    nl.mark_output("deep", chain);
+    const net_id side = nl.add_gate2(cell_kind::and2, third, b);
+    nl.mark_output("side", side);
+    const net_id lone = nl.add_gate1(cell_kind::inv, b);
+    nl.mark_output("lone", lone);
+    nl.mark_output("both", nl.add_gate2(cell_kind::xor2, side, lone));
+    nl.validate();
+    return nl;
+}
+
+void expect_same_state(dynamic_timing_simulator& expected,
+                       dynamic_timing_simulator& actual, const netlist& nl)
+{
+    const auto a = expected.net_values();
+    const auto b = actual.net_values();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t n = 0; n < a.size(); ++n) {
+        ASSERT_EQ(b[n], a[n]) << "net " << n;
+    }
+    for (std::size_t o = 0; o < nl.output_count(); ++o) {
+        ASSERT_EQ(actual.output_value(o), expected.output_value(o)) << "output " << o;
+    }
+}
+
+TEST(dynamic_timing_batch, state_outside_the_fanin_matches_the_scalar_walk)
+{
+    const netlist nl = make_side_netlist();
+    const corner_setup setup;
+    const auto tables = make_corner_tables(nl, setup.lib, setup.vm, setup.corners);
+    ASSERT_EQ(tables->deep_outputs.size(), 1u);
+    ASSERT_EQ(tables->fanin_pins.size(), 16u);
+    ASSERT_LT(tables->fanin_pins.size(), nl.gates().size());
+    const std::size_t corners = tables->corner_count();
+    const std::size_t inputs = nl.input_count();
+    xoshiro256 rng(59);
+    const auto vectors = make_vectors(inputs, 300, rng);
+    const std::unique_ptr<bool[]> raw(new bool[inputs]);
+    const auto step = [&](dynamic_timing_simulator& sim, std::size_t v) {
+        for (std::size_t i = 0; i < inputs; ++i) {
+            raw[i] = vectors[v][i];
+        }
+        std::vector<double> delays(corners);
+        sim.step(std::span<const bool>(raw.get(), inputs), delays);
+        return delays;
+    };
+    for (const detail::delay_kernel* kernel : supported_kernels()) {
+        SCOPED_TRACE(kernel->name);
+        dynamic_timing_simulator ref(nl, tables);
+        dynamic_timing_simulator sim(nl, tables);
+        std::vector<double> batch_delays(corners * 64);
+        std::size_t v = 0;
+        for (const std::size_t lanes : {std::size_t{64}, std::size_t{37}, std::size_t{1}}) {
+            // A batch, then the state it leaves, then a scalar step from it.
+            detail::step_batch_with(*kernel, sim, pack_lanes(vectors, v, lanes, inputs), lanes,
+                                    std::span<double>(batch_delays.data(), corners * lanes));
+            for (std::size_t j = 0; j < lanes; ++j) {
+                (void)step(ref, v + j);
+            }
+            v += lanes;
+            expect_same_state(ref, sim, nl);
+            EXPECT_EQ(step(sim, v), step(ref, v)) << "vector " << v;
+            expect_same_state(ref, sim, nl);
+            ++v;
+        }
+        // reset() after a batch: both start again from the all-zero
+        // vector, scalar and batched.
+        detail::step_batch_with(*kernel, sim, pack_lanes(vectors, v, 20, inputs), 20,
+                                std::span<double>(batch_delays.data(), corners * 20));
+        sim.reset();
+        ref.reset();
+        expect_same_state(ref, sim, nl);
+        for (const std::uint8_t value : sim.net_values().first(inputs)) {
+            ASSERT_EQ(value, 0);
+        }
+        EXPECT_EQ(step(sim, v), step(ref, v));
+        sim.reset();
+        dynamic_timing_simulator fresh(nl, tables);
+        std::vector<double> fresh_delays(corners * 64);
+        detail::step_batch_with(*kernel, sim, pack_lanes(vectors, v, 64, inputs), 64,
+                                std::span<double>(batch_delays.data(), corners * 64));
+        detail::step_batch_with(*kernel, fresh, pack_lanes(vectors, v, 64, inputs), 64,
+                                fresh_delays);
+        EXPECT_EQ(batch_delays, fresh_delays);
+        expect_same_state(fresh, sim, nl);
+    }
 }
 
 } // namespace

@@ -69,7 +69,7 @@ std::vector<circuit::net_id> reference_deep_nets(const circuit::netlist& nl,
 
 /// Whether the last step() toggled one of `nets`, given their values
 /// before it.
-bool toggled_any(const circuit::dynamic_timing_simulator& sim,
+bool toggled_any(circuit::dynamic_timing_simulator& sim,
                  const std::vector<circuit::net_id>& nets,
                  const std::vector<std::uint8_t>& before)
 {

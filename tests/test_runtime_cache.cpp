@@ -2,8 +2,9 @@
 // caller's cache_traffic / tier_traffic sink), identity of the
 // served instance, bit-identical results from cached vs freshly built
 // experiments, config-digest keying, single construction under concurrent
-// access, and the constructor-failure retry path (through the cache and
-// directly on a memo_tier with waiters parked on the failing key).
+// access, the constructor-failure retry path (through the cache and
+// directly on a memo_tier with waiters parked on the failing key), and a
+// waiter running the blocks of the construction it waits on.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/thread_pool.h"
 
@@ -163,7 +165,7 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
         try {
             (void)tier.get_or_create(
                 tiny_key{7},
-                [&]() -> std::shared_ptr<int> {
+                [&](runtime::thread_pool::join_point*) -> std::shared_ptr<int> {
                     factory_runs.fetch_add(1);
                     owner_inside.set_value();
                     release.get();
@@ -201,7 +203,7 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
 
     const auto value = tier.get_or_create(
         tiny_key{7},
-        [&]() -> std::shared_ptr<int> {
+        [&](runtime::thread_pool::join_point*) -> std::shared_ptr<int> {
             factory_runs.fetch_add(1);
             return std::make_shared<int>(2);
         },
@@ -214,6 +216,64 @@ TEST(runtime_cache, memo_tier_factory_exception_reaches_every_waiter_then_retrie
     // missed, every waiter hit.
     EXPECT_EQ(sink.hits.load(), static_cast<std::uint64_t>(waiter_count));
     EXPECT_EQ(sink.misses.load(), 2u);
+}
+
+/// Set on the thread that waits on the in-flight key.
+thread_local bool on_waiter = false;
+
+TEST(runtime_cache, waiter_runs_the_constructions_published_blocks)
+{
+    // The owner's factory runs one loop at the entry's join point whose
+    // blocks, except the waiter's, wait until the waiter has run one: the
+    // construction finishes only because the caller that found the key in
+    // flight helps. The waiter then gets the owner's value and a hit.
+    obs::counter& join_blocks =
+        obs::metrics_registry::global().counter_at("test.memo_tier.join_blocks");
+    runtime::memo_tier<tiny_key, std::shared_ptr<int>> tier(nullptr, nullptr, &join_blocks);
+    runtime::thread_pool pool(1);
+    runtime::tier_traffic sink;
+    std::promise<void> owner_inside;
+    std::atomic<int> waiter_blocks{0};
+    constexpr std::size_t n = 8;
+    std::vector<std::atomic<int>> visits(n);
+    const auto factory = [&](runtime::thread_pool::join_point* join) {
+        EXPECT_NE(join, nullptr);
+        owner_inside.set_value();
+        pool.parallel_for(0, n, [&](std::size_t i) {
+            if (on_waiter) {
+                waiter_blocks.fetch_add(1, std::memory_order_release);
+                waiter_blocks.notify_all();
+            } else {
+                for (int seen = waiter_blocks.load(std::memory_order_acquire); seen == 0;
+                     seen = waiter_blocks.load(std::memory_order_acquire)) {
+                    waiter_blocks.wait(seen, std::memory_order_acquire);
+                }
+            }
+            visits[i].fetch_add(1, std::memory_order_relaxed);
+        }, 1, join);
+        return std::make_shared<int>(42);
+    };
+    const std::uint64_t blocks_before = join_blocks.value();
+    std::shared_ptr<int> owned;
+    std::thread owner([&] { owned = tier.get_or_create(tiny_key{3}, factory, &sink); });
+    owner_inside.get_future().get(); // the key is in flight
+    std::shared_ptr<int> waited;
+    std::thread waiter([&] {
+        on_waiter = true;
+        waited = tier.get_or_create(tiny_key{3}, factory, &sink);
+    });
+    owner.join();
+    waiter.join();
+    ASSERT_TRUE(owned);
+    EXPECT_EQ(waited.get(), owned.get());
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+    }
+    EXPECT_EQ(sink.misses.load(), 1u);
+    EXPECT_EQ(sink.hits.load(), 1u);
+    EXPECT_GE(waiter_blocks.load(), 1);
+    EXPECT_EQ(join_blocks.value() - blocks_before,
+              static_cast<std::uint64_t>(waiter_blocks.load()));
 }
 
 TEST(runtime_cache, clear_forgets_entries)

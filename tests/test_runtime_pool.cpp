@@ -4,7 +4,10 @@
 // leave the pool usable, nested loops neither deadlock on a single worker
 // nor go unhelped on a wide pool, and destroying a pool while straggler
 // loop handles may still be queued is clean (this suite runs under TSan in
-// CI and under ASan in the sanitizer build).
+// CI and under ASan in the sanitizer build). A join point lets a thread
+// that waits for a computation run that computation's loop blocks: the
+// owner's loop cannot finish without one, and help() returns only once the
+// owner settles.
 
 #include <gtest/gtest.h>
 
@@ -218,6 +221,74 @@ TEST(runtime_pool, destruction_with_mixed_pending_and_running_work_loses_nothing
         }
     }
     EXPECT_EQ(done.load(), callers * loops_per_caller * static_cast<int>(n));
+}
+
+/// Set on the thread that helps at a join point, so a loop body can tell
+/// the helper's blocks from the owner's and the workers'.
+thread_local bool on_helper = false;
+
+TEST(runtime_pool, join_point_helper_runs_blocks_of_the_published_loop)
+{
+    // Every block that does not run on the helper waits until the helper
+    // has run one. The owner and the pool's one worker can claim at most
+    // one block each before they wait, so the loop completes only if the
+    // helper, which was parked on the join point before the loop started,
+    // drains some of its blocks.
+    thread_pool pool(1);
+    thread_pool::join_point join;
+    constexpr std::size_t n = 8;
+    std::vector<std::atomic<int>> visits(n);
+    std::atomic<int> helper_blocks{0};
+    std::size_t helped = 0;
+    std::thread helper([&] {
+        on_helper = true;
+        helped = join.help();
+    });
+    pool.parallel_for(0, n, [&](std::size_t i) {
+        if (on_helper) {
+            helper_blocks.fetch_add(1, std::memory_order_release);
+            helper_blocks.notify_all();
+        } else {
+            for (int seen = helper_blocks.load(std::memory_order_acquire); seen == 0;
+                 seen = helper_blocks.load(std::memory_order_acquire)) {
+                helper_blocks.wait(seen, std::memory_order_acquire);
+            }
+        }
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+    }, 1, &join);
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+    }
+    // help() keeps waiting for the next loop until the owner settles.
+    join.settle();
+    helper.join();
+    EXPECT_GE(helped, 1u);
+    EXPECT_EQ(helped, static_cast<std::size_t>(helper_blocks.load()));
+    // A settled join point sends a late helper straight back.
+    EXPECT_EQ(join.help(), 0u);
+}
+
+TEST(runtime_pool, join_point_helper_sees_failures_only_through_the_loop)
+{
+    // A block that throws on the helper still reaches the owner's
+    // parallel_for, first failing block by index, as on any thread.
+    thread_pool pool(1);
+    thread_pool::join_point join;
+    std::atomic<bool> helper_ran{false};
+    std::thread helper([&] {
+        on_helper = true;
+        (void)join.help();
+    });
+    EXPECT_THROW(pool.parallel_for(0, 4, [&](std::size_t) {
+        if (on_helper) {
+            helper_ran.store(true, std::memory_order_release);
+            helper_ran.notify_all();
+            throw std::runtime_error("helper block failed");
+        }
+        helper_ran.wait(false, std::memory_order_acquire);
+    }, 1, &join), std::runtime_error);
+    join.settle();
+    helper.join();
 }
 
 } // namespace

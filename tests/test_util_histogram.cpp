@@ -179,6 +179,29 @@ TEST(histogram, bulk_add_edge_bins)
     EXPECT_EQ(bulk.count_at(9), 3u);
 }
 
+TEST(histogram, bulk_add_counts_floor_zeros_like_scalar_adds)
+{
+    // Mostly +0.0 (and some -0.0) at lo, as the delay floor records them,
+    // among values in every bin: the bulk add counts the values <= lo in
+    // bin 0 without binning them, and must agree with scalar adds.
+    xoshiro256 rng(23);
+    std::vector<double> samples;
+    for (int i = 0; i < 3000; ++i) {
+        const double u = rng.uniform();
+        samples.push_back(u < 0.85 ? 0.0 : u < 0.9 ? -0.0 : rng.uniform() * 12.0);
+    }
+    histogram scalar(0.0, 10.0, 32);
+    for (const double v : samples) {
+        scalar.add(v);
+    }
+    histogram bulk(0.0, 10.0, 32);
+    bulk.add(std::span<const double>(samples));
+    EXPECT_EQ(bulk.total(), scalar.total());
+    for (std::size_t i = 0; i < scalar.bin_count(); ++i) {
+        EXPECT_EQ(bulk.count_at(i), scalar.count_at(i)) << "bin " << i;
+    }
+}
+
 TEST(histogram, bulk_add_empty_span_is_noop)
 {
     histogram h(0.0, 1.0, 4);

@@ -1,15 +1,21 @@
-// Tests for util/rng: determinism, distribution sanity, stream splitting.
+// Tests for util/rng: determinism, distribution sanity, stream splitting,
+// and the precomputed-bound draws that must match uniform_below and
+// discrete draw for draw.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/statistics.h"
 
 namespace {
 
+using synts::util::bounded_draw;
+using synts::util::discrete_total;
 using synts::util::xoshiro256;
 
 TEST(rng, deterministic_for_equal_seeds)
@@ -155,6 +161,37 @@ TEST(rng, discrete_respects_weights)
     EXPECT_EQ(counts[1], 0);
     EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.01);
     EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.01);
+}
+
+TEST(rng, bounded_draw_equals_uniform_below)
+{
+    // Same threshold, same draws, same remainders: two generators on one
+    // seed stay in lockstep, draw for draw, at every bound shape -- 1,
+    // powers of two, small odd and even bounds, and bounds above 2^63,
+    // where most draws are rejected.
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
+          std::uint64_t{12}, std::uint64_t{16}, std::uint64_t{1} << 20,
+          std::uint64_t{3} << 20, (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+        xoshiro256 a(n ^ 0x51ED);
+        xoshiro256 b(n ^ 0x51ED);
+        const bounded_draw draw(n);
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(draw(b), a.uniform_below(n)) << "n " << n << " draw " << i;
+        }
+        ASSERT_EQ(a(), b()) << "n " << n;
+    }
+}
+
+TEST(rng, discrete_with_precomputed_total_draws_the_same_index)
+{
+    const std::vector<double> weights = {0.5, 0.0, -1.0, 2.25, 1e-3, 7.0};
+    const double total = discrete_total(weights);
+    xoshiro256 a(9);
+    xoshiro256 b(9);
+    for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(b.discrete(weights, total), a.discrete(weights));
+    }
 }
 
 TEST(rng, split_streams_are_decorrelated)

@@ -1,4 +1,5 @@
-// Tests for workload/splash2: profile facts and trace generation.
+// Tests for workload/splash2: profile facts, trace generation and the
+// thread characters generation rejects.
 
 #include <gtest/gtest.h>
 
@@ -179,6 +180,23 @@ TEST(generation, thread_count_scales)
     const benchmark_profile p = make_profile(benchmark_id::radix, 8);
     const auto program = generate_program_trace(p, 5);
     EXPECT_EQ(program.thread_count(), 8u);
+}
+
+TEST(generation, rejects_thread_characters_the_draws_cannot_serve)
+{
+    // Each bounded draw's rejection threshold is computed when the stream
+    // starts, so every range must be non-empty even if it is never drawn.
+    const benchmark_profile base = make_profile(benchmark_id::radix, 2);
+    EXPECT_NO_THROW((void)generate_program_trace(base, 5));
+    const auto rejects = [&](auto&& edit) {
+        benchmark_profile p = base;
+        edit(p.threads[1]);
+        EXPECT_THROW((void)generate_program_trace(p, 5), std::invalid_argument);
+    };
+    rejects([](thread_character& c) { c.working_set_bytes = 0; });
+    rejects([](thread_character& c) { c.opcode_variety = 0; });
+    rejects([](thread_character& c) { c.carry_len_min = c.carry_len_max + 1; });
+    rejects([](thread_character& c) { c.mul_magnitude_min_bits = c.mul_magnitude_max_bits + 1; });
 }
 
 } // namespace
