@@ -5,7 +5,7 @@
 // netlists' cell views. Delays are expressed in picoseconds at the nominal
 // supply (1.0 V); the voltage dependence is handled by
 // circuit/voltage_model.h via an alpha-power-law scale factor that is
-// slightly cell-class specific (see DESIGN.md section 5.1).
+// slightly cell-class specific.
 
 #pragma once
 

@@ -6,7 +6,7 @@
 // is itemized as registers + combinational gates, costed with the same cell
 // library as the stage netlists, and compared against a core reference
 // derived from the synthesized stages (scaled by a documented factor
-// representing the full core; see DESIGN.md substitutions).
+// representing the full core: `core_scale_factor` below).
 
 #pragma once
 

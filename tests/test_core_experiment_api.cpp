@@ -82,7 +82,8 @@ TEST_F(barnes_experiment, predicted_mode_close_to_online)
     const auto predicted = experiment->run_synts_online_predicted(theta);
     ASSERT_EQ(predicted.intervals.size(), online.intervals.size());
     // Intervals of a phase are similar; prediction costs at most a few
-    // percent EDP over the true-N online mode (see bench_ext_predictor).
+    // percent EDP over the true-N online mode (see the bench_ext_predictor
+    // section of bench_paper_claims).
     EXPECT_LT(predicted.sum.edp(), online.sum.edp() * 1.10);
     EXPECT_GT(predicted.sum.edp(), online.sum.edp() * 0.90);
     // Interval 0 is bootstrapped with the true workloads, so the decisions
